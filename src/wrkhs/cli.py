@@ -174,12 +174,9 @@ def cmd_kernel_surface(args) -> int:
     pts = (gr.ravel() + 1j * gj.ravel())[:, None]
     if args.diagonal:
         # k(x, x) along the grid; the center argument is unused
-        k = np.diagonal(spec.gram(pts, pts)).copy()
-        pk = np.diagonal(spec.pseudo_gram(pts, pts)).copy()
+        k, pk = spec.diag(pts)
     else:
-        x0 = np.array([[center]], dtype=np.complex128)
-        k = spec.gram(x0, pts)[0]
-        pk = spec.pseudo_gram(x0, pts)[0]
+        k, pk = (m[0] for m in spec.pair(np.array([[center]]), pts))
     cfg = {
         "kernel": spec.to_config(),
         "center": [center.real, center.imag],

@@ -37,6 +37,10 @@ __all__ = [
 # Max acceptable |A - A^H| entry before a matrix is rejected as non-Hermitian.
 HERMITIAN_ATOL = 1e-12
 
+# Rows per block of the |A - A^H| check, which bounds its temporaries to a
+# few such blocks instead of full copies of A.
+ASYMMETRY_BLOCK_ROWS = 256
+
 
 class NumericalError(RuntimeError):
     """A linear solve or factorization failed (indefinite/singular system)."""
@@ -112,10 +116,6 @@ def transform_matrix(n: int) -> np.ndarray:
     return np.block([[eye, 1j * eye], [eye, -1j * eye]])
 
 
-def _is_exactly_diagonal(a: np.ndarray) -> bool:
-    return np.count_nonzero(a - np.diag(np.diagonal(a))) == 0
-
-
 def hermitian_solve(a, b) -> np.ndarray:
     """Solve ``A X = B`` for Hermitian positive-definite ``A``.
 
@@ -145,12 +145,16 @@ def hermitian_solve(a, b) -> np.ndarray:
     b = np.asarray(b)
     if b.shape[0] != a.shape[0]:
         raise ValueError(f"shape mismatch: A is {a.shape}, B is {b.shape}")
-    asym = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
+    asym = 0.0
+    for i in range(0, a.shape[0], ASYMMETRY_BLOCK_ROWS):
+        rows = slice(i, i + ASYMMETRY_BLOCK_ROWS)
+        asym = max(asym, float(np.max(np.abs(a[rows] - a[:, rows].conj().T))))
     if asym > HERMITIAN_ATOL:
         raise ValueError(f"matrix is not Hermitian (max asymmetry {asym:.3e})")
 
-    if _is_exactly_diagonal(a):
-        d = np.diagonal(a)
+    d = np.diagonal(a)
+    if np.count_nonzero(a) == np.count_nonzero(d):
+        # exactly diagonal
         if np.any(d.real <= 0) or np.any(d.imag != 0):
             raise NumericalError("diagonal matrix is not positive definite")
         d = d.real

@@ -20,7 +20,9 @@ Families
 ``RealImagBlocks``
     Four real-valued kernels of complex inputs (rr, jj, rj, jr) composed as
     kernel ``(rr + jj) + j(jr - rj)`` and pseudo-kernel
-    ``(rr - jj) + j(jr + rj)``. Requires ``rj(x, x') == jr(x', x)``.
+    ``(rr - jj) + j(jr + rj)``. Requires ``rj(x, x') == jr(x', x)``, which
+    for these symmetric Gaussians means ``rj == jr`` (or both of zero
+    scale); the kernel is then real.
 ``SeparateRealImag``
     Independent real and imaginary output parts with distinct real kernels:
     kernel ``rr + jj``, pseudo-kernel ``rr - jj``.
@@ -28,15 +30,19 @@ Families
     Mixed-effect design: kernel ``2 * sum_q k_q`` and pseudo-kernel
     ``2j * sum_q w_q k_q`` with real-valued ``k_q`` and weights in [0, 1).
 
-Every family exposes ``gram``/``pseudo_gram`` (entrywise over sample rows)
-plus scalar ``eval``/``pseudo``. Specs are immutable and hashable; all
-evaluations are pure and thread-safe.
+The last three share one evaluator over a list of real Gaussian terms, each
+with a kernel and a pseudo-kernel coefficient (the separable form).
+
+Every family exposes ``pair`` (the kernel and pseudo-kernel Gram matrices
+from one evaluation), ``gram``/``pseudo_gram``, ``diag`` (both at
+``x' = x`` in O(n)) and scalar ``eval``/``pseudo``. Specs are immutable and
+hashable; all evaluations are pure and thread-safe.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -74,11 +80,12 @@ def _as_inputs(x, name: str = "X") -> np.ndarray:
     return arr
 
 
-def _check_dims(x: np.ndarray, z: np.ndarray) -> None:
+def _validated(x, z) -> tuple[np.ndarray, np.ndarray]:
+    x = _as_inputs(x)
+    z = x if z is None else _as_inputs(z, "Z")
     if x.shape[1] != z.shape[1]:
-        raise ValueError(
-            f"input dimension mismatch: {x.shape[1]} vs {z.shape[1]}"
-        )
+        raise ValueError(f"input dimension mismatch: {x.shape[1]} vs {z.shape[1]}")
+    return x, z
 
 
 def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -87,6 +94,19 @@ def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     bb = np.sum(np.abs(b) ** 2, axis=1)[None, :]
     cross = np.real(a @ b.conj().T)
     return np.maximum(aa + bb - 2.0 * cross, 0.0)
+
+
+def _saturated(expo: np.ndarray) -> np.ndarray:
+    """Real exponents clipped at ``EXP_SATURATION``, with a warning if any was."""
+    if np.any(expo > EXP_SATURATION):
+        warnings.warn(
+            "complex Gaussian exponent exceeded saturation threshold; "
+            "values clipped at exp(700)",
+            KernelOverflowWarning,
+            stacklevel=4,
+        )
+        return np.minimum(expo, EXP_SATURATION)
+    return expo
 
 
 class KernelSpec:
@@ -98,17 +118,23 @@ class KernelSpec:
 
     def gram(self, x, z=None) -> np.ndarray:
         """Kernel Gram matrix K with ``K[i, j] = k(x_i, z_j)``."""
-        x = _as_inputs(x)
-        z = x if z is None else _as_inputs(z, "Z")
-        _check_dims(x, z)
-        return self._gram(x, z)
+        return self._gram(*_validated(x, z))
+
+    def pair(self, x, z=None) -> tuple[np.ndarray, np.ndarray]:
+        """``(K, Kt)`` with ``Kt[i, j] = ktilde(x_i, z_j)``, from one evaluation."""
+        return self._pair(*_validated(x, z))
 
     def pseudo_gram(self, x, z=None) -> np.ndarray:
         """Pseudo-kernel Gram matrix with entries ``ktilde(x_i, z_j)``."""
+        return self.pair(x, z)[1]
+
+    def diag(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """``(k(x_i, x_i), ktilde(x_i, x_i))`` for each row, in O(n) memory."""
         x = _as_inputs(x)
-        z = x if z is None else _as_inputs(z, "Z")
-        _check_dims(x, z)
-        return self._pseudo_gram(x, z)
+        # every family but the complex Gaussian is stationary: k(x, x) = k(0, 0)
+        zero = np.zeros((1, x.shape[1]), dtype=np.complex128)
+        k, kt = self._pair(zero, zero)
+        return np.full(x.shape[0], k[0, 0]), np.full(x.shape[0], kt[0, 0])
 
     def eval(self, x, xp) -> complex:
         """Scalar kernel evaluation k(x, x')."""
@@ -123,7 +149,7 @@ class KernelSpec:
     @property
     def has_null_pseudo(self) -> bool:
         """True when the pseudo-kernel is identically zero by construction."""
-        raise NotImplementedError
+        return True
 
     @property
     def is_real_valued(self) -> bool:
@@ -133,8 +159,8 @@ class KernelSpec:
     def _gram(self, x, z) -> np.ndarray:
         raise NotImplementedError
 
-    def _pseudo_gram(self, x, z) -> np.ndarray:
-        return np.zeros((x.shape[0], z.shape[0]))
+    def _pair(self, x, z) -> tuple[np.ndarray, np.ndarray]:
+        return self._gram(x, z), np.zeros((x.shape[0], z.shape[0]))
 
     # -- serialization ------------------------------------------------------
 
@@ -162,10 +188,6 @@ class RealGaussian(KernelSpec):
 
     def _gram(self, x, z):
         return self.scale * np.exp(-_sqdist(x, z) / self.gamma)
-
-    @property
-    def has_null_pseudo(self) -> bool:
-        return True
 
     @property
     def is_real_valued(self) -> bool:
@@ -198,20 +220,13 @@ class ComplexGaussian(KernelSpec):
         sz = np.sum(z.conj() ** 2, axis=1)[None, :]
         cross = x @ z.conj().T
         expo = -(sx + sz - 2.0 * cross) / self.gamma
-        re = expo.real
-        if np.any(re > EXP_SATURATION):
-            warnings.warn(
-                "complex Gaussian exponent exceeded saturation threshold; "
-                "values clipped at exp(700)",
-                KernelOverflowWarning,
-                stacklevel=3,
-            )
-            re = np.minimum(re, EXP_SATURATION)
-        return np.exp(re + 1j * expo.imag)
+        return np.exp(_saturated(expo.real) + 1j * expo.imag)
 
-    @property
-    def has_null_pseudo(self) -> bool:
-        return True
+    def diag(self, x):
+        # x = x': the exponent is 4 |Im x|^2 / gamma, real
+        x = _as_inputs(x)
+        expo = 4.0 * np.sum(x.imag**2, axis=1) / self.gamma
+        return np.exp(_saturated(expo)), np.zeros(x.shape[0])
 
     def to_config(self) -> dict:
         return {"family": self.family, "params": {"gamma": self.gamma}}
@@ -241,43 +256,92 @@ class IndependentGaussian(KernelSpec):
         zr, zj = z.real, z.imag
         return kap(xr, zr) + kap(xj, zj) + 1j * (kap(xr, zj) - kap(xj, zr))
 
-    @property
-    def has_null_pseudo(self) -> bool:
-        return True
-
     def to_config(self) -> dict:
         return {"family": self.family, "params": {"gamma": self.gamma}}
 
 
-def _real_part_kernel(obj) -> RealGaussian:
+def _real_part_kernel(obj) -> None:
     if not isinstance(obj, RealGaussian):
         raise TypeError(
             "block kernels must be real-valued kernels of complex inputs "
             f"(RealGaussian), got {type(obj).__name__}"
         )
-    return obj
 
 
-def _check_cross_consistency(rj: RealGaussian, jr: RealGaussian) -> None:
-    """Stochastic check of the cross-block constraint rj(x, x') == jr(x', x)."""
-    rng = np.random.default_rng(0x5EED)
-    for d in (1, 2, 5):
-        x = rng.standard_normal((4, d)) + 1j * rng.standard_normal((4, d))
-        z = rng.standard_normal((4, d)) + 1j * rng.standard_normal((4, d))
-        a = rj.gram(x, z)
-        b = jr.gram(z, x).T
-        if np.max(np.abs(a - b)) > 1e-10:
-            raise ValueError(
-                "cross kernels are inconsistent: rj(x, x') must equal jr(x', x)"
-            )
+class _TermSum(KernelSpec):
+    """Kernel ``sum_q a_q k_q`` and pseudo-kernel ``sum_q b_q k_q`` over real
+    Gaussians ``k_q``; subclasses list their ``(k_q, a_q, b_q)`` in ``_terms``.
+
+    One evaluation computes the squared distances once and each distinct
+    ``exp(-d2 / gamma)`` once, folding the part scales into the coefficients.
+    The defaults below serve the families whose fields are their part kernels.
+    """
+
+    def __post_init__(self):
+        for f in fields(self):
+            _real_part_kernel(getattr(self, f.name))
+
+    def _terms(self) -> tuple[tuple[RealGaussian, complex, complex], ...]:
+        raise NotImplementedError
+
+    def _coefficients(self) -> dict[float, tuple[complex, complex]]:
+        """Summed (kernel, pseudo-kernel) coefficient of each distinct gamma."""
+        sums: dict[float, tuple[complex, complex]] = {}
+        for g, a, b in self._terms():
+            sa, sb = sums.get(g.gamma, (0j, 0j))
+            sums[g.gamma] = (sa + g.scale * a, sb + g.scale * b)
+        # a real coefficient keeps its Gram matrix real
+        return {
+            gamma: tuple(c.real if c.imag == 0 else c for c in ab)
+            for gamma, ab in sums.items()
+        }
+
+    def _combine(self, x, z, count: int) -> list[np.ndarray]:
+        """``[K]`` (``count`` 1) or ``[K, Kt]`` (``count`` 2)."""
+        d2 = _sqdist(x, z)
+        e = np.empty_like(d2)  # one exp buffer for every gamma keeps the peak low
+        out = [None] * count
+        for gamma, coefs in self._coefficients().items():
+            coefs = coefs[:count]
+            if not any(coefs):
+                continue
+            np.exp(np.divide(d2, -gamma, out=e), out=e)
+            for i, c in enumerate(coefs):
+                if c != 0:
+                    out[i] = c * e if out[i] is None else out[i] + c * e
+        return [np.zeros(d2.shape) if m is None else m for m in out]
+
+    def _gram(self, x, z):
+        return self._combine(x, z, 1)[0]
+
+    def _pair(self, x, z):
+        return tuple(self._combine(x, z, 2))
+
+    @property
+    def has_null_pseudo(self) -> bool:
+        return all(b == 0 for _, b in self._coefficients().values())
+
+    @property
+    def is_real_valued(self) -> bool:
+        return all(np.imag(a) == 0 for a, _ in self._coefficients().values())
+
+    def to_config(self) -> dict:
+        return {
+            "family": self.family,
+            "params": {f.name: getattr(self, f.name).to_config()["params"] for f in fields(self)},
+        }
 
 
 @dataclass(frozen=True)
-class RealImagBlocks(KernelSpec):
+class RealImagBlocks(_TermSum):
     """Kernel/pseudo-kernel pair from four real-valued part kernels.
 
     kernel       = (rr + jj) + j (jr - rj)
     pseudo-kernel = (rr - jj) + j (jr + rj)
+
+    The cross kernels must satisfy ``rj(x, x') == jr(x', x)``; for these
+    symmetric Gaussians that holds exactly when ``rj == jr`` or both have
+    zero scale, so the kernel is real.
     """
 
     rr: RealGaussian
@@ -287,76 +351,35 @@ class RealImagBlocks(KernelSpec):
     family = "real_imag_blocks"
 
     def __post_init__(self):
-        for name in ("rr", "jj", "rj", "jr"):
-            _real_part_kernel(getattr(self, name))
-        _check_cross_consistency(self.rj, self.jr)
+        super().__post_init__()
+        if self.rj != self.jr and (self.rj.scale != 0 or self.jr.scale != 0):
+            raise ValueError(
+                "cross kernels are inconsistent: rj(x, x') must equal jr(x', x)"
+            )
 
-    def _gram(self, x, z):
-        grr = self.rr.gram(x, z)
-        gjj = self.jj.gram(x, z)
-        grj = self.rj.gram(x, z)
-        gjr = self.jr.gram(x, z)
-        return (grr + gjj) + 1j * (gjr - grj)
-
-    def _pseudo_gram(self, x, z):
-        grr = self.rr.gram(x, z)
-        gjj = self.jj.gram(x, z)
-        grj = self.rj.gram(x, z)
-        gjr = self.jr.gram(x, z)
-        return (grr - gjj) + 1j * (gjr + grj)
-
-    @property
-    def has_null_pseudo(self) -> bool:
-        return self.rr == self.jj and self.rj.scale == 0 and self.jr.scale == 0
-
-    def to_config(self) -> dict:
-        return {
-            "family": self.family,
-            "params": {
-                name: getattr(self, name).to_config()["params"]
-                for name in ("rr", "jj", "rj", "jr")
-            },
-        }
+    def _terms(self):
+        return (
+            (self.rr, 1, 1),
+            (self.jj, 1, -1),
+            (self.rj, -1j, 1j),
+            (self.jr, 1j, 1j),
+        )
 
 
 @dataclass(frozen=True)
-class SeparateRealImag(KernelSpec):
+class SeparateRealImag(_TermSum):
     """Distinct real kernels for independent real and imaginary parts."""
 
     rr: RealGaussian
     jj: RealGaussian
     family = "separate_real_imag"
 
-    def __post_init__(self):
-        _real_part_kernel(self.rr)
-        _real_part_kernel(self.jj)
-
-    def _gram(self, x, z):
-        return self.rr.gram(x, z) + self.jj.gram(x, z)
-
-    def _pseudo_gram(self, x, z):
-        return self.rr.gram(x, z) - self.jj.gram(x, z)
-
-    @property
-    def has_null_pseudo(self) -> bool:
-        return self.rr == self.jj
-
-    @property
-    def is_real_valued(self) -> bool:
-        return True
-
-    def to_config(self) -> dict:
-        return {
-            "family": self.family,
-            "params": {
-                "rr": self.rr.to_config()["params"],
-                "jj": self.jj.to_config()["params"],
-            },
-        }
+    def _terms(self):
+        return ((self.rr, 1, 1), (self.jj, 1, -1))
 
 
 @dataclass(frozen=True)
-class SumOfSeparable(KernelSpec):
+class SumOfSeparable(_TermSum):
     """Mixed-effect sum-of-separable design over real part kernels.
 
     kernel        = 2  sum_q k_q
@@ -379,21 +402,8 @@ class SumOfSeparable(KernelSpec):
                 raise ValueError(f"weights must lie in [0, 1), got {w}")
         object.__setattr__(self, "terms", terms)
 
-    def _gram(self, x, z):
-        total = sum(kq.gram(x, z) for kq, _ in self.terms)
-        return 2.0 * total
-
-    def _pseudo_gram(self, x, z):
-        total = sum(w * kq.gram(x, z) for kq, w in self.terms)
-        return 2j * total
-
-    @property
-    def has_null_pseudo(self) -> bool:
-        return all(w == 0.0 for _, w in self.terms)
-
-    @property
-    def is_real_valued(self) -> bool:
-        return self.has_null_pseudo
+    def _terms(self):
+        return tuple((kq, 2, 2j * w) for kq, w in self.terms)
 
     def to_config(self) -> dict:
         return {
@@ -414,8 +424,7 @@ class SumOfSeparable(KernelSpec):
 
 def augmented_gram(spec: KernelSpec, x, z=None) -> np.ndarray:
     """The augmented kernel matrix ``[[K, Kt], [conj(Kt), conj(K)]]``."""
-    k = np.asarray(spec.gram(x, z), dtype=np.complex128)
-    kt = np.asarray(spec.pseudo_gram(x, z), dtype=np.complex128)
+    k, kt = (np.asarray(m, dtype=np.complex128) for m in spec.pair(x, z))
     return np.block([[k, kt], [kt.conj(), k.conj()]])
 
 
@@ -428,8 +437,7 @@ def composite_blocks(spec: KernelSpec, x_star, x) -> tuple[np.ndarray, ...]:
     The composite prediction matrix is 2x these blocks (see
     :func:`composite_gram`).
     """
-    k = np.asarray(spec.gram(x_star, x), dtype=np.complex128)
-    kt = np.asarray(spec.pseudo_gram(x_star, x), dtype=np.complex128)
+    k, kt = spec.pair(x_star, x)
     rr = (k.real + kt.real) / 2.0
     jj = (k.real - kt.real) / 2.0
     jr = (k.imag + kt.imag) / 2.0
@@ -484,22 +492,12 @@ def kernel_from_config(config: dict) -> KernelSpec:
     params = config.get("params", {})
     if family == RealGaussian.family:
         return _real_gaussian_from_params(params)
-    if family == ComplexGaussian.family:
-        return ComplexGaussian(gamma=float(params["gamma"]))
-    if family == IndependentGaussian.family:
-        return IndependentGaussian(gamma=float(params["gamma"]))
-    if family == RealImagBlocks.family:
-        return RealImagBlocks(
-            **{
-                name: _real_gaussian_from_params(params[name])
-                for name in ("rr", "jj", "rj", "jr")
-            }
-        )
-    if family == SeparateRealImag.family:
-        return SeparateRealImag(
-            rr=_real_gaussian_from_params(params["rr"]),
-            jj=_real_gaussian_from_params(params["jj"]),
-        )
+    for cls in (ComplexGaussian, IndependentGaussian):
+        if family == cls.family:
+            return cls(gamma=float(params["gamma"]))
+    for cls in (RealImagBlocks, SeparateRealImag):
+        if family == cls.family:
+            return cls(**{f.name: _real_gaussian_from_params(params[f.name]) for f in fields(cls)})
     if family == SumOfSeparable.family:
         return SumOfSeparable(
             terms=tuple(

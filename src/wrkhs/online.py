@@ -202,7 +202,7 @@ class Wrkls:
         self._cap = new_cap
 
     def _kxx(self, x: np.ndarray) -> float:
-        return float(np.real(self.spec.gram(x[None, :], x[None, :])[0, 0]))
+        return float(np.real(self.spec.diag(x[None, :])[0][0]))
 
     def _admit(self, x: np.ndarray, y: complex) -> complex:
         m = self._m
@@ -216,8 +216,6 @@ class Wrkls:
             self._m = 1
             return 0.0 + 0.0j
         col = self.spec.gram(self._D[:m], x[None, :])[:, 0]
-        if self._dtype is np.float64:
-            col = col.real if np.iscomplexobj(col) else col
         pred = complex(np.conj(col) @ self._alpha[:m])
         b = self._Q[:m, :m] @ col
         gamma = c - float(np.real(np.conj(col) @ b))
@@ -271,8 +269,6 @@ class Wrkls:
         m = self._m
         k = self.spec.gram(self._D[:m])
         k = (k + k.conj().T) / 2.0
-        if self._dtype is np.float64 and np.iscomplexobj(k):
-            k = k.real
         return k + self.lam * np.eye(m)
 
     def _rebuild(self) -> None:
@@ -306,8 +302,6 @@ def streaming_ridge_predictions(
         raise ValueError("x and y must have the same number of samples")
     k = spec.gram(x)
     k = (k + k.conj().T) / 2.0
-    if spec.is_real_valued and np.iscomplexobj(k):
-        k = k.real
     a = k + lam * np.eye(len(y))
     try:
         low = scipy.linalg.cholesky(a, lower=True, check_finite=False)

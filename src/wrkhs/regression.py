@@ -83,7 +83,9 @@ def _check_lam(lam: float) -> float:
 
 
 def _hermitized(k: np.ndarray) -> np.ndarray:
-    return (k + k.conj().T) / 2.0
+    h = k + k.conj().T
+    h /= 2.0
+    return h
 
 
 def fit_composite(data: ComplexDataset, spec: KernelSpec, lam: float) -> np.ndarray:
@@ -110,16 +112,11 @@ def fit_augmented(
     lam = _check_lam(lam)
     if method not in ("direct", "schur"):
         raise ValueError(f"unknown method {method!r}")
-    k = _hermitized(np.asarray(spec.gram(data.X), dtype=np.complex128))
-    kt = np.asarray(spec.pseudo_gram(data.X), dtype=np.complex128)
-    kt = (kt + kt.T) / 2.0
-
+    n = data.n
     if method == "direct":
-        n = data.n
-        abar = hermitian_solve(
-            np.block([[k, kt], [kt.conj(), k.conj()]]) + lam * np.eye(2 * n),
-            np.concatenate([data.y, data.y.conj()]),
-        )
+        a = _hermitized(augmented_gram(spec, data.X))
+        a[np.diag_indices(2 * n)] += lam
+        abar = hermitian_solve(a, np.concatenate([data.y, data.y.conj()]))
         head, tail = abar[:n], abar[n:]
         discrepancy = float(np.max(np.abs(head - tail.conj())))
         if discrepancy > CONJUGATE_SYMMETRY_TOL:
@@ -130,7 +127,10 @@ def fit_augmented(
             logger.debug("augmented conjugate-symmetry discrepancy: %.3e", discrepancy)
         alpha = (head + tail.conj()) / 2.0
     else:
-        c = k + lam * np.eye(data.n)
+        k, kt = (np.asarray(m, dtype=np.complex128) for m in spec.pair(data.X))
+        k = _hermitized(k)
+        kt = (kt + kt.T) / 2.0
+        c = k + lam * np.eye(n)
         # P = C - Kt C^-* conj(Kt)
         p = c - kt @ conjugate_solve(c, kt.conj())
         p = _hermitized(p)
@@ -152,21 +152,18 @@ def fit_srkhs(data: ComplexDataset, spec: KernelSpec, lam: float) -> WrkhsModel:
             "fit_srkhs requires a null pseudo-kernel; use fit_augmented for "
             f"family {spec.family!r}"
         )
-    k = spec.gram(data.X)
-    k = _hermitized(np.asarray(k))
-    if not np.iscomplexobj(k):
-        k = np.ascontiguousarray(k.real)
+    k = _hermitized(spec.gram(data.X))
     alpha = hermitian_solve(k + lam * np.eye(data.n), data.y)
     return WrkhsModel(X=data.X, spec=spec, lam=lam, alpha=alpha)
 
 
 def predict(model: WrkhsModel, x_star) -> np.ndarray:
     """Evaluate ``k(x*, X) alpha + ktilde(x*, X) conj(alpha)`` row-wise."""
-    ks = model.spec.gram(x_star, model.X)
-    out = ks @ model.alpha
-    if not model.spec.has_null_pseudo:
-        kts = model.spec.pseudo_gram(x_star, model.X)
-        out = out + kts @ model.alpha.conj()
+    if model.spec.has_null_pseudo:
+        out = model.spec.gram(x_star, model.X) @ model.alpha
+    else:
+        ks, kts = model.spec.pair(x_star, model.X)
+        out = ks @ model.alpha + kts @ model.alpha.conj()
     return np.asarray(out, dtype=np.complex128)
 
 

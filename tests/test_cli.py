@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -271,6 +272,26 @@ class TestKernelSurface:
         np.testing.assert_allclose(cols["k_re"], expected, rtol=1e-12)
         np.testing.assert_array_equal(cols["k_im"], 0.0)
         assert np.all(cols["k_re"] >= 1.0)
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            '{"family": "complex_gaussian", "params": {"gamma": 80.0}}',
+            '{"family": "sum_of_separable", "params": {"terms": [{"weight": 0.3, "gamma": 8.0}]}}',
+        ],
+    )
+    def test_diagonal_without_gram_matrices(self, tmp_path, kernel):
+        # 41^2 grid points: one full complex Gram matrix alone would be 45 MB
+        argv = ["kernel-surface", "--kernel", kernel, "--range", "5", "--resolution", "41",
+                "--diagonal", "--out", str(tmp_path / "d.csv")]
+        tracemalloc.start()
+        try:
+            rc = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak < 4e6
 
     def test_independent_cross_shape(self, tmp_path):
         out = tmp_path / "ki.csv"

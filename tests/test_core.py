@@ -18,6 +18,7 @@ from wrkhs import (
     to_composite,
     transform_matrix,
 )
+from wrkhs.core import ASYMMETRY_BLOCK_ROWS
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 complex_vectors = st.integers(1, 12).flatmap(
@@ -136,6 +137,15 @@ class TestHermitianSolve:
         a = np.array([[1.0, 0.5], [0.2, 1.0]])
         with pytest.raises(ValueError, match="Hermitian"):
             hermitian_solve(a, np.ones(2))
+
+    def test_asymmetry_beyond_first_row_block_rejected(self):
+        n = ASYMMETRY_BLOCK_ROWS + 5
+        a = np.eye(n, dtype=complex)
+        a[n - 1, n - 2] = a[n - 2, n - 1] = 0.1
+        hermitian_solve(a, np.ones(n))
+        a[n - 1, n - 2] += 1e-9j
+        with pytest.raises(ValueError, match="Hermitian"):
+            hermitian_solve(a, np.ones(n))
 
     def test_indefinite_fails_hard(self):
         a = np.diag([1.0, -1.0]) + np.array([[0.0, 0.3], [0.3, 0.0]])

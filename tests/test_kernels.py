@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from wrkhs import kernels
 from wrkhs import (
     ComplexGaussian,
     IndependentGaussian,
@@ -85,6 +86,19 @@ class TestPseudoEval:
         with pytest.raises(ValueError, match="weights"):
             SumOfSeparable(terms=((RealGaussian(1.0), -0.1),))
 
+    def test_cross_kernels_accepted_exactly_when_equal(self):
+        # rj(x, x') == jr(x', x) holds for symmetric Gaussians iff rj == jr
+        g = RealGaussian(1.0)
+        cross = RealGaussian(0.7, scale=0.3)
+        assert RealImagBlocks(rr=g, jj=g, rj=cross, jr=cross).is_real_valued
+        # two zero-scale cross kernels are both the zero function
+        spec = RealImagBlocks(
+            rr=g, jj=g, rj=RealGaussian(0.5, scale=0.0), jr=RealGaussian(2.0, scale=0.0)
+        )
+        assert spec.has_null_pseudo
+        with pytest.raises(ValueError, match="cross kernels"):
+            RealImagBlocks(rr=g, jj=g, rj=cross, jr=RealGaussian(0.7, scale=0.0))
+
     def test_cross_kernel_consistency_rejected(self):
         with pytest.raises(ValueError, match="cross kernels"):
             RealImagBlocks(
@@ -124,6 +138,44 @@ class TestGram:
         for spec in specs.values():
             assert spec.gram(x, z).shape == (5, 3)
             assert spec.pseudo_gram(x, z).shape == (5, 3)
+
+
+class TestPair:
+    def test_matches_separate_evaluations(self, specs):
+        rng = np.random.default_rng(25)
+        x = random_inputs(rng, 6, 2)
+        z = random_inputs(rng, 4, 2)
+        for name, spec in specs.items():
+            k, kt = spec.pair(x, z)
+            np.testing.assert_allclose(k, spec.gram(x, z), atol=1e-13, err_msg=name)
+            np.testing.assert_allclose(kt, spec.pseudo_gram(x, z), atol=1e-13, err_msg=name)
+
+    def test_one_distance_matrix_per_call(self, specs, monkeypatch):
+        calls = []
+        sqdist = kernels._sqdist
+        monkeypatch.setattr(kernels, "_sqdist", lambda a, b: calls.append(1) or sqdist(a, b))
+        x = random_inputs(np.random.default_rng(26), 5, 2)
+        for name in ("real_imag_blocks", "separate_real_imag", "sum_of_separable"):
+            calls.clear()
+            specs[name].pair(x)
+            assert len(calls) == 1, name
+
+    def test_real_valued_from_coefficients(self, specs):
+        # (rr + jj) + j(jr - rj) with rj == jr, and 2 sum_q k_q, are real
+        assert specs["real_imag_blocks"].is_real_valued
+        assert specs["sum_of_separable"].is_real_valued
+        assert not specs["sum_of_separable"].has_null_pseudo
+        x = random_inputs(np.random.default_rng(27), 4, 2)
+        for name, spec in specs.items():
+            assert spec.is_real_valued == (not np.iscomplexobj(spec.gram(x))), name
+
+    def test_diag_matches_gram_diagonal(self, specs):
+        x = random_inputs(np.random.default_rng(28), 7, 2)
+        for name, spec in specs.items():
+            k, kt = spec.pair(x)
+            dk, dkt = spec.diag(x)
+            np.testing.assert_allclose(dk, np.diagonal(k), rtol=1e-13, err_msg=name)
+            np.testing.assert_allclose(dkt, np.diagonal(kt), atol=1e-13, err_msg=name)
 
 
 class TestAugmentedGram:

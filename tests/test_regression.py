@@ -184,6 +184,14 @@ class TestPredict:
             p_com = predict_composite(spec, data.X, a_com, x_star)
             np.testing.assert_allclose(p_aug, p_com, atol=1e-9, err_msg=name)
 
+    def test_null_pseudo_evaluates_kernel_only(self, monkeypatch):
+        # no pseudo-kernel matrix (all zeros) is built for a null-pseudo spec
+        rng = np.random.default_rng(40)
+        spec = SeparateRealImag(rr=RealGaussian(1.2), jj=RealGaussian(1.2))
+        model = fit_srkhs(random_dataset(rng, 6, 1), spec, 0.1)
+        monkeypatch.setattr(type(spec), "pair", None)
+        assert predict(model, random_inputs(rng, 3, 1)).shape == (3,)
+
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(12)
         data = random_dataset(rng, 5, 2)

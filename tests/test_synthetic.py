@@ -22,6 +22,7 @@ from wrkhs import (
     target_exp1,
     target_exp2,
 )
+from wrkhs import kernels
 from wrkhs.synthetic import draw_training_inputs, evaluation_grid
 
 
@@ -109,6 +110,22 @@ class TestSampling:
             SyntheticConfig(experiment=3)
         with pytest.raises(ValueError, match="grid_resolution"):
             SyntheticConfig(experiment=1, grid_resolution=1)
+
+
+@pytest.mark.parametrize(
+    "run, config",
+    [
+        (run_exp1, SyntheticConfig.experiment1(n_train=20, grid_resolution=5)),
+        (run_exp2, SyntheticConfig.experiment2(n_train=20, grid_resolution=5)),
+    ],
+)
+def test_one_distance_matrix_per_kernel_evaluation(run, config, monkeypatch):
+    # two fits and two predictions, each one joint kernel evaluation
+    calls = []
+    sqdist = kernels._sqdist
+    monkeypatch.setattr(kernels, "_sqdist", lambda a, b: calls.append(1) or sqdist(a, b))
+    run(config)
+    assert len(calls) <= 4
 
 
 class TestRunExp1:
