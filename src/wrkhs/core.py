@@ -207,7 +207,8 @@ class ComplexDataset:
     """n complex input vectors with n complex targets.
 
     ``X`` is an (n, d) complex matrix whose rows are samples; ``y`` holds the
-    n complex targets. Arrays are copied and made read-only on construction.
+    n complex targets. Arrays are copied and made read-only on construction;
+    NaN or infinite entries are rejected.
     """
 
     X: np.ndarray
@@ -226,6 +227,9 @@ class ComplexDataset:
             )
         if x.shape[0] < 1 or x.shape[1] < 1:
             raise ValueError("dataset needs n >= 1 samples and d >= 1 dimensions")
+        for name, arr in (("X", x), ("y", y)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} contains non-finite values")
         object.__setattr__(self, "X", _readonly(x))
         object.__setattr__(self, "y", _readonly(y))
 

@@ -58,6 +58,7 @@ __all__ = [
     "augmented_gram",
     "composite_blocks",
     "composite_gram",
+    "composite_matrix",
     "min_composite_eigenvalue",
     "validate_psd",
     "kernel_from_config",
@@ -437,7 +438,10 @@ def composite_blocks(spec: KernelSpec, x_star, x) -> tuple[np.ndarray, ...]:
     The composite prediction matrix is 2x these blocks (see
     :func:`composite_gram`).
     """
-    k, kt = spec.pair(x_star, x)
+    return _part_blocks(*spec.pair(x_star, x))
+
+
+def _part_blocks(k: np.ndarray, kt: np.ndarray) -> tuple[np.ndarray, ...]:
     rr = (k.real + kt.real) / 2.0
     jj = (k.real - kt.real) / 2.0
     jr = (k.imag + kt.imag) / 2.0
@@ -447,8 +451,15 @@ def composite_blocks(spec: KernelSpec, x_star, x) -> tuple[np.ndarray, ...]:
 
 def composite_gram(spec: KernelSpec, x_star, x) -> np.ndarray:
     """The real (2m, 2n) composite prediction matrix ``2 [[rr, rj], [jr, jj]]``."""
-    rr, rj, jr, jj = composite_blocks(spec, x_star, x)
-    return 2.0 * np.block([[rr, rj], [jr, jj]])
+    return composite_matrix(*spec.pair(x_star, x))
+
+
+def composite_matrix(k: np.ndarray, kt: np.ndarray) -> np.ndarray:
+    """:func:`composite_gram` of an already evaluated Gram pair ``(K, Kt)``."""
+    rr, rj, jr, jj = _part_blocks(k, kt)
+    kc = np.block([[rr, rj], [jr, jj]])
+    kc *= 2.0
+    return kc
 
 
 def min_composite_eigenvalue(spec: KernelSpec, x) -> float:

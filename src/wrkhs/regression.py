@@ -1,15 +1,17 @@
 """Batch ridge regression with a kernel and a pseudo-kernel.
 
-Three algebraically equivalent fit paths are provided:
+``fit_augmented`` solves ``(K + lam I) alpha + Kt conj(alpha) = y`` with the
+cheapest exact solve the Gram pair ``(K, Kt)`` allows, ``alpha = ar + j aj``:
 
-* ``fit_composite`` -- solves the real 2n x 2n system built from the
-  composite (stacked real/imaginary) representation. Kept as the brute-force
-  oracle the other paths are checked against.
-* ``fit_augmented`` -- the default: solves the complex 2n x 2n augmented
-  system ``(Kbar + lam I) abar = [y; conj(y)]`` directly, or equivalently via
-  the Schur complement (``method="schur"``) which only factors n x n blocks.
-* ``fit_srkhs`` -- the strictly-complex special case for null pseudo-kernels,
-  ``alpha = (K + lam I)^-1 y``.
+* a null pseudo-kernel -- the n x n solve of ``fit_srkhs``;
+* real ``K``, real ``Kt`` -- ``(K +- Kt + lam I)`` solved for ``ar``, ``aj``;
+* real ``K``, ``Kt = jS`` -- ``(K +- S + lam I)`` solved for ``ar +- aj``;
+* anything else -- the real 2n x 2n composite solve of ``fit_composite``.
+
+``fit_composite`` (the stacked real/imaginary system) and
+``fit_augmented(method="schur")`` (the Schur complement of the complex
+2n x 2n augmented system) are the oracles the default is checked against.
+``fit_srkhs`` is the strictly-complex fit ``alpha = (K + lam I)^-1 y``.
 
 Predictions follow ``f(x*) = k(x*, X) alpha + ktilde(x*, X) conj(alpha)``.
 """
@@ -17,13 +19,12 @@ Predictions follow ``f(x*) = k(x*, X) alpha + ktilde(x*, X) conj(alpha)``.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ComplexDataset, NumericalError, conjugate_solve, hermitian_solve
-from .kernels import KernelSpec, augmented_gram, composite_gram, kernel_from_config
+from .core import ComplexDataset, conjugate_solve, hermitian_solve
+from .kernels import KernelSpec, composite_gram, composite_matrix, kernel_from_config
 
 __all__ = [
     "WrkhsModel",
@@ -36,11 +37,6 @@ __all__ = [
     "model_to_json",
     "model_from_json",
 ]
-
-logger = logging.getLogger(__name__)
-
-# Max |head - conj(tail)| tolerated in an augmented solution before erroring.
-CONJUGATE_SYMMETRY_TOL = 1e-6
 
 # mse_db floor; exact-zero error reports this instead of -inf.
 MSE_DB_FLOOR = -320.0
@@ -82,61 +78,64 @@ def _check_lam(lam: float) -> float:
     return lam
 
 
-def _hermitized(k: np.ndarray) -> np.ndarray:
-    h = k + k.conj().T
-    h /= 2.0
-    return h
+def _ridge(a: np.ndarray, lam: float) -> np.ndarray:
+    """Overwrite ``a`` with ``(a + a^H)/2 + lam I`` and return it."""
+    a += a.conj().T
+    a /= 2.0
+    a[np.diag_indices_from(a)] += lam
+    return a
+
+
+def _composite_solve(k: np.ndarray, kt: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
+    kc = _ridge(composite_matrix(k, kt), lam)
+    return hermitian_solve(kc, np.concatenate([y.real, y.imag]))
 
 
 def fit_composite(data: ComplexDataset, spec: KernelSpec, lam: float) -> np.ndarray:
     """Composite-path coefficients ``(K_com + lam I)^-1 [Re y; Im y]`` (2n real)."""
     lam = _check_lam(lam)
-    kc = composite_gram(spec, data.X, data.X)
-    kc = (kc + kc.T) / 2.0
-    a = kc + lam * np.eye(2 * data.n)
-    y_com = np.concatenate([data.y.real, data.y.imag])
-    return hermitian_solve(a, y_com)
+    return _composite_solve(*spec.pair(data.X), data.y, lam)
 
 
 def fit_augmented(
-    data: ComplexDataset, spec: KernelSpec, lam: float, method: str = "direct"
+    data: ComplexDataset, spec: KernelSpec, lam: float, method: str | None = None
 ) -> WrkhsModel:
-    """Fit through the augmented system; returns the n complex coefficients.
+    """Fit the widely-linear ridge system; returns the n complex coefficients.
 
-    ``method="direct"`` solves the full 2n x 2n Hermitian system;
-    ``method="schur"`` uses the matrix-inversion-lemma form with
-    ``C = K + lam I`` and ``P = C - Kt C^-* conj(Kt)``. Both enforce the
-    conjugate structure of the augmented solution; a head/tail discrepancy
-    above 1e-6 raises :class:`NumericalError`.
+    By default the solve is chosen from the structure of ``spec.pair(X)``
+    (see the module docstring); every split system goes through
+    :func:`hermitian_solve`, so an indefinite one raises
+    :class:`~wrkhs.core.NumericalError`. ``method="schur"`` is the oracle:
+    the Schur complement of the augmented system, with ``C = K + lam I``
+    and ``P = C - Kt C^-* conj(Kt)``.
     """
     lam = _check_lam(lam)
-    if method not in ("direct", "schur"):
+    if method not in (None, "schur"):
         raise ValueError(f"unknown method {method!r}")
-    n = data.n
-    if method == "direct":
-        a = _hermitized(augmented_gram(spec, data.X))
-        a[np.diag_indices(2 * n)] += lam
-        abar = hermitian_solve(a, np.concatenate([data.y, data.y.conj()]))
-        head, tail = abar[:n], abar[n:]
-        discrepancy = float(np.max(np.abs(head - tail.conj())))
-        if discrepancy > CONJUGATE_SYMMETRY_TOL:
-            raise NumericalError(
-                f"augmented solution lost conjugate symmetry ({discrepancy:.3e})"
-            )
-        if discrepancy > 0:
-            logger.debug("augmented conjugate-symmetry discrepancy: %.3e", discrepancy)
-        alpha = (head + tail.conj()) / 2.0
-    else:
-        k, kt = (np.asarray(m, dtype=np.complex128) for m in spec.pair(data.X))
-        k = _hermitized(k)
+    if method is None and spec.has_null_pseudo:
+        return fit_srkhs(data, spec, lam)
+    y = data.y
+    k, kt = spec.pair(data.X)
+    if method == "schur":
+        k, kt = (np.asarray(m, dtype=np.complex128) for m in (k, kt))
         kt = (kt + kt.T) / 2.0
-        c = k + lam * np.eye(n)
-        # P = C - Kt C^-* conj(Kt)
-        p = c - kt @ conjugate_solve(c, kt.conj())
-        p = _hermitized(p)
-        u = hermitian_solve(p, data.y)  # P^-1 y;  P^-* conj(y) = conj(u)
+        c = _ridge(k, lam)
+        p = _ridge(c - kt @ conjugate_solve(c, kt.conj()), 0.0)
+        u = hermitian_solve(p, y)  # P^-1 y;  P^-* conj(y) = conj(u)
         alpha = u - hermitian_solve(c, kt @ u.conj())
-
+    elif np.isrealobj(k) and np.isrealobj(kt):
+        ar = hermitian_solve(_ridge(k + kt, lam), y.real)
+        aj = hermitian_solve(_ridge(np.subtract(k, kt, out=k), lam), y.imag)
+        alpha = ar + 1j * aj
+    elif np.isrealobj(k) and not kt.real.any():
+        # Kt = jS: (K + S + lam I)(ar + aj) = Re y + Im y, and K - S for ar - aj
+        s = kt.imag
+        u = hermitian_solve(_ridge(k + s, lam), y.real + y.imag)
+        v = hermitian_solve(_ridge(np.subtract(k, s, out=k), lam), y.real - y.imag)
+        alpha = (u + v) / 2.0 + 1j * ((u - v) / 2.0)
+    else:
+        a = _composite_solve(k, kt, y, lam)
+        alpha = a[: data.n] + 1j * a[data.n :]
     return WrkhsModel(X=data.X, spec=spec, lam=lam, alpha=alpha)
 
 
@@ -152,13 +151,14 @@ def fit_srkhs(data: ComplexDataset, spec: KernelSpec, lam: float) -> WrkhsModel:
             "fit_srkhs requires a null pseudo-kernel; use fit_augmented for "
             f"family {spec.family!r}"
         )
-    k = _hermitized(spec.gram(data.X))
-    alpha = hermitian_solve(k + lam * np.eye(data.n), data.y)
+    alpha = hermitian_solve(_ridge(spec.gram(data.X), lam), data.y)
     return WrkhsModel(X=data.X, spec=spec, lam=lam, alpha=alpha)
 
 
 def predict(model: WrkhsModel, x_star) -> np.ndarray:
     """Evaluate ``k(x*, X) alpha + ktilde(x*, X) conj(alpha)`` row-wise."""
+    if not np.isfinite(np.asarray(x_star, dtype=np.complex128)).all():
+        raise ValueError("x_star contains non-finite values")
     if model.spec.has_null_pseudo:
         out = model.spec.gram(x_star, model.X) @ model.alpha
     else:

@@ -8,7 +8,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from wrkhs import ComplexDataset, model_from_json
+from wrkhs import (
+    ComplexDataset,
+    KernelSpec,
+    fit_composite,
+    model_from_json,
+    predict,
+    predict_composite,
+)
 from wrkhs.cli import main, read_dataset_csv, write_dataset_csv
 
 
@@ -169,6 +176,74 @@ class TestFit:
         assert rc == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_sinc_labels_small_lam_fit(self, tmp_path):
+        # separate real/imag kernels at lam = 1e-6 on sinc labels: the complex
+        # 2n augmented solve this replaced lost conjugate symmetry here (exit 3)
+        rng = np.random.default_rng(0)
+        u = rng.uniform(-5, 5, (100, 2))
+        x = u[:, 0] + 1j * u[:, 1]
+        data = ComplexDataset(X=x[:, None], y=np.sinc(x.real) + 1j * np.sinc(x.imag))
+        data_path = tmp_path / "d.csv"
+        write_dataset_csv(data_path, data)
+        model_path = tmp_path / "m.json"
+        kernel = {
+            "family": "separate_real_imag",
+            "params": {"rr": {"gamma": 2.0}, "jj": {"gamma": 24.5}},
+        }
+        rc = main(
+            [
+                "fit",
+                "--dataset",
+                str(data_path),
+                "--kernel",
+                json.dumps(kernel),
+                "--lam",
+                "1e-6",
+                "--out",
+                str(model_path),
+            ]
+        )
+        assert rc == 0
+        model = model_from_json(model_path.read_text())
+        a_com = fit_composite(data, model.spec, 1e-6)
+        np.testing.assert_allclose(
+            predict(model, data.X),
+            predict_composite(model.spec, data.X, a_com, data.X),
+            atol=1e-8,
+        )
+
+    @pytest.mark.parametrize("column,field", [("x_im_0", "X"), ("y_re", "y")])
+    def test_nonfinite_field_exit_2_before_gram(
+        self, tmp_path, capsys, monkeypatch, column, field
+    ):
+        header = ["x_re_0", "x_im_0", "y_re", "y_im"]
+        row = ["0.5", "0.25", "1.0", "0.0"]
+        row[header.index(column)] = "nan"
+        data_path = tmp_path / "nan.csv"
+        write_csv(data_path, header, [["0.0", "0.0", "1.0", "0.0"], row])
+
+        def no_gram(*args, **kwargs):
+            raise AssertionError("a Gram matrix was built")
+
+        monkeypatch.setattr(KernelSpec, "pair", no_gram)
+        monkeypatch.setattr(KernelSpec, "gram", no_gram)
+        rc = main(
+            [
+                "fit",
+                "--dataset",
+                str(data_path),
+                "--kernel",
+                KERNEL_RG,
+                "--lam",
+                "0.1",
+                "--out",
+                str(tmp_path / "m.json"),
+            ]
+        )
+        assert rc == 2
+        assert f"{field} contains non-finite values" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
     def test_fit_predict_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(1)
         data = ComplexDataset(
@@ -218,6 +293,31 @@ class TestFit:
         _, cols = read_rows(pred_path)
         np.testing.assert_array_equal(cols["pred_re"], ref.real)
         np.testing.assert_array_equal(cols["pred_im"], ref.imag)
+
+
+    def test_predict_nonfinite_input_exit_2(self, tmp_path, capsys):
+        model_path = tmp_path / "m.json"
+        train_path = tmp_path / "train.csv"
+        write_csv(train_path, ["x_re_0", "x_im_0", "y_re", "y_im"], [["0.0", "0.0", "1.0", "0.0"]])
+        fit_args = ["fit", "--dataset", str(train_path), "--kernel", KERNEL_RG]
+        assert main(fit_args + ["--lam", "0.1", "--out", str(model_path)]) == 0
+        query_path = tmp_path / "query.csv"
+        write_csv(query_path, ["x_re_0", "x_im_0"], [["0.0", "1.0"], ["inf", "0.0"]])
+        pred_path = tmp_path / "preds.csv"
+        rc = main(
+            [
+                "predict",
+                "--model",
+                str(model_path),
+                "--dataset",
+                str(query_path),
+                "--out",
+                str(pred_path),
+            ]
+        )
+        assert rc == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not pred_path.exists()
 
 
 class TestKernelSurface:

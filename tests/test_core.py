@@ -175,6 +175,14 @@ class TestComplexDataset:
         with pytest.raises(ValueError, match="rows"):
             ComplexDataset(X=np.ones((3, 1)), y=np.ones(2))
 
+    @pytest.mark.parametrize("field", ["X", "y"])
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf, complex(0, np.nan)])
+    def test_nonfinite_rejected(self, field, bad):
+        arrays = {"X": np.ones((3, 2), dtype=complex), "y": np.ones(3, dtype=complex)}
+        arrays[field][(1,) * arrays[field].ndim] = bad
+        with pytest.raises(ValueError, match=f"^{field} contains non-finite values"):
+            ComplexDataset(**arrays)
+
     def test_arrays_readonly(self):
         data = ComplexDataset(X=np.ones((2, 1)), y=np.ones(2))
         with pytest.raises(ValueError):

@@ -20,6 +20,7 @@ from wrkhs import (
     predict_composite,
     transform_matrix,
 )
+from wrkhs import regression
 from conftest import random_inputs, zoo_specs
 
 
@@ -76,7 +77,7 @@ class TestFitAugmented:
             rr=RealGaussian(gamma=1.0, scale=s1), jj=RealGaussian(gamma=1.0, scale=s2)
         )
         expected = ((a + lam) * y - b * np.conj(y)) / ((a + lam) ** 2 - b**2)
-        for method in ("direct", "schur"):
+        for method in (None, "schur"):
             model = fit_augmented(data, spec, lam, method=method)
             assert model.alpha[0] == pytest.approx(expected, abs=1e-12)
 
@@ -84,7 +85,7 @@ class TestFitAugmented:
         rng = np.random.default_rng(3)
         data = random_dataset(rng, 12, 2)
         for name, spec in specs.items():
-            direct = fit_augmented(data, spec, 0.5, method="direct")
+            direct = fit_augmented(data, spec, 0.5)
             schur = fit_augmented(data, spec, 0.5, method="schur")
             np.testing.assert_allclose(
                 direct.alpha, schur.alpha, atol=1e-9, err_msg=name
@@ -101,6 +102,31 @@ class TestFitAugmented:
             np.testing.assert_allclose(
                 abar[9:], abar[:9].conj(), atol=1e-9, err_msg=name
             )
+
+    def test_default_solves_by_structure(self, specs, monkeypatch):
+        # the default factors n x n systems only, except the 2n real
+        # composite system for a general real_imag_blocks pseudo-kernel
+        n = 10
+        expected = {
+            "real_gaussian": [((n, n), "float64")],
+            "complex_gaussian": [((n, n), "complex128")],
+            "independent": [((n, n), "complex128")],
+            "real_imag_blocks": [((2 * n, 2 * n), "float64")],
+            "separate_real_imag": [((n, n), "float64")] * 2,
+            "sum_of_separable": [((n, n), "float64")] * 2,
+        }
+        data = random_dataset(np.random.default_rng(16), n, 2)
+        seen = []
+
+        def recording_solve(a, b):
+            seen.append((a.shape, a.dtype.name))
+            return hermitian_solve(a, b)
+
+        monkeypatch.setattr(regression, "hermitian_solve", recording_solve)
+        for name, spec in specs.items():
+            seen.clear()
+            fit_augmented(data, spec, 0.5)
+            assert seen == expected[name], name
 
     def test_unknown_method(self):
         rng = np.random.default_rng(5)
@@ -191,6 +217,15 @@ class TestPredict:
         model = fit_srkhs(random_dataset(rng, 6, 1), spec, 0.1)
         monkeypatch.setattr(type(spec), "pair", None)
         assert predict(model, random_inputs(rng, 3, 1)).shape == (3,)
+
+    def test_nonfinite_inputs_rejected(self):
+        rng = np.random.default_rng(17)
+        model = fit_srkhs(random_dataset(rng, 5, 1), RealGaussian(1.0), 0.1)
+        for bad in (np.nan, np.inf, 1j * np.nan):
+            x_star = random_inputs(rng, 3, 1)
+            x_star[1, 0] = bad
+            with pytest.raises(ValueError, match="x_star contains non-finite"):
+                predict(model, x_star)
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(12)
