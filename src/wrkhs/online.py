@@ -12,6 +12,20 @@ least-squares objective caused by removing basis i (exactly the
 the least informative basis. Without a budget the recursion reproduces the
 batch ridge solution on all samples seen so far.
 
+Storage: ``Q`` lives in the top-left m x m block of one F-contiguous
+buffer (``budget + 1`` square when budgeted) whose other entries are zero.
+Admitting a basis is then one rank-1 update ``Q += u u^H / gamma`` with
+``u = [Q k; -1]``, and evicting one is one rank-1 downdate; both are a
+single in-place BLAS ``?ger`` call on the buffer's leading columns with a
+zero-padded vector (a column slice of an F-contiguous buffer is itself
+contiguous, which scipy's BLAS wrappers update in place; they would copy a
+strided sub-block). Eviction first swaps the chosen basis into the last
+slot, at O(m) cost, so :attr:`Wrkls.dictionary` is not in arrival order
+once a basis has been evicted. The post-admit scores follow in O(m) from
+``diag(Q)``, ``Q k`` and ``alpha``; when the newcomer's own score
+``|err|^2 / gamma`` is the smallest, admitting and then evicting it would
+be the identity, so both updates are skipped.
+
 :func:`streaming_ridge_predictions` computes the same unbounded prediction
 sequence in one Cholesky factorization (prequential form), used by the
 benchmark runners where streams are long.
@@ -19,8 +33,12 @@ benchmark runners where streams are long.
 
 from __future__ import annotations
 
+import cmath
+import math
+
 import numpy as np
 import scipy.linalg
+from scipy.linalg import blas
 
 from .core import NumericalError, hermitian_solve
 from .kernels import KernelSpec
@@ -33,6 +51,13 @@ RESIDUAL_CHECK_INTERVAL = 128
 
 # Max tolerated |Q (K + lam I) - I| before a full rebuild is forced.
 RESIDUAL_TOL = 1e-6
+
+
+def _check_lam(lam: float) -> float:
+    lam = float(lam)
+    if not (lam > 0 and math.isfinite(lam)):
+        raise ValueError(f"lam must be strictly positive and finite, got {lam}")
+    return lam
 
 
 class Wrkls:
@@ -58,9 +83,7 @@ class Wrkls:
                 "online recursion requires a null pseudo-kernel; "
                 f"family {spec.family!r} has a pseudo-kernel"
             )
-        lam = float(lam)
-        if not lam > 0:
-            raise ValueError(f"lam must be strictly positive, got {lam}")
+        lam = _check_lam(lam)
         if budget is not None:
             budget = int(budget)
             if budget < 1:
@@ -69,6 +92,8 @@ class Wrkls:
         self.lam = lam
         self.budget = budget
         self._dtype = np.float64 if spec.is_real_valued else np.complex128
+        # in-place rank-1 update a += s x y^H of an F-contiguous matrix
+        self._ger = blas.dger if spec.is_real_valued else blas.zgerc
         self._m = 0
         self._dim: int | None = None
         self._observed = 0
@@ -77,7 +102,6 @@ class Wrkls:
         self._y: np.ndarray | None = None
         self._alpha: np.ndarray | None = None
         self._Q: np.ndarray | None = None
-        self._work: np.ndarray | None = None
 
     # -- public state -------------------------------------------------------
 
@@ -88,7 +112,11 @@ class Wrkls:
 
     @property
     def dictionary(self) -> np.ndarray:
-        """Copy of the dictionary inputs, shape (size, d)."""
+        """Copy of the dictionary inputs, shape (size, d).
+
+        Rows are in slot order: an evicted basis's slot is taken by the
+        basis in the last slot, so this is not arrival order.
+        """
         if self._m == 0:
             return np.empty((0, self._dim or 0), dtype=np.complex128)
         return self._D[: self._m].copy()
@@ -144,13 +172,16 @@ class Wrkls:
         """Predict ``y`` from pre-update state, then admit (x, y).
 
         Returns the prediction made *before* the update. When the dictionary
-        exceeds the budget, the minimal-score basis is evicted.
+        exceeds the budget, the minimal-score basis is evicted. A sample with
+        a NaN or infinite entry raises ``ValueError`` and leaves the model
+        unchanged.
         """
-        x = self._check_input(x, grow=True)
+        x = np.asarray(x, dtype=np.complex128).ravel()
         y = complex(y)
+        if not (cmath.isfinite(y) and np.isfinite(x).all()):
+            raise ValueError("observe: sample contains non-finite values")
+        x = self._check_input(x, grow=True)
         pred = self._admit(x, y)
-        if self.budget is not None and self._m > self.budget:
-            self._prune(int(np.argmin(self._scores())))
         self._observed += 1
         if self._observed % RESIDUAL_CHECK_INTERVAL == 0:
             if self.inverse_residual() > RESIDUAL_TOL:
@@ -189,8 +220,7 @@ class Wrkls:
         new_d = np.zeros((new_cap, dim), dtype=np.complex128)
         new_y = np.zeros(new_cap, dtype=np.complex128)
         new_a = np.zeros(new_cap, dtype=np.complex128)
-        new_q = np.zeros((new_cap, new_cap), dtype=self._dtype)
-        new_w = np.zeros((new_cap, new_cap), dtype=self._dtype)
+        new_q = np.zeros((new_cap, new_cap), dtype=self._dtype, order="F")
         m = self._m
         if m:
             new_d[:m] = self._D[:m]
@@ -198,7 +228,6 @@ class Wrkls:
             new_a[:m] = self._alpha[:m]
             new_q[:m, :m] = self._Q[:m, :m]
         self._D, self._y, self._alpha, self._Q = new_d, new_y, new_a, new_q
-        self._work = new_w
         self._cap = new_cap
 
     def _kxx(self, x: np.ndarray) -> float:
@@ -208,37 +237,44 @@ class Wrkls:
         m = self._m
         self._ensure_capacity(m + 1)
         c = self._kxx(x) + self.lam
+        self._D[m] = x
+        self._y[m] = y
         if m == 0:
-            self._D[0] = x
-            self._y[0] = y
             self._Q[0, 0] = 1.0 / c
             self._alpha[0] = y / c
             self._m = 1
             return 0.0 + 0.0j
         col = self.spec.gram(self._D[:m], x[None, :])[:, 0]
-        pred = complex(np.conj(col) @ self._alpha[:m])
+        alpha = self._alpha[:m]
+        pred = complex(np.conj(col) @ alpha)
         b = self._Q[:m, :m] @ col
         gamma = c - float(np.real(np.conj(col) @ b))
+        full = self.budget is not None and m == self.budget
         if gamma <= 1e-12 * c:
             # numerically singular rank-1 update: fall back to a full rebuild
-            self._D[m] = x
-            self._y[m] = y
             self._m = m + 1
             self._rebuild()
+            if full:
+                self._evict(int(np.argmin(self._scores())))
             return pred
         err = y - pred
-        q = self._Q
-        b_over = np.conj(b) / gamma
-        np.outer(b, b_over, out=self._work[:m, :m])
-        q[:m, :m] += self._work[:m, :m]
-        q[:m, m] = -np.conj(b_over)
-        q[m, :m] = -b_over
-        q[m, m] = 1.0 / gamma
-        self._alpha[:m] -= b * (err / gamma)
+        new_alpha = alpha - b * (err / gamma)
+        if full:
+            # scores of the m + 1 bases after the admit, newcomer last
+            q_diag = np.real(np.diagonal(self._Q)[:m]) + np.abs(b) ** 2 / gamma
+            scores = np.append(np.abs(new_alpha) ** 2 / q_diag, abs(err) ** 2 / gamma)
+            r = int(np.argmin(scores))
+            if r == m:  # admitting and then evicting the newcomer is the identity
+                return pred
+        u = np.zeros(self._cap, dtype=self._dtype)
+        u[:m] = b
+        u[m] = -1.0
+        self._ger(1.0 / gamma, u, u[: m + 1], a=self._Q[:, : m + 1], overwrite_a=True)
+        alpha[:] = new_alpha
         self._alpha[m] = err / gamma
-        self._D[m] = x
-        self._y[m] = y
         self._m = m + 1
+        if full:
+            self._evict(r)
         return pred
 
     def _scores(self) -> np.ndarray:
@@ -246,24 +282,24 @@ class Wrkls:
         diag = np.real(np.diagonal(self._Q)[:m])
         return np.abs(self._alpha[:m]) ** 2 / diag
 
-    def _prune(self, r: int) -> None:
-        m = self._m
+    def _evict(self, r: int) -> None:
+        last = self._m - 1
         q = self._Q
-        qrr = q[r, r].real
-        qs = np.concatenate([q[:r, r], q[r + 1 : m, r]])
-        alpha_r = self._alpha[r]
-        # compact row/column r away (numpy buffers overlapping copies)
-        if r < m - 1:
-            q[r : m - 1, :m] = q[r + 1 : m, :m]
-            q[:m, r : m - 1] = q[:m, r + 1 : m]
-            self._D[r : m - 1] = self._D[r + 1 : m]
-            self._y[r : m - 1] = self._y[r + 1 : m]
-            self._alpha[r : m - 1] = self._alpha[r + 1 : m]
-        # rank-1 downdate of the remaining block
-        np.outer(qs, np.conj(qs) / qrr, out=self._work[: m - 1, : m - 1])
-        q[: m - 1, : m - 1] -= self._work[: m - 1, : m - 1]
-        self._alpha[: m - 1] -= qs * (alpha_r / qrr)
-        self._m = m - 1
+        if r != last:
+            swap = [last, r]
+            for a in (self._D, self._y, self._alpha):
+                a[[r, last]] = a[swap]
+            q[[r, last], :] = q[swap, :]
+            q[:, [r, last]] = q[:, swap]
+        # Q <- Q - v v^H / q_ll over the other bases, with v the last column
+        v = q[:, last].copy()
+        q_ll = v[last].real
+        v[last] = 0.0
+        q[last, :] = 0.0
+        q[:, last] = 0.0
+        self._ger(-1.0 / q_ll, v, v[:last], a=q[:, :last], overwrite_a=True)
+        self._alpha[:last] -= v[:last] * (self._alpha[last] / q_ll)
+        self._m = last
 
     def _regularized_gram(self) -> np.ndarray:
         m = self._m
@@ -289,9 +325,7 @@ def streaming_ridge_predictions(
     single Cholesky factorization: with ``L L^H = K + lam I`` and
     ``z = L^-1 y``, the prediction sequence is ``y - diag(L) * z``.
     """
-    lam = float(lam)
-    if not lam > 0:
-        raise ValueError(f"lam must be strictly positive, got {lam}")
+    lam = _check_lam(lam)
     if not spec.has_null_pseudo:
         raise ValueError("streaming ridge requires a null pseudo-kernel")
     x = np.asarray(x, dtype=np.complex128)

@@ -19,6 +19,7 @@ Predictions follow ``f(x*) = k(x*, X) alpha + ktilde(x*, X) conj(alpha)``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,8 +74,8 @@ class WrkhsModel:
 
 def _check_lam(lam: float) -> float:
     lam = float(lam)
-    if lam < 0:
-        raise ValueError(f"ridge weight must be >= 0, got {lam}")
+    if not (lam >= 0 and math.isfinite(lam)):
+        raise ValueError(f"ridge weight must be finite and >= 0, got {lam}")
     return lam
 
 

@@ -200,17 +200,24 @@ class TestRunEqualization:
         )
         assert abs(r_unb.final_mse_db - r_bud.final_mse_db) <= 1.0
 
-    def test_threaded_matches_sequential(self, monkeypatch):
+    @staticmethod
+    def threaded_matches_sequential(monkeypatch, budget):
         cfg = EqualizationConfig(
             channel=ChannelConfig(rho=RHO_CIRCULAR, trials=3, base_seed=3, n_samples=300),
             kernel=RealGaussian(gamma=8.92),
             lam=0.32,
-            budget=None,
+            budget=budget,
         )
         seq = run_equalization(cfg)
         monkeypatch.setenv("WRKHS_THREADS", "3")
         par = run_equalization(cfg)
         np.testing.assert_array_equal(seq.curve_db, par.curve_db)
+
+    def test_threaded_matches_sequential(self, monkeypatch):
+        self.threaded_matches_sequential(monkeypatch, budget=None)
+
+    def test_budgeted_threaded_matches_sequential(self, monkeypatch):
+        self.threaded_matches_sequential(monkeypatch, budget=40)
 
 
 class TestConfig:

@@ -244,6 +244,42 @@ class TestFit:
         assert f"{field} contains non-finite values" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    def test_nonfinite_lam_exit_2_before_gram(self, tmp_path, capsys, monkeypatch, lam):
+        data_path = tmp_path / "d.csv"
+        write_csv(
+            data_path,
+            ["x_re_0", "x_im_0", "y_re", "y_im"],
+            [["0.0", "0.0", "1.0", "0.0"], ["0.5", "0.25", "0.0", "1.0"]],
+        )
+
+        def no_gram(*args, **kwargs):
+            raise AssertionError("a Gram matrix was built")
+
+        monkeypatch.setattr(KernelSpec, "pair", no_gram)
+        monkeypatch.setattr(KernelSpec, "gram", no_gram)
+        kernel_sri = (
+            '{"family": "separate_real_imag", '
+            '"params": {"rr": {"gamma": 1.0}, "jj": {"gamma": 3.0}}}'
+        )
+        for kernel in (KERNEL_RG, kernel_sri):
+            rc = main(
+                [
+                    "fit",
+                    "--dataset",
+                    str(data_path),
+                    "--kernel",
+                    kernel,
+                    "--lam",
+                    lam,
+                    "--out",
+                    str(tmp_path / "m.json"),
+                ]
+            )
+            assert rc == 2
+            assert "ridge weight must be finite" in capsys.readouterr().err
+            assert not (tmp_path / "m.json").exists()
+
     def test_fit_predict_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(1)
         data = ComplexDataset(

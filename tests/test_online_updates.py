@@ -1,0 +1,161 @@
+"""Tests for the in-place update paths of the budgeted online recursion."""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from wrkhs import (
+    ComplexDataset,
+    ComplexGaussian,
+    IndependentGaussian,
+    RealGaussian,
+    Wrkls,
+    fit_srkhs,
+    streaming_ridge_predictions,
+)
+from conftest import random_inputs
+
+# One real-valued kernel (real BLAS update) and two complex-valued ones
+# (complex BLAS update).
+SPECS = {
+    "real_gaussian": RealGaussian(gamma=1.5),
+    "independent": IndependentGaussian(gamma=1.5),
+    "complex_gaussian": ComplexGaussian(gamma=60.0),
+}
+
+
+def random_stream(rng, n, d=2):
+    x = random_inputs(rng, n, d)
+    y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return x, y
+
+
+def state(model):
+    return model.dictionary, model.coefficients, model._Q.copy()
+
+
+def count_updates(model):
+    """Wrap the model's rank-1 BLAS update; returns a list of its calls."""
+    calls = []
+    ger = model._ger
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return ger(*args, **kwargs)
+
+    model._ger = counted
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+@settings(max_examples=30, deadline=None)
+@example(seed=0, budget=1, n=12, lam=0.3)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    budget=st.integers(1, 7),
+    n=st.integers(1, 24),
+    lam=st.floats(0.05, 1.0),
+)
+def test_budgeted_state_equals_refit_after_every_observe(name, seed, budget, n, lam):
+    spec = SPECS[name]
+    rng = np.random.default_rng(seed)
+    x, y = random_stream(rng, n)
+    model = Wrkls(spec, lam, budget=budget)
+    assert model._dtype == (np.float64 if name == "real_gaussian" else np.complex128)
+    for i in range(n):
+        if model.size == budget:
+            # oracle scores of the budget + 1 candidates, newcomer last
+            cand = np.vstack([model.dictionary, x[i][None, :]])
+            a = spec.gram(cand) + lam * np.eye(budget + 1)
+            inv = np.linalg.inv(a)
+            scores = np.abs(inv @ np.append(model.targets, y[i])) ** 2 / np.real(
+                np.diagonal(inv)
+            )
+        model.observe(x[i], y[i])
+        assert model.size == min(i + 1, budget)
+        if i >= budget:
+            kept = model.dictionary
+            evicted = [
+                j for j in range(budget + 1) if not (kept == cand[j]).all(axis=1).any()
+            ]
+            low, second = np.sort(scores)[:2]
+            if second - low > 1e-8 * second:  # no near-tie
+                assert evicted == [int(np.argmin(scores))]
+        ref = fit_srkhs(ComplexDataset(X=model.dictionary, y=model.targets), spec, lam)
+        np.testing.assert_allclose(model.coefficients, ref.alpha, rtol=0, atol=1e-10)
+        assert model.inverse_residual() <= 1e-9
+
+
+class TestSkipPath:
+    def test_evicted_newcomer_leaves_state_untouched(self):
+        model = Wrkls(RealGaussian(gamma=1.0), 0.3, budget=2)
+        model.observe(np.array([0.0j]), 5.0)
+        model.observe(np.array([1.0 + 0.0j]), -5.0)
+        before = state(model)
+        calls = count_updates(model)
+        # far from both bases: predicted as 0, so a zero target scores 0
+        pred = model.observe(np.array([10.0 + 10.0j]), 0.0)
+        assert abs(pred) < 1e-60
+        assert calls == []
+        for old, new in zip(before, state(model)):
+            np.testing.assert_array_equal(old, new)
+
+    def test_evicting_another_basis_updates_in_place(self):
+        model = Wrkls(RealGaussian(gamma=1.0), 0.3, budget=2)
+        model.observe(np.array([0.0j]), 1.0)  # the smaller coefficient: evicted
+        model.observe(np.array([1.0 + 0.0j]), -5.0)
+        buffer = model._Q
+        calls = count_updates(model)
+        model.observe(np.array([10.0 + 10.0j]), 100.0)
+        assert len(calls) == 2  # the admit update and the evict downdate
+        assert model._Q is buffer and buffer.flags.f_contiguous
+        # the newcomer took the evicted basis's slot
+        np.testing.assert_array_equal(
+            model.dictionary[:, 0], np.array([10.0 + 10.0j, 1.0 + 0.0j])
+        )
+        ref = fit_srkhs(
+            ComplexDataset(X=model.dictionary, y=model.targets), RealGaussian(1.0), 0.3
+        )
+        np.testing.assert_allclose(model.coefficients, ref.alpha, rtol=0, atol=1e-10)
+
+
+class TestNonfiniteInput:
+    @pytest.mark.parametrize(
+        "x,y",
+        [
+            ([np.nan, 0.5j], 1.0),
+            ([0.5, complex(0.0, np.inf)], 1.0),
+            ([0.5, 0.5j], complex(np.nan, 0.0)),
+            ([0.5, 0.5j], complex(0.0, -np.inf)),
+        ],
+    )
+    def test_observe_rejects_and_keeps_state(self, x, y):
+        rng = np.random.default_rng(20)
+        xs, ys = random_stream(rng, 12)
+        model = Wrkls(RealGaussian(1.0), 0.3, budget=5)
+        for i in range(8):
+            model.observe(xs[i], ys[i])
+        before = state(model)
+        with pytest.raises(ValueError, match="non-finite"):
+            model.observe(np.array(x), y)
+        for old, new in zip(before, state(model)):
+            np.testing.assert_array_equal(old, new)
+        preds = [model.observe(xs[i], ys[i]) for i in range(8, 12)]
+        assert np.all(np.isfinite(preds))
+        assert np.all(np.isfinite(model.predict_batch(xs)))
+
+    def test_first_sample_rejected_leaves_model_empty(self):
+        model = Wrkls(RealGaussian(1.0), 0.3)
+        with pytest.raises(ValueError, match="non-finite"):
+            model.observe(np.array([np.nan]), 1.0)
+        assert model.size == 0
+        model.observe(np.array([0.1j, 0.2]), 1.0)  # dimension not fixed by the reject
+        assert model.size == 1
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_nonfinite_lam_rejected(self, lam):
+        with pytest.raises(ValueError, match="finite"):
+            Wrkls(RealGaussian(1.0), lam)
+        with pytest.raises(ValueError, match="finite"):
+            streaming_ridge_predictions(RealGaussian(1.0), np.ones((3, 1)), np.ones(3), lam)

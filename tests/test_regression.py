@@ -178,6 +178,14 @@ class TestFitSrkhs:
         with pytest.raises(ValueError, match=">= 0"):
             fit_srkhs(data, RealGaussian(1.0), -0.1)
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_nonfinite_lam_rejected(self, specs, lam):
+        rng = np.random.default_rng(9)
+        data = random_dataset(rng, 4, 1)
+        for fit in (fit_srkhs, fit_augmented, fit_composite):
+            with pytest.raises(ValueError, match="finite"):
+                fit(data, specs["real_gaussian"], lam)
+
 
 class TestPredict:
     def test_scalar_plug_through(self):
