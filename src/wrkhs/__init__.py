@@ -38,6 +38,7 @@ from .regression import (
     WrkhsModel,
     fit_augmented,
     fit_composite,
+    fit_schur,
     fit_srkhs,
     model_from_json,
     model_to_json,

@@ -8,15 +8,11 @@ squared prediction error. Curves are averaged across independent trials.
 
 Randomness is counter-based (Philox): trial i uses key ``base_seed + i`` with
 separate jumped streams for source and noise, so any subset of trials can be
-reproduced or run in parallel. Setting the environment variable
-``WRKHS_THREADS`` parallelizes the trial loop.
+reproduced on its own. Trials run one after another in the calling thread.
 """
 
 from __future__ import annotations
 
-import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -243,23 +239,10 @@ def _run_trial(config: EqualizationConfig, trial: int) -> np.ndarray:
     return np.cumsum(sq_err) / np.arange(1, data.n + 1)
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("WRKHS_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_equalization(config: EqualizationConfig) -> EqualizationResult:
     """Average the per-sample running MSE over all configured trials."""
     trials = config.channel.trials
-    workers = _thread_count()
-    if workers > 1 and trials > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            curves = list(pool.map(lambda t: _run_trial(config, t), range(trials)))
-    else:
-        curves = [_run_trial(config, t) for t in range(trials)]
+    curves = [_run_trial(config, t) for t in range(trials)]
     avg = np.mean(np.stack(curves), axis=0)
     curve_db = 10.0 * np.log10(avg)
     return EqualizationResult(

@@ -19,8 +19,7 @@ and ``independent`` (``gamma``), ``real_imag_blocks`` (nested ``rr``, ``jj``,
 
 Exit codes: 0 success, 2 input error, 3 numerical failure. Benchmark outputs
 embed the sha256 of their canonical config and the seed; reruns of the same
-config are byte-identical. ``WRKHS_THREADS`` sets the trial-loop thread count
-for the equalization benchmark.
+config are byte-identical.
 """
 
 from __future__ import annotations

@@ -42,7 +42,7 @@ from scipy.linalg import blas
 
 from .core import NumericalError, hermitian_solve
 from .kernels import KernelSpec
-from .regression import WrkhsModel
+from .regression import WrkhsModel, _ridge
 
 __all__ = ["Wrkls", "streaming_ridge_predictions"]
 
@@ -230,21 +230,20 @@ class Wrkls:
         self._D, self._y, self._alpha, self._Q = new_d, new_y, new_a, new_q
         self._cap = new_cap
 
-    def _kxx(self, x: np.ndarray) -> float:
-        return float(np.real(self.spec.diag(x[None, :])[0][0]))
-
     def _admit(self, x: np.ndarray, y: complex) -> complex:
         m = self._m
         self._ensure_capacity(m + 1)
-        c = self._kxx(x) + self.lam
         self._D[m] = x
         self._y[m] = y
+        # k(D, x) and k(x, x) from one kernel evaluation
+        col = self.spec.gram(self._D[: m + 1], x[None, :])[:, 0]
+        c = float(col[m].real) + self.lam
         if m == 0:
             self._Q[0, 0] = 1.0 / c
             self._alpha[0] = y / c
             self._m = 1
             return 0.0 + 0.0j
-        col = self.spec.gram(self._D[:m], x[None, :])[:, 0]
+        col = col[:m]
         alpha = self._alpha[:m]
         pred = complex(np.conj(col) @ alpha)
         b = self._Q[:m, :m] @ col
@@ -302,10 +301,7 @@ class Wrkls:
         self._m = last
 
     def _regularized_gram(self) -> np.ndarray:
-        m = self._m
-        k = self.spec.gram(self._D[:m])
-        k = (k + k.conj().T) / 2.0
-        return k + self.lam * np.eye(m)
+        return _ridge(self.spec.gram(self._D[: self._m]), self.lam)
 
     def _rebuild(self) -> None:
         m = self._m
@@ -334,9 +330,7 @@ def streaming_ridge_predictions(
     y = np.asarray(y, dtype=np.complex128).ravel()
     if x.shape[0] != y.shape[0]:
         raise ValueError("x and y must have the same number of samples")
-    k = spec.gram(x)
-    k = (k + k.conj().T) / 2.0
-    a = k + lam * np.eye(len(y))
+    a = _ridge(spec.gram(x), lam)
     try:
         low = scipy.linalg.cholesky(a, lower=True, check_finite=False)
     except scipy.linalg.LinAlgError as exc:

@@ -8,9 +8,9 @@ cheapest exact solve the Gram pair ``(K, Kt)`` allows, ``alpha = ar + j aj``:
 * real ``K``, ``Kt = jS`` -- ``(K +- S + lam I)`` solved for ``ar +- aj``;
 * anything else -- the real 2n x 2n composite solve of ``fit_composite``.
 
-``fit_composite`` (the stacked real/imaginary system) and
-``fit_augmented(method="schur")`` (the Schur complement of the complex
-2n x 2n augmented system) are the oracles the default is checked against.
+``fit_composite`` (the stacked real/imaginary system) and ``fit_schur`` (the
+Schur complement of the complex 2n x 2n augmented system) are the oracles
+``fit_augmented`` is checked against.
 ``fit_srkhs`` is the strictly-complex fit ``alpha = (K + lam I)^-1 y``.
 
 Predictions follow ``f(x*) = k(x*, X) alpha + ktilde(x*, X) conj(alpha)``.
@@ -30,6 +30,7 @@ from .kernels import KernelSpec, composite_gram, composite_matrix, kernel_from_c
 __all__ = [
     "WrkhsModel",
     "fit_composite",
+    "fit_schur",
     "fit_augmented",
     "fit_srkhs",
     "predict",
@@ -98,33 +99,39 @@ def fit_composite(data: ComplexDataset, spec: KernelSpec, lam: float) -> np.ndar
     return _composite_solve(*spec.pair(data.X), data.y, lam)
 
 
-def fit_augmented(
-    data: ComplexDataset, spec: KernelSpec, lam: float, method: str | None = None
-) -> WrkhsModel:
-    """Fit the widely-linear ridge system; returns the n complex coefficients.
+def fit_schur(data: ComplexDataset, spec: KernelSpec, lam: float) -> WrkhsModel:
+    """Schur-complement oracle for :func:`fit_augmented`.
 
-    By default the solve is chosen from the structure of ``spec.pair(X)``
-    (see the module docstring); every split system goes through
-    :func:`hermitian_solve`, so an indefinite one raises
-    :class:`~wrkhs.core.NumericalError`. ``method="schur"`` is the oracle:
-    the Schur complement of the augmented system, with ``C = K + lam I``
-    and ``P = C - Kt C^-* conj(Kt)``.
+    Eliminates ``conj(alpha)`` from the complex 2n x 2n augmented system:
+    with ``C = K + lam I`` and ``P = C - Kt C^-* conj(Kt)``, ``alpha`` solves
+    ``P alpha = y - Kt C^-* conj(y)``. A null pseudo-kernel is not routed to
+    :func:`fit_srkhs`.
     """
     lam = _check_lam(lam)
-    if method not in (None, "schur"):
-        raise ValueError(f"unknown method {method!r}")
-    if method is None and spec.has_null_pseudo:
+    y = data.y
+    k, kt = (np.asarray(m, dtype=np.complex128) for m in spec.pair(data.X))
+    kt = (kt + kt.T) / 2.0
+    c = _ridge(k, lam)
+    p = _ridge(c - kt @ conjugate_solve(c, kt.conj()), 0.0)
+    u = hermitian_solve(p, y)  # P^-1 y;  P^-* conj(y) = conj(u)
+    alpha = u - hermitian_solve(c, kt @ u.conj())
+    return WrkhsModel(X=data.X, spec=spec, lam=lam, alpha=alpha)
+
+
+def fit_augmented(data: ComplexDataset, spec: KernelSpec, lam: float) -> WrkhsModel:
+    """Fit the widely-linear ridge system; returns the n complex coefficients.
+
+    The solve is chosen from the structure of ``spec.pair(X)`` (see the
+    module docstring); every split system goes through
+    :func:`hermitian_solve`, so an indefinite one raises
+    :class:`~wrkhs.core.NumericalError`.
+    """
+    lam = _check_lam(lam)
+    if spec.has_null_pseudo:
         return fit_srkhs(data, spec, lam)
     y = data.y
     k, kt = spec.pair(data.X)
-    if method == "schur":
-        k, kt = (np.asarray(m, dtype=np.complex128) for m in (k, kt))
-        kt = (kt + kt.T) / 2.0
-        c = _ridge(k, lam)
-        p = _ridge(c - kt @ conjugate_solve(c, kt.conj()), 0.0)
-        u = hermitian_solve(p, y)  # P^-1 y;  P^-* conj(y) = conj(u)
-        alpha = u - hermitian_solve(c, kt @ u.conj())
-    elif np.isrealobj(k) and np.isrealobj(kt):
+    if np.isrealobj(k) and np.isrealobj(kt):
         ar = hermitian_solve(_ridge(k + kt, lam), y.real)
         aj = hermitian_solve(_ridge(np.subtract(k, kt, out=k), lam), y.imag)
         alpha = ar + 1j * aj

@@ -2,10 +2,9 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 report lines. The heavy equalization runs (criteria 7 and 8) share a
-session fixture and honor WRKHS_THREADS.
+session fixture.
 """
 
-import os
 import time
 
 import numpy as np
@@ -23,6 +22,7 @@ from wrkhs import (
     Wrkls,
     fit_augmented,
     fit_composite,
+    fit_schur,
     fit_srkhs,
     generate_source,
     hermitian_solve,
@@ -63,9 +63,7 @@ class TestCriterion1ThreePathEquivalence:
             lam = float(rng.uniform(0.3, 1.5))
             for spec in specs.values():
                 p_direct = predict(fit_augmented(data, spec, lam), x_star)
-                p_schur = predict(
-                    fit_augmented(data, spec, lam, method="schur"), x_star
-                )
+                p_schur = predict(fit_schur(data, spec, lam), x_star)
                 p_com = predict_composite(
                     spec, data.X, fit_composite(data, spec, lam), x_star
                 )
@@ -262,24 +260,16 @@ class TestCriterion6OnlineBatchOracle:
 @pytest.fixture(scope="session")
 def circular_runs():
     """Shared circular-case equalization results (criteria 7 and 8)."""
-    prior = os.environ.get("WRKHS_THREADS")
-    os.environ["WRKHS_THREADS"] = os.environ.get("WRKHS_ACCEPT_THREADS", "4")
-    try:
-        channel = ChannelConfig(rho=RHO_CIRCULAR, trials=20, base_seed=0)
-        kernel = RealGaussian(gamma=8.92)
-        t0 = time.monotonic()
-        budgeted = run_equalization(
-            EqualizationConfig(channel=channel, kernel=kernel, lam=0.32, budget=500)
-        )
-        unbounded = run_equalization(
-            EqualizationConfig(channel=channel, kernel=kernel, lam=0.32, budget=None)
-        )
-        elapsed = time.monotonic() - t0
-    finally:
-        if prior is None:
-            os.environ.pop("WRKHS_THREADS", None)
-        else:
-            os.environ["WRKHS_THREADS"] = prior
+    channel = ChannelConfig(rho=RHO_CIRCULAR, trials=20, base_seed=0)
+    kernel = RealGaussian(gamma=8.92)
+    t0 = time.monotonic()
+    budgeted = run_equalization(
+        EqualizationConfig(channel=channel, kernel=kernel, lam=0.32, budget=500)
+    )
+    unbounded = run_equalization(
+        EqualizationConfig(channel=channel, kernel=kernel, lam=0.32, budget=None)
+    )
+    elapsed = time.monotonic() - t0
     return budgeted, unbounded, elapsed
 
 
@@ -301,24 +291,16 @@ class TestCriterion7BudgetClaim:
 class TestCriterion8NoncircularRun:
     def test_noncircular_completes_and_tracks_circular(self, circular_runs):
         budgeted_circ, _, _ = circular_runs
-        prior = os.environ.get("WRKHS_THREADS")
-        os.environ["WRKHS_THREADS"] = os.environ.get("WRKHS_ACCEPT_THREADS", "4")
-        try:
-            t0 = time.monotonic()
-            res = run_equalization(
-                EqualizationConfig(
-                    channel=ChannelConfig(rho=0.1, trials=10, base_seed=0),
-                    kernel=RealGaussian(gamma=10.4),
-                    lam=0.18,
-                    budget=500,
-                )
+        t0 = time.monotonic()
+        res = run_equalization(
+            EqualizationConfig(
+                channel=ChannelConfig(rho=0.1, trials=10, base_seed=0),
+                kernel=RealGaussian(gamma=10.4),
+                lam=0.18,
+                budget=500,
             )
-            elapsed = time.monotonic() - t0
-        finally:
-            if prior is None:
-                os.environ.pop("WRKHS_THREADS", None)
-            else:
-                os.environ["WRKHS_THREADS"] = prior
+        )
+        elapsed = time.monotonic() - t0
         finite = bool(np.all(np.isfinite(res.curve_db)))
         decreasing = res.curve_db[-1] <= res.curve_db[499]
         within = abs(res.final_mse_db - budgeted_circ.final_mse_db) <= 3.0

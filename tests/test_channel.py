@@ -200,24 +200,22 @@ class TestRunEqualization:
         )
         assert abs(r_unb.final_mse_db - r_bud.final_mse_db) <= 1.0
 
-    @staticmethod
-    def threaded_matches_sequential(monkeypatch, budget):
-        cfg = EqualizationConfig(
-            channel=ChannelConfig(rho=RHO_CIRCULAR, trials=3, base_seed=3, n_samples=300),
-            kernel=RealGaussian(gamma=8.92),
-            lam=0.32,
-            budget=budget,
-        )
-        seq = run_equalization(cfg)
-        monkeypatch.setenv("WRKHS_THREADS", "3")
-        par = run_equalization(cfg)
-        np.testing.assert_array_equal(seq.curve_db, par.curve_db)
+    def test_average_of_single_trials(self):
+        # trial i is keyed by base_seed + i alone, so a 3-trial run averages
+        # three 1-trial runs
+        def run(trials, base_seed):
+            cfg = EqualizationConfig(
+                channel=ChannelConfig(
+                    rho=RHO_CIRCULAR, trials=trials, base_seed=base_seed, n_samples=300
+                ),
+                kernel=RealGaussian(gamma=8.92),
+                lam=0.32,
+                budget=40,
+            )
+            return 10.0 ** (run_equalization(cfg).curve_db / 10.0)
 
-    def test_threaded_matches_sequential(self, monkeypatch):
-        self.threaded_matches_sequential(monkeypatch, budget=None)
-
-    def test_budgeted_threaded_matches_sequential(self, monkeypatch):
-        self.threaded_matches_sequential(monkeypatch, budget=40)
+        singles = np.mean([run(1, 3 + i) for i in range(3)], axis=0)
+        np.testing.assert_allclose(run(3, 3), singles, rtol=1e-12, atol=0)
 
 
 class TestConfig:

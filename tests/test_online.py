@@ -13,6 +13,7 @@ from wrkhs import (
     predict,
     streaming_ridge_predictions,
 )
+from wrkhs import kernels
 from conftest import random_inputs
 
 
@@ -56,6 +57,18 @@ class TestObserve:
         assert pred == 0.0
         # k(x, x) = 1 -> alpha = y / (1 + lam)
         assert model.coefficients[0] == pytest.approx(y / 1.5)
+
+    def test_one_kernel_evaluation_per_observe(self, monkeypatch):
+        # k(D, x) and k(x, x) come from one distance matrix
+        x, y = random_stream(np.random.default_rng(29), 4)
+        model = Wrkls(RealGaussian(gamma=1.0), lam=0.5)
+        for i in range(3):
+            model.observe(x[i], y[i])
+        calls = []
+        sqdist = kernels._sqdist
+        monkeypatch.setattr(kernels, "_sqdist", lambda a, b: calls.append(1) or sqdist(a, b))
+        model.observe(x[3], y[3])
+        assert len(calls) == 1
 
     @pytest.mark.parametrize(
         "spec", [RealGaussian(gamma=2.0), IndependentGaussian(gamma=1.5)]

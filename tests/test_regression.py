@@ -11,6 +11,7 @@ from wrkhs import (
     SumOfSeparable,
     fit_augmented,
     fit_composite,
+    fit_schur,
     fit_srkhs,
     hermitian_solve,
     model_from_json,
@@ -77,8 +78,8 @@ class TestFitAugmented:
             rr=RealGaussian(gamma=1.0, scale=s1), jj=RealGaussian(gamma=1.0, scale=s2)
         )
         expected = ((a + lam) * y - b * np.conj(y)) / ((a + lam) ** 2 - b**2)
-        for method in (None, "schur"):
-            model = fit_augmented(data, spec, lam, method=method)
+        for fit in (fit_augmented, fit_schur):
+            model = fit(data, spec, lam)
             assert model.alpha[0] == pytest.approx(expected, abs=1e-12)
 
     def test_schur_matches_direct(self, specs):
@@ -86,7 +87,7 @@ class TestFitAugmented:
         data = random_dataset(rng, 12, 2)
         for name, spec in specs.items():
             direct = fit_augmented(data, spec, 0.5)
-            schur = fit_augmented(data, spec, 0.5, method="schur")
+            schur = fit_schur(data, spec, 0.5)
             np.testing.assert_allclose(
                 direct.alpha, schur.alpha, atol=1e-9, err_msg=name
             )
@@ -127,12 +128,6 @@ class TestFitAugmented:
             seen.clear()
             fit_augmented(data, spec, 0.5)
             assert seen == expected[name], name
-
-    def test_unknown_method(self):
-        rng = np.random.default_rng(5)
-        data = random_dataset(rng, 4, 1)
-        with pytest.raises(ValueError, match="method"):
-            fit_augmented(data, RealGaussian(1.0), 0.1, method="qr")
 
 
 class TestFitSrkhs:
@@ -254,7 +249,7 @@ class TestThreePathEquivalence:
             for name, spec in specs.items():
                 lam = float(rng.uniform(0.3, 1.5))
                 p_direct = predict(fit_augmented(data, spec, lam), x_star)
-                p_schur = predict(fit_augmented(data, spec, lam, method="schur"), x_star)
+                p_schur = predict(fit_schur(data, spec, lam), x_star)
                 p_com = predict_composite(
                     spec, data.X, fit_composite(data, spec, lam), x_star
                 )

@@ -1,0 +1,41 @@
+"""Static checks over the package source."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import wrkhs
+
+ENV_NAMES = {"environ", "environb", "getenv", "getenvb"}
+MODULES = sorted(Path(wrkhs.__file__).parent.glob("*.py"))
+
+
+def env_reads(tree: ast.AST) -> list[int]:
+    """Line numbers where ``os.environ``/``os.getenv`` is named or imported."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ENV_NAMES:
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            lines += [node.lineno for a in node.names if a.name in ENV_NAMES]
+    return lines
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_environment_reads(path):
+    # behaviour is set by arguments and config files, never by the environment
+    assert env_reads(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "import os\nos.environ.get('X')",
+        "import os\nos.getenv('X')",
+        "from os import environ",
+        "from os import getenv as g",
+    ],
+)
+def test_detects_environment_reads(source):
+    assert env_reads(ast.parse(source)) == [source.count("\n") + 1]
