@@ -160,17 +160,11 @@ def hermitian_solve(a, b) -> np.ndarray:
         d = d.real
         return b / (d[:, None] if b.ndim > 1 else d)
 
-    real_a = not np.iscomplexobj(a)
-    if real_a and np.iscomplexobj(b):
-        # real SPD system with complex RHS: solve for both parts at once
-        stacked = np.concatenate(
-            [b.real.reshape(a.shape[0], -1), b.imag.reshape(a.shape[0], -1)], axis=1
-        )
-        sol = hermitian_solve(a, stacked)
-        k = sol.shape[1] // 2
-        out = sol[:, :k] + 1j * sol[:, k:]
-        return out.reshape(b.shape)
+    return stacked_apply(_cholesky_solve, a, b)
 
+
+def _cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``A^-1 B`` by Cholesky, with the jitter retry of :func:`hermitian_solve`."""
     try:
         factor = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
     except scipy.linalg.LinAlgError:
@@ -185,6 +179,21 @@ def hermitian_solve(a, b) -> np.ndarray:
                 "Cholesky factorization failed; matrix appears indefinite"
             ) from exc
     return scipy.linalg.cho_solve(factor, b, check_finite=False)
+
+
+def stacked_apply(fn, a: np.ndarray, b) -> np.ndarray:
+    """``fn(a, b)`` for an ``fn`` linear in the rows of ``b``.
+
+    A real ``a`` with a complex ``b`` takes one call on the real and imaginary
+    parts of ``b`` stacked as columns, so ``a`` is never copied to complex.
+    """
+    b = np.asarray(b)
+    if np.iscomplexobj(a) or not np.iscomplexobj(b):
+        return fn(a, b)
+    n = b.shape[0]
+    sol = fn(a, np.concatenate([b.real.reshape(n, -1), b.imag.reshape(n, -1)], axis=1))
+    k = sol.shape[1] // 2
+    return (sol[:, :k] + 1j * sol[:, k:]).reshape(sol.shape[:1] + b.shape[1:])
 
 
 def conjugate_solve(a, b) -> np.ndarray:

@@ -31,7 +31,11 @@ Families
     ``2j * sum_q w_q k_q`` with real-valued ``k_q`` and weights in [0, 1).
 
 The last three share one evaluator over a list of real Gaussian terms, each
-with a kernel and a pseudo-kernel coefficient (the separable form).
+with a kernel and a pseudo-kernel coefficient (the separable form). Such a
+pair is *phase-aligned* when its kernel is real and its pseudo-kernel is
+``p S`` for one unit ``p`` and a real ``S``; ``phase`` reports ``p`` (None
+for every other spec) and ``split_grams`` builds the real ``(K + S, K - S)``
+that split the widely-linear ridge system into two real solves.
 
 Every family exposes ``pair`` (the kernel and pseudo-kernel Gram matrices
 from one evaluation), ``gram``/``pseudo_gram``, ``diag`` (both at
@@ -41,10 +45,12 @@ hashable; all evaluations are pure and thread-safe.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
+from scipy.linalg.blas import daxpy
 
 __all__ = [
     "KernelSpec",
@@ -95,6 +101,28 @@ def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     bb = np.sum(np.abs(b) ** 2, axis=1)[None, :]
     cross = np.real(a @ b.conj().T)
     return np.maximum(aa + bb - 2.0 * cross, 0.0)
+
+
+def _accumulate(out: np.ndarray, c, e: np.ndarray) -> None:
+    """``out += c * e`` in place for a real ``e`` (BLAS axpy, no temporary).
+
+    A complex ``out`` takes two strided axpys over its float view.
+    """
+    x = e.reshape(-1)
+    y = out.reshape(-1).view(np.float64)
+    if np.iscomplexobj(out):
+        daxpy(x, y, a=c.real, incy=2)
+        daxpy(x, y, a=c.imag, offy=1, incy=2)
+    else:
+        daxpy(x, y, a=c)
+
+
+def _check_gaussian(gamma, scale=1.0) -> None:
+    """Reject a Gaussian whose ``gamma`` or ``scale`` is non-finite or out of range."""
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise ValueError(f"gamma must be finite and positive, got {gamma}")
+    if not (math.isfinite(scale) and scale >= 0):
+        raise ValueError(f"scale must be finite and non-negative, got {scale}")
 
 
 def _saturated(expo: np.ndarray) -> np.ndarray:
@@ -157,6 +185,12 @@ class KernelSpec:
         """True when every kernel value is real (enables real Gram storage)."""
         return False
 
+    @property
+    def phase(self) -> complex | None:
+        """The unit ``p`` of a phase-aligned pair (real ``K``, ``Kt = p S``
+        with ``S`` real and not null), or None."""
+        return None
+
     def _gram(self, x, z) -> np.ndarray:
         raise NotImplementedError
 
@@ -182,10 +216,7 @@ class RealGaussian(KernelSpec):
     family = "real_gaussian"
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if self.scale < 0:
-            raise ValueError(f"scale must be non-negative, got {self.scale}")
+        _check_gaussian(self.gamma, self.scale)
 
     def _gram(self, x, z):
         return self.scale * np.exp(-_sqdist(x, z) / self.gamma)
@@ -212,8 +243,7 @@ class ComplexGaussian(KernelSpec):
     family = "complex_gaussian"
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        _check_gaussian(self.gamma)
 
     def _gram(self, x, z):
         # (x - z*)^T (x - z*) = sum x^2 + sum (z*)^2 - 2 x . z*
@@ -246,8 +276,7 @@ class IndependentGaussian(KernelSpec):
     family = "independent"
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        _check_gaussian(self.gamma)
 
     def _gram(self, x, z):
         def kap(a, b):
@@ -297,26 +326,34 @@ class _TermSum(KernelSpec):
             for gamma, ab in sums.items()
         }
 
-    def _combine(self, x, z, count: int) -> list[np.ndarray]:
-        """``[K]`` (``count`` 1) or ``[K, Kt]`` (``count`` 2)."""
+    def _combine(self, x, z, columns) -> list[np.ndarray]:
+        """``sum_gamma c_gamma exp(-|x_i - z_j|^2 / gamma)`` for each column.
+
+        A column holds one coefficient ``c_gamma`` per distinct gamma, in the
+        order of :meth:`_coefficients`; its matrix is real unless one of them
+        is complex. Each matrix is accumulated in place.
+        """
         d2 = _sqdist(x, z)
-        e = np.empty_like(d2)  # one exp buffer for every gamma keeps the peak low
-        out = [None] * count
-        for gamma, coefs in self._coefficients().items():
-            coefs = coefs[:count]
-            if not any(coefs):
+        e = np.empty(d2.shape)  # one exp buffer for every gamma keeps the peak low
+        out = [np.zeros(d2.shape, np.result_type(*col)) for col in columns]
+        for gamma, cs in zip(self._coefficients(), zip(*columns)):
+            if not any(cs):
                 continue
             np.exp(np.divide(d2, -gamma, out=e), out=e)
-            for i, c in enumerate(coefs):
+            for m, c in zip(out, cs):
                 if c != 0:
-                    out[i] = c * e if out[i] is None else out[i] + c * e
-        return [np.zeros(d2.shape) if m is None else m for m in out]
+                    _accumulate(m, c, e)
+        return out
+
+    def _columns(self) -> list[tuple]:
+        """The kernel and pseudo-kernel coefficient columns."""
+        return list(zip(*self._coefficients().values()))
 
     def _gram(self, x, z):
-        return self._combine(x, z, 1)[0]
+        return self._combine(x, z, self._columns()[:1])[0]
 
     def _pair(self, x, z):
-        return tuple(self._combine(x, z, 2))
+        return tuple(self._combine(x, z, self._columns()))
 
     @property
     def has_null_pseudo(self) -> bool:
@@ -325,6 +362,35 @@ class _TermSum(KernelSpec):
     @property
     def is_real_valued(self) -> bool:
         return all(np.imag(a) == 0 for a, _ in self._coefficients().values())
+
+    @property
+    def phase(self) -> complex | None:
+        """Aligned when every ``a_gamma`` is real and every non-zero ``b_gamma``
+        is a real multiple of the first, ``b_0``: exactly when
+        ``Im(b_gamma conj(b_0)) == 0``. ``p`` is the unit of ``b_0`` turned to
+        ``Re p > 0``, or ``p = j``, which keeps ``|1 + p|^2 >= 2``."""
+        nonzero = [complex(b) for _, b in self._coefficients().values() if b != 0]
+        if not nonzero or not self.is_real_valued:
+            return None
+        b0 = nonzero[0]
+        if any((b * b0.conjugate()).imag != 0 for b in nonzero):
+            return None
+        p = b0 / abs(b0)
+        return -p if p.real < 0 or (p.real == 0 and p.imag < 0) else p
+
+    def split_grams(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """The real ``(K + S, K - S)`` of a phase-aligned pair on ``x``."""
+        p = self.phase
+        if p is None:
+            raise ValueError(f"this {self.family!r} spec is not phase-aligned")
+        # S = sum_gamma s_gamma G_gamma with s_gamma = Re(b_gamma conj(p))
+        plus, minus = [], []
+        for a, b in self._coefficients().values():
+            s = (complex(b) * p.conjugate()).real
+            plus.append(a + s)
+            minus.append(a - s)
+        x = _as_inputs(x)
+        return tuple(self._combine(x, x, [plus, minus]))
 
     def to_config(self) -> dict:
         return {

@@ -1,11 +1,12 @@
 """Batch ridge regression with a kernel and a pseudo-kernel.
 
 ``fit_augmented`` solves ``(K + lam I) alpha + Kt conj(alpha) = y`` with the
-cheapest exact solve the Gram pair ``(K, Kt)`` allows, ``alpha = ar + j aj``:
+cheapest exact solve the kernel spec's structure allows:
 
 * a null pseudo-kernel -- the n x n solve of ``fit_srkhs``;
-* real ``K``, real ``Kt`` -- ``(K +- Kt + lam I)`` solved for ``ar``, ``aj``;
-* real ``K``, ``Kt = jS`` -- ``(K +- S + lam I)`` solved for ``ar +- aj``;
+* a phase-aligned pair, real ``K`` and ``Kt = p S`` (``KernelSpec.phase``)
+  -- the real n x n ``(K +- S + lam I)`` solved for the real and imaginary
+  parts of ``alpha / (1 + p)`` on ``y / (1 + p)``;
 * anything else -- the real 2n x 2n composite solve of ``fit_composite``.
 
 ``fit_composite`` (the stacked real/imaginary system) and ``fit_schur`` (the
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ComplexDataset, conjugate_solve, hermitian_solve
+from .core import ComplexDataset, conjugate_solve, hermitian_solve, stacked_apply
 from .kernels import KernelSpec, composite_gram, composite_matrix, kernel_from_config
 
 __all__ = [
@@ -64,9 +65,11 @@ class WrkhsModel:
         a = np.asarray(self.alpha, dtype=np.complex128)
         if a.ndim != 1 or a.shape[0] != x.shape[0]:
             raise ValueError("alpha must be a vector with one entry per sample")
-        if not np.all(np.isfinite(a.view(np.float64))):
-            raise ValueError("alpha contains non-finite values")
+        for name, arr in (("X", x), ("alpha", a)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} contains non-finite values")
         object.__setattr__(self, "X", x)
+        object.__setattr__(self, "lam", _check_lam(self.lam))
         object.__setattr__(self, "alpha", a)
 
     def predict(self, x_star) -> np.ndarray:
@@ -121,28 +124,23 @@ def fit_schur(data: ComplexDataset, spec: KernelSpec, lam: float) -> WrkhsModel:
 def fit_augmented(data: ComplexDataset, spec: KernelSpec, lam: float) -> WrkhsModel:
     """Fit the widely-linear ridge system; returns the n complex coefficients.
 
-    The solve is chosen from the structure of ``spec.pair(X)`` (see the
-    module docstring); every split system goes through
-    :func:`hermitian_solve`, so an indefinite one raises
-    :class:`~wrkhs.core.NumericalError`.
+    The solve is chosen from the structure of ``spec`` (see the module
+    docstring); each system goes through :func:`hermitian_solve`, so an
+    indefinite one raises :class:`~wrkhs.core.NumericalError`.
     """
     lam = _check_lam(lam)
     if spec.has_null_pseudo:
         return fit_srkhs(data, spec, lam)
-    y = data.y
-    k, kt = spec.pair(data.X)
-    if np.isrealobj(k) and np.isrealobj(kt):
-        ar = hermitian_solve(_ridge(k + kt, lam), y.real)
-        aj = hermitian_solve(_ridge(np.subtract(k, kt, out=k), lam), y.imag)
-        alpha = ar + 1j * aj
-    elif np.isrealobj(k) and not kt.real.any():
-        # Kt = jS: (K + S + lam I)(ar + aj) = Re y + Im y, and K - S for ar - aj
-        s = kt.imag
-        u = hermitian_solve(_ridge(k + s, lam), y.real + y.imag)
-        v = hermitian_solve(_ridge(np.subtract(k, s, out=k), lam), y.real - y.imag)
-        alpha = (u + v) / 2.0 + 1j * ((u - v) / 2.0)
+    p = spec.phase
+    if p is not None:
+        h = 1 + p
+        rhs = data.y / h
+        plus, minus = spec.split_grams(data.X)
+        br = hermitian_solve(_ridge(plus, lam), rhs.real)
+        bi = hermitian_solve(_ridge(minus, lam), rhs.imag)
+        alpha = h * (br + 1j * bi)
     else:
-        a = _composite_solve(k, kt, y, lam)
+        a = _composite_solve(*spec.pair(data.X), data.y, lam)
         alpha = a[: data.n] + 1j * a[data.n :]
     return WrkhsModel(X=data.X, spec=spec, lam=lam, alpha=alpha)
 
@@ -167,12 +165,12 @@ def predict(model: WrkhsModel, x_star) -> np.ndarray:
     """Evaluate ``k(x*, X) alpha + ktilde(x*, X) conj(alpha)`` row-wise."""
     if not np.isfinite(np.asarray(x_star, dtype=np.complex128)).all():
         raise ValueError("x_star contains non-finite values")
+    # a real Gram is applied by one real GEMM on [Re alpha, Im alpha]
+    alpha = model.alpha
     if model.spec.has_null_pseudo:
-        out = model.spec.gram(x_star, model.X) @ model.alpha
-    else:
-        ks, kts = model.spec.pair(x_star, model.X)
-        out = ks @ model.alpha + kts @ model.alpha.conj()
-    return np.asarray(out, dtype=np.complex128)
+        return stacked_apply(np.matmul, model.spec.gram(x_star, model.X), alpha)
+    ks, kts = model.spec.pair(x_star, model.X)
+    return stacked_apply(np.matmul, ks, alpha) + stacked_apply(np.matmul, kts, alpha.conj())
 
 
 def predict_composite(

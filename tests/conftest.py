@@ -40,6 +40,22 @@ def zoo_specs():
     }
 
 
+def mixed_gamma_blocks():
+    """A ``real_imag_blocks`` whose rr, jj and rj use different gammas.
+
+    Its pseudo-kernel coefficients (rr - jj, and j 2 rj) point in different
+    directions, so it has no phase and takes the composite solve. PSD: the
+    cross gamma is the mean of the others and the cross scale is small.
+    """
+    cross = RealGaussian(gamma=2.0, scale=0.2)
+    return RealImagBlocks(
+        rr=RealGaussian(gamma=0.9, scale=1.0),
+        jj=RealGaussian(gamma=3.1, scale=0.7),
+        rj=cross,
+        jr=cross,
+    )
+
+
 @pytest.fixture(scope="session")
 def specs():
     return zoo_specs()

@@ -280,6 +280,76 @@ class TestFit:
             assert "ridge weight must be finite" in capsys.readouterr().err
             assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"gamma": 1.0, "scale": math.inf},
+            {"gamma": 1.0, "scale": math.nan},
+            {"gamma": math.inf},
+        ],
+    )
+    def test_nonfinite_kernel_param_exit_2_before_gram(
+        self, tmp_path, capsys, monkeypatch, params
+    ):
+        data_path = tmp_path / "d.csv"
+        write_csv(
+            data_path,
+            ["x_re_0", "x_im_0", "y_re", "y_im"],
+            [["0.0", "0.0", "1.0", "0.0"], ["0.5", "0.25", "0.0", "1.0"]],
+        )
+
+        def no_gram(*args, **kwargs):
+            raise AssertionError("a Gram matrix was built")
+
+        monkeypatch.setattr(KernelSpec, "pair", no_gram)
+        monkeypatch.setattr(KernelSpec, "gram", no_gram)
+        kernel = json.dumps({"family": "real_gaussian", "params": params})
+        rc = main(
+            [
+                "fit",
+                "--dataset",
+                str(data_path),
+                "--kernel",
+                kernel,
+                "--lam",
+                "0.1",
+                "--out",
+                str(tmp_path / "m.json"),
+            ]
+        )
+        assert rc == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("field", ["inputs", "lambda"])
+    def test_predict_nonfinite_model_exit_2(self, tmp_path, capsys, field):
+        train_path = tmp_path / "train.csv"
+        write_csv(train_path, ["x_re_0", "x_im_0", "y_re", "y_im"], [["0.0", "0.0", "1.0", "0.0"]])
+        model_path = tmp_path / "m.json"
+        fit_args = ["fit", "--dataset", str(train_path), "--kernel", KERNEL_RG]
+        assert main(fit_args + ["--lam", "0.1", "--out", str(model_path)]) == 0
+        payload = json.loads(model_path.read_text())
+        if field == "inputs":
+            payload["inputs"]["values"][0][0] = math.nan
+        else:
+            payload["lambda"] = math.nan
+        model_path.write_text(json.dumps(payload))
+        pred_path = tmp_path / "preds.csv"
+        rc = main(
+            [
+                "predict",
+                "--model",
+                str(model_path),
+                "--dataset",
+                str(train_path),
+                "--out",
+                str(pred_path),
+            ]
+        )
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
+        assert not pred_path.exists()
+
     def test_fit_predict_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(1)
         data = ComplexDataset(

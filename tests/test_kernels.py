@@ -20,7 +20,7 @@ from wrkhs import (
     transform_matrix,
     validate_psd,
 )
-from conftest import random_inputs, zoo_specs
+from conftest import mixed_gamma_blocks, random_inputs, zoo_specs
 
 
 class TestEval:
@@ -168,6 +168,45 @@ class TestPair:
         x = random_inputs(np.random.default_rng(27), 4, 2)
         for name, spec in specs.items():
             assert spec.is_real_valued == (not np.iscomplexobj(spec.gram(x))), name
+
+    def test_phase_alignment_rule(self, specs):
+        # exact, from the coefficients alone
+        assert specs["separate_real_imag"].phase == 1
+        # rr - jj < 0 is turned to p = 1
+        turned = SeparateRealImag(rr=RealGaussian(1.0, scale=0.3), jj=RealGaussian(1.0))
+        assert turned.phase == 1
+        mer = SumOfSeparable(
+            terms=(
+                (RealGaussian(gamma=2.0), 0.3),
+                (RealGaussian(gamma=0.7), 0.0),
+                (RealGaussian(gamma=1.1, scale=0.5), 0.6),
+            )
+        )
+        assert mer.phase == 1j
+        # one gamma: b = (rr - jj) + j(jr + rj), neither real nor imaginary
+        blocks = specs["real_imag_blocks"]
+        zero = np.zeros((1, 1))
+        b = complex(blocks.pseudo_gram(zero, zero)[0, 0])
+        assert blocks.phase == b / abs(b)
+        assert blocks.phase.real > 0 and blocks.phase.imag > 0
+        assert mixed_gamma_blocks().phase is None
+        for name in ("real_gaussian", "complex_gaussian", "independent"):
+            assert specs[name].phase is None, name
+
+    def test_split_grams_rotate_the_pair(self, specs):
+        # (K + S, K - S) with Kt = p S, both real
+        x = random_inputs(np.random.default_rng(29), 6, 2)
+        for name in ("real_imag_blocks", "separate_real_imag", "sum_of_separable"):
+            spec = specs[name]
+            k, kt = spec.pair(x)
+            plus, minus = spec.split_grams(x)
+            assert plus.dtype == minus.dtype == np.float64, name
+            np.testing.assert_allclose((plus + minus) / 2, k, atol=1e-14, err_msg=name)
+            np.testing.assert_allclose(
+                spec.phase * (plus - minus) / 2, kt, atol=1e-14, err_msg=name
+            )
+        with pytest.raises(ValueError, match="not phase-aligned"):
+            mixed_gamma_blocks().split_grams(x)
 
     def test_diag_matches_gram_diagonal(self, specs):
         x = random_inputs(np.random.default_rng(28), 7, 2)
@@ -338,3 +377,17 @@ class TestConfigRoundtrip:
             RealGaussian(gamma=0.0)
         with pytest.raises(ValueError, match="gamma"):
             ComplexGaussian(gamma=-1.0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "cls,field",
+        [
+            (RealGaussian, "gamma"),
+            (RealGaussian, "scale"),
+            (ComplexGaussian, "gamma"),
+            (IndependentGaussian, "gamma"),
+        ],
+    )
+    def test_nonfinite_params_rejected(self, cls, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            cls(**{"gamma": 1.0, field: value})

@@ -1,5 +1,7 @@
 """Tests for the batch fit paths, predictions, and their equivalences."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from wrkhs import (
     transform_matrix,
 )
 from wrkhs import regression
-from conftest import random_inputs, zoo_specs
+from conftest import mixed_gamma_blocks, random_inputs, zoo_specs
 
 
 def random_dataset(rng, n, d, scale=1.5):
@@ -106,15 +108,16 @@ class TestFitAugmented:
 
     def test_default_solves_by_structure(self, specs, monkeypatch):
         # the default factors n x n systems only, except the 2n real
-        # composite system for a general real_imag_blocks pseudo-kernel
+        # composite system for a pseudo-kernel without a phase
         n = 10
         expected = {
             "real_gaussian": [((n, n), "float64")],
             "complex_gaussian": [((n, n), "complex128")],
             "independent": [((n, n), "complex128")],
-            "real_imag_blocks": [((2 * n, 2 * n), "float64")],
+            "real_imag_blocks": [((n, n), "float64")] * 2,
             "separate_real_imag": [((n, n), "float64")] * 2,
             "sum_of_separable": [((n, n), "float64")] * 2,
+            "mixed_gamma_blocks": [((2 * n, 2 * n), "float64")],
         }
         data = random_dataset(np.random.default_rng(16), n, 2)
         seen = []
@@ -124,10 +127,25 @@ class TestFitAugmented:
             return hermitian_solve(a, b)
 
         monkeypatch.setattr(regression, "hermitian_solve", recording_solve)
-        for name, spec in specs.items():
+        for name, spec in {**specs, "mixed_gamma_blocks": mixed_gamma_blocks()}.items():
             seen.clear()
             fit_augmented(data, spec, 0.5)
             assert seen == expected[name], name
+
+    def test_split_fit_builds_no_complex_kernel_matrix(self, specs):
+        # K + S and K - S are evaluated as real matrices: the peak is the
+        # distances, one exp buffer and the two systems (4 n^2 doubles); a
+        # complex K or Kt on top of them would need 2 n^2 more
+        n = 600
+        data = random_dataset(np.random.default_rng(41), n, 1)
+        for name in ("real_imag_blocks", "separate_real_imag", "sum_of_separable"):
+            tracemalloc.start()
+            try:
+                fit_augmented(data, specs[name], 0.5)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4.1 * 8 * n * n, (name, peak / (8 * n * n))
 
 
 class TestFitSrkhs:
@@ -221,6 +239,26 @@ class TestPredict:
         monkeypatch.setattr(type(spec), "pair", None)
         assert predict(model, random_inputs(rng, 3, 1)).shape == (3,)
 
+    def test_real_gram_applied_without_complex_copy(self, monkeypatch):
+        # a real Gram times complex alpha is one real GEMM on [Re a, Im a]
+        n = 600
+        rng = np.random.default_rng(42)
+        data = random_dataset(rng, n, 1)
+        spec = RealGaussian(gamma=1.0)
+        model = fit_srkhs(data, spec, 0.1)
+        g = spec.gram(data.X)
+        monkeypatch.setattr(RealGaussian, "gram", lambda self, x, z=None: g)
+        tracemalloc.start()
+        try:
+            pred = predict(model, data.X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.1 * 8 * n * n, peak / (8 * n * n)
+        # |g| <= 1: each entry rounds within n eps sum |alpha| of the complex product
+        bound = 1e-12 * np.abs(model.alpha).sum()
+        np.testing.assert_allclose(pred, g.astype(complex) @ model.alpha, rtol=0, atol=bound)
+
     def test_nonfinite_inputs_rejected(self):
         rng = np.random.default_rng(17)
         model = fit_srkhs(random_dataset(rng, 5, 1), RealGaussian(1.0), 0.1)
@@ -241,6 +279,14 @@ class TestPredict:
 class TestThreePathEquivalence:
     def test_random_problems(self, specs):
         rng = np.random.default_rng(13)
+        specs = {
+            **specs,
+            "mixed_gamma_blocks": mixed_gamma_blocks(),
+            # rr - jj < 0: the phase is turned from -1 to 1
+            "negative_pseudo": SeparateRealImag(
+                rr=RealGaussian(gamma=0.9, scale=0.3), jj=RealGaussian(gamma=0.9)
+            ),
+        }
         for trial in range(12):
             n = int(rng.integers(2, 31))
             d = int(rng.integers(1, 4))
@@ -347,4 +393,15 @@ class TestModelSerialization:
                 spec=RealGaussian(1.0),
                 lam=0.1,
                 alpha=np.array([np.nan + 0j]),
+            )
+
+    @pytest.mark.parametrize(
+        "x,lam", [(np.nan + 0j, 0.1), (complex(0, np.inf), 0.1), (0j, np.nan), (0j, -1.0)]
+    )
+    def test_nonfinite_inputs_or_bad_lam_rejected(self, x, lam):
+        from wrkhs import WrkhsModel
+
+        with pytest.raises(ValueError, match="finite"):
+            WrkhsModel(
+                X=np.array([[x]]), spec=RealGaussian(1.0), lam=lam, alpha=np.ones(1)
             )
