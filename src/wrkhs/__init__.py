@@ -6,18 +6,7 @@ for complex inputs, a budgeted online recursion, and two benchmark suites
 (synthetic surfaces and nonlinear channel equalization).
 """
 
-from .core import (
-    ComplexDataset,
-    NumericalError,
-    augmented_to_composite,
-    composite_to_augmented,
-    conjugate_solve,
-    from_composite,
-    hermitian_solve,
-    to_augmented,
-    to_composite,
-    transform_matrix,
-)
+from .core import ComplexDataset, NumericalError, hermitian_solve
 from .kernels import (
     ComplexGaussian,
     IndependentGaussian,
@@ -27,12 +16,7 @@ from .kernels import (
     RealImagBlocks,
     SeparateRealImag,
     SumOfSeparable,
-    augmented_gram,
-    composite_blocks,
-    composite_gram,
     kernel_from_config,
-    min_composite_eigenvalue,
-    validate_psd,
 )
 from .regression import (
     WrkhsModel,

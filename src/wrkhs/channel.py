@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ComplexDataset
+from .core import ComplexDataset, check_seed
 from .kernels import KernelSpec, RealGaussian, kernel_from_config
 from .online import Wrkls, streaming_ridge_predictions
 
@@ -65,6 +65,8 @@ class ChannelConfig:
             raise ValueError("n_samples must exceed filter_length + delay")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        # trial i draws from the generator keyed base_seed + i
+        check_seed(self.base_seed, "base_seed", self.trials)
 
 
 @dataclass(frozen=True)

@@ -25,9 +25,11 @@ config are byte-identical.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -168,6 +170,12 @@ def cmd_predict(args) -> int:
 def cmd_kernel_surface(args) -> int:
     spec = _load_kernel(args.kernel)
     center = complex(args.center)
+    if not (math.isfinite(args.range) and args.range > 0):
+        raise ValueError(f"--range must be finite and positive, got {args.range}")
+    if not cmath.isfinite(center):
+        raise ValueError(f"--center must be finite, got {args.center}")
+    if args.resolution < 1:
+        raise ValueError(f"--resolution must be >= 1, got {args.resolution}")
     grid = np.linspace(-args.range, args.range, args.resolution)
     gr, gj = np.meshgrid(grid, grid, indexing="ij")
     pts = (gr.ravel() + 1j * gj.ravel())[:, None]

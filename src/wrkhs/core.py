@@ -1,14 +1,9 @@
-"""Composite/augmented representations of complex vectors and Hermitian solves.
+"""The complex dataset container, seed checks and Hermitian solves.
 
-A complex vector ``v`` of length n has two equivalent stacked representations
-used throughout this package:
-
-* **composite** -- the real vector ``[Re(v); Im(v)]`` of length 2n,
-* **augmented** -- the complex vector ``[v; conj(v)]`` of length 2n.
-
-They are connected by the transform ``T = [[I, jI], [I, -jI]]`` which
-satisfies ``T T^H = T^H T = 2 I``, so ``T/sqrt(2)`` is unitary and the
-inverse map is ``T^H / 2``.
+``hermitian_solve`` is the one linear solve of the package: a Cholesky
+factorization with one jitter retry. ``stacked_apply`` lets a real matrix act
+on a complex right-hand side as one real call on its stacked real and
+imaginary parts, so the matrix is never copied to complex.
 
 All functions here are pure; arrays returned by dataset containers are
 read-only and safe to share across threads.
@@ -16,6 +11,7 @@ read-only and safe to share across threads.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,14 +20,8 @@ import scipy.linalg
 __all__ = [
     "NumericalError",
     "ComplexDataset",
-    "to_composite",
-    "from_composite",
-    "to_augmented",
-    "composite_to_augmented",
-    "augmented_to_composite",
-    "transform_matrix",
+    "check_seed",
     "hermitian_solve",
-    "conjugate_solve",
 ]
 
 # Max acceptable |A - A^H| entry before a matrix is rejected as non-Hermitian.
@@ -46,74 +36,15 @@ class NumericalError(RuntimeError):
     """A linear solve or factorization failed (indefinite/singular system)."""
 
 
-def as_complex_vector(v, name: str = "v") -> np.ndarray:
-    """Validate and return ``v`` as a 1-D complex128 array."""
-    arr = np.asarray(v, dtype=np.complex128)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
-    return arr
-
-
-def as_real_vector(v, name: str = "v") -> np.ndarray:
-    """Validate and return ``v`` as a 1-D float64 array (rejects complex)."""
-    arr = np.asarray(v)
-    if np.iscomplexobj(arr):
-        if np.any(arr.imag != 0):
-            raise ValueError(f"{name} must be real-valued")
-        arr = arr.real
-    arr = np.asarray(arr, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
-    return arr
-
-
-def to_composite(v) -> np.ndarray:
-    """Stack a complex vector into its composite form ``[Re(v); Im(v)]``."""
-    arr = as_complex_vector(v)
-    return np.concatenate([arr.real, arr.imag])
-
-
-def from_composite(vc) -> np.ndarray:
-    """Rebuild the complex vector from a composite vector (exact round-trip)."""
-    arr = as_real_vector(vc, "composite vector")
-    if arr.size % 2 != 0:
-        raise ValueError(f"composite vector must have even length, got {arr.size}")
-    n = arr.size // 2
-    return arr[:n] + 1j * arr[n:]
-
-
-def to_augmented(v) -> np.ndarray:
-    """Stack a complex vector into its augmented form ``[v; conj(v)]``."""
-    arr = as_complex_vector(v)
-    return np.concatenate([arr, arr.conj()])
-
-
-def composite_to_augmented(vc) -> np.ndarray:
-    """Apply ``T`` to a composite vector: ``[vr; vj] -> [vr + j vj; vr - j vj]``."""
-    arr = as_real_vector(vc, "composite vector")
-    if arr.size % 2 != 0:
-        raise ValueError(f"composite vector must have even length, got {arr.size}")
-    n = arr.size // 2
-    head = arr[:n] + 1j * arr[n:]
-    return np.concatenate([head, head.conj()])
-
-
-def augmented_to_composite(va) -> np.ndarray:
-    """Apply the inverse transform ``T^H / 2`` to an augmented vector."""
-    arr = as_complex_vector(va, "augmented vector")
-    if arr.size % 2 != 0:
-        raise ValueError(f"augmented vector must have even length, got {arr.size}")
-    n = arr.size // 2
-    head, tail = arr[:n], arr[n:]
-    return np.concatenate([(head + tail).real / 2.0, (head - tail).imag / 2.0])
-
-
-def transform_matrix(n: int) -> np.ndarray:
-    """The 2n x 2n composite-to-augmented transform ``T = [[I, jI], [I, -jI]]``."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    eye = np.eye(n)
-    return np.block([[eye, 1j * eye], [eye, -1j * eye]])
+def check_seed(seed, name: str = "seed", count: int = 1) -> None:
+    """Reject a seed that is not an integer or whose ``count`` consecutive
+    generator keys ``seed .. seed + count - 1`` leave ``[0, 2**64)``."""
+    if (
+        isinstance(seed, bool)
+        or not isinstance(seed, numbers.Integral)
+        or not 0 <= seed <= 2**64 - count
+    ):
+        raise ValueError(f"{name} must be an integer in [0, 2**64 - {count}], got {seed!r}")
 
 
 def hermitian_solve(a, b) -> np.ndarray:
@@ -196,15 +127,6 @@ def stacked_apply(fn, a: np.ndarray, b) -> np.ndarray:
     return (sol[:, :k] + 1j * sol[:, k:]).reshape(sol.shape[:1] + b.shape[1:])
 
 
-def conjugate_solve(a, b) -> np.ndarray:
-    """Solve ``conj(A) X = B`` for Hermitian positive-definite ``A``.
-
-    Since ``conj(A) X = B`` iff ``A conj(X) = conj(B)``, this reuses the
-    Hermitian solver without forming ``conj(A)``.
-    """
-    return np.conj(hermitian_solve(a, np.conj(b)))
-
-
 def _readonly(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, copy=True)
     out.setflags(write=False)
@@ -229,7 +151,9 @@ class ComplexDataset:
             x = x[:, None]
         if x.ndim != 2:
             raise ValueError(f"X must be 2-D (n, d), got shape {x.shape}")
-        y = as_complex_vector(self.y, "y")
+        y = np.asarray(self.y, dtype=np.complex128)
+        if y.ndim != 1:
+            raise ValueError(f"y must be 1-D, got shape {y.shape}")
         if x.shape[0] != y.shape[0]:
             raise ValueError(
                 f"X has {x.shape[0]} rows but y has {y.shape[0]} entries"

@@ -35,12 +35,15 @@ with a kernel and a pseudo-kernel coefficient (the separable form). Such a
 pair is *phase-aligned* when its kernel is real and its pseudo-kernel is
 ``p S`` for one unit ``p`` and a real ``S``; ``phase`` reports ``p`` (None
 for every other spec) and ``split_grams`` builds the real ``(K + S, K - S)``
-that split the widely-linear ridge system into two real solves.
+that split the widely-linear ridge system into two real solves. ``apply``
+evaluates ``K alpha + Kt conj(alpha)`` one gamma at a time, without forming
+``K`` or ``Kt``.
 
 Every family exposes ``pair`` (the kernel and pseudo-kernel Gram matrices
-from one evaluation), ``gram``/``pseudo_gram``, ``diag`` (both at
-``x' = x`` in O(n)) and scalar ``eval``/``pseudo``. Specs are immutable and
-hashable; all evaluations are pure and thread-safe.
+from one evaluation), ``gram``/``pseudo_gram`` and ``diag`` (both at
+``x' = x`` in O(n)). ``composite_matrix`` turns an evaluated pair into the
+real composite matrix of the stacked real/imaginary system. Specs are
+immutable and hashable; all evaluations are pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -52,6 +55,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy.linalg.blas import daxpy
 
+from .core import stacked_apply
+
 __all__ = [
     "KernelSpec",
     "RealGaussian",
@@ -61,12 +66,7 @@ __all__ = [
     "SeparateRealImag",
     "SumOfSeparable",
     "KernelOverflowWarning",
-    "augmented_gram",
-    "composite_blocks",
-    "composite_gram",
     "composite_matrix",
-    "min_composite_eigenvalue",
-    "validate_psd",
     "kernel_from_config",
 ]
 
@@ -165,14 +165,6 @@ class KernelSpec:
         k, kt = self._pair(zero, zero)
         return np.full(x.shape[0], k[0, 0]), np.full(x.shape[0], kt[0, 0])
 
-    def eval(self, x, xp) -> complex:
-        """Scalar kernel evaluation k(x, x')."""
-        return complex(self.gram(np.atleast_1d(x), np.atleast_1d(xp))[0, 0])
-
-    def pseudo(self, x, xp) -> complex:
-        """Scalar pseudo-kernel evaluation ktilde(x, x')."""
-        return complex(self.pseudo_gram(np.atleast_1d(x), np.atleast_1d(xp))[0, 0])
-
     # -- structure ----------------------------------------------------------
 
     @property
@@ -201,10 +193,6 @@ class KernelSpec:
 
     def to_config(self) -> dict:
         raise NotImplementedError
-
-    @staticmethod
-    def from_config(config: dict) -> "KernelSpec":
-        return kernel_from_config(config)
 
 
 @dataclass(frozen=True)
@@ -326,6 +314,17 @@ class _TermSum(KernelSpec):
             for gamma, ab in sums.items()
         }
 
+    def _exps(self, d2, columns):
+        """Yield ``(c_gamma of each column, exp(-d2 / gamma))`` for each
+        distinct gamma that some column weights, in the order of
+        :meth:`_coefficients`. One exp buffer, overwritten per gamma, keeps
+        the peak low."""
+        e = np.empty(d2.shape)
+        for gamma, cs in zip(self._coefficients(), zip(*columns)):
+            if any(cs):
+                np.exp(np.divide(d2, -gamma, out=e), out=e)
+                yield cs, e
+
     def _combine(self, x, z, columns) -> list[np.ndarray]:
         """``sum_gamma c_gamma exp(-|x_i - z_j|^2 / gamma)`` for each column.
 
@@ -334,15 +333,22 @@ class _TermSum(KernelSpec):
         is complex. Each matrix is accumulated in place.
         """
         d2 = _sqdist(x, z)
-        e = np.empty(d2.shape)  # one exp buffer for every gamma keeps the peak low
         out = [np.zeros(d2.shape, np.result_type(*col)) for col in columns]
-        for gamma, cs in zip(self._coefficients(), zip(*columns)):
-            if not any(cs):
-                continue
-            np.exp(np.divide(d2, -gamma, out=e), out=e)
+        for cs, e in self._exps(d2, columns):
             for m, c in zip(out, cs):
                 if c != 0:
                     _accumulate(m, c, e)
+        return out
+
+    def apply(self, x, z, alpha) -> np.ndarray:
+        """``K(x, z) alpha + Kt(x, z) conj(alpha)`` one gamma at a time, as
+        ``sum_gamma G_gamma (a_gamma alpha + b_gamma conj(alpha))``: neither
+        ``K`` nor ``Kt`` is formed."""
+        x, z = _validated(x, z)
+        alpha = np.asarray(alpha, dtype=np.complex128)
+        out = np.zeros(x.shape[0], dtype=np.complex128)
+        for (a, b), e in self._exps(_sqdist(x, z), self._columns()):
+            out += stacked_apply(np.matmul, e, a * alpha + b * alpha.conj())
         return out
 
     def _columns(self) -> list[tuple]:
@@ -489,65 +495,20 @@ class SumOfSeparable(_TermSum):
 # ---------------------------------------------------------------------------
 
 
-def augmented_gram(spec: KernelSpec, x, z=None) -> np.ndarray:
-    """The augmented kernel matrix ``[[K, Kt], [conj(Kt), conj(K)]]``."""
-    k, kt = (np.asarray(m, dtype=np.complex128) for m in spec.pair(x, z))
-    return np.block([[k, kt], [kt.conj(), k.conj()]])
+def composite_matrix(k: np.ndarray, kt: np.ndarray) -> np.ndarray:
+    """The real composite matrix ``2 [[rr, rj], [jr, jj]]`` of a pair ``(K, Kt)``.
 
-
-def composite_blocks(spec: KernelSpec, x_star, x) -> tuple[np.ndarray, ...]:
-    """Recover the four real part-kernel blocks (rr, rj, jr, jj).
-
-    Inverts the kernel/pseudo-kernel identification:
+    Its blocks invert the kernel/pseudo-kernel identification:
     ``rr = (Re k + Re kt)/2``, ``jj = (Re k - Re kt)/2``,
     ``jr = (Im k + Im kt)/2``, ``rj = (Im kt - Im k)/2``.
-    The composite prediction matrix is 2x these blocks (see
-    :func:`composite_gram`).
     """
-    return _part_blocks(*spec.pair(x_star, x))
-
-
-def _part_blocks(k: np.ndarray, kt: np.ndarray) -> tuple[np.ndarray, ...]:
     rr = (k.real + kt.real) / 2.0
     jj = (k.real - kt.real) / 2.0
     jr = (k.imag + kt.imag) / 2.0
     rj = (kt.imag - k.imag) / 2.0
-    return rr, rj, jr, jj
-
-
-def composite_gram(spec: KernelSpec, x_star, x) -> np.ndarray:
-    """The real (2m, 2n) composite prediction matrix ``2 [[rr, rj], [jr, jj]]``."""
-    return composite_matrix(*spec.pair(x_star, x))
-
-
-def composite_matrix(k: np.ndarray, kt: np.ndarray) -> np.ndarray:
-    """:func:`composite_gram` of an already evaluated Gram pair ``(K, Kt)``."""
-    rr, rj, jr, jj = _part_blocks(k, kt)
     kc = np.block([[rr, rj], [jr, jj]])
     kc *= 2.0
     return kc
-
-
-def min_composite_eigenvalue(spec: KernelSpec, x) -> float:
-    """Smallest eigenvalue of the composite Gram matrix (PSD diagnostic)."""
-    kc = composite_gram(spec, x, x)
-    kc = (kc + kc.T) / 2.0
-    return float(np.linalg.eigvalsh(kc)[0])
-
-
-def validate_psd(spec: KernelSpec, x, tol: float = 1e-10) -> float:
-    """Opt-in O(n^3) PSD check of the composite Gram matrix on samples ``x``.
-
-    Returns the minimum eigenvalue; raises ``ValueError`` if it falls below
-    ``-tol``.
-    """
-    lo = min_composite_eigenvalue(spec, x)
-    if lo < -tol:
-        raise ValueError(
-            f"kernel/pseudo-kernel pair is not positive semidefinite on the "
-            f"given samples (min eigenvalue {lo:.3e})"
-        )
-    return lo
 
 
 # ---------------------------------------------------------------------------

@@ -40,9 +40,9 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg import blas
 
-from .core import NumericalError, hermitian_solve
+from .core import NumericalError, hermitian_solve, stacked_apply
 from .kernels import KernelSpec
-from .regression import WrkhsModel, _ridge
+from .regression import _ridge
 
 __all__ = ["Wrkls", "streaming_ridge_predictions"]
 
@@ -73,8 +73,8 @@ class Wrkls:
     budget : int or None
         Maximum dictionary size M; ``None`` keeps every sample.
 
-    A model instance is owned by a single updater; create an immutable copy
-    with :meth:`snapshot` for concurrent prediction.
+    A model instance is owned by a single updater. Its dictionary and
+    coefficients define the kernel expansion over the current bases.
     """
 
     def __init__(self, spec: KernelSpec, lam: float, budget: int | None = None):
@@ -135,37 +135,6 @@ class Wrkls:
             return np.empty(0, dtype=np.complex128)
         return self._y[: self._m].copy()
 
-    def snapshot(self) -> WrkhsModel:
-        """Immutable batch model over the current dictionary."""
-        if self._m == 0:
-            raise ValueError("cannot snapshot an empty model")
-        return WrkhsModel(
-            X=self.dictionary, spec=self.spec, lam=self.lam, alpha=self.coefficients
-        )
-
-    # -- prediction ---------------------------------------------------------
-
-    def predict(self, x) -> complex:
-        """Kernel expansion over the current dictionary (0 when empty)."""
-        x = self._check_input(x, grow=False)
-        if self._m == 0:
-            return 0.0 + 0.0j
-        row = self.spec.gram(x[None, :], self._D[: self._m])[0]
-        return complex(row @ self._alpha[: self._m])
-
-    def predict_batch(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.complex128)
-        if x.ndim == 1:
-            x = x[:, None]
-        if self._m == 0:
-            return np.zeros(x.shape[0], dtype=np.complex128)
-        if self._dim is not None and x.shape[1] != self._dim:
-            raise ValueError(f"expected dimension {self._dim}, got {x.shape[1]}")
-        return np.asarray(
-            self.spec.gram(x, self._D[: self._m]) @ self._alpha[: self._m],
-            dtype=np.complex128,
-        )
-
     # -- update -------------------------------------------------------------
 
     def observe(self, x, y) -> complex:
@@ -180,7 +149,10 @@ class Wrkls:
         y = complex(y)
         if not (cmath.isfinite(y) and np.isfinite(x).all()):
             raise ValueError("observe: sample contains non-finite values")
-        x = self._check_input(x, grow=True)
+        if self._dim is None:
+            self._dim = x.shape[0]
+        elif x.shape[0] != self._dim:
+            raise ValueError(f"expected dimension {self._dim}, got {x.shape[0]}")
         pred = self._admit(x, y)
         self._observed += 1
         if self._observed % RESIDUAL_CHECK_INTERVAL == 0:
@@ -198,16 +170,6 @@ class Wrkls:
         return float(np.max(np.abs(r)))
 
     # -- internals ----------------------------------------------------------
-
-    def _check_input(self, x, grow: bool) -> np.ndarray:
-        x = np.asarray(x, dtype=np.complex128).ravel()
-        if self._dim is None:
-            if grow:
-                self._dim = x.shape[0]
-            return x
-        if x.shape[0] != self._dim:
-            raise ValueError(f"expected dimension {self._dim}, got {x.shape[0]}")
-        return x
 
     def _ensure_capacity(self, need: int) -> None:
         if need <= self._cap:
@@ -335,13 +297,9 @@ def streaming_ridge_predictions(
         low = scipy.linalg.cholesky(a, lower=True, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise NumericalError("streaming ridge factorization failed") from exc
-    if np.iscomplexobj(low):
-        z = scipy.linalg.solve_triangular(low, y, lower=True, check_finite=False)
-        diag = np.real(np.diagonal(low))
-    else:
-        zr = scipy.linalg.solve_triangular(
-            low, np.column_stack([y.real, y.imag]), lower=True, check_finite=False
-        )
-        z = zr[:, 0] + 1j * zr[:, 1]
-        diag = np.diagonal(low)
-    return y - diag * z
+    z = stacked_apply(
+        lambda a, b: scipy.linalg.solve_triangular(a, b, lower=True, check_finite=False),
+        low,
+        y,
+    )
+    return y - np.real(np.diagonal(low)) * z

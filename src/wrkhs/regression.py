@@ -15,6 +15,10 @@ Schur complement of the complex 2n x 2n augmented system) are the oracles
 ``fit_srkhs`` is the strictly-complex fit ``alpha = (K + lam I)^-1 y``.
 
 Predictions follow ``f(x*) = k(x*, X) alpha + ktilde(x*, X) conj(alpha)``.
+With a null pseudo-kernel that is the kernel Gram applied to ``alpha``;
+otherwise it is summed one gamma at a time, ``sum_gamma G_gamma(x*, X)
+(a_gamma alpha + b_gamma conj(alpha))`` (``apply`` of the spec), so the Gram
+pair is never formed. ``predict_composite`` is the composite-path oracle.
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ComplexDataset, conjugate_solve, hermitian_solve, stacked_apply
-from .kernels import KernelSpec, composite_gram, composite_matrix, kernel_from_config
+from .core import ComplexDataset, hermitian_solve, stacked_apply
+from .kernels import KernelSpec, composite_matrix, kernel_from_config
 
 __all__ = [
     "WrkhsModel",
@@ -115,7 +119,8 @@ def fit_schur(data: ComplexDataset, spec: KernelSpec, lam: float) -> WrkhsModel:
     k, kt = (np.asarray(m, dtype=np.complex128) for m in spec.pair(data.X))
     kt = (kt + kt.T) / 2.0
     c = _ridge(k, lam)
-    p = _ridge(c - kt @ conjugate_solve(c, kt.conj()), 0.0)
+    # C^-* conj(Kt) = conj(C^-1 Kt)
+    p = _ridge(c - kt @ np.conj(hermitian_solve(c, kt)), 0.0)
     u = hermitian_solve(p, y)  # P^-1 y;  P^-* conj(y) = conj(u)
     alpha = u - hermitian_solve(c, kt @ u.conj())
     return WrkhsModel(X=data.X, spec=spec, lam=lam, alpha=alpha)
@@ -165,12 +170,11 @@ def predict(model: WrkhsModel, x_star) -> np.ndarray:
     """Evaluate ``k(x*, X) alpha + ktilde(x*, X) conj(alpha)`` row-wise."""
     if not np.isfinite(np.asarray(x_star, dtype=np.complex128)).all():
         raise ValueError("x_star contains non-finite values")
-    # a real Gram is applied by one real GEMM on [Re alpha, Im alpha]
-    alpha = model.alpha
     if model.spec.has_null_pseudo:
-        return stacked_apply(np.matmul, model.spec.gram(x_star, model.X), alpha)
-    ks, kts = model.spec.pair(x_star, model.X)
-    return stacked_apply(np.matmul, ks, alpha) + stacked_apply(np.matmul, kts, alpha.conj())
+        # a real Gram is applied by one real GEMM on [Re alpha, Im alpha]
+        return stacked_apply(np.matmul, model.spec.gram(x_star, model.X), model.alpha)
+    # every family with a pseudo-kernel is a sum of real Gaussians
+    return model.spec.apply(x_star, model.X, model.alpha)
 
 
 def predict_composite(
@@ -178,7 +182,7 @@ def predict_composite(
 ) -> np.ndarray:
     """Composite-path prediction: the 2x-block matrix applied to [ar; aj]."""
     alpha_com = np.asarray(alpha_com, dtype=np.float64)
-    kc = composite_gram(spec, x_star, x_train)
+    kc = composite_matrix(*spec.pair(x_star, x_train))
     f_com = kc @ alpha_com
     m = f_com.shape[0] // 2
     return f_com[:m] + 1j * f_com[m:]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ComplexDataset
+from .core import ComplexDataset, check_seed
 from .kernels import RealGaussian, SeparateRealImag, SumOfSeparable
 from .regression import WrkhsModel, fit_augmented, fit_srkhs, mse_db, predict
 
@@ -91,6 +91,7 @@ class SyntheticConfig:
     def __post_init__(self):
         if self.experiment not in (1, 2):
             raise ValueError("experiment must be 1 or 2")
+        check_seed(self.seed)
         if self.n_train < 1:
             raise ValueError("n_train must be >= 1")
         if self.grid_resolution < 2:

@@ -1,4 +1,5 @@
-"""Shared helpers: random inputs and one representative spec per kernel family."""
+"""Shared helpers: random inputs, one representative spec per kernel family,
+and the measuring tools the tests apply to the library."""
 
 import numpy as np
 import pytest
@@ -10,11 +11,46 @@ from wrkhs import (
     RealImagBlocks,
     SeparateRealImag,
     SumOfSeparable,
+    WrkhsModel,
 )
+from wrkhs.kernels import composite_matrix
 
 
 def random_inputs(rng, n, d, scale=1.5):
     return scale * (rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d)))
+
+
+def kernel_value(spec, x, z) -> complex:
+    """Scalar k(x, z) of two input vectors."""
+    return complex(spec.gram(np.atleast_1d(x), np.atleast_1d(z))[0, 0])
+
+
+def pseudo_value(spec, x, z) -> complex:
+    """Scalar ktilde(x, z) of two input vectors."""
+    return complex(spec.pseudo_gram(np.atleast_1d(x), np.atleast_1d(z))[0, 0])
+
+
+def transform_matrix(n):
+    """The 2n x 2n composite-to-augmented transform ``T = [[I, jI], [I, -jI]]``."""
+    eye = np.eye(n)
+    return np.block([[eye, 1j * eye], [eye, -1j * eye]])
+
+
+def augmented_gram(spec, x):
+    """The augmented kernel matrix ``[[K, Kt], [conj(Kt), conj(K)]]``."""
+    k, kt = (np.asarray(m, dtype=np.complex128) for m in spec.pair(x))
+    return np.block([[k, kt], [kt.conj(), k.conj()]])
+
+
+def min_composite_eigenvalue(spec, x) -> float:
+    """Smallest eigenvalue of the composite Gram matrix (PSD diagnostic)."""
+    kc = composite_matrix(*spec.pair(x))
+    return float(np.linalg.eigvalsh((kc + kc.T) / 2.0)[0])
+
+
+def online_model(model) -> WrkhsModel:
+    """The batch model over a ``Wrkls`` dictionary and its coefficients."""
+    return WrkhsModel(X=model.dictionary, spec=model.spec, lam=model.lam, alpha=model.coefficients)
 
 
 def zoo_specs():

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from wrkhs import (
+    ChannelConfig,
     ComplexDataset,
     KernelSpec,
+    SyntheticConfig,
     fit_composite,
     model_from_json,
     predict,
@@ -499,6 +501,28 @@ class TestKernelSurface:
         assert rc == 0
         assert peak < 4e6
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--range", "nan"],
+            ["--range", "inf"],
+            ["--range", "-1"],
+            ["--range", "1", "--center", "nan+0j"],
+            ["--range", "1", "--resolution", "0"],
+        ],
+    )
+    def test_bad_grid_exit_2_before_evaluation(self, tmp_path, capsys, monkeypatch, argv):
+        def no_kernel(*args, **kwargs):
+            raise AssertionError("the kernel was evaluated")
+
+        for name in ("pair", "gram", "diag"):
+            monkeypatch.setattr(KernelSpec, name, no_kernel)
+        out = tmp_path / "s.csv"
+        rc = main(["kernel-surface", "--kernel", KERNEL_RG, *argv, "--out", str(out)])
+        assert rc == 2
+        assert "input error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_independent_cross_shape(self, tmp_path):
         out = tmp_path / "ki.csv"
         rc = main(
@@ -574,6 +598,30 @@ class TestBench:
             ["bench", "synthetic1", "--config", str(cfg), "--out-dir", str(tmp_path)]
         )
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "experiment,cfg,argv",
+        [
+            ("synthetic1", {}, ["--seed", "-1"]),
+            ("synthetic1", {"seed": 2**64}, []),
+            ("synthetic2", {"seed": 1.5}, []),
+            ("synthetic2", {"seed": "3"}, []),
+            ("synthetic1", {"seed": True}, []),
+            ("equalization", {"rho": 0.5}, ["--seed", "-1"]),
+            ("equalization", {"rho": 0.5, "trials": 2, "base_seed": 2**64 - 1}, []),
+            ("equalization", {"rho": 0.5, "base_seed": 0.5}, []),
+        ],
+    )
+    def test_bad_seed_exit_2(self, tmp_path, capsys, experiment, cfg, argv):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        rc = main(["bench", experiment, "--config", str(path), "--out-dir", str(tmp_path), *argv])
+        assert rc == 2
+        assert "seed must be an integer" in capsys.readouterr().err
+
+    def test_largest_seeds_accepted(self):
+        assert SyntheticConfig(experiment=1, seed=2**64 - 1).seed == 2**64 - 1
+        assert ChannelConfig(rho=0.5, trials=2, base_seed=2**64 - 2).trials == 2
 
     def test_equalization_smoke_and_determinism(self, tmp_path):
         import time

@@ -1,103 +1,20 @@
-"""Tests for the composite/augmented algebra and Hermitian solves."""
+"""Tests for the composite transform, Hermitian solves and the dataset container."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
-from wrkhs import (
-    ComplexDataset,
-    NumericalError,
-    augmented_to_composite,
-    composite_to_augmented,
-    conjugate_solve,
-    from_composite,
-    hermitian_solve,
-    to_augmented,
-    to_composite,
-    transform_matrix,
-)
+from wrkhs import ComplexDataset, NumericalError, hermitian_solve
 from wrkhs.core import ASYMMETRY_BLOCK_ROWS
-
-finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
-complex_vectors = st.integers(1, 12).flatmap(
-    lambda n: arrays(
-        np.complex128,
-        (n,),
-        elements=st.builds(complex, finite, finite),
-    )
-)
-
-
-class TestComposite:
-    def test_definition(self):
-        np.testing.assert_array_equal(to_composite([1 + 2j]), [1.0, 2.0])
-
-    def test_zero_case(self):
-        np.testing.assert_array_equal(to_composite([0, 0]), [0.0, 0.0, 0.0, 0.0])
-
-    def test_mixed(self):
-        np.testing.assert_array_equal(
-            to_composite([3 - 1j, -2j]), [3.0, 0.0, -1.0, -2.0]
-        )
-
-    @given(complex_vectors)
-    @settings(max_examples=60, deadline=None)
-    def test_roundtrip_exact(self, v):
-        np.testing.assert_array_equal(from_composite(to_composite(v)), v)
-
-
-class TestAugmented:
-    def test_definition(self):
-        np.testing.assert_array_equal(to_augmented([1 + 2j]), [1 + 2j, 1 - 2j])
-
-    def test_real_vector_duplicates(self):
-        v = np.array([1.5, -2.0], dtype=complex)
-        np.testing.assert_array_equal(to_augmented(v), np.concatenate([v, v]))
-
-    def test_pure_imaginary(self):
-        np.testing.assert_array_equal(to_augmented([1j]), [1j, -1j])
+from conftest import transform_matrix
 
 
 class TestTransform:
-    def test_scalar_expansion(self):
-        np.testing.assert_array_equal(composite_to_augmented([1.0, 2.0]), [1 + 2j, 1 - 2j])
-
-    def test_real_scalar(self):
-        np.testing.assert_array_equal(composite_to_augmented([3.0, 0.0]), [3.0, 3.0])
-
-    def test_inverse_returns_input(self):
-        vc = np.array([0.3, -1.2, 4.0, 0.5])
-        np.testing.assert_allclose(
-            augmented_to_composite(composite_to_augmented(vc)), vc, atol=0
-        )
-
-    def test_odd_length_rejected(self):
-        with pytest.raises(ValueError):
-            composite_to_augmented([1.0, 2.0, 3.0])
-
     @pytest.mark.parametrize("n", [1, 2, 4, 8])
     def test_t_times_th_is_2i(self, n):
         t = transform_matrix(n)
         eye2 = 2 * np.eye(2 * n)
         np.testing.assert_allclose(t @ t.conj().T, eye2, atol=1e-14)
         np.testing.assert_allclose(t.conj().T @ t, eye2, atol=1e-14)
-
-    @given(complex_vectors)
-    @settings(max_examples=60, deadline=None)
-    def test_composite_route_matches_augmented(self, v):
-        np.testing.assert_allclose(
-            composite_to_augmented(to_composite(v)), to_augmented(v), atol=0
-        )
-
-    @given(complex_vectors)
-    @settings(max_examples=30, deadline=None)
-    def test_matrix_application_matches(self, v):
-        t = transform_matrix(len(v))
-        np.testing.assert_allclose(
-            t @ to_composite(v), to_augmented(v), rtol=1e-12, atol=1e-9
-        )
 
 
 class TestHermitianSolve:
@@ -151,14 +68,6 @@ class TestHermitianSolve:
         a = np.diag([1.0, -1.0]) + np.array([[0.0, 0.3], [0.3, 0.0]])
         with pytest.raises(NumericalError):
             hermitian_solve(a, np.ones(2))
-
-    def test_conjugate_solve(self):
-        rng = np.random.default_rng(7)
-        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        a = m @ m.conj().T + np.eye(4)
-        b = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        x = conjugate_solve(a, b)
-        assert np.linalg.norm(a.conj() @ x - b) <= 1e-9
 
 
 class TestComplexDataset:

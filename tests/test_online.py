@@ -14,7 +14,7 @@ from wrkhs import (
     streaming_ridge_predictions,
 )
 from wrkhs import kernels
-from conftest import random_inputs
+from conftest import online_model, random_inputs
 
 
 def random_stream(rng, n, d=2):
@@ -41,11 +41,6 @@ class TestInit:
         with pytest.raises(ValueError, match="budget"):
             Wrkls(RealGaussian(1.0), 0.1, budget=0)
         assert Wrkls(RealGaussian(1.0), 0.1, budget=1).budget == 1
-
-    def test_empty_model_predicts_zero(self):
-        model = Wrkls(RealGaussian(1.0), 0.1)
-        assert model.predict(np.array([1 + 1j])) == 0.0
-        assert model.size == 0
 
 
 class TestObserve:
@@ -152,21 +147,7 @@ class TestPredict:
         batch = fit_srkhs(ComplexDataset(X=x, y=y), spec, 0.4)
         x_star = random_inputs(rng, 7, 2)
         np.testing.assert_allclose(
-            model.predict_batch(x_star), predict(batch, x_star), atol=1e-6
-        )
-        one = model.predict(x_star[0])
-        assert one == pytest.approx(predict(batch, x_star[:1])[0], abs=1e-6)
-
-    def test_snapshot_is_equivalent_model(self):
-        rng = np.random.default_rng(7)
-        x, y = random_stream(rng, 25)
-        model = Wrkls(RealGaussian(1.0), 0.3, budget=9)
-        for i in range(25):
-            model.observe(x[i], y[i])
-        snap = model.snapshot()
-        x_star = random_inputs(rng, 5, 2)
-        np.testing.assert_allclose(
-            predict(snap, x_star), model.predict_batch(x_star), atol=1e-12
+            predict(online_model(model), x_star), predict(batch, x_star), atol=1e-6
         )
 
 

@@ -12,9 +12,10 @@ from wrkhs import (
     RealGaussian,
     Wrkls,
     fit_srkhs,
+    predict,
     streaming_ridge_predictions,
 )
-from conftest import random_inputs
+from conftest import online_model, random_inputs
 
 # One real-valued kernel (real BLAS update) and two complex-valued ones
 # (complex BLAS update).
@@ -143,7 +144,7 @@ class TestNonfiniteInput:
             np.testing.assert_array_equal(old, new)
         preds = [model.observe(xs[i], ys[i]) for i in range(8, 12)]
         assert np.all(np.isfinite(preds))
-        assert np.all(np.isfinite(model.predict_batch(xs)))
+        assert np.all(np.isfinite(predict(online_model(model), xs)))
 
     def test_first_sample_rejected_leaves_model_empty(self):
         model = Wrkls(RealGaussian(1.0), 0.3)

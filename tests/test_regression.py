@@ -21,10 +21,9 @@ from wrkhs import (
     mse_db,
     predict,
     predict_composite,
-    transform_matrix,
 )
-from wrkhs import regression
-from conftest import mixed_gamma_blocks, random_inputs, zoo_specs
+from wrkhs import kernels, regression
+from conftest import mixed_gamma_blocks, random_inputs, transform_matrix, zoo_specs
 
 
 def random_dataset(rng, n, d, scale=1.5):
@@ -258,6 +257,30 @@ class TestPredict:
         # |g| <= 1: each entry rounds within n eps sum |alpha| of the complex product
         bound = 1e-12 * np.abs(model.alpha).sum()
         np.testing.assert_allclose(pred, g.astype(complex) @ model.alpha, rtol=0, atol=bound)
+
+    def test_pseudo_kernel_applied_one_gamma_at_a_time(self, specs, monkeypatch):
+        # with the distances given, the peak is the one exp buffer; the Gram
+        # pair would take a real K and a complex Kt (3 mn doubles) or more
+        n = 600
+        data = random_dataset(np.random.default_rng(43), n, 1)
+        models = {
+            name: fit_augmented(data, spec, 0.5)
+            for name, spec in (
+                ("sum_of_separable", specs["sum_of_separable"]),
+                ("real_imag_blocks", specs["real_imag_blocks"]),
+                ("mixed_gamma_blocks", mixed_gamma_blocks()),
+            )
+        }
+        d2 = kernels._sqdist(data.X, data.X)
+        monkeypatch.setattr(kernels, "_sqdist", lambda a, b: d2)
+        for name, model in models.items():
+            tracemalloc.start()
+            try:
+                predict(model, data.X)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.1 * 8 * n * n, (name, peak / (8 * n * n))
 
     def test_nonfinite_inputs_rejected(self):
         rng = np.random.default_rng(17)

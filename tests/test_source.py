@@ -9,6 +9,8 @@ import wrkhs
 
 ENV_NAMES = {"environ", "environb", "getenv", "getenvb"}
 MODULES = sorted(Path(wrkhs.__file__).parent.glob("*.py"))
+# Exported for the tests to check the library against; nothing calls them.
+ORACLES = {"fit_composite", "fit_schur", "predict_composite"}
 
 
 def env_reads(tree: ast.AST) -> list[int]:
@@ -39,3 +41,21 @@ def test_no_environment_reads(path):
 )
 def test_detects_environment_reads(source):
     assert env_reads(ast.parse(source)) == [source.count("\n") + 1]
+
+
+def test_every_export_is_used_by_the_package():
+    # a name only tests call belongs in the tests, not in the package
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in MODULES}
+    exported = {
+        a.asname or a.name
+        for node in ast.walk(trees.pop("__init__.py"))
+        if isinstance(node, ast.ImportFrom)
+        for a in node.names
+    }
+    used = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    assert exported - used - ORACLES == set()
