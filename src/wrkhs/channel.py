@@ -119,7 +119,7 @@ class EqualizationConfig:
             channel=channel,
             kernel=kernel,
             lam=lam,
-            budget=None if budget is None else int(budget),
+            budget=budget,
         )
 
 

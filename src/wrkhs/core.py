@@ -1,4 +1,8 @@
-"""The complex dataset container, seed checks and Hermitian solves.
+"""The complex dataset container, input checks and Hermitian solves.
+
+``as_samples`` is the one rule for sample matrices: datasets, models, kernel
+evaluations (hence predictions) and the streaming ridge shape and check their
+inputs through it. ``check_lam`` checks every ridge weight.
 
 ``hermitian_solve`` is the one linear solve of the package: a Cholesky
 factorization with one jitter retry. ``stacked_apply`` lets a real matrix act
@@ -11,6 +15,7 @@ read-only and safe to share across threads.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -20,7 +25,10 @@ import scipy.linalg
 __all__ = [
     "NumericalError",
     "ComplexDataset",
+    "as_samples",
+    "check_lam",
     "check_seed",
+    "is_int",
     "hermitian_solve",
 ]
 
@@ -36,14 +44,39 @@ class NumericalError(RuntimeError):
     """A linear solve or factorization failed (indefinite/singular system)."""
 
 
+def as_samples(x, name: str) -> np.ndarray:
+    """``x`` as an (n, d) complex128 matrix whose rows are samples.
+
+    A 1-D input is n scalar samples. Any other shape that is not 2-D, or a
+    NaN or infinite entry, raises ``ValueError`` naming ``name``.
+    """
+    arr = np.asarray(x, dtype=np.complex128)
+    if arr.ndim == 1:
+        arr = arr[:, None]
+    if arr.ndim != 2:
+        raise ValueError(f"{name} must be (n, d) or (n,), got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} contains non-finite values")
+    return arr
+
+
+def check_lam(lam) -> float:
+    """The ridge weight as a float, rejected unless finite and ``>= 0``."""
+    lam = float(lam)
+    if not (lam >= 0 and math.isfinite(lam)):
+        raise ValueError(f"ridge weight must be finite and >= 0, got {lam}")
+    return lam
+
+
+def is_int(value) -> bool:
+    """True for an integer; a bool is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def check_seed(seed, name: str = "seed", count: int = 1) -> None:
     """Reject a seed that is not an integer or whose ``count`` consecutive
     generator keys ``seed .. seed + count - 1`` leave ``[0, 2**64)``."""
-    if (
-        isinstance(seed, bool)
-        or not isinstance(seed, numbers.Integral)
-        or not 0 <= seed <= 2**64 - count
-    ):
+    if not (is_int(seed) and 0 <= seed <= 2**64 - count):
         raise ValueError(f"{name} must be an integer in [0, 2**64 - {count}], got {seed!r}")
 
 
@@ -137,8 +170,9 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 class ComplexDataset:
     """n complex input vectors with n complex targets.
 
-    ``X`` is an (n, d) complex matrix whose rows are samples; ``y`` holds the
-    n complex targets. Arrays are copied and made read-only on construction;
+    ``X`` is an (n, d) complex matrix whose rows are samples (a 1-D ``X`` is
+    n scalar samples, see :func:`as_samples`); ``y`` holds the n complex
+    targets. Arrays are copied and made read-only on construction;
     NaN or infinite entries are rejected.
     """
 
@@ -146,11 +180,7 @@ class ComplexDataset:
     y: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.X, dtype=np.complex128)
-        if x.ndim == 1:
-            x = x[:, None]
-        if x.ndim != 2:
-            raise ValueError(f"X must be 2-D (n, d), got shape {x.shape}")
+        x = as_samples(self.X, "X")
         y = np.asarray(self.y, dtype=np.complex128)
         if y.ndim != 1:
             raise ValueError(f"y must be 1-D, got shape {y.shape}")
@@ -160,9 +190,8 @@ class ComplexDataset:
             )
         if x.shape[0] < 1 or x.shape[1] < 1:
             raise ValueError("dataset needs n >= 1 samples and d >= 1 dimensions")
-        for name, arr in (("X", x), ("y", y)):
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{name} contains non-finite values")
+        if not np.isfinite(y).all():
+            raise ValueError("y contains non-finite values")
         object.__setattr__(self, "X", _readonly(x))
         object.__setattr__(self, "y", _readonly(y))
 

@@ -41,7 +41,9 @@ evaluates ``K alpha + Kt conj(alpha)`` one gamma at a time, without forming
 
 Every family exposes ``pair`` (the kernel and pseudo-kernel Gram matrices
 from one evaluation), ``gram``/``pseudo_gram`` and ``diag`` (both at
-``x' = x`` in O(n)). ``composite_matrix`` turns an evaluated pair into the
+``x' = x`` in O(n)). Their inputs follow ``core.as_samples``: rows are
+samples, a 1-D input is n scalar samples, and NaN or infinite entries raise
+``ValueError``. ``composite_matrix`` turns an evaluated pair into the
 real composite matrix of the stacked real/imaginary system. Specs are
 immutable and hashable; all evaluations are pure and thread-safe.
 """
@@ -55,7 +57,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy.linalg.blas import daxpy
 
-from .core import stacked_apply
+from .core import as_samples, stacked_apply
 
 __all__ = [
     "KernelSpec",
@@ -78,18 +80,9 @@ class KernelOverflowWarning(RuntimeWarning):
     """The complex Gaussian exponent exceeded the saturation threshold."""
 
 
-def _as_inputs(x, name: str = "X") -> np.ndarray:
-    arr = np.asarray(x, dtype=np.complex128)
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    if arr.ndim != 2:
-        raise ValueError(f"{name} must be (n, d), got shape {arr.shape}")
-    return arr
-
-
 def _validated(x, z) -> tuple[np.ndarray, np.ndarray]:
-    x = _as_inputs(x)
-    z = x if z is None else _as_inputs(z, "Z")
+    x = as_samples(x, "x")
+    z = x if z is None else as_samples(z, "z")
     if x.shape[1] != z.shape[1]:
         raise ValueError(f"input dimension mismatch: {x.shape[1]} vs {z.shape[1]}")
     return x, z
@@ -159,7 +152,7 @@ class KernelSpec:
 
     def diag(self, x) -> tuple[np.ndarray, np.ndarray]:
         """``(k(x_i, x_i), ktilde(x_i, x_i))`` for each row, in O(n) memory."""
-        x = _as_inputs(x)
+        x = as_samples(x, "x")
         # every family but the complex Gaussian is stationary: k(x, x) = k(0, 0)
         zero = np.zeros((1, x.shape[1]), dtype=np.complex128)
         k, kt = self._pair(zero, zero)
@@ -243,7 +236,7 @@ class ComplexGaussian(KernelSpec):
 
     def diag(self, x):
         # x = x': the exponent is 4 |Im x|^2 / gamma, real
-        x = _as_inputs(x)
+        x = as_samples(x, "x")
         expo = 4.0 * np.sum(x.imag**2, axis=1) / self.gamma
         return np.exp(_saturated(expo)), np.zeros(x.shape[0])
 
@@ -395,7 +388,7 @@ class _TermSum(KernelSpec):
             s = (complex(b) * p.conjugate()).real
             plus.append(a + s)
             minus.append(a - s)
-        x = _as_inputs(x)
+        x = as_samples(x, "x")
         return tuple(self._combine(x, x, [plus, minus]))
 
     def to_config(self) -> dict:

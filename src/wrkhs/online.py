@@ -34,13 +34,12 @@ benchmark runners where streams are long.
 from __future__ import annotations
 
 import cmath
-import math
 
 import numpy as np
 import scipy.linalg
 from scipy.linalg import blas
 
-from .core import NumericalError, hermitian_solve, stacked_apply
+from .core import ComplexDataset, NumericalError, check_lam, hermitian_solve, is_int, stacked_apply
 from .kernels import KernelSpec
 from .regression import _ridge
 
@@ -51,13 +50,6 @@ RESIDUAL_CHECK_INTERVAL = 128
 
 # Max tolerated |Q (K + lam I) - I| before a full rebuild is forced.
 RESIDUAL_TOL = 1e-6
-
-
-def _check_lam(lam: float) -> float:
-    lam = float(lam)
-    if not (lam > 0 and math.isfinite(lam)):
-        raise ValueError(f"lam must be strictly positive and finite, got {lam}")
-    return lam
 
 
 class Wrkls:
@@ -71,7 +63,8 @@ class Wrkls:
     lam : float
         Ridge weight, strictly positive.
     budget : int or None
-        Maximum dictionary size M; ``None`` keeps every sample.
+        Maximum dictionary size M, an integer ``>= 1`` (a float or a bool is
+        rejected); ``None`` keeps every sample.
 
     A model instance is owned by a single updater. Its dictionary and
     coefficients define the kernel expansion over the current bases.
@@ -83,11 +76,11 @@ class Wrkls:
                 "online recursion requires a null pseudo-kernel; "
                 f"family {spec.family!r} has a pseudo-kernel"
             )
-        lam = _check_lam(lam)
-        if budget is not None:
-            budget = int(budget)
-            if budget < 1:
-                raise ValueError(f"budget must be >= 1, got {budget}")
+        lam = check_lam(lam)
+        if lam == 0:
+            raise ValueError("lam must be strictly positive")
+        if budget is not None and not (is_int(budget) and budget >= 1):
+            raise ValueError(f"budget must be an integer >= 1, got {budget!r}")
         self.spec = spec
         self.lam = lam
         self.budget = budget
@@ -200,11 +193,7 @@ class Wrkls:
         # k(D, x) and k(x, x) from one kernel evaluation
         col = self.spec.gram(self._D[: m + 1], x[None, :])[:, 0]
         c = float(col[m].real) + self.lam
-        if m == 0:
-            self._Q[0, 0] = 1.0 / c
-            self._alpha[0] = y / c
-            self._m = 1
-            return 0.0 + 0.0j
+        # with m = 0 this gives pred = 0, gamma = c, Q = [1/c] and alpha = [y/c]
         col = col[:m]
         alpha = self._alpha[:m]
         pred = complex(np.conj(col) @ alpha)
@@ -216,7 +205,8 @@ class Wrkls:
             self._m = m + 1
             self._rebuild()
             if full:
-                self._evict(int(np.argmin(self._scores())))
+                q_diag = np.real(np.diagonal(self._Q)[: m + 1])
+                self._evict(int(np.argmin(np.abs(self._alpha[: m + 1]) ** 2 / q_diag)))
             return pred
         err = y - pred
         new_alpha = alpha - b * (err / gamma)
@@ -237,11 +227,6 @@ class Wrkls:
         if full:
             self._evict(r)
         return pred
-
-    def _scores(self) -> np.ndarray:
-        m = self._m
-        diag = np.real(np.diagonal(self._Q)[:m])
-        return np.abs(self._alpha[:m]) ** 2 / diag
 
     def _evict(self, r: int) -> None:
         last = self._m - 1
@@ -281,18 +266,17 @@ def streaming_ridge_predictions(
     ``0..i-1`` (0 for the first sample), i.e. exactly what an unbudgeted
     :class:`Wrkls` emits from successive ``observe`` calls, computed with a
     single Cholesky factorization: with ``L L^H = K + lam I`` and
-    ``z = L^-1 y``, the prediction sequence is ``y - diag(L) * z``.
+    ``z = L^-1 y``, the prediction sequence is ``y - diag(L) * z``. ``x`` and
+    ``y`` are checked as a :class:`~wrkhs.core.ComplexDataset`.
     """
-    lam = _check_lam(lam)
+    lam = check_lam(lam)
+    if lam == 0:
+        raise ValueError("lam must be strictly positive")
     if not spec.has_null_pseudo:
         raise ValueError("streaming ridge requires a null pseudo-kernel")
-    x = np.asarray(x, dtype=np.complex128)
-    if x.ndim == 1:
-        x = x[:, None]
-    y = np.asarray(y, dtype=np.complex128).ravel()
-    if x.shape[0] != y.shape[0]:
-        raise ValueError("x and y must have the same number of samples")
-    a = _ridge(spec.gram(x), lam)
+    data = ComplexDataset(X=x, y=y)
+    y = data.y
+    a = _ridge(spec.gram(data.X), lam)
     try:
         low = scipy.linalg.cholesky(a, lower=True, check_finite=False)
     except scipy.linalg.LinAlgError as exc:

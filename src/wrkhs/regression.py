@@ -24,12 +24,11 @@ pair is never formed. ``predict_composite`` is the composite-path oracle.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ComplexDataset, hermitian_solve, stacked_apply
+from .core import ComplexDataset, as_samples, check_lam, hermitian_solve, stacked_apply
 from .kernels import KernelSpec, composite_matrix, kernel_from_config
 
 __all__ = [
@@ -63,28 +62,15 @@ class WrkhsModel:
     alpha: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.X, dtype=np.complex128)
-        if x.ndim == 1:
-            x = x[:, None]
+        x = as_samples(self.X, "X")
         a = np.asarray(self.alpha, dtype=np.complex128)
         if a.ndim != 1 or a.shape[0] != x.shape[0]:
             raise ValueError("alpha must be a vector with one entry per sample")
-        for name, arr in (("X", x), ("alpha", a)):
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{name} contains non-finite values")
+        if not np.isfinite(a).all():
+            raise ValueError("alpha contains non-finite values")
         object.__setattr__(self, "X", x)
-        object.__setattr__(self, "lam", _check_lam(self.lam))
+        object.__setattr__(self, "lam", check_lam(self.lam))
         object.__setattr__(self, "alpha", a)
-
-    def predict(self, x_star) -> np.ndarray:
-        return predict(self, x_star)
-
-
-def _check_lam(lam: float) -> float:
-    lam = float(lam)
-    if not (lam >= 0 and math.isfinite(lam)):
-        raise ValueError(f"ridge weight must be finite and >= 0, got {lam}")
-    return lam
 
 
 def _ridge(a: np.ndarray, lam: float) -> np.ndarray:
@@ -102,7 +88,7 @@ def _composite_solve(k: np.ndarray, kt: np.ndarray, y: np.ndarray, lam: float) -
 
 def fit_composite(data: ComplexDataset, spec: KernelSpec, lam: float) -> np.ndarray:
     """Composite-path coefficients ``(K_com + lam I)^-1 [Re y; Im y]`` (2n real)."""
-    lam = _check_lam(lam)
+    lam = check_lam(lam)
     return _composite_solve(*spec.pair(data.X), data.y, lam)
 
 
@@ -114,7 +100,7 @@ def fit_schur(data: ComplexDataset, spec: KernelSpec, lam: float) -> WrkhsModel:
     ``P alpha = y - Kt C^-* conj(y)``. A null pseudo-kernel is not routed to
     :func:`fit_srkhs`.
     """
-    lam = _check_lam(lam)
+    lam = check_lam(lam)
     y = data.y
     k, kt = (np.asarray(m, dtype=np.complex128) for m in spec.pair(data.X))
     kt = (kt + kt.T) / 2.0
@@ -133,9 +119,9 @@ def fit_augmented(data: ComplexDataset, spec: KernelSpec, lam: float) -> WrkhsMo
     docstring); each system goes through :func:`hermitian_solve`, so an
     indefinite one raises :class:`~wrkhs.core.NumericalError`.
     """
-    lam = _check_lam(lam)
     if spec.has_null_pseudo:
         return fit_srkhs(data, spec, lam)
+    lam = check_lam(lam)
     p = spec.phase
     if p is not None:
         h = 1 + p
@@ -156,7 +142,7 @@ def fit_srkhs(data: ComplexDataset, spec: KernelSpec, lam: float) -> WrkhsModel:
     Refused for specs whose pseudo-kernel is not identically zero; those
     callers must use :func:`fit_augmented`.
     """
-    lam = _check_lam(lam)
+    lam = check_lam(lam)
     if not spec.has_null_pseudo:
         raise ValueError(
             "fit_srkhs requires a null pseudo-kernel; use fit_augmented for "
@@ -167,9 +153,11 @@ def fit_srkhs(data: ComplexDataset, spec: KernelSpec, lam: float) -> WrkhsModel:
 
 
 def predict(model: WrkhsModel, x_star) -> np.ndarray:
-    """Evaluate ``k(x*, X) alpha + ktilde(x*, X) conj(alpha)`` row-wise."""
-    if not np.isfinite(np.asarray(x_star, dtype=np.complex128)).all():
-        raise ValueError("x_star contains non-finite values")
+    """Evaluate ``k(x*, X) alpha + ktilde(x*, X) conj(alpha)`` row-wise.
+
+    ``x_star`` follows the kernels' input rule, so a 1-D ``x_star`` is n
+    scalar samples.
+    """
     if model.spec.has_null_pseudo:
         # a real Gram is applied by one real GEMM on [Re alpha, Im alpha]
         return stacked_apply(np.matmul, model.spec.gram(x_star, model.X), model.alpha)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import ComplexDataset, check_seed
 from .kernels import RealGaussian, SeparateRealImag, SumOfSeparable
-from .regression import WrkhsModel, fit_augmented, fit_srkhs, mse_db, predict
+from .regression import fit_augmented, fit_srkhs, mse_db, predict
 
 __all__ = [
     "sinc",
@@ -99,14 +99,6 @@ class SyntheticConfig:
         if not self.input_lo < self.input_hi:
             raise ValueError("input_lo must be below input_hi")
 
-    @staticmethod
-    def experiment1(seed: int = 0, **overrides) -> "SyntheticConfig":
-        return SyntheticConfig(experiment=1, seed=seed, lam=overrides.pop("lam", 1e-6), **overrides)
-
-    @staticmethod
-    def experiment2(seed: int = 0, **overrides) -> "SyntheticConfig":
-        return SyntheticConfig(experiment=2, seed=seed, lam=overrides.pop("lam", 0.32), **overrides)
-
     def to_config(self) -> dict:
         return {
             "experiment": self.experiment,
@@ -135,10 +127,7 @@ class SyntheticResult:
     ablation_mse_db: float
     grid: np.ndarray
     wrkhs_pred: np.ndarray
-    ablation_pred: np.ndarray
     truth: np.ndarray
-    wrkhs_model: WrkhsModel
-    ablation_model: WrkhsModel
 
 
 def draw_training_inputs(config: SyntheticConfig) -> np.ndarray:
@@ -169,16 +158,12 @@ def run_exp1(config: SyntheticConfig) -> SyntheticResult:
     grid = evaluation_grid(config)
     truth = target_exp1(grid[:, 0])
     wide_pred = predict(wide, grid)
-    abl_pred = predict(ablation, grid)
     return SyntheticResult(
         wrkhs_mse_db=mse_db(wide_pred, truth),
-        ablation_mse_db=mse_db(abl_pred, truth),
+        ablation_mse_db=mse_db(predict(ablation, grid), truth),
         grid=grid[:, 0],
         wrkhs_pred=wide_pred,
-        ablation_pred=abl_pred,
         truth=truth,
-        wrkhs_model=wide,
-        ablation_model=ablation,
     )
 
 
@@ -196,14 +181,10 @@ def run_exp2(config: SyntheticConfig) -> SyntheticResult:
     grid = evaluation_grid(config)
     truth = target_exp2(grid[:, 0], config.omega)
     wide_pred = predict(wide, grid)
-    abl_pred = predict(ablation, grid)
     return SyntheticResult(
         wrkhs_mse_db=mse_db(wide_pred, truth),
-        ablation_mse_db=mse_db(abl_pred, truth),
+        ablation_mse_db=mse_db(predict(ablation, grid), truth),
         grid=grid[:, 0],
         wrkhs_pred=wide_pred,
-        ablation_pred=abl_pred,
         truth=truth,
-        wrkhs_model=wide,
-        ablation_model=ablation,
     )

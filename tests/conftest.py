@@ -11,6 +11,7 @@ from wrkhs import (
     RealImagBlocks,
     SeparateRealImag,
     SumOfSeparable,
+    SyntheticConfig,
     WrkhsModel,
 )
 from wrkhs.kernels import composite_matrix
@@ -21,13 +22,24 @@ def random_inputs(rng, n, d, scale=1.5):
 
 
 def kernel_value(spec, x, z) -> complex:
-    """Scalar k(x, z) of two input vectors."""
-    return complex(spec.gram(np.atleast_1d(x), np.atleast_1d(z))[0, 0])
+    """Scalar k(x, z) of two input vectors, each passed as one row."""
+    return complex(spec.gram(np.atleast_2d(x), np.atleast_2d(z))[0, 0])
 
 
 def pseudo_value(spec, x, z) -> complex:
-    """Scalar ktilde(x, z) of two input vectors."""
-    return complex(spec.pseudo_gram(np.atleast_1d(x), np.atleast_1d(z))[0, 0])
+    """Scalar ktilde(x, z) of two input vectors, each passed as one row."""
+    return complex(spec.pseudo_gram(np.atleast_2d(x), np.atleast_2d(z))[0, 0])
+
+
+def experiment1(seed=0, **overrides) -> SyntheticConfig:
+    """The first synthetic benchmark at its paper settings."""
+    return SyntheticConfig(experiment=1, seed=seed, **overrides)
+
+
+def experiment2(seed=0, **overrides) -> SyntheticConfig:
+    """The second synthetic benchmark at its paper settings, whose ridge
+    weight is the one ``wrkhs bench synthetic2`` defaults to."""
+    return SyntheticConfig(experiment=2, seed=seed, **{"lam": 0.32, **overrides})
 
 
 def transform_matrix(n):

@@ -18,7 +18,6 @@ from wrkhs import (
     IndependentGaussian,
     RealGaussian,
     SumOfSeparable,
-    SyntheticConfig,
     Wrkls,
     fit_augmented,
     fit_composite,
@@ -35,6 +34,8 @@ from wrkhs import (
 )
 from wrkhs.cli import main as cli_main
 from conftest import (
+    experiment1,
+    experiment2,
     kernel_value,
     min_composite_eigenvalue,
     pseudo_value,
@@ -197,7 +198,7 @@ class TestCriterion4Experiment1:
         t0 = time.monotonic()
         levels, gaps = [], []
         for seed in range(10):
-            res = run_exp1(SyntheticConfig.experiment1(seed=seed))
+            res = run_exp1(experiment1(seed=seed))
             levels.append(res.wrkhs_mse_db)
             gaps.append(res.ablation_mse_db - res.wrkhs_mse_db)
         elapsed = time.monotonic() - t0
@@ -217,7 +218,7 @@ class TestCriterion5Experiment2:
         t0 = time.monotonic()
         levels, gaps = [], []
         for seed in range(10):
-            res = run_exp2(SyntheticConfig.experiment2(seed=seed))
+            res = run_exp2(experiment2(seed=seed))
             levels.append(res.wrkhs_mse_db)
             gaps.append(res.ablation_mse_db - res.wrkhs_mse_db)
         elapsed = time.monotonic() - t0

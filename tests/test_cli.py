@@ -619,6 +619,15 @@ class TestBench:
         assert rc == 2
         assert "seed must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("budget", [2.5, True, 0])
+    def test_bad_budget_exit_2(self, tmp_path, capsys, budget):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"rho": 0.5, "trials": 1, "n_samples": 100, "budget": budget}))
+        rc = main(["bench", "equalization", "--config", str(path), "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert "budget must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "equalization_summary.json").exists()
+
     def test_largest_seeds_accepted(self):
         assert SyntheticConfig(experiment=1, seed=2**64 - 1).seed == 2**64 - 1
         assert ChannelConfig(rho=0.5, trials=2, base_seed=2**64 - 2).trials == 2

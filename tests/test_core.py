@@ -1,9 +1,21 @@
-"""Tests for the composite transform, Hermitian solves and the dataset container."""
+"""Tests for the composite transform, Hermitian solves, the dataset container
+and the input rule every public entry shares."""
 
 import numpy as np
 import pytest
 
-from wrkhs import ComplexDataset, NumericalError, hermitian_solve
+from wrkhs import (
+    ComplexDataset,
+    NumericalError,
+    RealGaussian,
+    SeparateRealImag,
+    WrkhsModel,
+    Wrkls,
+    hermitian_solve,
+    kernels,
+    predict,
+    streaming_ridge_predictions,
+)
 from wrkhs.core import ASYMMETRY_BLOCK_ROWS
 from conftest import transform_matrix
 
@@ -96,3 +108,31 @@ class TestComplexDataset:
         data = ComplexDataset(X=np.ones((2, 1)), y=np.ones(2))
         with pytest.raises(ValueError):
             data.X[0, 0] = 5.0
+
+
+# a pair with a pseudo-kernel, so predict takes the one-gamma-at-a-time path
+SPEC = SeparateRealImag(rr=RealGaussian(1.0), jj=RealGaussian(2.0))
+MODEL = WrkhsModel(X=np.zeros((2, 1)), spec=SPEC, lam=0.1, alpha=np.ones(2))
+ENTRIES = {
+    "gram": SPEC.gram,
+    "pair": SPEC.pair,
+    "diag": SPEC.diag,
+    "predict": lambda x: predict(MODEL, x),
+    "streaming_ridge_predictions": lambda x: streaming_ridge_predictions(
+        RealGaussian(1.0), x, np.ones(2), 0.1
+    ),
+    "ComplexDataset": lambda x: ComplexDataset(X=x, y=np.ones(2)),
+    "WrkhsModel": lambda x: WrkhsModel(X=x, spec=SPEC, lam=0.1, alpha=np.ones(2)),
+    "Wrkls.observe": lambda x: Wrkls(RealGaussian(1.0), 0.1).observe(x[0], 1.0),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+def test_nonfinite_input_rejected_before_any_gram(entry, bad, monkeypatch):
+    def no_gram(*args):
+        raise AssertionError("a Gram matrix was evaluated")
+
+    monkeypatch.setattr(kernels, "_sqdist", no_gram)
+    with pytest.raises(ValueError, match="contains non-finite values"):
+        ENTRIES[entry](np.array([[bad], [1.0]]))

@@ -38,9 +38,12 @@ class TestInit:
             Wrkls(RealGaussian(1.0), 0.0)
 
     def test_budget_validation(self):
-        with pytest.raises(ValueError, match="budget"):
-            Wrkls(RealGaussian(1.0), 0.1, budget=0)
+        # a float or a bool is not a budget, even one with an integer value
+        for bad in (0, -3, 2.5, 3.0, True):
+            with pytest.raises(ValueError, match="budget must be an integer"):
+                Wrkls(RealGaussian(1.0), 0.1, budget=bad)
         assert Wrkls(RealGaussian(1.0), 0.1, budget=1).budget == 1
+        assert Wrkls(RealGaussian(1.0), 0.1, budget=np.int64(4)).budget == 4
 
 
 class TestObserve:

@@ -288,8 +288,20 @@ class TestPredict:
         for bad in (np.nan, np.inf, 1j * np.nan):
             x_star = random_inputs(rng, 3, 1)
             x_star[1, 0] = bad
-            with pytest.raises(ValueError, match="x_star contains non-finite"):
+            with pytest.raises(ValueError, match="^x contains non-finite values"):
                 predict(model, x_star)
+
+    def test_one_dimensional_x_star_is_scalar_samples(self, specs):
+        # a model fitted from a 1-D X takes a 1-D x_star under the same rule
+        rng = np.random.default_rng(29)
+        x = random_inputs(rng, 6, 1)[:, 0]
+        y = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        x_star = random_inputs(rng, 4, 1)[:, 0]
+        for name, spec in specs.items():
+            model = fit_augmented(ComplexDataset(X=x, y=y), spec, 0.3)
+            np.testing.assert_array_equal(
+                predict(model, x_star), predict(model, x_star[:, None]), err_msg=name
+            )
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(12)

@@ -43,6 +43,37 @@ def test_detects_environment_reads(source):
     assert env_reads(ast.parse(source)) == [source.count("\n") + 1]
 
 
+def ndim_one_tests(tree: ast.AST) -> list[int]:
+    """Line numbers where an ``.ndim`` is compared ``== 1``."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare) and any(isinstance(op, ast.Eq) for op in node.ops):
+            sides = [node.left, *node.comparators]
+            if any(isinstance(s, ast.Attribute) and s.attr == "ndim" for s in sides) and any(
+                isinstance(s, ast.Constant) and s.value == 1 for s in sides
+            ):
+                lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "core.py"], ids=lambda p: p.name)
+def test_one_input_rule(path):
+    # what a 1-D input means is decided once, by core.as_samples
+    assert ndim_one_tests(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "if x.ndim == 1:\n    x = x[:, None]",
+        "flat = 1 == np.asarray(x).ndim",
+        "y = x[None] if x.ndim == 1 else x",
+    ],
+)
+def test_detects_ndim_one_tests(source):
+    assert ndim_one_tests(ast.parse(source)) == [1]
+
+
 def test_every_export_is_used_by_the_package():
     # a name only tests call belongs in the tests, not in the package
     trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in MODULES}

@@ -24,6 +24,7 @@ from wrkhs import (
 )
 from wrkhs import kernels
 from wrkhs.synthetic import draw_training_inputs, evaluation_grid
+from conftest import experiment1, experiment2
 
 
 class TestSinc:
@@ -92,14 +93,14 @@ class TestTargetExp2:
 
 class TestSampling:
     def test_inputs_within_range(self):
-        cfg = SyntheticConfig.experiment1(seed=5)
+        cfg = experiment1(seed=5)
         x = draw_training_inputs(cfg)[:, 0]
         assert x.real.min() >= -5 and x.real.max() <= 5
         assert x.imag.min() >= -5 and x.imag.max() <= 5
         assert x.shape == (200,)
 
     def test_grid_deterministic(self):
-        cfg = SyntheticConfig.experiment1(seed=0, grid_resolution=21)
+        cfg = experiment1(seed=0, grid_resolution=21)
         a = evaluation_grid(cfg)
         b = evaluation_grid(cfg)
         np.testing.assert_array_equal(a, b)
@@ -115,8 +116,8 @@ class TestSampling:
 @pytest.mark.parametrize(
     "run, config",
     [
-        (run_exp1, SyntheticConfig.experiment1(n_train=20, grid_resolution=5)),
-        (run_exp2, SyntheticConfig.experiment2(n_train=20, grid_resolution=5)),
+        (run_exp1, experiment1(n_train=20, grid_resolution=5)),
+        (run_exp2, experiment2(n_train=20, grid_resolution=5)),
     ],
 )
 def test_one_distance_matrix_per_kernel_evaluation(run, config, monkeypatch):
@@ -131,12 +132,12 @@ def test_one_distance_matrix_per_kernel_evaluation(run, config, monkeypatch):
 class TestRunExp1:
     def test_wide_fit_beats_ablation(self):
         for seed in (0, 1):
-            res = run_exp1(SyntheticConfig.experiment1(seed=seed))
+            res = run_exp1(experiment1(seed=seed))
             assert res.wrkhs_mse_db < res.ablation_mse_db
             assert np.isfinite(res.wrkhs_mse_db)
 
     def test_training_mse_decreases_with_lam(self):
-        cfg0 = SyntheticConfig.experiment1(seed=2)
+        cfg0 = experiment1(seed=2)
         x = draw_training_inputs(cfg0)
         data = ComplexDataset(X=x, y=target_exp1(x[:, 0]))
         spec = SeparateRealImag(
@@ -152,29 +153,29 @@ class TestRunExp1:
     def test_more_samples_help_on_average(self):
         small, large = [], []
         for seed in (0, 1, 2):
-            small.append(run_exp1(SyntheticConfig.experiment1(seed=seed)).wrkhs_mse_db)
+            small.append(run_exp1(experiment1(seed=seed)).wrkhs_mse_db)
             large.append(
                 run_exp1(
-                    SyntheticConfig.experiment1(seed=seed, n_train=400)
+                    experiment1(seed=seed, n_train=400)
                 ).wrkhs_mse_db
             )
         assert np.mean(large) <= np.mean(small)
 
     def test_wrong_experiment_rejected(self):
         with pytest.raises(ValueError, match="experiment 1"):
-            run_exp1(SyntheticConfig.experiment2(seed=0))
+            run_exp1(experiment2(seed=0))
 
 
 class TestRunExp2:
     def test_coupled_fit_beats_ablation(self):
         for seed in (0, 1):
-            res = run_exp2(SyntheticConfig.experiment2(seed=seed))
+            res = run_exp2(experiment2(seed=seed))
             assert res.wrkhs_mse_db < res.ablation_mse_db
 
     def test_mer_at_omega_zero_equals_doubled_kernel_srkhs(self):
         # the sum-of-separable formula at w = 0 is the strictly-complex fit
         # with the doubled base kernel
-        cfg = SyntheticConfig.experiment2(seed=4)
+        cfg = experiment2(seed=4)
         x = draw_training_inputs(cfg)
         data = ComplexDataset(X=x, y=target_exp2(x[:, 0]))
         base = gaussian_from_length_scale(2.0)
@@ -191,4 +192,4 @@ class TestRunExp2:
 
     def test_wrong_experiment_rejected(self):
         with pytest.raises(ValueError, match="experiment 2"):
-            run_exp2(SyntheticConfig.experiment1(seed=0))
+            run_exp2(experiment1(seed=0))
