@@ -13,11 +13,11 @@ reproduced on its own. Trials run one after another in the calling thread.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .core import ComplexDataset, check_seed
+from .core import ComplexDataset, check_int_fields, check_seed
 from .kernels import KernelSpec, RealGaussian, kernel_from_config
 from .online import Wrkls, streaming_ridge_predictions
 
@@ -36,6 +36,7 @@ __all__ = [
 DEFAULT_TAPS = (-0.9 + 0.8j, 0.6 - 0.7j)
 DEFAULT_C2 = 0.2 + 0.25j
 DEFAULT_C3 = 0.12 + 0.09j
+DEFAULT_KERNEL = RealGaussian(gamma=8.92)
 
 
 @dataclass(frozen=True)
@@ -55,6 +56,7 @@ class ChannelConfig:
     base_seed: int = 0
 
     def __post_init__(self):
+        check_int_fields(self)
         if not 0.0 < self.rho < 1.0:
             raise ValueError(f"rho must lie in (0, 1), got {self.rho}")
         if self.filter_length < 1:
@@ -69,55 +71,50 @@ class ChannelConfig:
         check_seed(self.base_seed, "base_seed", self.trials)
 
 
+# channel fields that hold complex numbers; a config writes each number as [re, im]
+COMPLEX_FIELDS = {f.name for f in fields(ChannelConfig) if "complex" in str(f.type)}
+
+
+def _to_pairs(value):
+    """A complex number as ``[re, im]``, a tuple of them as a list of pairs."""
+    return [_to_pairs(v) for v in value] if isinstance(value, tuple) else [value.real, value.imag]
+
+
+def _from_pairs(value):
+    """Inverse of :func:`_to_pairs`."""
+    if isinstance(value[0], (list, tuple)):
+        return tuple(_from_pairs(v) for v in value)
+    re, im = value
+    return complex(re, im)
+
+
 @dataclass(frozen=True)
 class EqualizationConfig:
     """Channel benchmark plus equalizer hyperparameters."""
 
     channel: ChannelConfig
-    kernel: KernelSpec = field(default_factory=lambda: RealGaussian(gamma=8.92))
+    kernel: KernelSpec = DEFAULT_KERNEL
     lam: float = 0.32
     budget: int | None = None
 
     def to_config(self) -> dict:
-        ch = self.channel
-        return {
-            "rho": ch.rho,
-            "snr_db": ch.snr_db,
-            "taps": [[t.real, t.imag] for t in ch.taps],
-            "c2": [ch.c2.real, ch.c2.imag],
-            "c3": [ch.c3.real, ch.c3.imag],
-            "source_scale": ch.source_scale,
-            "filter_length": ch.filter_length,
-            "delay": ch.delay,
-            "n_samples": ch.n_samples,
-            "trials": ch.trials,
-            "base_seed": ch.base_seed,
-            "kernel": self.kernel.to_config(),
-            "lam": self.lam,
-            "budget": self.budget,
-        }
+        """The channel fields, flattened, then ``kernel``, ``lam`` and ``budget``."""
+        cfg = asdict(self.channel)
+        for name in COMPLEX_FIELDS:
+            cfg[name] = _to_pairs(cfg[name])
+        return {**cfg, "kernel": self.kernel.to_config(), "lam": self.lam, "budget": self.budget}
 
     @staticmethod
     def from_config(cfg: dict) -> "EqualizationConfig":
-        known = dict(cfg)
-        kernel_cfg = known.pop("kernel", None)
-        lam = float(known.pop("lam", 0.32))
-        budget = known.pop("budget", None)
-        if "taps" in known:
-            known["taps"] = tuple(complex(re, im) for re, im in known["taps"])
-        for name in ("c2", "c3"):
-            if name in known and not isinstance(known[name], complex):
-                re, im = known[name]
-                known[name] = complex(re, im)
-        channel = ChannelConfig(**known)
-        kernel = (
-            kernel_from_config(kernel_cfg)
-            if kernel_cfg is not None
-            else RealGaussian(gamma=8.92)
-        )
+        channel = dict(cfg)
+        kernel = channel.pop("kernel", None)
+        lam = float(channel.pop("lam", EqualizationConfig.lam))
+        budget = channel.pop("budget", None)
+        for name in COMPLEX_FIELDS & channel.keys():
+            channel[name] = _from_pairs(channel[name])
         return EqualizationConfig(
-            channel=channel,
-            kernel=kernel,
+            channel=ChannelConfig(**channel),
+            kernel=DEFAULT_KERNEL if kernel is None else kernel_from_config(kernel),
             lam=lam,
             budget=budget,
         )

@@ -59,7 +59,25 @@ EXIT_NUMERICAL = 3
 
 
 def _fmt(v) -> str:
-    return repr(float(v))
+    """An integer as itself, any other number as the repr of its float."""
+    return repr(v if isinstance(v, int) else float(v))
+
+
+def _re_im_rows(*arrays) -> np.ndarray:
+    """Rows of the real then the imaginary parts of each array in turn; a
+    2-D array gives a column per input dimension."""
+    return np.column_stack([part for a in arrays for part in (a.real, a.imag)])
+
+
+def _write_csv(path, header, rows, comment=None) -> None:
+    """``header`` then ``rows``, each value through ``_fmt``, after a
+    ``comment`` line when one is given."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        if comment is not None:
+            fh.write(comment + "\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def _dataset_header(d: int, with_targets: bool = True) -> list[str]:
@@ -97,13 +115,8 @@ def read_dataset_csv(path) -> ComplexDataset:
 
 
 def write_dataset_csv(path, data: ComplexDataset) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_dataset_header(data.d))
-        for i in range(data.n):
-            row = [_fmt(v) for v in data.X[i].real] + [_fmt(v) for v in data.X[i].imag]
-            row += [_fmt(data.y[i].real), _fmt(data.y[i].imag)]
-            writer.writerow(row)
+    """Write ``data`` in the format :func:`read_dataset_csv` parses."""
+    _write_csv(path, _dataset_header(data.d), _re_im_rows(data.X, data.y))
 
 
 # ---------------------------------------------------------------------------
@@ -156,13 +169,8 @@ def cmd_predict(args) -> int:
     model = model_from_json(Path(args.model).read_text(encoding="utf-8"))
     data = read_dataset_csv(args.dataset)
     preds = predict(model, data.X)
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_dataset_header(data.d, with_targets=False) + ["pred_re", "pred_im"])
-        for i in range(data.n):
-            row = [_fmt(v) for v in data.X[i].real] + [_fmt(v) for v in data.X[i].imag]
-            row += [_fmt(preds[i].real), _fmt(preds[i].imag)]
-            writer.writerow(row)
+    header = _dataset_header(data.d, with_targets=False) + ["pred_re", "pred_im"]
+    _write_csv(args.out, header, _re_im_rows(data.X, preds))
     print(f"n={data.n} d={data.d} predictions={args.out}")
     return EXIT_OK
 
@@ -191,99 +199,71 @@ def cmd_kernel_surface(args) -> int:
         "resolution": args.resolution,
         "diagonal": bool(args.diagonal),
     }
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        fh.write(_hash_comment(_config_hash(cfg), "none") + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["x_re", "x_im", "k_re", "k_im", "pk_re", "pk_im"])
-        for p, kv, pkv in zip(pts[:, 0], k, pk):
-            writer.writerow(
-                [_fmt(p.real), _fmt(p.imag), _fmt(complex(kv).real),
-                 _fmt(complex(kv).imag), _fmt(complex(pkv).real), _fmt(complex(pkv).imag)]
-            )
+    _write_csv(
+        args.out,
+        ["x_re", "x_im", "k_re", "k_im", "pk_re", "pk_im"],
+        _re_im_rows(pts[:, 0], k, pk),
+        _hash_comment(_config_hash(cfg), "none"),
+    )
     print(f"points={pts.shape[0]} surface={args.out}")
     return EXIT_OK
 
 
-def _write_synthetic_outputs(out_dir: Path, name: str, config, result, ablation_key: str) -> None:
+def _write_bench(out_dir: Path, name: str, config, seed, table, results: dict) -> None:
+    """Write ``<name>_<kind>.csv`` from ``table = (kind, header, rows)`` and
+    ``<name>_summary.json``, both stamped with the hash of ``config``."""
     cfg = config.to_config()
     chash = _config_hash(cfg)
-    curve_path = out_dir / f"{name}_grid.csv"
-    with open(curve_path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(_hash_comment(chash, config.seed) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["x_r", "x_j", "pred_r", "pred_j", "true_r", "true_j"])
-        for g, p, t in zip(result.grid, result.wrkhs_pred, result.truth):
-            writer.writerow(
-                [_fmt(g.real), _fmt(g.imag), _fmt(p.real), _fmt(p.imag),
-                 _fmt(t.real), _fmt(t.imag)]
-            )
-    summary = {
-        "config": cfg,
-        "config_sha256": chash,
-        "seed": config.seed,
-        "wrkhs_mse_db": result.wrkhs_mse_db,
-        ablation_key: result.ablation_mse_db,
-    }
+    kind, header, rows = table
+    _write_csv(out_dir / f"{name}_{kind}.csv", header, rows, _hash_comment(chash, seed))
+    summary = {"config": cfg, "config_sha256": chash, "seed": seed, **results}
     (out_dir / f"{name}_summary.json").write_text(
         _canonical_json(summary) + "\n", encoding="utf-8"
     )
-    print(
-        f"{name}: wrkhs_mse_db={result.wrkhs_mse_db!r} "
-        f"{ablation_key}={result.ablation_mse_db!r}"
-    )
+
+
+# per synthetic benchmark: experiment, default ridge weight, ablation score key
+SYNTHETIC = {
+    "synthetic1": (1, 1e-6, "null_pseudo_mse_db"),
+    "synthetic2": (2, 0.32, "srkhs_mse_db"),
+}
 
 
 def cmd_bench(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg = _load_json_config(args.config) if args.config else {}
-    if args.experiment in ("synthetic1", "synthetic2"):
-        exp_id = 1 if args.experiment == "synthetic1" else 2
-        cfg.setdefault("experiment", exp_id)
-        if cfg["experiment"] != exp_id:
-            raise ValueError(
-                f"config experiment={cfg['experiment']} does not match {args.experiment}"
-            )
+    name = args.experiment
+    if name == "equalization":
         if args.seed is not None:
-            cfg["seed"] = args.seed
-        if exp_id == 1:
-            cfg.setdefault("lam", 1e-6)
-            config = SyntheticConfig.from_config(cfg)
-            result = run_exp1(config)
-            _write_synthetic_outputs(out_dir, "synthetic1", config, result, "null_pseudo_mse_db")
-        else:
-            cfg.setdefault("lam", 0.32)
-            config = SyntheticConfig.from_config(cfg)
-            result = run_exp2(config)
-            _write_synthetic_outputs(out_dir, "synthetic2", config, result, "srkhs_mse_db")
+            cfg["base_seed"] = args.seed
+        config = EqualizationConfig.from_config(cfg)
+        result = run_equalization(config)
+        curve = ("curve", ["sample_index", "avg_mse_db"], enumerate(result.curve_db))
+        results = {
+            "final_mse_db": result.final_mse_db,
+            "n_stream": result.n_stream,
+            "trials": result.trials,
+        }
+        _write_bench(out_dir, name, config, config.channel.base_seed, curve, results)
+        print(f"equalization: final_mse_db={result.final_mse_db!r}")
         return EXIT_OK
 
-    # equalization
+    exp_id, lam, ablation_key = SYNTHETIC[name]
+    cfg.setdefault("experiment", exp_id)
+    if cfg["experiment"] != exp_id:
+        raise ValueError(f"config experiment={cfg['experiment']} does not match {name}")
     if args.seed is not None:
-        cfg["base_seed"] = args.seed
-    config = EqualizationConfig.from_config(cfg)
-    result = run_equalization(config)
-    cdict = config.to_config()
-    chash = _config_hash(cdict)
-    curve_path = out_dir / "equalization_curve.csv"
-    with open(curve_path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(_hash_comment(chash, config.channel.base_seed) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["sample_index", "avg_mse_db"])
-        for i, v in enumerate(result.curve_db):
-            writer.writerow([i, _fmt(v)])
-    summary = {
-        "config": cdict,
-        "config_sha256": chash,
-        "seed": config.channel.base_seed,
-        "final_mse_db": result.final_mse_db,
-        "n_stream": result.n_stream,
-        "trials": result.trials,
-    }
-    (out_dir / "equalization_summary.json").write_text(
-        _canonical_json(summary) + "\n", encoding="utf-8"
-    )
-    print(f"equalization: final_mse_db={result.final_mse_db!r}")
+        cfg["seed"] = args.seed
+    cfg.setdefault("lam", lam)
+    config = SyntheticConfig.from_config(cfg)
+    # looked up per call, so a replaced run_exp1/run_exp2 is the one that runs
+    result = (run_exp1 if exp_id == 1 else run_exp2)(config)
+    grid = ("grid", ["x_r", "x_j", "pred_r", "pred_j", "true_r", "true_j"],
+            _re_im_rows(result.grid, result.wrkhs_pred, result.truth))
+    results = {"wrkhs_mse_db": result.wrkhs_mse_db, ablation_key: result.ablation_mse_db}
+    _write_bench(out_dir, name, config, config.seed, grid, results)
+    print(f"{name}: " + " ".join(f"{key}={value!r}" for key, value in results.items()))
     return EXIT_OK
 
 

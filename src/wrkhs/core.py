@@ -5,9 +5,11 @@ evaluations (hence predictions) and the streaming ridge shape and check their
 inputs through it. ``check_lam`` checks every ridge weight.
 
 ``hermitian_solve`` is the one linear solve of the package: a Cholesky
-factorization with one jitter retry. ``stacked_apply`` lets a real matrix act
-on a complex right-hand side as one real call on its stacked real and
-imaginary parts, so the matrix is never copied to complex.
+factorization with one jitter retry. ``ridge_shift`` symmetrizes a Gram
+matrix and adds the ridge weight to its diagonal in place, ahead of that
+solve. ``stacked_apply`` lets a real matrix act on a complex right-hand side
+as one real call on its stacked real and imaginary parts, so the matrix is
+never copied to complex.
 
 All functions here are pure; arrays returned by dataset containers are
 read-only and safe to share across threads.
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.linalg
@@ -28,7 +30,9 @@ __all__ = [
     "as_samples",
     "check_lam",
     "check_seed",
+    "check_int_fields",
     "is_int",
+    "ridge_shift",
     "hermitian_solve",
 ]
 
@@ -73,11 +77,28 @@ def is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def check_int_fields(config) -> None:
+    """Reject a dataclass whose ``int``-annotated fields hold anything but an
+    integer: a float (even ``5.0``) or a bool is not one."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type in (int, "int") and not is_int(value):
+            raise ValueError(f"{f.name} must be an integer, got {value!r}")
+
+
 def check_seed(seed, name: str = "seed", count: int = 1) -> None:
     """Reject a seed that is not an integer or whose ``count`` consecutive
     generator keys ``seed .. seed + count - 1`` leave ``[0, 2**64)``."""
     if not (is_int(seed) and 0 <= seed <= 2**64 - count):
         raise ValueError(f"{name} must be an integer in [0, 2**64 - {count}], got {seed!r}")
+
+
+def ridge_shift(a: np.ndarray, lam: float) -> np.ndarray:
+    """Overwrite ``a`` with ``(a + a^H)/2 + lam I`` and return it."""
+    a += a.conj().T
+    a /= 2.0
+    a[np.diag_indices_from(a)] += lam
+    return a
 
 
 def hermitian_solve(a, b) -> np.ndarray:

@@ -185,7 +185,13 @@ class KernelSpec:
     # -- serialization ------------------------------------------------------
 
     def to_config(self) -> dict:
-        raise NotImplementedError
+        """``{"family": ..., "params": ...}`` with one param per dataclass field;
+        a part-kernel field holds that kernel's params."""
+        params = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            params[f.name] = value.to_config()["params"] if isinstance(value, KernelSpec) else value
+        return {"family": self.family, "params": params}
 
 
 @dataclass(frozen=True)
@@ -205,9 +211,6 @@ class RealGaussian(KernelSpec):
     @property
     def is_real_valued(self) -> bool:
         return True
-
-    def to_config(self) -> dict:
-        return {"family": self.family, "params": {"gamma": self.gamma, "scale": self.scale}}
 
 
 @dataclass(frozen=True)
@@ -240,9 +243,6 @@ class ComplexGaussian(KernelSpec):
         expo = 4.0 * np.sum(x.imag**2, axis=1) / self.gamma
         return np.exp(_saturated(expo)), np.zeros(x.shape[0])
 
-    def to_config(self) -> dict:
-        return {"family": self.family, "params": {"gamma": self.gamma}}
-
 
 @dataclass(frozen=True)
 class IndependentGaussian(KernelSpec):
@@ -266,9 +266,6 @@ class IndependentGaussian(KernelSpec):
         xr, xj = x.real, x.imag
         zr, zj = z.real, z.imag
         return kap(xr, zr) + kap(xj, zj) + 1j * (kap(xr, zj) - kap(xj, zr))
-
-    def to_config(self) -> dict:
-        return {"family": self.family, "params": {"gamma": self.gamma}}
 
 
 def _real_part_kernel(obj) -> None:
@@ -391,12 +388,6 @@ class _TermSum(KernelSpec):
         x = as_samples(x, "x")
         return tuple(self._combine(x, x, [plus, minus]))
 
-    def to_config(self) -> dict:
-        return {
-            "family": self.family,
-            "params": {f.name: getattr(self, f.name).to_config()["params"] for f in fields(self)},
-        }
-
 
 @dataclass(frozen=True)
 class RealImagBlocks(_TermSum):
@@ -472,15 +463,8 @@ class SumOfSeparable(_TermSum):
         return tuple((kq, 2, 2j * w) for kq, w in self.terms)
 
     def to_config(self) -> dict:
-        return {
-            "family": self.family,
-            "params": {
-                "terms": [
-                    {"weight": w, **kq.to_config()["params"]}
-                    for kq, w in self.terms
-                ]
-            },
-        }
+        terms = [{"weight": w, **kq.to_config()["params"]} for kq, w in self.terms]
+        return {"family": self.family, "params": {"terms": terms}}
 
 
 # ---------------------------------------------------------------------------
@@ -508,33 +492,29 @@ def composite_matrix(k: np.ndarray, kt: np.ndarray) -> np.ndarray:
 # JSON configuration
 # ---------------------------------------------------------------------------
 
+_FAMILIES = {cls.family: cls for cls in (RealGaussian, ComplexGaussian, IndependentGaussian,
+                                         RealImagBlocks, SeparateRealImag, SumOfSeparable)}
 
-def _real_gaussian_from_params(params: dict) -> RealGaussian:
-    return RealGaussian(
-        gamma=float(params["gamma"]), scale=float(params.get("scale", 1.0))
-    )
+
+def _from_params(cls, params: dict) -> KernelSpec:
+    """``cls`` built from the fields present in ``params``: a number through
+    ``float``, an object as a nested ``real_gaussian``. Other keys are ignored."""
+    def param(value):
+        return _from_params(RealGaussian, value) if isinstance(value, dict) else float(value)
+
+    return cls(**{f.name: param(params[f.name]) for f in fields(cls) if f.name in params})
 
 
 def kernel_from_config(config: dict) -> KernelSpec:
     """Build a kernel spec from its JSON object ``{"family": ..., "params": ...}``."""
     if not isinstance(config, dict) or "family" not in config:
         raise ValueError("kernel config must be an object with a 'family' field")
-    family = config["family"]
+    cls = _FAMILIES.get(config["family"])
+    if cls is None:
+        raise ValueError(f"unknown kernel family: {config['family']!r}")
     params = config.get("params", {})
-    if family == RealGaussian.family:
-        return _real_gaussian_from_params(params)
-    for cls in (ComplexGaussian, IndependentGaussian):
-        if family == cls.family:
-            return cls(gamma=float(params["gamma"]))
-    for cls in (RealImagBlocks, SeparateRealImag):
-        if family == cls.family:
-            return cls(**{f.name: _real_gaussian_from_params(params[f.name]) for f in fields(cls)})
-    if family == SumOfSeparable.family:
-        return SumOfSeparable(
-            terms=tuple(
-                (_real_gaussian_from_params(t), float(t["weight"]))
-                for t in params["terms"]
-            )
-        )
-    raise ValueError(f"unknown kernel family: {family!r}")
-
+    if cls is SumOfSeparable:
+        return cls(terms=tuple(
+            (_from_params(RealGaussian, t), float(t["weight"])) for t in params["terms"]
+        ))
+    return _from_params(cls, params)

@@ -39,9 +39,10 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg import blas
 
-from .core import ComplexDataset, NumericalError, check_lam, hermitian_solve, is_int, stacked_apply
+from .core import (
+    ComplexDataset, NumericalError, check_lam, hermitian_solve, is_int, ridge_shift, stacked_apply,
+)
 from .kernels import KernelSpec
-from .regression import _ridge
 
 __all__ = ["Wrkls", "streaming_ridge_predictions"]
 
@@ -91,10 +92,10 @@ class Wrkls:
         self._dim: int | None = None
         self._observed = 0
         self._cap = 0
-        self._D: np.ndarray | None = None
-        self._y: np.ndarray | None = None
-        self._alpha: np.ndarray | None = None
-        self._Q: np.ndarray | None = None
+        self._D = np.zeros((0, 0), dtype=np.complex128)
+        self._y = np.zeros(0, dtype=np.complex128)
+        self._alpha = np.zeros(0, dtype=np.complex128)
+        self._Q = np.zeros((0, 0), dtype=self._dtype, order="F")
 
     # -- public state -------------------------------------------------------
 
@@ -110,22 +111,16 @@ class Wrkls:
         Rows are in slot order: an evicted basis's slot is taken by the
         basis in the last slot, so this is not arrival order.
         """
-        if self._m == 0:
-            return np.empty((0, self._dim or 0), dtype=np.complex128)
         return self._D[: self._m].copy()
 
     @property
     def coefficients(self) -> np.ndarray:
         """Copy of the coefficient vector, one entry per basis."""
-        if self._m == 0:
-            return np.empty(0, dtype=np.complex128)
         return self._alpha[: self._m].copy()
 
     @property
     def targets(self) -> np.ndarray:
         """Copy of the retained per-basis targets."""
-        if self._m == 0:
-            return np.empty(0, dtype=np.complex128)
         return self._y[: self._m].copy()
 
     # -- update -------------------------------------------------------------
@@ -248,7 +243,7 @@ class Wrkls:
         self._m = last
 
     def _regularized_gram(self) -> np.ndarray:
-        return _ridge(self.spec.gram(self._D[: self._m]), self.lam)
+        return ridge_shift(self.spec.gram(self._D[: self._m]), self.lam)
 
     def _rebuild(self) -> None:
         m = self._m
@@ -276,7 +271,7 @@ def streaming_ridge_predictions(
         raise ValueError("streaming ridge requires a null pseudo-kernel")
     data = ComplexDataset(X=x, y=y)
     y = data.y
-    a = _ridge(spec.gram(data.X), lam)
+    a = ridge_shift(spec.gram(data.X), lam)
     try:
         low = scipy.linalg.cholesky(a, lower=True, check_finite=False)
     except scipy.linalg.LinAlgError as exc:

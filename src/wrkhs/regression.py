@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ComplexDataset, as_samples, check_lam, hermitian_solve, stacked_apply
+from .core import ComplexDataset, as_samples, check_lam, hermitian_solve, ridge_shift, stacked_apply
 from .kernels import KernelSpec, composite_matrix, kernel_from_config
 
 __all__ = [
@@ -73,16 +73,8 @@ class WrkhsModel:
         object.__setattr__(self, "alpha", a)
 
 
-def _ridge(a: np.ndarray, lam: float) -> np.ndarray:
-    """Overwrite ``a`` with ``(a + a^H)/2 + lam I`` and return it."""
-    a += a.conj().T
-    a /= 2.0
-    a[np.diag_indices_from(a)] += lam
-    return a
-
-
 def _composite_solve(k: np.ndarray, kt: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
-    kc = _ridge(composite_matrix(k, kt), lam)
+    kc = ridge_shift(composite_matrix(k, kt), lam)
     return hermitian_solve(kc, np.concatenate([y.real, y.imag]))
 
 
@@ -104,9 +96,9 @@ def fit_schur(data: ComplexDataset, spec: KernelSpec, lam: float) -> WrkhsModel:
     y = data.y
     k, kt = (np.asarray(m, dtype=np.complex128) for m in spec.pair(data.X))
     kt = (kt + kt.T) / 2.0
-    c = _ridge(k, lam)
+    c = ridge_shift(k, lam)
     # C^-* conj(Kt) = conj(C^-1 Kt)
-    p = _ridge(c - kt @ np.conj(hermitian_solve(c, kt)), 0.0)
+    p = ridge_shift(c - kt @ np.conj(hermitian_solve(c, kt)), 0.0)
     u = hermitian_solve(p, y)  # P^-1 y;  P^-* conj(y) = conj(u)
     alpha = u - hermitian_solve(c, kt @ u.conj())
     return WrkhsModel(X=data.X, spec=spec, lam=lam, alpha=alpha)
@@ -127,8 +119,8 @@ def fit_augmented(data: ComplexDataset, spec: KernelSpec, lam: float) -> WrkhsMo
         h = 1 + p
         rhs = data.y / h
         plus, minus = spec.split_grams(data.X)
-        br = hermitian_solve(_ridge(plus, lam), rhs.real)
-        bi = hermitian_solve(_ridge(minus, lam), rhs.imag)
+        br = hermitian_solve(ridge_shift(plus, lam), rhs.real)
+        bi = hermitian_solve(ridge_shift(minus, lam), rhs.imag)
         alpha = h * (br + 1j * bi)
     else:
         a = _composite_solve(*spec.pair(data.X), data.y, lam)
@@ -148,7 +140,7 @@ def fit_srkhs(data: ComplexDataset, spec: KernelSpec, lam: float) -> WrkhsModel:
             "fit_srkhs requires a null pseudo-kernel; use fit_augmented for "
             f"family {spec.family!r}"
         )
-    alpha = hermitian_solve(_ridge(spec.gram(data.X), lam), data.y)
+    alpha = hermitian_solve(ridge_shift(spec.gram(data.X), lam), data.y)
     return WrkhsModel(X=data.X, spec=spec, lam=lam, alpha=alpha)
 
 

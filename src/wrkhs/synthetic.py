@@ -16,11 +16,12 @@ yields the kernel exp(-|x - x'|^2 / (2 g^2)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
-from .core import ComplexDataset, check_seed
+from .core import ComplexDataset, check_int_fields, check_seed
 from .kernels import RealGaussian, SeparateRealImag, SumOfSeparable
 from .regression import fit_augmented, fit_srkhs, mse_db, predict
 
@@ -89,6 +90,7 @@ class SyntheticConfig:
     omega: float = 0.3      # experiment 2: coupling weight
 
     def __post_init__(self):
+        check_int_fields(self)
         if self.experiment not in (1, 2):
             raise ValueError("experiment must be 1 or 2")
         check_seed(self.seed)
@@ -100,19 +102,7 @@ class SyntheticConfig:
             raise ValueError("input_lo must be below input_hi")
 
     def to_config(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "seed": self.seed,
-            "n_train": self.n_train,
-            "input_lo": self.input_lo,
-            "input_hi": self.input_hi,
-            "grid_resolution": self.grid_resolution,
-            "lam": self.lam,
-            "gamma_re": self.gamma_re,
-            "gamma_im": self.gamma_im,
-            "gamma": self.gamma,
-            "omega": self.omega,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_config(cfg: dict) -> "SyntheticConfig":
@@ -145,18 +135,17 @@ def evaluation_grid(config: SyntheticConfig) -> np.ndarray:
     return (gr.ravel() + 1j * gj.ravel())[:, None]
 
 
-def run_exp1(config: SyntheticConfig) -> SyntheticResult:
-    """Distinct per-part kernels vs the same-kernel null-pseudo ablation."""
-    if config.experiment != 1:
-        raise ValueError("config is not for experiment 1")
+def _run(config: SyntheticConfig, experiment: int, target, wide_spec, ablation_spec):
+    """Fit ``wide_spec`` and the null-pseudo ``ablation_spec`` to ``target`` on
+    the training draw of ``config`` and score both on the evaluation grid."""
+    if config.experiment != experiment:
+        raise ValueError(f"config is not for experiment {experiment}")
     x = draw_training_inputs(config)
-    data = ComplexDataset(X=x, y=target_exp1(x[:, 0]))
-    k_re = gaussian_from_length_scale(config.gamma_re)
-    k_im = gaussian_from_length_scale(config.gamma_im)
-    wide = fit_augmented(data, SeparateRealImag(rr=k_re, jj=k_im), config.lam)
-    ablation = fit_srkhs(data, SeparateRealImag(rr=k_re, jj=k_re), config.lam)
+    data = ComplexDataset(X=x, y=target(x[:, 0]))
+    wide = fit_augmented(data, wide_spec, config.lam)
+    ablation = fit_srkhs(data, ablation_spec, config.lam)
     grid = evaluation_grid(config)
-    truth = target_exp1(grid[:, 0])
+    truth = target(grid[:, 0])
     wide_pred = predict(wide, grid)
     return SyntheticResult(
         wrkhs_mse_db=mse_db(wide_pred, truth),
@@ -164,27 +153,23 @@ def run_exp1(config: SyntheticConfig) -> SyntheticResult:
         grid=grid[:, 0],
         wrkhs_pred=wide_pred,
         truth=truth,
+    )
+
+
+def run_exp1(config: SyntheticConfig) -> SyntheticResult:
+    """Distinct per-part kernels vs the same-kernel null-pseudo ablation."""
+    k_re = gaussian_from_length_scale(config.gamma_re)
+    k_im = gaussian_from_length_scale(config.gamma_im)
+    return _run(
+        config, 1, target_exp1,
+        SeparateRealImag(rr=k_re, jj=k_im), SeparateRealImag(rr=k_re, jj=k_re),
     )
 
 
 def run_exp2(config: SyntheticConfig) -> SyntheticResult:
     """Mixed-effect coupled kernel vs the strictly-complex Gaussian solution."""
-    if config.experiment != 2:
-        raise ValueError("config is not for experiment 2")
-    x = draw_training_inputs(config)
-    data = ComplexDataset(X=x, y=target_exp2(x[:, 0], config.omega))
     base = gaussian_from_length_scale(config.gamma)
-    wide = fit_augmented(
-        data, SumOfSeparable(terms=((base, config.omega),)), config.lam
-    )
-    ablation = fit_srkhs(data, base, config.lam)
-    grid = evaluation_grid(config)
-    truth = target_exp2(grid[:, 0], config.omega)
-    wide_pred = predict(wide, grid)
-    return SyntheticResult(
-        wrkhs_mse_db=mse_db(wide_pred, truth),
-        ablation_mse_db=mse_db(predict(ablation, grid), truth),
-        grid=grid[:, 0],
-        wrkhs_pred=wide_pred,
-        truth=truth,
+    return _run(
+        config, 2, partial(target_exp2, omega=config.omega),
+        SumOfSeparable(terms=((base, config.omega),)), base,
     )

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import csv
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -11,14 +12,17 @@ import pytest
 from wrkhs import (
     ChannelConfig,
     ComplexDataset,
+    EqualizationConfig,
     KernelSpec,
+    RealGaussian,
     SyntheticConfig,
     fit_composite,
     model_from_json,
     predict,
     predict_composite,
 )
-from wrkhs.cli import main, read_dataset_csv, write_dataset_csv
+from wrkhs import channel, synthetic
+from wrkhs.cli import _config_hash, main, read_dataset_csv, write_dataset_csv
 
 
 def write_csv(path, header, rows):
@@ -628,6 +632,40 @@ class TestBench:
         assert "budget must be an integer" in capsys.readouterr().err
         assert not (tmp_path / "equalization_summary.json").exists()
 
+    @pytest.mark.parametrize(
+        "experiment,cfg",
+        [
+            ("equalization", {"filter_length": 5.0}),
+            ("equalization", {"delay": 2.0}),
+            ("equalization", {"n_samples": 100.0}),
+            ("equalization", {"trials": True}),
+            ("equalization", {"filter_length": True}),
+            ("synthetic1", {"experiment": True}),
+            ("synthetic1", {"experiment": 1.0}),
+            ("synthetic1", {"n_train": 60.0}),
+            ("synthetic2", {"grid_resolution": 21.0}),
+            ("synthetic2", {"n_train": False}),
+        ],
+    )
+    def test_int_field_exit_2_before_any_trial(
+        self, tmp_path, capsys, monkeypatch, experiment, cfg
+    ):
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(channel, "_run_trial", no_trial)
+        monkeypatch.setattr(synthetic, "draw_training_inputs", no_trial)
+        (field,) = cfg
+        if experiment == "equalization":
+            cfg = {"rho": 0.5, "trials": 1, "n_samples": 100, **cfg}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        rc = main(["bench", experiment, "--config", str(path), "--out-dir", str(out)])
+        assert rc == 2
+        assert f"{field} must be an integer" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_largest_seeds_accepted(self):
         assert SyntheticConfig(experiment=1, seed=2**64 - 1).seed == 2**64 - 1
         assert ChannelConfig(rho=0.5, trials=2, base_seed=2**64 - 2).trials == 2
@@ -668,3 +706,71 @@ class TestBench:
         header, cols = read_rows(tmp_path / "a" / "equalization_curve.csv")
         assert header == ["sample_index", "avg_mse_db"]
         assert len(cols["sample_index"]) == 496
+
+
+# Changed values for every field of the two benchmark configs; a field added
+# to a config without an entry here fails test_every_field_changes_the_hash.
+SYNTHETIC_CHANGED = {
+    "experiment": 2, "seed": 1, "n_train": 201, "input_lo": -4.0, "input_hi": 6.0,
+    "grid_resolution": 102, "lam": 1e-3, "gamma_re": 1.5, "gamma_im": 3.0, "gamma": 2.5,
+    "omega": 0.4,
+}
+CHANNEL_CHANGED = {
+    "rho": 0.6, "snr_db": 20.0, "taps": (1.0 + 0j, 0.5j), "c2": 0.1j, "c3": 0j,
+    "source_scale": 0.8, "filter_length": 4, "delay": 1, "n_samples": 600, "trials": 3,
+    "base_seed": 7,
+}
+EQUALIZATION_CHANGED = {"kernel": RealGaussian(gamma=2.0), "lam": 0.5, "budget": 40}
+
+
+def field_names(cls) -> set:
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+class TestConfigRule:
+    """A benchmark config serializes one key per dataclass field, and its hash
+    follows every field."""
+
+    def test_synthetic_keys_are_fields(self):
+        assert set(SyntheticConfig(experiment=1).to_config()) == field_names(SyntheticConfig)
+        assert SYNTHETIC_CHANGED.keys() == field_names(SyntheticConfig)
+
+    def test_equalization_keys_are_fields(self):
+        cfg = EqualizationConfig(channel=ChannelConfig(rho=0.5)).to_config()
+        top = field_names(EqualizationConfig) - {"channel"}
+        assert set(cfg) == field_names(ChannelConfig) | top
+        assert CHANNEL_CHANGED.keys() == field_names(ChannelConfig)
+        assert EQUALIZATION_CHANGED.keys() == top
+
+    def test_every_field_changes_the_hash(self):
+        syn = SyntheticConfig(experiment=1)
+        base = _config_hash(syn.to_config())
+        for name, value in SYNTHETIC_CHANGED.items():
+            changed = dataclasses.replace(syn, **{name: value})
+            assert _config_hash(changed.to_config()) != base, name
+        eq = EqualizationConfig(channel=ChannelConfig(rho=0.5, trials=2, n_samples=500))
+        base = _config_hash(eq.to_config())
+        for name, value in CHANNEL_CHANGED.items():
+            ch = dataclasses.replace(eq.channel, **{name: value})
+            changed = dataclasses.replace(eq, channel=ch)
+            assert _config_hash(changed.to_config()) != base, name
+            assert EqualizationConfig.from_config(changed.to_config()) == changed, name
+        for name, value in EQUALIZATION_CHANGED.items():
+            changed = dataclasses.replace(eq, **{name: value})
+            assert _config_hash(changed.to_config()) != base, name
+            assert EqualizationConfig.from_config(changed.to_config()) == changed, name
+
+    def test_pinned_hashes(self):
+        # the hashes every earlier benchmark output of these configs carries
+        assert _config_hash(SyntheticConfig(experiment=1).to_config()) == (
+            "ed9a5f5b5b878543db000dd02951a37b8cd61b6b26e5953fded4a16f42d19a1e"
+        )
+        # the equalization-budget benchmark workload at seed 0
+        cfg = {
+            "rho": 2**-0.5, "n_samples": 2000, "trials": 2, "filter_length": 5, "delay": 2,
+            "snr_db": 16.0, "budget": 500, "lam": 0.32, "base_seed": 0,
+            "kernel": {"family": "real_gaussian", "params": {"gamma": 8.92, "scale": 1.0}},
+        }
+        assert _config_hash(EqualizationConfig.from_config(cfg).to_config()) == (
+            "2a5bc1b7aedd92e38368e25ad0f5f906b674cd52fe3a8b92d17b0305d4fa997e"
+        )

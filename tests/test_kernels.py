@@ -1,5 +1,7 @@
 """Tests for the kernel zoo, Gram builders, and block identities."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -369,18 +371,72 @@ class TestStructuralProperties:
         assert k[0, 0].real == pytest.approx(np.exp(700.0))
 
 
+def gaussian_params(gamma, scale=1.0):
+    return {"gamma": gamma, "scale": scale}
+
+
+# The JSON object of each spec. Benchmark and kernel-surface hashes are taken
+# over these, so a change to any of them changes every stored hash.
+PINNED_CONFIGS = {
+    "real_gaussian": ("real_gaussian", gaussian_params(0.8)),
+    "complex_gaussian": ("complex_gaussian", {"gamma": 60.0}),
+    "independent": ("independent", {"gamma": 0.8}),
+    "real_imag_blocks": ("real_imag_blocks", {
+        "rr": gaussian_params(1.3), "jj": gaussian_params(1.3, 0.7),
+        "rj": gaussian_params(1.3, 0.4), "jr": gaussian_params(1.3, 0.4),
+    }),
+    "separate_real_imag": ("separate_real_imag", {
+        "rr": gaussian_params(0.9), "jj": gaussian_params(3.1),
+    }),
+    "sum_of_separable": ("sum_of_separable", {"terms": [
+        {"weight": 0.3, **gaussian_params(2.0)}, {"weight": 0.6, **gaussian_params(0.7)},
+    ]}),
+    "mixed_gamma_blocks": ("real_imag_blocks", {
+        "rr": gaussian_params(0.9), "jj": gaussian_params(3.1, 0.7),
+        "rj": gaussian_params(2.0, 0.2), "jr": gaussian_params(2.0, 0.2),
+    }),
+}
+
+
 class TestConfigRoundtrip:
     def test_all_families(self, specs):
         rng = np.random.default_rng(24)
         x = random_inputs(rng, 4, 2)
         z = random_inputs(rng, 3, 2)
+        specs = {**specs, "mixed_gamma_blocks": mixed_gamma_blocks()}
+        assert specs.keys() == PINNED_CONFIGS.keys()
         for name, spec in specs.items():
+            family, params = PINNED_CONFIGS[name]
+            assert spec.to_config() == {"family": family, "params": params}, name
             clone = kernel_from_config(spec.to_config())
             assert clone == spec, name
             np.testing.assert_array_equal(clone.gram(x, z), spec.gram(x, z))
             np.testing.assert_array_equal(
                 clone.pseudo_gram(x, z), spec.pseudo_gram(x, z)
             )
+
+    @pytest.mark.parametrize(
+        "config,spec",
+        [
+            # a param key that is not a field is ignored
+            ({"family": "independent", "params": {"gamma": 0.8, "note": "x"}},
+             IndependentGaussian(gamma=0.8)),
+            ({"family": "sum_of_separable",
+              "params": {"terms": [{"weight": 0.3, "gamma": 2.0, "shape": 1}]}},
+             SumOfSeparable(terms=((RealGaussian(gamma=2.0), 0.3),))),
+            # numbers and numeric strings go through float
+            ({"family": "real_gaussian", "params": {"gamma": "2.0", "scale": 3}},
+             RealGaussian(gamma=2.0, scale=3.0)),
+            ({"family": "separate_real_imag",
+              "params": {"rr": {"gamma": 1}, "jj": {"gamma": "2.5"}}},
+             SeparateRealImag(rr=RealGaussian(gamma=1.0), jj=RealGaussian(gamma=2.5))),
+        ],
+    )
+    def test_tolerated_inputs(self, config, spec):
+        loaded = kernel_from_config(config)
+        assert loaded == spec
+        # the params are floats, so the config (and its hash) is the spec's
+        assert json.dumps(loaded.to_config()) == json.dumps(spec.to_config())
 
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown kernel family"):

@@ -43,6 +43,39 @@ def test_detects_environment_reads(source):
     assert env_reads(ast.parse(source)) == [source.count("\n") + 1]
 
 
+def private_imports(tree: ast.AST) -> list[int]:
+    """Line numbers where an underscore name is imported from a sibling module."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "wrkhs")
+        for a in node.names
+        if a.name.startswith("_")
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_sibling_imports(path):
+    # what one module shares with another is public in the module it lives in
+    assert private_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+@pytest.mark.parametrize(
+    "source,lines",
+    [
+        ("from .regression import _ridge", [1]),
+        ("from .core import is_int, _readonly as r", [1]),
+        ("from wrkhs.kernels import _sqdist", [1]),
+        ("from . import _private", [1]),
+        ("from .core import is_int\nfrom numpy.linalg import _umath_linalg", []),
+        ("from __future__ import annotations", []),
+    ],
+)
+def test_detects_private_imports(source, lines):
+    assert private_imports(ast.parse(source)) == lines
+
+
 def ndim_one_tests(tree: ast.AST) -> list[int]:
     """Line numbers where an ``.ndim`` is compared ``== 1``."""
     lines = []
