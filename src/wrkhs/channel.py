@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .core import ComplexDataset, check_int_fields, check_seed
+from .core import ComplexDataset, as_float, check_int_fields, check_seed, from_pairs, to_pairs
 from .kernels import KernelSpec, RealGaussian, kernel_from_config
 from .online import Wrkls, streaming_ridge_predictions
 
@@ -75,19 +75,6 @@ class ChannelConfig:
 COMPLEX_FIELDS = {f.name for f in fields(ChannelConfig) if "complex" in str(f.type)}
 
 
-def _to_pairs(value):
-    """A complex number as ``[re, im]``, a tuple of them as a list of pairs."""
-    return [_to_pairs(v) for v in value] if isinstance(value, tuple) else [value.real, value.imag]
-
-
-def _from_pairs(value):
-    """Inverse of :func:`_to_pairs`."""
-    if isinstance(value[0], (list, tuple)):
-        return tuple(_from_pairs(v) for v in value)
-    re, im = value
-    return complex(re, im)
-
-
 @dataclass(frozen=True)
 class EqualizationConfig:
     """Channel benchmark plus equalizer hyperparameters."""
@@ -101,17 +88,18 @@ class EqualizationConfig:
         """The channel fields, flattened, then ``kernel``, ``lam`` and ``budget``."""
         cfg = asdict(self.channel)
         for name in COMPLEX_FIELDS:
-            cfg[name] = _to_pairs(cfg[name])
+            cfg[name] = to_pairs(cfg[name])
         return {**cfg, "kernel": self.kernel.to_config(), "lam": self.lam, "budget": self.budget}
 
     @staticmethod
     def from_config(cfg: dict) -> "EqualizationConfig":
         channel = dict(cfg)
         kernel = channel.pop("kernel", None)
-        lam = float(channel.pop("lam", EqualizationConfig.lam))
+        lam = as_float(channel.pop("lam", EqualizationConfig.lam), "lam")
         budget = channel.pop("budget", None)
         for name in COMPLEX_FIELDS & channel.keys():
-            channel[name] = _from_pairs(channel[name])
+            value = from_pairs(channel[name], name)
+            channel[name] = tuple(value.tolist()) if value.ndim else complex(value)
         return EqualizationConfig(
             channel=ChannelConfig(**channel),
             kernel=DEFAULT_KERNEL if kernel is None else kernel_from_config(kernel),

@@ -9,13 +9,16 @@ Subcommands
 
 Dataset CSV format: header ``x_re_0,..,x_re_{d-1},x_im_0,..,x_im_{d-1},y_re,
 y_im`` (the two target columns are optional for ``predict``), one sample per
-row, UTF-8, '.' decimal separator.
+row, UTF-8, '.' decimal separator. ``csv`` and ``json`` write every number as
+its shortest round-trip ``repr``, and every value reads back bit-exactly.
 
 Kernel JSON format: ``{"family": <name>, "params": {...}}`` with families
 ``real_gaussian`` (params ``gamma``, optional ``scale``), ``complex_gaussian``
 and ``independent`` (``gamma``), ``real_imag_blocks`` (nested ``rr``, ``jj``,
 ``rj``, ``jr`` param objects), ``separate_real_imag`` (``rr``, ``jj``), and
 ``sum_of_separable`` (``terms``: list of ``{"weight", "gamma", "scale"}``).
+A complex value in any JSON file (config, model, surface header) is one
+``[re, im]`` pair, and a bool is rejected where a number is expected.
 
 Exit codes: 0 success, 2 input error, 3 numerical failure. Benchmark outputs
 embed the sha256 of their canonical config and the seed; reruns of the same
@@ -36,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from .channel import EqualizationConfig, run_equalization
-from .core import ComplexDataset, NumericalError
+from .core import ComplexDataset, NumericalError, to_pairs
 from .kernels import KernelSpec, kernel_from_config
 from .regression import (
     fit_augmented,
@@ -58,26 +61,21 @@ EXIT_NUMERICAL = 3
 # ---------------------------------------------------------------------------
 
 
-def _fmt(v) -> str:
-    """An integer as itself, any other number as the repr of its float."""
-    return repr(v if isinstance(v, int) else float(v))
-
-
-def _re_im_rows(*arrays) -> np.ndarray:
-    """Rows of the real then the imaginary parts of each array in turn; a
-    2-D array gives a column per input dimension."""
-    return np.column_stack([part for a in arrays for part in (a.real, a.imag)])
+def _re_im_rows(*arrays):
+    """Rows of the real then the imaginary parts of each array in turn, each
+    converted to Python floats as it is written; a 2-D array gives a column per input dimension."""
+    return map(np.ndarray.tolist, np.column_stack([p for a in arrays for p in (a.real, a.imag)]))
 
 
 def _write_csv(path, header, rows, comment=None) -> None:
-    """``header`` then ``rows``, each value through ``_fmt``, after a
-    ``comment`` line when one is given."""
+    """``header`` then ``rows`` of Python numbers, which ``csv`` writes as their
+    shortest round-trip ``repr``, after a ``comment`` line when one is given."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         if comment is not None:
             fh.write(comment + "\n")
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows([_fmt(v) for v in row] for row in rows)
+        writer.writerows(rows)
 
 
 def _dataset_header(d: int, with_targets: bool = True) -> list[str]:
@@ -86,31 +84,30 @@ def _dataset_header(d: int, with_targets: bool = True) -> list[str]:
 
 
 def read_dataset_csv(path) -> ComplexDataset:
-    """Parse a dataset CSV; targets default to zero when the columns are absent."""
+    """Parse a dataset CSV; targets default to zero when the columns are absent.
+    Every value is read bit-exactly, sign of zero included."""
     with open(path, newline="", encoding="utf-8") as fh:
         rows = [row for row in csv.reader(fh) if row and not row[0].startswith("#")]
     if not rows:
         raise ValueError(f"{path}: empty dataset file")
     header = [h.strip() for h in rows[0]]
     with_targets = "y_re" in header
-    n_x = len(header) - (2 if with_targets else 0)
-    if n_x < 2 or n_x % 2 != 0:
+    d = len(header) // 2 - with_targets
+    if d < 1 or header != _dataset_header(d, with_targets):
         raise ValueError(f"{path}: malformed header {header}")
-    d = n_x // 2
-    if header != _dataset_header(d, with_targets):
-        raise ValueError(f"{path}: malformed header {header}")
-    x = np.zeros((len(rows) - 1, d), dtype=np.complex128)
-    y = np.zeros(len(rows) - 1, dtype=np.complex128)
+    vals = np.empty((len(rows) - 1, len(header)))
     for i, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
             raise ValueError(f"{path}: row {i}: expected {len(header)} fields")
         try:
-            vals = [float(v) for v in row]
+            vals[i - 2] = [float(v) for v in row]
         except ValueError as exc:
             raise ValueError(f"{path}: row {i}: {exc}") from exc
-        x[i - 2] = np.array(vals[:d]) + 1j * np.array(vals[d : 2 * d])
-        if with_targets:
-            y[i - 2] = complex(vals[2 * d], vals[2 * d + 1])
+    x = np.empty((vals.shape[0], d), dtype=np.complex128)
+    y = np.zeros(vals.shape[0], dtype=np.complex128)
+    x.real, x.imag = vals[:, :d], vals[:, d : 2 * d]
+    if with_targets:
+        y.real, y.imag = vals[:, 2 * d], vals[:, 2 * d + 1]
     return ComplexDataset(X=x, y=y)
 
 
@@ -141,10 +138,6 @@ def _config_hash(obj) -> str:
 
 def _hash_comment(config_hash: str, seed) -> str:
     return f"# config_sha256={config_hash} seed={seed}"
-
-
-def _load_json_config(path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +187,7 @@ def cmd_kernel_surface(args) -> int:
         k, pk = (m[0] for m in spec.pair(np.array([[center]]), pts))
     cfg = {
         "kernel": spec.to_config(),
-        "center": [center.real, center.imag],
+        "center": to_pairs(center),
         "range": args.range,
         "resolution": args.resolution,
         "diagonal": bool(args.diagonal),
@@ -232,19 +225,15 @@ SYNTHETIC = {
 def cmd_bench(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cfg = _load_json_config(args.config) if args.config else {}
+    cfg = json.loads(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
     name = args.experiment
     if name == "equalization":
         if args.seed is not None:
             cfg["base_seed"] = args.seed
         config = EqualizationConfig.from_config(cfg)
         result = run_equalization(config)
-        curve = ("curve", ["sample_index", "avg_mse_db"], enumerate(result.curve_db))
-        results = {
-            "final_mse_db": result.final_mse_db,
-            "n_stream": result.n_stream,
-            "trials": result.trials,
-        }
+        curve = ("curve", ["sample_index", "avg_mse_db"], enumerate(result.curve_db.tolist()))
+        results = {key: getattr(result, key) for key in ("final_mse_db", "n_stream", "trials")}
         _write_bench(out_dir, name, config, config.channel.base_seed, curve, results)
         print(f"equalization: final_mse_db={result.final_mse_db!r}")
         return EXIT_OK

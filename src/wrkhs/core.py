@@ -2,7 +2,9 @@
 
 ``as_samples`` is the one rule for sample matrices: datasets, models, kernel
 evaluations (hence predictions) and the streaming ridge shape and check their
-inputs through it. ``check_lam`` checks every ridge weight.
+inputs through it. ``check_lam`` checks every ridge weight, ``as_float``
+reads every other number of a config or JSON file, and ``to_pairs``/
+``from_pairs`` carry every complex value through JSON as ``[re, im]``.
 
 ``hermitian_solve`` is the one linear solve of the package: a Cholesky
 factorization with one jitter retry. ``ridge_shift`` symmetrizes a Gram
@@ -29,6 +31,9 @@ __all__ = [
     "ComplexDataset",
     "as_samples",
     "check_lam",
+    "as_float",
+    "to_pairs",
+    "from_pairs",
     "check_seed",
     "check_int_fields",
     "is_int",
@@ -66,10 +71,36 @@ def as_samples(x, name: str) -> np.ndarray:
 
 def check_lam(lam) -> float:
     """The ridge weight as a float, rejected unless finite and ``>= 0``."""
-    lam = float(lam)
+    lam = as_float(lam, "ridge weight")
     if not (lam >= 0 and math.isfinite(lam)):
         raise ValueError(f"ridge weight must be finite and >= 0, got {lam}")
     return lam
+
+
+def as_float(value, name: str) -> float:
+    """A config or JSON number (or numeric string) as a float; a bool is not one."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def to_pairs(value) -> list:
+    """A complex scalar as ``[re, im]``, a sequence or 1-D array of them as a
+    list of such pairs, every part a Python float."""
+    return np.array(value, dtype=np.complex128)[..., None].view(np.float64).tolist()
+
+
+def from_pairs(value, name: str) -> np.ndarray:
+    """Inverse of :func:`to_pairs` (one pair gives a 0-d array), bit-exact, sign of zero
+    included. A ragged list, an entry that is not a pair, or a string raises
+    ``ValueError`` naming ``name``."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:
+        arr = np.asarray(None)
+    if arr.dtype.kind not in "iuf" or arr.ndim not in (1, 2) or arr.shape[-1] != 2:
+        raise ValueError(f"{name} must be an [re, im] pair of numbers or a list of them")
+    return np.ascontiguousarray(arr, dtype=np.float64).view(np.complex128)[..., 0]
 
 
 def is_int(value) -> bool:
@@ -78,12 +109,14 @@ def is_int(value) -> bool:
 
 
 def check_int_fields(config) -> None:
-    """Reject a dataclass whose ``int``-annotated fields hold anything but an
-    integer: a float (even ``5.0``) or a bool is not one."""
+    """Reject a dataclass whose ``int`` fields hold anything but an integer (a
+    float, even ``5.0``, or a bool), or whose ``float`` fields hold a bool."""
     for f in fields(config):
         value = getattr(config, f.name)
         if f.type in (int, "int") and not is_int(value):
             raise ValueError(f"{f.name} must be an integer, got {value!r}")
+        if f.type in (float, "float"):
+            as_float(value, f.name)
 
 
 def check_seed(seed, name: str = "seed", count: int = 1) -> None:

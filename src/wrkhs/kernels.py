@@ -57,7 +57,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy.linalg.blas import daxpy
 
-from .core import as_samples, stacked_apply
+from .core import as_float, as_samples, stacked_apply
 
 __all__ = [
     "KernelSpec",
@@ -450,7 +450,7 @@ class SumOfSeparable(_TermSum):
     family = "sum_of_separable"
 
     def __post_init__(self):
-        terms = tuple((kq, float(w)) for kq, w in self.terms)
+        terms = tuple((kq, as_float(w, "weight")) for kq, w in self.terms)
         if not terms:
             raise ValueError("at least one separable term is required")
         for kq, w in terms:
@@ -498,11 +498,12 @@ _FAMILIES = {cls.family: cls for cls in (RealGaussian, ComplexGaussian, Independ
 
 def _from_params(cls, params: dict) -> KernelSpec:
     """``cls`` built from the fields present in ``params``: a number through
-    ``float``, an object as a nested ``real_gaussian``. Other keys are ignored."""
-    def param(value):
-        return _from_params(RealGaussian, value) if isinstance(value, dict) else float(value)
+    ``as_float``, an object as a nested ``real_gaussian``. Other keys are ignored."""
+    def param(name):
+        v = params[name]
+        return _from_params(RealGaussian, v) if isinstance(v, dict) else as_float(v, name)
 
-    return cls(**{f.name: param(params[f.name]) for f in fields(cls) if f.name in params})
+    return cls(**{f.name: param(f.name) for f in fields(cls) if f.name in params})
 
 
 def kernel_from_config(config: dict) -> KernelSpec:
@@ -514,7 +515,6 @@ def kernel_from_config(config: dict) -> KernelSpec:
         raise ValueError(f"unknown kernel family: {config['family']!r}")
     params = config.get("params", {})
     if cls is SumOfSeparable:
-        return cls(terms=tuple(
-            (_from_params(RealGaussian, t), float(t["weight"])) for t in params["terms"]
-        ))
+        terms = params["terms"]
+        return cls(terms=tuple((_from_params(RealGaussian, t), t["weight"]) for t in terms))
     return _from_params(cls, params)

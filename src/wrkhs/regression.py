@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ComplexDataset, as_samples, check_lam, hermitian_solve, ridge_shift, stacked_apply
+from .core import (ComplexDataset, as_samples, check_lam, from_pairs, hermitian_solve,
+                   ridge_shift, stacked_apply, to_pairs)
 from .kernels import KernelSpec, composite_matrix, kernel_from_config
 
 __all__ = [
@@ -187,35 +188,23 @@ def mse_db(pred, truth) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _complex_pairs(arr: np.ndarray):
-    return [[float(v.real), float(v.imag)] for v in np.asarray(arr).ravel()]
-
-
 def model_to_json(model: WrkhsModel) -> str:
     n, d = model.X.shape
     payload = {
         "kernel": model.spec.to_config(),
         "lambda": model.lam,
-        "inputs": {
-            "shape": [n, d],
-            "values": _complex_pairs(model.X),
-        },
-        "alpha": _complex_pairs(model.alpha),
+        "inputs": {"shape": [n, d], "values": to_pairs(model.X.ravel())},
+        "alpha": to_pairs(model.alpha),
     }
     return json.dumps(payload, sort_keys=True)
 
 
 def model_from_json(text: str) -> WrkhsModel:
     payload = json.loads(text)
-    spec = kernel_from_config(payload["kernel"])
     n, d = payload["inputs"]["shape"]
-    flat = np.array(
-        [complex(re, im) for re, im in payload["inputs"]["values"]],
-        dtype=np.complex128,
-    )
-    alpha = np.array(
-        [complex(re, im) for re, im in payload["alpha"]], dtype=np.complex128
-    )
     return WrkhsModel(
-        X=flat.reshape(n, d), spec=spec, lam=float(payload["lambda"]), alpha=alpha
+        X=from_pairs(payload["inputs"]["values"], "inputs.values").reshape(n, d),
+        spec=kernel_from_config(payload["kernel"]),
+        lam=payload["lambda"],
+        alpha=from_pairs(payload["alpha"], "alpha"),
     )

@@ -16,8 +16,10 @@ from wrkhs import (
     KernelSpec,
     RealGaussian,
     SyntheticConfig,
+    fit_augmented,
     fit_composite,
     model_from_json,
+    model_to_json,
     predict,
     predict_composite,
 )
@@ -41,6 +43,14 @@ def read_rows(path):
 
 
 KERNEL_RG = '{"family": "real_gaussian", "params": {"gamma": 1.0}}'
+
+# signed zeros and values whose repr has an exponent, in every column
+GOLDEN_DATA = ComplexDataset(
+    X=[[complex(-0.0, 0.1), complex(1e-05, -0.0)],
+       [complex(1e+16, 2.5), complex(-3.0, 1e-05)],
+       [complex(0.1, -0.0), complex(0.0, 7.0)]],
+    y=[complex(-0.0, 1e+16), complex(0.1, -2.0), complex(1e-05, -0.0)],
+)
 
 
 class TestDatasetIO:
@@ -68,9 +78,31 @@ class TestDatasetIO:
 
     def test_bad_header(self, tmp_path):
         p = tmp_path / "bad.csv"
-        write_csv(p, ["a", "b"], [["1", "2"]])
-        with pytest.raises(ValueError, match="header"):
-            read_dataset_csv(p)
+        for header in (["a", "b"], ["y_re", "y_im"]):
+            write_csv(p, header, [["1", "2"]])
+            with pytest.raises(ValueError, match="header"):
+                read_dataset_csv(p)
+
+    def test_golden_bytes(self, tmp_path):
+        # the bytes every earlier dataset file of these values has
+        p = tmp_path / "d.csv"
+        write_dataset_csv(p, GOLDEN_DATA)
+        assert p.read_bytes().decode() == (
+            "x_re_0,x_re_1,x_im_0,x_im_1,y_re,y_im\r\n"
+            "-0.0,1e-05,0.1,-0.0,-0.0,1e+16\r\n"
+            "1e+16,-3.0,2.5,1e-05,0.1,-2.0\r\n"
+            "0.1,0.0,-0.0,7.0,1e-05,-0.0\r\n"
+        )
+
+    def test_roundtrip_keeps_every_bit(self, tmp_path):
+        p = tmp_path / "d.csv"
+        write_dataset_csv(p, GOLDEN_DATA)
+        back = read_dataset_csv(p)
+        for got, want in ((back.X, GOLDEN_DATA.X), (back.y, GOLDEN_DATA.y)):
+            for part in ("real", "imag"):
+                a, b = getattr(got, part), getattr(want, part)
+                np.testing.assert_array_equal(a, b)
+                np.testing.assert_array_equal(np.signbit(a), np.signbit(b))
 
 
 class TestFit:
@@ -774,3 +806,157 @@ class TestConfigRule:
         assert _config_hash(EqualizationConfig.from_config(cfg).to_config()) == (
             "2a5bc1b7aedd92e38368e25ad0f5f906b674cd52fe3a8b92d17b0305d4fa997e"
         )
+
+
+def fit_small_model(tmp_path):
+    """Fit a two-sample model; return the dataset and model paths."""
+    data_path = tmp_path / "train.csv"
+    write_csv(data_path, ["x_re_0", "x_im_0", "y_re", "y_im"],
+              [["0.0", "0.0", "1.0", "0.0"], ["0.5", "0.25", "0.0", "1.0"]])
+    model_path = tmp_path / "m.json"
+    argv = ["fit", "--dataset", str(data_path), "--kernel", KERNEL_RG, "--lam", "0.1"]
+    assert main(argv + ["--out", str(model_path)]) == 0
+    return data_path, model_path
+
+
+class TestGoldenBytes:
+    """What the file layer writes, pinned to the bytes earlier outputs carry."""
+
+    def test_model_json(self):
+        # far-apart samples give an exactly diagonal Gram: alpha = y / (1 + lam)
+        data = ComplexDataset(X=[[0j], [complex(100.0, -0.0)]],
+                              y=[complex(1.0, -0.0), -0.5 + 0.25j])
+        assert model_to_json(fit_augmented(data, RealGaussian(gamma=1.0), 1.0)) == (
+            '{"alpha": [[0.5, -0.0], [-0.25, 0.125]], "inputs": {"shape": [2, 1], '
+            '"values": [[0.0, 0.0], [100.0, -0.0]]}, "kernel": {"family": "real_gaussian", '
+            '"params": {"gamma": 1.0, "scale": 1.0}}, "lambda": 1.0}'
+        )
+
+    def test_equalization_config(self):
+        taps = (complex(-0.0, 0.25), complex(1.0, -0.0))
+        config = EqualizationConfig(channel=ChannelConfig(rho=0.5, taps=taps, c2=0.1j), lam=0.5)
+        assert json.dumps(config.to_config(), sort_keys=True) == (
+            '{"base_seed": 0, "budget": null, "c2": [0.0, 0.1], "c3": [0.12, 0.09], '
+            '"delay": 2, "filter_length": 5, "kernel": {"family": "real_gaussian", '
+            '"params": {"gamma": 8.92, "scale": 1.0}}, "lam": 0.5, "n_samples": 5000, '
+            '"rho": 0.5, "snr_db": 16.0, "source_scale": 0.7, "taps": [[-0.0, 0.25], '
+            '[1.0, -0.0]], "trials": 500}'
+        )
+        back = EqualizationConfig.from_config(config.to_config())
+        assert back == config and hash(back) == hash(config)
+        assert [np.signbit([t.real, t.imag]).tolist() for t in back.channel.taps] == [
+            [True, False], [False, True]
+        ]
+
+    def test_curve_sample_index_is_an_integer(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"rho": 0.5, "trials": 1, "n_samples": 40, "budget": 10}))
+        argv = ["bench", "equalization", "--config", str(path), "--out-dir", str(tmp_path)]
+        assert main(argv) == 0
+        with open(tmp_path / "equalization_curve.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))[2:]
+        assert [r[0] for r in rows] == [str(i) for i in range(36)]
+        assert all(r[1] == repr(float(r[1])) for r in rows)
+
+
+def bench_argv(tmp_path, experiment, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return ["bench", experiment, "--config", str(path), "--out-dir", str(tmp_path / "out")]
+
+
+SOS_FALSE_WEIGHT = {"family": "sum_of_separable",
+                    "params": {"terms": [{"weight": False, "gamma": 1.0}]}}
+
+
+class TestBoolIsNotANumber:
+    """A bool where a float is expected exits 2, names the field and writes nothing."""
+
+    @pytest.mark.parametrize(
+        "experiment,cfg,field",
+        [
+            ("synthetic1", {"lam": True}, "lam"),
+            ("synthetic1", {"input_lo": True}, "input_lo"),
+            ("synthetic2", {"omega": False}, "omega"),
+            ("equalization", {"rho": True}, "rho"),
+            ("equalization", {"rho": 0.5, "lam": True}, "lam"),
+            ("equalization", {"rho": 0.5, "snr_db": False}, "snr_db"),
+            ("equalization", {"rho": 0.5, "kernel": SOS_FALSE_WEIGHT}, "weight"),
+        ],
+    )
+    def test_bench(self, tmp_path, capsys, experiment, cfg, field):
+        if experiment == "equalization":
+            cfg = {"trials": 1, "n_samples": 100, **cfg}
+        rc = main(bench_argv(tmp_path, experiment, cfg))
+        assert rc == 2
+        assert f"{field} must be a number" in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "kernel,field",
+        [
+            ({"family": "real_gaussian", "params": {"gamma": True, "scale": False}}, "gamma"),
+            ({"family": "real_gaussian", "params": {"gamma": 1.0, "scale": False}}, "scale"),
+            ({"family": "separate_real_imag",
+              "params": {"rr": {"gamma": 1.0}, "jj": {"gamma": True}}}, "gamma"),
+            (SOS_FALSE_WEIGHT, "weight"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["kernel-surface", "fit"])
+    def test_kernel(self, tmp_path, capsys, kernel, field, command):
+        out = tmp_path / "out"
+        if command == "fit":
+            data_path = tmp_path / "d.csv"
+            write_csv(data_path, ["x_re_0", "x_im_0", "y_re", "y_im"],
+                      [["0.0", "0.0", "1.0", "0.0"]])
+            argv = ["fit", "--dataset", str(data_path), "--lam", "0.1"]
+        else:
+            argv = ["kernel-surface", "--range", "1", "--resolution", "3"]
+        rc = main(argv + ["--kernel", json.dumps(kernel), "--out", str(out)])
+        assert rc == 2
+        assert f"{field} must be a number" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_model_lambda(self, tmp_path, capsys):
+        data_path, model_path = fit_small_model(tmp_path)
+        payload = json.loads(model_path.read_text())
+        payload["lambda"] = True
+        model_path.write_text(json.dumps(payload))
+        out = tmp_path / "preds.csv"
+        rc = main(["predict", "--model", str(model_path), "--dataset", str(data_path),
+                   "--out", str(out)])
+        assert rc == 2
+        assert "ridge weight must be a number" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestMalformedPairs:
+    """A complex JSON value that is not [re, im] pairs exits 2 naming the field."""
+
+    @pytest.mark.parametrize(
+        "alpha",
+        [
+            [[0.5, 0.0], [0.5]],
+            [[0.5, 0.0, 0.0], [0.5, 0.0, 0.0]],
+            [[0.5, 0.0], ["x", 0.0]],
+        ],
+        ids=["ragged", "three-entry", "string"],
+    )
+    def test_predict_alpha(self, tmp_path, capsys, alpha):
+        data_path, model_path = fit_small_model(tmp_path)
+        payload = json.loads(model_path.read_text())
+        payload["alpha"] = alpha
+        model_path.write_text(json.dumps(payload))
+        out = tmp_path / "preds.csv"
+        rc = main(["predict", "--model", str(model_path), "--dataset", str(data_path),
+                   "--out", str(out)])
+        assert rc == 2
+        assert "alpha must be an [re, im] pair" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cfg,field", [({"c2": [0.1]}, "c2"), ({"taps": "x"}, "taps")])
+    def test_equalization_config(self, tmp_path, capsys, cfg, field):
+        rc = main(bench_argv(tmp_path, "equalization", {"rho": 0.5, "trials": 1, **cfg}))
+        assert rc == 2
+        assert f"{field} must be an [re, im] pair" in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []

@@ -1,5 +1,5 @@
-"""Tests for the composite transform, Hermitian solves, the dataset container
-and the input rule every public entry shares."""
+"""Tests for the composite transform, Hermitian solves, the dataset container,
+the input rule every public entry shares and the JSON number codec."""
 
 import numpy as np
 import pytest
@@ -16,7 +16,7 @@ from wrkhs import (
     predict,
     streaming_ridge_predictions,
 )
-from wrkhs.core import ASYMMETRY_BLOCK_ROWS
+from wrkhs.core import ASYMMETRY_BLOCK_ROWS, as_float, from_pairs, to_pairs
 from conftest import transform_matrix
 
 
@@ -136,3 +136,41 @@ def test_nonfinite_input_rejected_before_any_gram(entry, bad, monkeypatch):
     monkeypatch.setattr(kernels, "_sqdist", no_gram)
     with pytest.raises(ValueError, match="contains non-finite values"):
         ENTRIES[entry](np.array([[bad], [1.0]]))
+
+
+class TestNumberCodec:
+    def test_as_float_reads_numbers_and_numeric_strings(self):
+        values = (2, 0.5, "1e-3", np.float64(3.0))
+        assert [as_float(v, "v") for v in values] == [2.0, 0.5, 1e-3, 3.0]
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_as_float_rejects_bool(self, value):
+        with pytest.raises(ValueError, match="^gamma must be a number"):
+            as_float(value, "gamma")
+
+    def test_pairs_keep_every_bit(self):
+        values = np.array([complex(-0.0, 0.1), complex(1e16, -0.0), complex(5e-324, -1e-5)])
+        pairs = to_pairs(values)
+        assert pairs == [[-0.0, 0.1], [1e16, -0.0], [5e-324, -1e-5]]
+        assert all(type(part) is float for pair in pairs for part in pair)
+        back = from_pairs(pairs, "v")
+        assert back.dtype == np.complex128 and back.shape == (3,)
+        for got, want in ((back.real, values.real), (back.imag, values.imag)):
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+    def test_one_pair_is_a_scalar(self):
+        z = complex(-0.0, 2.0)
+        assert to_pairs(z) == [-0.0, 2.0]
+        back = from_pairs([-0.0, 2], "c2")
+        assert back.shape == () and complex(back) == z and np.signbit(back.real)
+        assert to_pairs((1j, 2.0)) == [[0.0, 1.0], [2.0, 0.0]]
+
+    @pytest.mark.parametrize(
+        "value",
+        [[[1.0, 2.0], [3.0]], [[1.0, 2.0, 3.0]], [0.1], "x", [["1", "2"]], [[1.0, "x"]], None, [],
+         1.0, [[[1.0, 2.0]]]],
+    )
+    def test_from_pairs_rejects_malformed(self, value):
+        with pytest.raises(ValueError, match=r"^taps must be an \[re, im\] pair"):
+            from_pairs(value, "taps")
