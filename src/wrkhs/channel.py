@@ -13,11 +13,11 @@ reproduced on its own. Trials run one after another in the calling thread.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import ComplexDataset, as_float, check_int_fields, check_seed, from_pairs, to_pairs
+from .core import ComplexDataset, check_seed, store_as_annotated, to_pairs
 from .kernels import KernelSpec, RealGaussian, kernel_from_config
 from .online import Wrkls, streaming_ridge_predictions
 
@@ -56,7 +56,7 @@ class ChannelConfig:
     base_seed: int = 0
 
     def __post_init__(self):
-        check_int_fields(self)
+        store_as_annotated(self)
         if not 0.0 < self.rho < 1.0:
             raise ValueError(f"rho must lie in (0, 1), got {self.rho}")
         if self.filter_length < 1:
@@ -71,40 +71,36 @@ class ChannelConfig:
         check_seed(self.base_seed, "base_seed", self.trials)
 
 
-# channel fields that hold complex numbers; a config writes each number as [re, im]
-COMPLEX_FIELDS = {f.name for f in fields(ChannelConfig) if "complex" in str(f.type)}
-
-
 @dataclass(frozen=True)
 class EqualizationConfig:
-    """Channel benchmark plus equalizer hyperparameters."""
+    """Channel benchmark plus equalizer hyperparameters, refused when built
+    unless the online recursion accepts its kernel, ``lam`` and ``budget``."""
 
     channel: ChannelConfig
     kernel: KernelSpec = DEFAULT_KERNEL
     lam: float = 0.32
     budget: int | None = None
 
+    def __post_init__(self):
+        store_as_annotated(self)
+        Wrkls(self.kernel, self.lam, self.budget)
+
     def to_config(self) -> dict:
-        """The channel fields, flattened, then ``kernel``, ``lam`` and ``budget``."""
-        cfg = asdict(self.channel)
-        for name in COMPLEX_FIELDS:
-            cfg[name] = to_pairs(cfg[name])
+        """The channel fields, flattened, a complex one as ``[re, im]`` pairs, then
+        ``kernel``, ``lam`` and ``budget``."""
+        cfg = {name: to_pairs(value) if isinstance(value, (complex, tuple)) else value
+               for name, value in asdict(self.channel).items()}
         return {**cfg, "kernel": self.kernel.to_config(), "lam": self.lam, "budget": self.budget}
 
     @staticmethod
     def from_config(cfg: dict) -> "EqualizationConfig":
         channel = dict(cfg)
         kernel = channel.pop("kernel", None)
-        lam = as_float(channel.pop("lam", EqualizationConfig.lam), "lam")
-        budget = channel.pop("budget", None)
-        for name in COMPLEX_FIELDS & channel.keys():
-            value = from_pairs(channel[name], name)
-            channel[name] = tuple(value.tolist()) if value.ndim else complex(value)
+        top = {name: channel.pop(name) for name in ("lam", "budget") if name in channel}
         return EqualizationConfig(
             channel=ChannelConfig(**channel),
             kernel=DEFAULT_KERNEL if kernel is None else kernel_from_config(kernel),
-            lam=lam,
-            budget=budget,
+            **top,
         )
 
 

@@ -20,6 +20,10 @@ and ``independent`` (``gamma``), ``real_imag_blocks`` (nested ``rr``, ``jj``,
 A complex value in any JSON file (config, model, surface header) is one
 ``[re, im]`` pair, and a bool is rejected where a number is expected.
 
+A benchmark config is a JSON object of config dataclass fields, each stored
+as its annotation says (``core.store_as_annotated``). An equalization config
+is checked when it is built, so a bad one exits 2 before any trial runs.
+
 Exit codes: 0 success, 2 input error, 3 numerical failure. Benchmark outputs
 embed the sha256 of their canonical config and the seed; reruns of the same
 config are byte-identical.
@@ -226,6 +230,8 @@ def cmd_bench(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg = json.loads(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
+    if not isinstance(cfg, dict):
+        raise ValueError(f"--config {args.config} must be a JSON object")
     name = args.experiment
     if name == "equalization":
         if args.seed is not None:
@@ -240,8 +246,6 @@ def cmd_bench(args) -> int:
 
     exp_id, lam, ablation_key = SYNTHETIC[name]
     cfg.setdefault("experiment", exp_id)
-    if cfg["experiment"] != exp_id:
-        raise ValueError(f"config experiment={cfg['experiment']} does not match {name}")
     if args.seed is not None:
         cfg["seed"] = args.seed
     cfg.setdefault("lam", lam)

@@ -6,6 +6,10 @@ inputs through it. ``check_lam`` checks every ridge weight, ``as_float``
 reads every other number of a config or JSON file, and ``to_pairs``/
 ``from_pairs`` carry every complex value through JSON as ``[re, im]``.
 
+``store_as_annotated`` is the one rule for config fields: each config
+dataclass calls it first in ``__post_init__`` to store every field as its
+annotation says, so equal configs serialize, and hash, equally.
+
 ``hermitian_solve`` is the one linear solve of the package: a Cholesky
 factorization with one jitter retry. ``ridge_shift`` symmetrizes a Gram
 matrix and adds the ridge weight to its diagonal in place, ahead of that
@@ -19,6 +23,8 @@ read-only and safe to share across threads.
 
 from __future__ import annotations
 
+import inspect
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, fields
@@ -35,7 +41,7 @@ __all__ = [
     "to_pairs",
     "from_pairs",
     "check_seed",
-    "check_int_fields",
+    "store_as_annotated",
     "is_int",
     "ridge_shift",
     "hermitian_solve",
@@ -79,9 +85,12 @@ def check_lam(lam) -> float:
 
 def as_float(value, name: str) -> float:
     """A config or JSON number (or numeric string) as a float; a bool is not one."""
-    if isinstance(value, bool):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"{name} must be a number, got {value!r}")
 
 
 def to_pairs(value) -> list:
@@ -92,13 +101,16 @@ def to_pairs(value) -> list:
 
 def from_pairs(value, name: str) -> np.ndarray:
     """Inverse of :func:`to_pairs` (one pair gives a 0-d array), bit-exact, sign of zero
-    included. A ragged list, an entry that is not a pair, or a string raises
-    ``ValueError`` naming ``name``."""
+    included. A ragged list, an entry that is not a pair, a string or a bool
+    raises ``ValueError`` naming ``name``."""
     try:
         arr = np.asarray(value)
     except ValueError:
         arr = np.asarray(None)
-    if arr.dtype.kind not in "iuf" or arr.ndim not in (1, 2) or arr.shape[-1] != 2:
+    if (arr.dtype.kind not in "iuf" or arr.ndim not in (1, 2) or arr.shape[-1] != 2
+            # numpy reads a bool among numbers as one; the entries' types show it
+            or bool in set(map(type, itertools.chain.from_iterable(value) if arr.ndim == 2
+                                     else value))):
         raise ValueError(f"{name} must be an [re, im] pair of numbers or a list of them")
     return np.ascontiguousarray(arr, dtype=np.float64).view(np.complex128)[..., 0]
 
@@ -108,15 +120,37 @@ def is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def check_int_fields(config) -> None:
-    """Reject a dataclass whose ``int`` fields hold anything but an integer (a
-    float, even ``5.0``, or a bool), or whose ``float`` fields hold a bool."""
+def store_as_annotated(config) -> None:
+    """Store each field of the frozen dataclass ``config`` as its annotation says.
+
+    ``int`` holds an integer, never a float or a bool (``int | None`` may
+    hold None too); ``float`` is stored as :func:`as_float` of the value;
+    ``complex`` and ``tuple[complex, complex]`` take a Python number or a
+    tuple of them, or ``[re, im]`` pairs read by :func:`from_pairs`, and the
+    count must match. Other fields are left alone.
+    """
     for f in fields(config):
         value = getattr(config, f.name)
-        if f.type in (int, "int") and not is_int(value):
-            raise ValueError(f"{f.name} must be an integer, got {value!r}")
-        if f.type in (float, "float"):
-            as_float(value, f.name)
+        kind = f.type if isinstance(f.type, str) else inspect.formatannotation(f.type)
+        if kind in ("int", "int | None") and (value is not None or kind == "int"):
+            if not is_int(value):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            value = int(value)
+        elif kind == "float":
+            value = as_float(value, f.name)
+        elif kind in ("complex", "tuple[complex, complex]"):
+            value = _as_complex(value, f.name, () if kind == "complex" else (2,))
+        object.__setattr__(config, f.name, value)
+
+
+def _as_complex(value, name: str, shape: tuple):
+    """A complex number (``shape == ()``) or a tuple of ``shape[0]`` of them."""
+    native = isinstance(value, (numbers.Number, tuple)) and not isinstance(value, bool)
+    arr = np.asarray(value, dtype=np.complex128) if native else from_pairs(value, name)
+    if arr.shape != shape:
+        what = f"a list of {shape[0]} [re, im] pairs" if shape else "one [re, im] pair"
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return tuple(arr.tolist()) if shape else complex(arr)
 
 
 def check_seed(seed, name: str = "seed", count: int = 1) -> None:
@@ -135,27 +169,15 @@ def ridge_shift(a: np.ndarray, lam: float) -> np.ndarray:
 
 
 def hermitian_solve(a, b) -> np.ndarray:
-    """Solve ``A X = B`` for Hermitian positive-definite ``A``.
+    """Solve ``A X = B`` for a Hermitian positive-definite (n, n) ``A`` (real
+    symmetric too) and an (n,) or (n, k) ``B``, complex even when ``A`` is real.
 
     Uses a Cholesky factorization with a single jitter retry: if the
     factorization fails, ``1e-12 * trace(A)/n`` is added to the diagonal once
-    before failing hard. Exactly diagonal matrices are solved by elementwise
-    division (exact, no factorization error).
-
-    Parameters
-    ----------
-    a : (n, n) array
-        Hermitian positive-definite matrix (real symmetric also accepted).
-    b : (n,) or (n, k) array
-        Right-hand side(s); may be complex even when ``a`` is real.
-
-    Raises
-    ------
-    ValueError
-        If ``a`` is not square or its max asymmetry ``|A - A^H|`` exceeds
-        ``1e-12``.
-    NumericalError
-        If the factorization fails even after the jitter retry.
+    before failing hard with :class:`NumericalError`. Exactly diagonal matrices
+    are solved by elementwise division (exact, no factorization error). A
+    non-square ``A``, or one whose max asymmetry ``|A - A^H|`` exceeds
+    ``1e-12``, raises ``ValueError``.
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:

@@ -2,33 +2,14 @@
 
 Families
 --------
-``RealGaussian``
-    Isotropic Gaussian of the complex difference,
-    ``scale * exp(-(x - x')^H (x - x') / gamma)``. Real-valued, stationary,
-    null pseudo-kernel. Also serves as the real-valued building block for
-    the block-composed families below.
-``ComplexGaussian``
-    ``exp(-(x - conj(x'))^T (x - conj(x')) / gamma)`` -- note the plain
-    transpose and the conjugate on the second argument only. Complex-valued,
-    non-stationary, null pseudo-kernel. Its exponent can grow large and
-    positive; evaluations are saturated at exp(700) with a warning.
-``IndependentGaussian``
-    Built from a real Gaussian ``kappa`` of *real* vectors applied to the
-    real/imaginary parts:
-    ``kappa(xr,xr') + kappa(xj,xj') + j(kappa(xr,xj') - kappa(xj,xr'))``.
-    Null pseudo-kernel. One shared ``gamma`` for all four terms.
-``RealImagBlocks``
-    Four real-valued kernels of complex inputs (rr, jj, rj, jr) composed as
-    kernel ``(rr + jj) + j(jr - rj)`` and pseudo-kernel
-    ``(rr - jj) + j(jr + rj)``. Requires ``rj(x, x') == jr(x', x)``, which
-    for these symmetric Gaussians means ``rj == jr`` (or both of zero
-    scale); the kernel is then real.
-``SeparateRealImag``
-    Independent real and imaginary output parts with distinct real kernels:
-    kernel ``rr + jj``, pseudo-kernel ``rr - jj``.
-``SumOfSeparable``
-    Mixed-effect design: kernel ``2 * sum_q k_q`` and pseudo-kernel
-    ``2j * sum_q w_q k_q`` with real-valued ``k_q`` and weights in [0, 1).
+Three Gaussian kernels with a null pseudo-kernel -- ``RealGaussian`` (real,
+stationary; the building block of the others), ``ComplexGaussian`` (complex,
+non-stationary, saturated at exp(700) with a warning) and
+``IndependentGaussian`` (a real Gaussian of the real/imaginary parts) -- and
+three block-composed pairs with a pseudo-kernel: ``RealImagBlocks`` (four
+real part kernels rr, jj, rj, jr), ``SeparateRealImag`` (independent real
+and imaginary output parts) and ``SumOfSeparable`` (the mixed-effect design).
+Each class docstring gives its formula.
 
 The last three share one evaluator over a list of real Gaussian terms, each
 with a kernel and a pseudo-kernel coefficient (the separable form). Such a
@@ -57,7 +38,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy.linalg.blas import daxpy
 
-from .core import as_float, as_samples, stacked_apply
+from .core import as_float, as_samples, stacked_apply, store_as_annotated
 
 __all__ = [
     "KernelSpec",
@@ -108,14 +89,6 @@ def _accumulate(out: np.ndarray, c, e: np.ndarray) -> None:
         daxpy(x, y, a=c.imag, offy=1, incy=2)
     else:
         daxpy(x, y, a=c)
-
-
-def _check_gaussian(gamma, scale=1.0) -> None:
-    """Reject a Gaussian whose ``gamma`` or ``scale`` is non-finite or out of range."""
-    if not (math.isfinite(gamma) and gamma > 0):
-        raise ValueError(f"gamma must be finite and positive, got {gamma}")
-    if not (math.isfinite(scale) and scale >= 0):
-        raise ValueError(f"scale must be finite and non-negative, got {scale}")
 
 
 def _saturated(expo: np.ndarray) -> np.ndarray:
@@ -194,16 +167,26 @@ class KernelSpec:
         return {"family": self.family, "params": params}
 
 
+class _Gaussian(KernelSpec):
+    """A Gaussian family: fields stored as floats (``core.store_as_annotated``),
+    ``gamma`` finite and positive, a ``scale`` finite and non-negative."""
+
+    def __post_init__(self):
+        store_as_annotated(self)
+        if not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise ValueError(f"gamma must be finite and positive, got {self.gamma}")
+        scale = getattr(self, "scale", 1.0)
+        if not (math.isfinite(scale) and scale >= 0):
+            raise ValueError(f"scale must be finite and non-negative, got {scale}")
+
+
 @dataclass(frozen=True)
-class RealGaussian(KernelSpec):
+class RealGaussian(_Gaussian):
     """``scale * exp(-|x - x'|^2 / gamma)`` on complex (or real) vectors."""
 
     gamma: float
     scale: float = 1.0
     family = "real_gaussian"
-
-    def __post_init__(self):
-        _check_gaussian(self.gamma, self.scale)
 
     def _gram(self, x, z):
         return self.scale * np.exp(-_sqdist(x, z) / self.gamma)
@@ -214,7 +197,7 @@ class RealGaussian(KernelSpec):
 
 
 @dataclass(frozen=True)
-class ComplexGaussian(KernelSpec):
+class ComplexGaussian(_Gaussian):
     """``exp(-(x - conj(x'))^T (x - conj(x')) / gamma)``.
 
     The exponent uses the plain transpose, not the conjugate transpose:
@@ -225,9 +208,6 @@ class ComplexGaussian(KernelSpec):
 
     gamma: float
     family = "complex_gaussian"
-
-    def __post_init__(self):
-        _check_gaussian(self.gamma)
 
     def _gram(self, x, z):
         # (x - z*)^T (x - z*) = sum x^2 + sum (z*)^2 - 2 x . z*
@@ -245,7 +225,7 @@ class ComplexGaussian(KernelSpec):
 
 
 @dataclass(frozen=True)
-class IndependentGaussian(KernelSpec):
+class IndependentGaussian(_Gaussian):
     """Independent kernel: real Gaussian applied to real/imag part pairs.
 
     ``k(x,x') = kappa(xr,xr') + kappa(xj,xj') + j(kappa(xr,xj') - kappa(xj,xr'))``
@@ -255,9 +235,6 @@ class IndependentGaussian(KernelSpec):
 
     gamma: float
     family = "independent"
-
-    def __post_init__(self):
-        _check_gaussian(self.gamma)
 
     def _gram(self, x, z):
         def kap(a, b):
@@ -425,7 +402,7 @@ class RealImagBlocks(_TermSum):
 
 @dataclass(frozen=True)
 class SeparateRealImag(_TermSum):
-    """Distinct real kernels for independent real and imaginary parts."""
+    """Independent real and imaginary parts: kernel ``rr + jj``, pseudo ``rr - jj``."""
 
     rr: RealGaussian
     jj: RealGaussian
@@ -497,13 +474,13 @@ _FAMILIES = {cls.family: cls for cls in (RealGaussian, ComplexGaussian, Independ
 
 
 def _from_params(cls, params: dict) -> KernelSpec:
-    """``cls`` built from the fields present in ``params``: a number through
-    ``as_float``, an object as a nested ``real_gaussian``. Other keys are ignored."""
-    def param(name):
-        v = params[name]
-        return _from_params(RealGaussian, v) if isinstance(v, dict) else as_float(v, name)
+    """``cls`` built from the fields present in ``params``, an object as a nested
+    ``real_gaussian``; the constructor stores each number as a float. Other
+    keys are ignored."""
+    def param(v):
+        return _from_params(RealGaussian, v) if isinstance(v, dict) else v
 
-    return cls(**{f.name: param(f.name) for f in fields(cls) if f.name in params})
+    return cls(**{f.name: param(params[f.name]) for f in fields(cls) if f.name in params})
 
 
 def kernel_from_config(config: dict) -> KernelSpec:

@@ -21,7 +21,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import ComplexDataset, check_int_fields, check_seed
+from .core import ComplexDataset, check_seed, store_as_annotated
 from .kernels import RealGaussian, SeparateRealImag, SumOfSeparable
 from .regression import fit_augmented, fit_srkhs, mse_db, predict
 
@@ -90,7 +90,7 @@ class SyntheticConfig:
     omega: float = 0.3      # experiment 2: coupling weight
 
     def __post_init__(self):
-        check_int_fields(self)
+        store_as_annotated(self)
         if self.experiment not in (1, 2):
             raise ValueError("experiment must be 1 or 2")
         check_seed(self.seed)

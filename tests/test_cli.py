@@ -8,11 +8,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wrkhs import (
     ChannelConfig,
     ComplexDataset,
+    ComplexGaussian,
     EqualizationConfig,
+    IndependentGaussian,
     KernelSpec,
     RealGaussian,
     SyntheticConfig,
@@ -43,6 +47,8 @@ def read_rows(path):
 
 
 KERNEL_RG = '{"family": "real_gaussian", "params": {"gamma": 1.0}}'
+# a kernel with a pseudo-kernel, which the online recursion refuses
+SEPARATE = {"family": "separate_real_imag", "params": {"rr": {"gamma": 1.0}, "jj": {"gamma": 2.0}}}
 
 # signed zeros and values whose repr has an exponent, in every column
 GOLDEN_DATA = ComplexDataset(
@@ -698,6 +704,38 @@ class TestBench:
         assert f"{field} must be an integer" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("cfg", [[1, 2], "x"])
+    @pytest.mark.parametrize("experiment", ["synthetic1", "synthetic2", "equalization"])
+    def test_non_object_config_exit_2(self, tmp_path, capsys, experiment, cfg):
+        rc = main(bench_argv(tmp_path, experiment, cfg))
+        assert rc == 2
+        assert "must be a JSON object" in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "cfg,message",
+        [
+            ({"taps": [1, 2]}, "taps must be a list of 2 [re, im] pairs"),
+            ({"taps": [[1, 0], [0, 1], [1, 1]]}, "taps must be a list of 2 [re, im] pairs"),
+            ({"c2": [[1, 0], [0, 1]]}, "c2 must be one [re, im] pair"),
+            ({"budget": 0}, "budget must be an integer >= 1"),
+            ({"lam": -1}, "ridge weight must be finite and >= 0"),
+            ({"kernel": SEPARATE}, "family 'separate_real_imag' has a pseudo-kernel"),
+        ],
+    )
+    def test_equalization_config_refused_before_any_trial(
+        self, tmp_path, capsys, monkeypatch, cfg, message
+    ):
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(channel, "_run_trial", no_trial)
+        rc = main(bench_argv(tmp_path, "equalization",
+                             {"rho": 0.5, "trials": 1, "n_samples": 100, **cfg}))
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
+
     def test_largest_seeds_accepted(self):
         assert SyntheticConfig(experiment=1, seed=2**64 - 1).seed == 2**64 - 1
         assert ChannelConfig(rho=0.5, trials=2, base_seed=2**64 - 2).trials == 2
@@ -754,6 +792,50 @@ CHANNEL_CHANGED = {
 }
 EQUALIZATION_CHANGED = {"kernel": RealGaussian(gamma=2.0), "lam": 0.5, "budget": 40}
 
+# an int in a float field is the float's twin, so both are drawn
+REAL = st.one_of(st.integers(-10**6, 10**6), st.floats(allow_nan=False, allow_infinity=False))
+POSITIVE = st.one_of(st.integers(1, 10**6), st.floats(min_value=1e-300, max_value=1e300))
+COMPLEX = st.complex_numbers(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def synthetic_configs(draw):
+    lo, hi = sorted(draw(st.lists(REAL, min_size=2, max_size=2, unique=True)))
+    return SyntheticConfig(
+        experiment=draw(st.sampled_from([1, 2])),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        n_train=draw(st.integers(1, 10**6)),
+        input_lo=lo,
+        input_hi=hi,
+        grid_resolution=draw(st.integers(2, 10**4)),
+        **{name: draw(REAL) for name in ("lam", "gamma_re", "gamma_im", "gamma", "omega")},
+    )
+
+
+@st.composite
+def equalization_configs(draw):
+    filter_length, delay, trials = (draw(st.integers(lo, 100)) for lo in (1, 0, 1))
+    channel = ChannelConfig(
+        rho=draw(st.floats(0, 1, exclude_min=True, exclude_max=True)),
+        snr_db=draw(REAL),
+        taps=draw(st.tuples(COMPLEX, COMPLEX)),
+        c2=draw(COMPLEX),
+        c3=draw(COMPLEX),
+        source_scale=draw(REAL),
+        filter_length=filter_length,
+        delay=delay,
+        n_samples=draw(st.integers(filter_length + delay + 1, 10**5)),
+        trials=trials,
+        base_seed=draw(st.integers(0, 2**64 - trials)),
+    )
+    kernel = draw(st.one_of(
+        st.builds(RealGaussian, gamma=POSITIVE, scale=st.one_of(st.just(0), POSITIVE)),
+        st.builds(ComplexGaussian, gamma=POSITIVE),
+        st.builds(IndependentGaussian, gamma=POSITIVE),
+    ))
+    budget = draw(st.one_of(st.none(), st.integers(1, 10**4)))
+    return EqualizationConfig(channel=channel, kernel=kernel, lam=draw(POSITIVE), budget=budget)
+
 
 def field_names(cls) -> set:
     return {f.name for f in dataclasses.fields(cls)}
@@ -791,6 +873,40 @@ class TestConfigRule:
             changed = dataclasses.replace(eq, **{name: value})
             assert _config_hash(changed.to_config()) != base, name
             assert EqualizationConfig.from_config(changed.to_config()) == changed, name
+
+    @settings(deadline=None, max_examples=60)
+    @given(config=st.one_of(synthetic_configs(), equalization_configs()))
+    def test_round_trip_keeps_config_and_hash(self, config):
+        back = type(config).from_config(json.loads(json.dumps(config.to_config())))
+        assert back == config
+        assert _config_hash(back.to_config()) == _config_hash(config.to_config())
+
+    @pytest.mark.parametrize(
+        "config,twin",
+        [
+            (RealGaussian(gamma=2), RealGaussian(gamma=2.0)),
+            (EqualizationConfig(channel=ChannelConfig(rho=0.5, snr_db=16)),
+             EqualizationConfig(channel=ChannelConfig(rho=0.5, snr_db=16.0))),
+            (EqualizationConfig(channel=ChannelConfig(rho=0.5), kernel=RealGaussian(gamma=2)),
+             EqualizationConfig(channel=ChannelConfig(rho=0.5), kernel=RealGaussian(gamma=2.0))),
+            (SyntheticConfig(experiment=1, lam=1), SyntheticConfig(experiment=1, lam=1.0)),
+            (SyntheticConfig.from_config({"experiment": 1, "lam": "1e-6"}),
+             SyntheticConfig(experiment=1, lam=1e-6)),
+        ],
+        ids=["gamma", "snr_db", "kernel", "lam", "numeric-string"],
+    )
+    def test_float_twins_hash_equally(self, config, twin):
+        assert config == twin
+        assert _config_hash(config.to_config()) == _config_hash(twin.to_config())
+
+    def test_numeric_string_lam_hashes_as_its_number(self, tmp_path):
+        cfg = {"lam": "1e-6", "n_train": 30, "grid_resolution": 5}
+        assert main(bench_argv(tmp_path, "synthetic1", cfg)) == 0
+        summary = json.loads((tmp_path / "out" / "synthetic1_summary.json").read_text())
+        assert summary["config"]["lam"] == 1e-6
+        assert summary["config_sha256"] == (
+            "c8e216c6398b5d7f6155ddd36b276859b5b139cc8eeaac6536eeb4f63bd1fb8a"
+        )
 
     def test_pinned_hashes(self):
         # the hashes every earlier benchmark output of these configs carries
@@ -939,8 +1055,9 @@ class TestMalformedPairs:
             [[0.5, 0.0], [0.5]],
             [[0.5, 0.0, 0.0], [0.5, 0.0, 0.0]],
             [[0.5, 0.0], ["x", 0.0]],
+            [[0.5, 0.0], [True, 0.0]],
         ],
-        ids=["ragged", "three-entry", "string"],
+        ids=["ragged", "three-entry", "string", "bool"],
     )
     def test_predict_alpha(self, tmp_path, capsys, alpha):
         data_path, model_path = fit_small_model(tmp_path)
@@ -954,7 +1071,9 @@ class TestMalformedPairs:
         assert "alpha must be an [re, im] pair" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("cfg,field", [({"c2": [0.1]}, "c2"), ({"taps": "x"}, "taps")])
+    @pytest.mark.parametrize(
+        "cfg,field", [({"c2": [0.1]}, "c2"), ({"taps": "x"}, "taps"), ({"c3": [True, 0.5]}, "c3")]
+    )
     def test_equalization_config(self, tmp_path, capsys, cfg, field):
         rc = main(bench_argv(tmp_path, "equalization", {"rho": 0.5, "trials": 1, **cfg}))
         assert rc == 2

@@ -1,5 +1,10 @@
 """Tests for the composite transform, Hermitian solves, the dataset container,
-the input rule every public entry shares and the JSON number codec."""
+the input rule every public entry shares, the JSON number codec and the
+typed-field rule of every config."""
+
+import dataclasses
+import math
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +21,7 @@ from wrkhs import (
     predict,
     streaming_ridge_predictions,
 )
-from wrkhs.core import ASYMMETRY_BLOCK_ROWS, as_float, from_pairs, to_pairs
+from wrkhs.core import ASYMMETRY_BLOCK_ROWS, as_float, from_pairs, store_as_annotated, to_pairs
 from conftest import transform_matrix
 
 
@@ -148,6 +153,11 @@ class TestNumberCodec:
         with pytest.raises(ValueError, match="^gamma must be a number"):
             as_float(value, "gamma")
 
+    @pytest.mark.parametrize("value", ["x", None, 1j])
+    def test_as_float_names_what_is_not_a_number(self, value):
+        with pytest.raises(ValueError, match="^gamma must be a number"):
+            as_float(value, "gamma")
+
     def test_pairs_keep_every_bit(self):
         values = np.array([complex(-0.0, 0.1), complex(1e16, -0.0), complex(5e-324, -1e-5)])
         pairs = to_pairs(values)
@@ -169,8 +179,61 @@ class TestNumberCodec:
     @pytest.mark.parametrize(
         "value",
         [[[1.0, 2.0], [3.0]], [[1.0, 2.0, 3.0]], [0.1], "x", [["1", "2"]], [[1.0, "x"]], None, [],
-         1.0, [[[1.0, 2.0]]]],
+         1.0, [[[1.0, 2.0]]], [[True, 0.5]], [[0.5, 0.0], [1, False]], [0.5, True]],
     )
     def test_from_pairs_rejects_malformed(self, value):
         with pytest.raises(ValueError, match=r"^taps must be an \[re, im\] pair"):
             from_pairs(value, "taps")
+
+
+# annotations evaluated (no postponed annotations in this module): the rule
+# reads them as it reads the package's string annotations
+@dataclasses.dataclass(frozen=True)
+class Annotated:
+    count: int
+    limit: int | None
+    weight: float
+    point: complex
+    pair: tuple[complex, complex]
+    note: str = "kept"
+
+    def __post_init__(self):
+        store_as_annotated(self)
+
+
+VALID = {"count": 1, "limit": None, "weight": 1.0, "point": 0j, "pair": (0j, 0j)}
+
+
+class TestStoreAsAnnotated:
+    def test_json_values_are_stored_as_annotated(self):
+        a = Annotated(count=3, limit=4, weight="0.5", point=[-0.0, 1], pair=[[1, 2], [3, -0.0]])
+        assert (a.count, a.limit, a.weight, a.point, a.pair) == (3, 4, 0.5, 1j, (1 + 2j, 3 + 0j))
+        assert type(a.weight) is float and type(a.point) is complex
+        assert math.copysign(1, a.point.real) == -1 and math.copysign(1, a.pair[1].imag) == -1
+        assert a.note == "kept"
+
+    def test_python_values_are_stored_as_annotated(self):
+        a = Annotated(count=np.int64(3), limit=None, weight=2, point=0.5, pair=(1, 2j))
+        assert (a.count, a.limit, a.weight, a.point, a.pair) == (3, None, 2.0, 0.5 + 0j, (1 + 0j, 2j))
+        assert [type(v) for v in (a.count, a.weight, a.point, *a.pair)] == [
+            int, float, complex, complex, complex
+        ]
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("count", 5.0, "count must be an integer"),
+            ("count", None, "count must be an integer"),
+            ("limit", True, "limit must be an integer"),
+            ("weight", True, "weight must be a number"),
+            ("weight", "x", "weight must be a number"),
+            ("point", [[1, 2], [3, 4]], "point must be one [re, im] pair"),
+            ("point", True, "point must be an [re, im] pair"),
+            ("pair", [1, 2], "pair must be a list of 2 [re, im] pairs"),
+            ("pair", (1, 2, 3), "pair must be a list of 2 [re, im] pairs"),
+            ("pair", [[True, 0.5], [1, 2]], "pair must be an [re, im] pair"),
+        ],
+    )
+    def test_rejects_naming_the_field(self, field, value, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            Annotated(**{**VALID, field: value})
