@@ -13,6 +13,7 @@ reproduced on its own. Trials run one after another in the calling thread.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -59,6 +60,8 @@ class ChannelConfig:
         store_as_annotated(self)
         if not 0.0 < self.rho < 1.0:
             raise ValueError(f"rho must lie in (0, 1), got {self.rho}")
+        if not math.isfinite(self.snr_db):
+            raise ValueError(f"snr_db must be finite, got {self.snr_db}")
         if self.filter_length < 1:
             raise ValueError("filter_length must be >= 1")
         if self.delay < 0:

@@ -50,8 +50,9 @@ __all__ = [
 # Max acceptable |A - A^H| entry before a matrix is rejected as non-Hermitian.
 HERMITIAN_ATOL = 1e-12
 
-# Rows per block of the |A - A^H| check, which bounds its temporaries to a
-# few such blocks instead of full copies of A.
+# Rows per block of the |A - A^H| check and of the ridge shift's
+# symmetrization, which bounds their temporaries to a few such blocks
+# instead of full copies of A.
 ASYMMETRY_BLOCK_ROWS = 256
 
 
@@ -161,9 +162,22 @@ def check_seed(seed, name: str = "seed", count: int = 1) -> None:
 
 
 def ridge_shift(a: np.ndarray, lam: float) -> np.ndarray:
-    """Overwrite ``a`` with ``(a + a^H)/2 + lam I`` and return it."""
-    a += a.conj().T
-    a /= 2.0
+    """Overwrite ``a`` with ``(a + a^H)/2 + lam I`` and return it.
+
+    Each upper block is averaged with the conjugate transpose of its lower
+    block, which then takes the conjugate transpose of the mean: one block
+    of temporary, and bit for bit ``(a + a.conj().T) / 2``.
+    """
+    n = a.shape[0]
+    for i in range(0, n, ASYMMETRY_BLOCK_ROWS):
+        rows = slice(i, i + ASYMMETRY_BLOCK_ROWS)
+        for j in range(i, n, ASYMMETRY_BLOCK_ROWS):
+            cols = slice(j, j + ASYMMETRY_BLOCK_ROWS)
+            mean = np.conjugate(a[cols, rows].T)
+            mean += a[rows, cols]
+            mean /= 2.0
+            a[rows, cols] = mean
+            np.conjugate(mean.T, out=a[cols, rows])
     a[np.diag_indices_from(a)] += lam
     return a
 

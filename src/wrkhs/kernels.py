@@ -24,7 +24,16 @@ Every family exposes ``pair`` (the kernel and pseudo-kernel Gram matrices
 from one evaluation), ``gram``/``pseudo_gram`` and ``diag`` (both at
 ``x' = x`` in O(n)). Their inputs follow ``core.as_samples``: rows are
 samples, a 1-D input is n scalar samples, and NaN or infinite entries raise
-``ValueError``. ``composite_matrix`` turns an evaluated pair into the
+``ValueError``. Behind them each family's ``_gram`` evaluates checked
+samples; the online recursion calls it directly, with squared row norms it
+keeps, on rows it has checked once.
+
+Every family but the complex Gaussian gets its squared distances from one
+primitive, ``_sqdist``: complex rows enter as their interleaved real view,
+(n, 2d) with the same Euclidean distances, so the cross products are one
+real GEMM (a ``syrk`` when both sides are the same rows), and the norm
+adds, the clamp at 0, the divide and the ``exp`` all run in place in the
+GEMM's output. ``composite_matrix`` turns an evaluated pair into the
 real composite matrix of the stacked real/imaginary system. Specs are
 immutable and hashable; all evaluations are pure and thread-safe.
 """
@@ -69,12 +78,31 @@ def _validated(x, z) -> tuple[np.ndarray, np.ndarray]:
     return x, z
 
 
-def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances |a_i - b_j|^2 (complex rows ok)."""
-    aa = np.sum(np.abs(a) ** 2, axis=1)[:, None]
-    bb = np.sum(np.abs(b) ** 2, axis=1)[None, :]
-    cross = np.real(a @ b.conj().T)
-    return np.maximum(aa + bb - 2.0 * cross, 0.0)
+def _sqdist(a: np.ndarray, b: np.ndarray, aa=None, bb=None) -> np.ndarray:
+    """Pairwise squared Euclidean distances |a_i - b_j|^2 of (n, d) complex128
+    or float64 rows, as ``|a_i|^2 + |b_j|^2 - 2 <a_i, b_j>`` clamped at 0.
+
+    The rows enter through their interleaved real view, (n, 2d) for complex
+    rows, whose Euclidean distances are the same: the cross products are one
+    real GEMM, and the epilogue runs in place in its output. ``aa`` and ``bb``
+    are the squared row norms when the caller already holds them.
+    """
+    ar = np.ascontiguousarray(a).view(np.float64)
+    br = ar if b is a else np.ascontiguousarray(b).view(np.float64)
+    if aa is None:
+        aa = np.einsum("ij,ij->i", ar, ar)
+    if bb is None:
+        bb = aa if b is a else np.einsum("ij,ij->i", br, br)
+    d2 = ar @ br.T
+    d2 *= -2.0
+    d2 += aa[:, None]
+    d2 += bb
+    return np.maximum(d2, 0.0, out=d2)
+
+
+def _gaussian(d2: np.ndarray, gamma: float) -> np.ndarray:
+    """``exp(-d2 / gamma)``, overwriting ``d2``."""
+    return np.exp(np.divide(d2, -gamma, out=d2), out=d2)
 
 
 def _accumulate(out: np.ndarray, c, e: np.ndarray) -> None:
@@ -149,7 +177,10 @@ class KernelSpec:
         with ``S`` real and not null), or None."""
         return None
 
-    def _gram(self, x, z) -> np.ndarray:
+    def _gram(self, x, z, *norms) -> np.ndarray:
+        """The Gram matrix of checked samples; ``norms`` may hold the squared
+        row norms ``(xx, zz)`` of ``x`` and ``z`` when the caller has them (a
+        family may ignore them)."""
         raise NotImplementedError
 
     def _pair(self, x, z) -> tuple[np.ndarray, np.ndarray]:
@@ -188,8 +219,10 @@ class RealGaussian(_Gaussian):
     scale: float = 1.0
     family = "real_gaussian"
 
-    def _gram(self, x, z):
-        return self.scale * np.exp(-_sqdist(x, z) / self.gamma)
+    def _gram(self, x, z, *norms):
+        k = _gaussian(_sqdist(x, z, *norms), self.gamma)
+        k *= self.scale
+        return k
 
     @property
     def is_real_valued(self) -> bool:
@@ -209,7 +242,7 @@ class ComplexGaussian(_Gaussian):
     gamma: float
     family = "complex_gaussian"
 
-    def _gram(self, x, z):
+    def _gram(self, x, z, *norms):
         # (x - z*)^T (x - z*) = sum x^2 + sum (z*)^2 - 2 x . z*
         sx = np.sum(x**2, axis=1)[:, None]
         sz = np.sum(z.conj() ** 2, axis=1)[None, :]
@@ -236,9 +269,9 @@ class IndependentGaussian(_Gaussian):
     gamma: float
     family = "independent"
 
-    def _gram(self, x, z):
+    def _gram(self, x, z, *norms):
         def kap(a, b):
-            return np.exp(-_sqdist(a, b) / self.gamma)
+            return _gaussian(_sqdist(a, b), self.gamma)
 
         xr, xj = x.real, x.imag
         zr, zj = z.real, z.imag
@@ -284,22 +317,22 @@ class _TermSum(KernelSpec):
     def _exps(self, d2, columns):
         """Yield ``(c_gamma of each column, exp(-d2 / gamma))`` for each
         distinct gamma that some column weights, in the order of
-        :meth:`_coefficients`. One exp buffer, overwritten per gamma, keeps
-        the peak low."""
-        e = np.empty(d2.shape)
-        for gamma, cs in zip(self._coefficients(), zip(*columns)):
-            if any(cs):
-                np.exp(np.divide(d2, -gamma, out=e), out=e)
-                yield cs, e
+        :meth:`_coefficients`. The last exp overwrites ``d2`` itself and the
+        others share one buffer, which keeps the peak low."""
+        used = [(g, cs) for g, cs in zip(self._coefficients(), zip(*columns)) if any(cs)]
+        buffer = np.empty(d2.shape) if len(used) > 1 else None
+        for i, (gamma, cs) in enumerate(used):
+            e = d2 if i == len(used) - 1 else buffer
+            yield cs, np.exp(np.divide(d2, -gamma, out=e), out=e)
 
-    def _combine(self, x, z, columns) -> list[np.ndarray]:
+    def _combine(self, x, z, columns, *norms) -> list[np.ndarray]:
         """``sum_gamma c_gamma exp(-|x_i - z_j|^2 / gamma)`` for each column.
 
         A column holds one coefficient ``c_gamma`` per distinct gamma, in the
         order of :meth:`_coefficients`; its matrix is real unless one of them
         is complex. Each matrix is accumulated in place.
         """
-        d2 = _sqdist(x, z)
+        d2 = _sqdist(x, z, *norms)
         out = [np.zeros(d2.shape, np.result_type(*col)) for col in columns]
         for cs, e in self._exps(d2, columns):
             for m, c in zip(out, cs):
@@ -322,8 +355,8 @@ class _TermSum(KernelSpec):
         """The kernel and pseudo-kernel coefficient columns."""
         return list(zip(*self._coefficients().values()))
 
-    def _gram(self, x, z):
-        return self._combine(x, z, self._columns()[:1])[0]
+    def _gram(self, x, z, *norms):
+        return self._combine(x, z, self._columns()[:1], *norms)[0]
 
     def _pair(self, x, z):
         return tuple(self._combine(x, z, self._columns()))

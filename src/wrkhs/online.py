@@ -26,6 +26,16 @@ once a basis has been evicted. The post-admit scores follow in O(m) from
 ``|err|^2 / gamma`` is the smallest, admitting and then evicting it would
 be the identity, so both updates are skipped.
 
+Alongside the dictionary, each slot keeps its squared norm ``|D_i|^2``, and
+a second buffer shaped and ordered like ``Q`` keeps the regularized
+dictionary Gram ``K_DD + lam I``, exactly Hermitian. An admit evaluates one
+kernel column ``k(D, x)`` through the family's own evaluator with the
+cached norms, on rows ``observe`` has already checked, and writes it as
+column m and its conjugate as row m; an eviction swaps slots in the norms
+and the Gram as in ``D`` and ``Q``. Only the live m x m block is read. The
+periodic residual check and a rebuild read this Gram, so neither evaluates
+a kernel.
+
 :func:`streaming_ridge_predictions` computes the same unbounded prediction
 sequence in one Cholesky factorization (prequential form), used by the
 benchmark runners where streams are long.
@@ -93,9 +103,12 @@ class Wrkls:
         self._observed = 0
         self._cap = 0
         self._D = np.zeros((0, 0), dtype=np.complex128)
+        self._norms = np.zeros(0)
         self._y = np.zeros(0, dtype=np.complex128)
         self._alpha = np.zeros(0, dtype=np.complex128)
         self._Q = np.zeros((0, 0), dtype=self._dtype, order="F")
+        # the regularized dictionary Gram K_DD + lam I, slot for slot like Q
+        self._A = np.zeros((0, 0), dtype=self._dtype, order="F")
 
     # -- public state -------------------------------------------------------
 
@@ -149,13 +162,15 @@ class Wrkls:
         return pred
 
     def inverse_residual(self) -> float:
-        """``max |Q (K_DD + lam I) - I|`` over the current dictionary."""
+        """``max |Q (K_DD + lam I) - I|`` over the current dictionary, from the
+        kept Gram: one m x m product, no kernel evaluation."""
         m = self._m
         if m == 0:
             return 0.0
-        a = self._regularized_gram()
-        r = self._Q[:m, :m] @ a - np.eye(m)
-        return float(np.max(np.abs(r)))
+        r = self._Q[:m, :m] @ self._A[:m, :m]
+        r[np.diag_indices(m)] -= 1.0
+        # |r| in place; a complex r keeps a zero imaginary part
+        return float(np.max(np.abs(r, out=r)).real)
 
     # -- internals ----------------------------------------------------------
 
@@ -168,16 +183,21 @@ class Wrkls:
             new_cap = max(16, 2 * self._cap, need)
         dim = self._dim or 1
         new_d = np.zeros((new_cap, dim), dtype=np.complex128)
+        new_n = np.zeros(new_cap)
         new_y = np.zeros(new_cap, dtype=np.complex128)
         new_a = np.zeros(new_cap, dtype=np.complex128)
         new_q = np.zeros((new_cap, new_cap), dtype=self._dtype, order="F")
+        new_k = np.zeros((new_cap, new_cap), dtype=self._dtype, order="F")
         m = self._m
         if m:
             new_d[:m] = self._D[:m]
+            new_n[:m] = self._norms[:m]
             new_y[:m] = self._y[:m]
             new_a[:m] = self._alpha[:m]
             new_q[:m, :m] = self._Q[:m, :m]
-        self._D, self._y, self._alpha, self._Q = new_d, new_y, new_a, new_q
+            new_k[:m, :m] = self._A[:m, :m]
+        self._D, self._norms, self._y, self._alpha = new_d, new_n, new_y, new_a
+        self._Q, self._A = new_q, new_k
         self._cap = new_cap
 
     def _admit(self, x: np.ndarray, y: complex) -> complex:
@@ -185,11 +205,17 @@ class Wrkls:
         self._ensure_capacity(m + 1)
         self._D[m] = x
         self._y[m] = y
-        # k(D, x) and k(x, x) from one kernel evaluation
-        col = self.spec.gram(self._D[: m + 1], x[None, :])[:, 0]
+        row = self._D[m].view(np.float64)
+        self._norms[m] = row @ row
+        # k(D, x) and k(x, x) from one kernel evaluation of the checked rows
+        d, norms = self._D[: m + 1], self._norms[: m + 1]
+        col = self.spec._gram(d, d[m:], norms, norms[m:])[:, 0]
         c = float(col[m].real) + self.lam
         # with m = 0 this gives pred = 0, gamma = c, Q = [1/c] and alpha = [y/c]
         col = col[:m]
+        self._A[:m, m] = col
+        self._A[m, :m] = col.conj()
+        self._A[m, m] = c
         alpha = self._alpha[:m]
         pred = complex(np.conj(col) @ alpha)
         b = self._Q[:m, :m] @ col
@@ -228,10 +254,11 @@ class Wrkls:
         q = self._Q
         if r != last:
             swap = [last, r]
-            for a in (self._D, self._y, self._alpha):
+            for a in (self._D, self._norms, self._y, self._alpha):
                 a[[r, last]] = a[swap]
-            q[[r, last], :] = q[swap, :]
-            q[:, [r, last]] = q[:, swap]
+            for a in (q, self._A):
+                a[[r, last], :] = a[swap, :]
+                a[:, [r, last]] = a[:, swap]
         # Q <- Q - v v^H / q_ll over the other bases, with v the last column
         v = q[:, last].copy()
         q_ll = v[last].real
@@ -242,13 +269,9 @@ class Wrkls:
         self._alpha[:last] -= v[:last] * (self._alpha[last] / q_ll)
         self._m = last
 
-    def _regularized_gram(self) -> np.ndarray:
-        return ridge_shift(self.spec.gram(self._D[: self._m]), self.lam)
-
     def _rebuild(self) -> None:
         m = self._m
-        a = self._regularized_gram()
-        self._Q[:m, :m] = hermitian_solve(a, np.eye(m, dtype=self._dtype))
+        self._Q[:m, :m] = hermitian_solve(self._A[:m, :m], np.eye(m, dtype=self._dtype))
         self._alpha[:m] = self._Q[:m, :m] @ self._y[:m]
 
 

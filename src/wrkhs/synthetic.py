@@ -21,7 +21,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import ComplexDataset, check_seed, store_as_annotated
+from .core import ComplexDataset, check_lam, check_seed, store_as_annotated
 from .kernels import RealGaussian, SeparateRealImag, SumOfSeparable
 from .regression import fit_augmented, fit_srkhs, mse_db, predict
 
@@ -94,6 +94,7 @@ class SyntheticConfig:
         if self.experiment not in (1, 2):
             raise ValueError("experiment must be 1 or 2")
         check_seed(self.seed)
+        check_lam(self.lam)
         if self.n_train < 1:
             raise ValueError("n_train must be >= 1")
         if self.grid_resolution < 2:

@@ -721,6 +721,7 @@ class TestBench:
             ({"budget": 0}, "budget must be an integer >= 1"),
             ({"lam": -1}, "ridge weight must be finite and >= 0"),
             ({"kernel": SEPARATE}, "family 'separate_real_imag' has a pseudo-kernel"),
+            ({"snr_db": float("nan")}, "snr_db must be finite"),
         ],
     )
     def test_equalization_config_refused_before_any_trial(
@@ -734,6 +735,20 @@ class TestBench:
                              {"rho": 0.5, "trials": 1, "n_samples": 100, **cfg}))
         assert rc == 2
         assert message in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize("lam", [-1, float("inf")])
+    @pytest.mark.parametrize("experiment", ["synthetic1", "synthetic2"])
+    def test_synthetic_lam_refused_before_any_trial(
+        self, tmp_path, capsys, monkeypatch, experiment, lam
+    ):
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(synthetic, "draw_training_inputs", no_trial)
+        rc = main(bench_argv(tmp_path, experiment, {"lam": lam}))
+        assert rc == 2
+        assert "ridge weight must be finite and >= 0" in capsys.readouterr().err
         assert list((tmp_path / "out").iterdir()) == []
 
     def test_largest_seeds_accepted(self):
@@ -808,7 +823,8 @@ def synthetic_configs(draw):
         input_lo=lo,
         input_hi=hi,
         grid_resolution=draw(st.integers(2, 10**4)),
-        **{name: draw(REAL) for name in ("lam", "gamma_re", "gamma_im", "gamma", "omega")},
+        lam=draw(st.one_of(st.just(0), POSITIVE)),
+        **{name: draw(REAL) for name in ("gamma_re", "gamma_im", "gamma", "omega")},
     )
 
 

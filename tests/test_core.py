@@ -5,6 +5,7 @@ typed-field rule of every config."""
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,9 @@ from wrkhs import (
     predict,
     streaming_ridge_predictions,
 )
-from wrkhs.core import ASYMMETRY_BLOCK_ROWS, as_float, from_pairs, store_as_annotated, to_pairs
+from wrkhs.core import (
+    ASYMMETRY_BLOCK_ROWS, as_float, from_pairs, ridge_shift, store_as_annotated, to_pairs,
+)
 from conftest import transform_matrix
 
 
@@ -85,6 +88,33 @@ class TestHermitianSolve:
         a = np.diag([1.0, -1.0]) + np.array([[0.0, 0.3], [0.3, 0.0]])
         with pytest.raises(NumericalError):
             hermitian_solve(a, np.ones(2))
+
+
+class TestRidgeShift:
+    @pytest.mark.parametrize("n", [1, 300, 1000])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_blocks_match_the_full_transpose_bit_for_bit(self, n, dtype):
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((n, n)).astype(dtype)
+        if dtype is complex:
+            a += 1j * rng.standard_normal((n, n))
+        ref = (a + a.conj().T) / 2.0
+        ref[np.diag_indices(n)] += 0.3
+        out = ridge_shift(a, 0.3)
+        assert out is a
+        np.testing.assert_array_equal(out.view(np.float64), ref.view(np.float64))
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_no_full_size_temporary(self, dtype):
+        n = 1000
+        a = np.ones((n, n), dtype=dtype)
+        tracemalloc.start()
+        try:
+            ridge_shift(a, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.2 * a.nbytes, peak / a.nbytes
 
 
 class TestComplexDataset:

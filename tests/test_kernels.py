@@ -1,6 +1,7 @@
 """Tests for the kernel zoo, Gram builders, and block identities."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from wrkhs import (
     SumOfSeparable,
     kernel_from_config,
 )
+from wrkhs.core import as_samples
 from wrkhs.kernels import composite_matrix
 from conftest import (
     augmented_gram,
@@ -152,6 +154,46 @@ class TestGram:
         for spec in specs.values():
             assert spec.gram(x, z).shape == (5, 3)
             assert spec.pseudo_gram(x, z).shape == (5, 3)
+
+
+def complex_formula_sqdist(a, b):
+    """The distances as a complex GEMM and full-size temporaries form them."""
+    aa = np.sum(np.abs(a) ** 2, axis=1)[:, None]
+    bb = np.sum(np.abs(b) ** 2, axis=1)[None, :]
+    return np.maximum(aa + bb - 2.0 * np.real(a @ b.conj().T), 0.0)
+
+
+class TestSqdist:
+    @pytest.mark.parametrize("shape", [(30, 1), (30, 5), (30,)])
+    def test_matches_the_complex_formula(self, shape):
+        rng = np.random.default_rng(44)
+        a = as_samples(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), "a")
+        # far-out near-duplicates: the cancellation that the clamp at 0 absorbs
+        b = np.vstack([a[:10], 1e3 + a[:10], 1e3 + a[:10] + 1e-9])
+        cases = [(a, a), (a, b), (b, b), (a.real, b.imag)]
+        for x, z in cases:
+            ref = complex_formula_sqdist(x, z)
+            d2 = kernels._sqdist(x, z)
+            assert (d2 >= 0).all()
+            np.testing.assert_allclose(d2, ref, rtol=0, atol=1e-12 * ref.max())
+
+    def test_cached_norms_give_the_same_distances(self):
+        rng = np.random.default_rng(45)
+        x, z = random_inputs(rng, 20, 3), random_inputs(rng, 7, 3)
+        xx, zz = (np.sum(np.abs(v) ** 2, axis=1) for v in (x, z))
+        np.testing.assert_allclose(
+            kernels._sqdist(x, z, xx, zz), kernels._sqdist(x, z), rtol=0, atol=1e-13
+        )
+
+    def test_peak_is_the_output(self):
+        x = random_inputs(np.random.default_rng(46), 2000, 5)
+        tracemalloc.start()
+        try:
+            d2 = kernels._sqdist(x, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * d2.nbytes, peak / d2.nbytes
 
 
 class TestPair:

@@ -13,7 +13,8 @@ from wrkhs import (
     predict,
     streaming_ridge_predictions,
 )
-from wrkhs import kernels
+from wrkhs import core, kernels
+from wrkhs.online import RESIDUAL_CHECK_INTERVAL
 from conftest import online_model, random_inputs
 
 
@@ -64,7 +65,9 @@ class TestObserve:
             model.observe(x[i], y[i])
         calls = []
         sqdist = kernels._sqdist
-        monkeypatch.setattr(kernels, "_sqdist", lambda a, b: calls.append(1) or sqdist(a, b))
+        monkeypatch.setattr(
+            kernels, "_sqdist", lambda *args, **kwargs: calls.append(1) or sqdist(*args, **kwargs)
+        )
         model.observe(x[3], y[3])
         assert len(calls) == 1
 
@@ -222,6 +225,38 @@ class TestMaintenance:
         for i in range(300):
             model.observe(x[i], y[i])
         assert model.inverse_residual() <= 1e-6
+
+    def test_check_and_rebuild_read_the_kept_gram(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        x, y = random_stream(rng, 40)
+        model = Wrkls(RealGaussian(1.0), 0.2, budget=12)
+        for i in range(40):
+            model.observe(x[i], y[i])
+        before = model.inverse_residual()
+
+        def no_distances(*args, **kwargs):
+            raise AssertionError("a distance matrix was evaluated")
+
+        monkeypatch.setattr(kernels, "_sqdist", no_distances)
+        assert model.inverse_residual() == before
+        model._rebuild()
+        assert model.inverse_residual() <= 1e-10
+
+    def test_observe_checks_only_the_new_sample(self, monkeypatch):
+        # a full stream, with residual checks, and a rebuild: no as_samples pass
+        rng = np.random.default_rng(15)
+        x, y = random_stream(rng, 2 * RESIDUAL_CHECK_INTERVAL)
+        calls = []
+        for module in (core, kernels):
+            shape = module.as_samples
+            monkeypatch.setattr(
+                module, "as_samples", lambda *a, shape=shape: calls.append(1) or shape(*a)
+            )
+        model = Wrkls(RealGaussian(1.0), 0.2, budget=20)
+        for i in range(len(y)):
+            model.observe(x[i], y[i])
+        model._rebuild()
+        assert calls == []
 
     def test_rebuild_restores_inverse(self):
         rng = np.random.default_rng(11)
