@@ -3,38 +3,32 @@
 :class:`Wrkls` admits every observed sample into its dictionary through a
 rank-1 update of the maintained inverse ``Q = (K_DD + lam I)^-1`` and, when a
 basis budget M is set, evicts the basis with the smallest pruning score
-
-    score_i = |alpha_i|^2 / Q_ii
-
-via a rank-1 downdate. The score equals the increase of the regularized
-least-squares objective caused by removing basis i (exactly the
+``|alpha_i|^2 / Q_ii`` (fixed-budget KRLS). The score is the increase of the
+regularized least-squares objective caused by removing basis i (the
 ``(K + lam I)``-norm of the coefficient perturbation), so eviction removes
 the least informative basis. Without a budget the recursion reproduces the
 batch ridge solution on all samples seen so far.
 
-Storage: ``Q`` lives in the top-left m x m block of one F-contiguous
-buffer (``budget + 1`` square when budgeted) whose other entries are zero.
-Admitting a basis is then one rank-1 update ``Q += u u^H / gamma`` with
-``u = [Q k; -1]``, and evicting one is one rank-1 downdate; both are a
-single in-place BLAS ``?ger`` call on the buffer's leading columns with a
-zero-padded vector (a column slice of an F-contiguous buffer is itself
-contiguous, which scipy's BLAS wrappers update in place; they would copy a
-strided sub-block). Eviction first swaps the chosen basis into the last
-slot, at O(m) cost, so :attr:`Wrkls.dictionary` is not in arrival order
-once a basis has been evicted. The post-admit scores follow in O(m) from
-``diag(Q)``, ``Q k`` and ``alpha``; when the newcomer's own score
-``|err|^2 / gamma`` is the smallest, admitting and then evicting it would
-be the identity, so both updates are skipped.
+Storage: ``Q`` is kept in the lower triangle of one F-contiguous buffer
+(``budget + 1`` square when budgeted), zero outside the live m x m block;
+no update reads the strict upper triangle. Each BLAS update takes the whole
+buffer with ``lower=1`` and zero-padded vectors, so scipy's wrappers update
+it in place. ``b = Q k`` is one ``?symv``/``?hemv``; an admit into a free
+slot is one ``?syr``/``?her`` with ``u = [b; -1]``. At the budget the
+post-admit scores follow in O(m) from ``diag(Q)``, ``b`` and ``alpha``; a
+newcomer with the smallest score ``|err|^2 / gamma`` is skipped, since
+admitting and evicting it is the identity. Otherwise it takes the evicted
+basis's slot r: row and column r are zeroed, and
+``Q += u u^H / gamma - w w^H / w_rr`` is one ``?syr2``/``?her2``, with
+``u = b`` but ``u_r = -1`` and ``w`` column r of the admitted inverse, the
+newcomer's entry in place r.
 
-Alongside the dictionary, each slot keeps its squared norm ``|D_i|^2``, and
-a second buffer shaped and ordered like ``Q`` keeps the regularized
-dictionary Gram ``K_DD + lam I``, exactly Hermitian. An admit evaluates one
-kernel column ``k(D, x)`` through the family's own evaluator with the
-cached norms, on rows ``observe`` has already checked, and writes it as
-column m and its conjugate as row m; an eviction swaps slots in the norms
-and the Gram as in ``D`` and ``Q``. Only the live m x m block is read. The
-periodic residual check and a rebuild read this Gram, so neither evaluates
-a kernel.
+Each slot also keeps its squared norm ``|D_i|^2``, and a second buffer
+slotted like ``Q`` keeps the regularized Gram ``K_DD + lam I``, exactly
+Hermitian. An admit evaluates one kernel column ``k(D, x)`` with the cached
+norms and writes it as the newcomer's column and row. The periodic residual
+check and a rebuild read this Gram. The check first mirrors the lower
+triangle of ``Q`` into the upper one, then takes one m x m product.
 
 :func:`streaming_ridge_predictions` computes the same unbounded prediction
 sequence in one Cholesky factorization (prequential form), used by the
@@ -79,6 +73,9 @@ class Wrkls:
 
     A model instance is owned by a single updater. Its dictionary and
     coefficients define the kernel expansion over the current bases.
+    ``stats`` counts admits, the replacements among them, skipped newcomers
+    and rebuilds by cause, and keeps the latest and the worst residual of the
+    periodic check.
     """
 
     def __init__(self, spec: KernelSpec, lam: float, budget: int | None = None):
@@ -96,8 +93,9 @@ class Wrkls:
         self.lam = lam
         self.budget = budget
         self._dtype = np.float64 if spec.is_real_valued else np.complex128
-        # in-place rank-1 update a += s x y^H of an F-contiguous matrix
-        self._ger = blas.dger if spec.is_real_valued else blas.zgerc
+        # in-place Hermitian BLAS on the lower triangle of an F-contiguous Q
+        kinds = ("dsymv", "dsyr", "dsyr2") if spec.is_real_valued else ("zhemv", "zher", "zher2")
+        self._hemv, self._her, self._her2 = (getattr(blas, kind) for kind in kinds)
         self._m = 0
         self._dim: int | None = None
         self._observed = 0
@@ -109,6 +107,8 @@ class Wrkls:
         self._Q = np.zeros((0, 0), dtype=self._dtype, order="F")
         # the regularized dictionary Gram K_DD + lam I, slot for slot like Q
         self._A = np.zeros((0, 0), dtype=self._dtype, order="F")
+        self.stats = {"admits": 0, "replacements": 0, "skipped": 0, "residual_max": 0.0,
+                      "residual_last": 0.0, "rebuilds": {"singular": 0, "residual": 0}}
 
     # -- public state -------------------------------------------------------
 
@@ -121,8 +121,8 @@ class Wrkls:
     def dictionary(self) -> np.ndarray:
         """Copy of the dictionary inputs, shape (size, d).
 
-        Rows are in slot order: an evicted basis's slot is taken by the
-        basis in the last slot, so this is not arrival order.
+        Rows are in slot order: a newcomer takes the slot of the basis it
+        evicts, so this is not arrival order.
         """
         return self._D[: self._m].copy()
 
@@ -157,7 +157,11 @@ class Wrkls:
         pred = self._admit(x, y)
         self._observed += 1
         if self._observed % RESIDUAL_CHECK_INTERVAL == 0:
-            if self.inverse_residual() > RESIDUAL_TOL:
+            stats = self.stats
+            stats["residual_last"] = residual = self.inverse_residual()
+            stats["residual_max"] = max(stats["residual_max"], residual)
+            if residual > RESIDUAL_TOL:
+                stats["rebuilds"]["residual"] += 1
                 self._rebuild()
         return pred
 
@@ -167,7 +171,12 @@ class Wrkls:
         m = self._m
         if m == 0:
             return 0.0
-        r = self._Q[:m, :m] @ self._A[:m, :m]
+        # mirror into the upper triangle for numpy's GEMM (scipy's ?symm would touch
+        # a second BLAS work buffer)
+        q = self._Q[:m, :m]
+        for j in range(1, m):
+            q[:j, j] = q[j, :j].conj()
+        r = q @ self._A[:m, :m]
         r[np.diag_indices(m)] -= 1.0
         # |r| in place; a complex r keeps a zero imaginary part
         return float(np.max(np.abs(r, out=r)).real)
@@ -213,61 +222,75 @@ class Wrkls:
         c = float(col[m].real) + self.lam
         # with m = 0 this gives pred = 0, gamma = c, Q = [1/c] and alpha = [y/c]
         col = col[:m]
-        self._A[:m, m] = col
-        self._A[m, :m] = col.conj()
-        self._A[m, m] = c
         alpha = self._alpha[:m]
-        pred = complex(np.conj(col) @ alpha)
-        b = self._Q[:m, :m] @ col
-        gamma = c - float(np.real(np.conj(col) @ b))
+        pred = complex(np.vdot(col, alpha))
+        q = self._Q
+        k = np.zeros(self._cap, dtype=self._dtype)
+        k[:m] = col
+        b = self._hemv(1.0, q, k, lower=1)  # zero beyond m, like the rows of Q
+        gamma = c - float(np.vdot(col, b[:m]).real)
         full = self.budget is not None and m == self.budget
+        stats = self.stats
         if gamma <= 1e-12 * c:
-            # numerically singular rank-1 update: fall back to a full rebuild
+            # singular rank-1 update: rebuild, and at the budget again without the min score
+            stats["rebuilds"]["singular"] += 1
+            self._place(m, col, c)
             self._m = m + 1
             self._rebuild()
             if full:
-                q_diag = np.real(np.diagonal(self._Q)[: m + 1])
-                self._evict(int(np.argmin(np.abs(self._alpha[: m + 1]) ** 2 / q_diag)))
+                q_diag = np.real(np.diagonal(q)[: m + 1])
+                r = int(np.argmin(np.abs(self._alpha[: m + 1]) ** 2 / q_diag))
+                self._place(r, col, c)
+                q[m, :] = q[:, m] = 0.0
+                self._m = m
+                self._rebuild()
+                if r == m:
+                    stats["skipped"] += 1
+                    return pred
+                stats["replacements"] += 1
+            stats["admits"] += 1
             return pred
         err = y - pred
-        new_alpha = alpha - b * (err / gamma)
-        if full:
-            # scores of the m + 1 bases after the admit, newcomer last
-            q_diag = np.real(np.diagonal(self._Q)[:m]) + np.abs(b) ** 2 / gamma
-            scores = np.append(np.abs(new_alpha) ** 2 / q_diag, abs(err) ** 2 / gamma)
+        new_alpha = alpha - b[:m] * (err / gamma)
+        r = m  # the newcomer's slot
+        if not full:
+            b[m] = -1.0
+            self._her(1.0 / gamma, b, lower=1, a=q, overwrite_a=True)
+            self._alpha[: m + 1] = np.append(new_alpha, err / gamma)
+            self._m = m + 1
+        else:
+            # post-admit scores; the newcomer's is |err|^2 / gamma, and a tie evicts r
+            q_diag = np.real(np.diagonal(q)[:m]) + np.abs(b[:m]) ** 2 / gamma
+            scores = np.abs(new_alpha) ** 2 / q_diag
             r = int(np.argmin(scores))
-            if r == m:  # admitting and then evicting the newcomer is the identity
+            if abs(err) ** 2 / gamma < scores[r]:  # admitting and evicting it: identity
+                stats["skipped"] += 1
                 return pred
-        u = np.zeros(self._cap, dtype=self._dtype)
-        u[:m] = b
-        u[m] = -1.0
-        self._ger(1.0 / gamma, u, u[: m + 1], a=self._Q[:, : m + 1], overwrite_a=True)
-        alpha[:] = new_alpha
-        self._alpha[m] = err / gamma
-        self._m = m + 1
-        if full:
-            self._evict(r)
+            # w: column r of the admitted inverse, from row and column r of the triangle
+            w = np.concatenate((q[r, :r].conj(), q[r:, r]))
+            w += b * (np.conj(b[r]) / gamma)
+            w[r] = -np.conj(b[r]) / gamma
+            w /= np.sqrt(q_diag[r])
+            b[r] = -1.0
+            b /= np.sqrt(gamma)
+            # Q += b b^H - w w^H on the zeroed slot: (b + w)(b - w)^H / 2 + adjoint
+            q[r, :] = q[:, r] = 0.0
+            self._her2(0.5, b + w, b - w, lower=1, a=q, overwrite_a=True)
+            evicted, new_alpha[r] = new_alpha[r], err / gamma
+            alpha[:] = new_alpha - w[:m] * (evicted / np.sqrt(q_diag[r]))
+            stats["replacements"] += 1
+        self._place(r, col, c)
+        stats["admits"] += 1
         return pred
 
-    def _evict(self, r: int) -> None:
-        last = self._m - 1
-        q = self._Q
-        if r != last:
-            swap = [last, r]
-            for a in (self._D, self._norms, self._y, self._alpha):
-                a[[r, last]] = a[swap]
-            for a in (q, self._A):
-                a[[r, last], :] = a[swap, :]
-                a[:, [r, last]] = a[:, swap]
-        # Q <- Q - v v^H / q_ll over the other bases, with v the last column
-        v = q[:, last].copy()
-        q_ll = v[last].real
-        v[last] = 0.0
-        q[last, :] = 0.0
-        q[:, last] = 0.0
-        self._ger(-1.0 / q_ll, v, v[:last], a=q[:, :last], overwrite_a=True)
-        self._alpha[:last] -= v[:last] * (self._alpha[last] / q_ll)
-        self._m = last
+    def _place(self, s: int, col: np.ndarray, c: float) -> None:
+        """Move the newcomer from spare slot ``len(col)`` into slot ``s``."""
+        a, m = self._A, col.shape[0]
+        for v in (self._D, self._norms, self._y):
+            v[s] = v[m]
+        a[:m, s] = col
+        a[s, :m] = col.conj()
+        a[s, s] = c
 
     def _rebuild(self) -> None:
         m = self._m

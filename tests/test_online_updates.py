@@ -15,6 +15,7 @@ from wrkhs import (
     predict,
     streaming_ridge_predictions,
 )
+from wrkhs.online import RESIDUAL_CHECK_INTERVAL
 from conftest import online_model, random_inputs
 
 # One real-valued kernel (real BLAS update) and two complex-valued ones
@@ -37,15 +38,17 @@ def state(model):
 
 
 def count_updates(model):
-    """Wrap the model's rank-1 BLAS update; returns a list of its calls."""
+    """Wrap the model's rank-1 and rank-2 BLAS updates of ``Q``; returns a list
+    of ``(rank, buffer)`` per call."""
     calls = []
-    ger = model._ger
+    for rank, name in ((1, "_her"), (2, "_her2")):
+        update = getattr(model, name)
 
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return ger(*args, **kwargs)
+        def counted(*args, rank=rank, update=update, **kwargs):
+            calls.append((rank, kwargs["a"]))
+            return update(*args, **kwargs)
 
-    model._ger = counted
+        setattr(model, name, counted)
     return calls
 
 
@@ -114,12 +117,18 @@ class TestSkipPath:
 
     def test_evicting_another_basis_updates_in_place(self):
         model = Wrkls(RealGaussian(gamma=1.0), 0.3, budget=2)
-        model.observe(np.array([0.0j]), 1.0)  # the smaller coefficient: evicted
-        model.observe(np.array([1.0 + 0.0j]), -5.0)
-        buffer = model._Q
         calls = count_updates(model)
+        model.observe(np.array([0.0j]), 1.0)  # the smaller coefficient: evicted
+        buffer = model._Q
+        model.observe(np.array([1.0 + 0.0j]), -5.0)
+        # one rank-1 call per fill admit
+        assert [rank for rank, _ in calls] == [1, 1]
+        assert all(a is buffer for _, a in calls)
+        del calls[:]
         model.observe(np.array([10.0 + 10.0j]), 100.0)
-        assert len(calls) == 2  # the admit update and the evict downdate
+        # the admit and the eviction are one rank-2 update of the same buffer
+        assert [rank for rank, _ in calls] == [2]
+        assert calls[0][1] is buffer
         assert model._Q is buffer and buffer.flags.f_contiguous
         # the newcomer took the evicted basis's slot
         np.testing.assert_array_equal(
@@ -129,6 +138,74 @@ class TestSkipPath:
             ComplexDataset(X=model.dictionary, y=model.targets), RealGaussian(1.0), 0.3
         )
         np.testing.assert_allclose(model.coefficients, ref.alpha, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_strict_upper_triangle_of_q_is_never_read(name):
+    # NaN in the upper triangle before every observe, across two residual checks
+    spec = SPECS[name]
+    x, y = random_stream(np.random.default_rng(31), 2 * RESIDUAL_CHECK_INTERVAL + 20)
+    clean, dirty = Wrkls(spec, 0.3, budget=6), Wrkls(spec, 0.3, budget=6)
+
+    def spoil():
+        dirty._Q[np.triu_indices(dirty._Q.shape[0], 1)] = np.nan
+
+    for i in range(len(y)):
+        spoil()
+        assert dirty.observe(x[i], y[i]) == clean.observe(x[i], y[i])
+        np.testing.assert_array_equal(dirty.coefficients, clean.coefficients)
+        np.testing.assert_array_equal(dirty.dictionary, clean.dictionary)
+    assert dirty.stats["residual_last"] == clean.stats["residual_last"] > 0.0
+    spoil()
+    assert dirty.inverse_residual() == clean.inverse_residual()
+
+
+def test_full_budget_singular_fallback():
+    # the third input repeats the second: with a tiny lam the admit is singular
+    spec, lam, budget = RealGaussian(1.0), 1e-14, 2
+    model = Wrkls(spec, lam, budget=budget)
+    for i, (xi, yi) in enumerate(zip([0.0, 1.0, 1.0, 0.0, 2.0], [1.0, -2.0, 0.5, 3.0, -1.0])):
+        x = np.array([complex(xi)])
+        if model.size == budget:
+            cand = np.vstack([model.dictionary, x[None, :]])
+            inv = np.linalg.inv(spec.gram(cand) + lam * np.eye(budget + 1))
+            scores = np.abs(inv @ np.append(model.targets, yi)) ** 2 / np.real(
+                np.diagonal(inv)
+            )
+        model.observe(x, yi)
+        assert model.size == min(i + 1, budget)
+        m = model.size
+        kept = model._A[:m, :m]
+        np.testing.assert_array_equal(kept, kept.conj().T)
+        np.testing.assert_allclose(
+            kept, spec.gram(model.dictionary) + lam * np.eye(m), rtol=1e-12, atol=1e-12
+        )
+        assert model.stats["rebuilds"]["singular"] == (1 if i >= 2 else 0)
+        if i >= budget:
+            # the candidates whose removal leaves the kept dictionary, as a multiset
+            left = sorted(model.dictionary[:, 0].real)
+            evicted = [
+                j for j in range(budget + 1) if sorted(np.delete(cand[:, 0].real, j)) == left
+            ]
+            low, second = np.sort(scores)[:2]
+            if second - low > 1e-8 * second:  # no near-tie
+                assert int(np.argmin(scores)) in evicted
+        if m == budget:
+            assert not model._Q[budget].any() and not model._Q[:, budget].any()
+
+
+class TestStats:
+    def test_counts_add_up_across_residual_checks(self):
+        x, y = random_stream(np.random.default_rng(32), RESIDUAL_CHECK_INTERVAL + 40)
+        model = Wrkls(RealGaussian(1.0), 0.3, budget=8)
+        for i in range(len(y)):
+            model.observe(x[i], y[i])
+        stats = model.stats
+        assert stats["admits"] + stats["skipped"] == len(y)
+        assert stats["admits"] - stats["replacements"] == 8
+        assert stats["skipped"] > 0
+        assert stats["rebuilds"] == {"singular": 0, "residual": 0}
+        assert 0.0 < stats["residual_last"] == stats["residual_max"] <= 1e-9
 
 
 class TestNonfiniteInput:
