@@ -11,11 +11,12 @@ dataclass calls it first in ``__post_init__`` to store every field as its
 annotation says, so equal configs serialize, and hash, equally.
 
 ``hermitian_solve`` is the one linear solve of the package: a Cholesky
-factorization with one jitter retry. ``ridge_shift`` symmetrizes a Gram
-matrix and adds the ridge weight to its diagonal in place, ahead of that
-solve. ``stacked_apply`` lets a real matrix act on a complex right-hand side
-as one real call on its stacked real and imaginary parts, so the matrix is
-never copied to complex.
+factorization with one jitter retry, refused for a matrix that is not
+Hermitian to ``HERMITIAN_ATOL``. The kernels build every Gram exactly
+Hermitian, so ``ridge_shift`` only adds the ridge weight to its diagonal.
+``stacked_apply`` lets a real matrix act on a complex right-hand side as one
+real call on its stacked real and imaginary parts, so the matrix is never
+copied to complex.
 
 All functions here are pure; arrays returned by dataset containers are
 read-only and safe to share across threads.
@@ -50,9 +51,8 @@ __all__ = [
 # Max acceptable |A - A^H| entry before a matrix is rejected as non-Hermitian.
 HERMITIAN_ATOL = 1e-12
 
-# Rows per block of the |A - A^H| check and of the ridge shift's
-# symmetrization, which bounds their temporaries to a few such blocks
-# instead of full copies of A.
+# Rows per block of the |A - A^H| check and of the norm adds of a symmetric
+# distance matrix (``kernels._sqdist``): a temporary is one block, not a copy.
 ASYMMETRY_BLOCK_ROWS = 256
 
 
@@ -162,22 +162,11 @@ def check_seed(seed, name: str = "seed", count: int = 1) -> None:
 
 
 def ridge_shift(a: np.ndarray, lam: float) -> np.ndarray:
-    """Overwrite ``a`` with ``(a + a^H)/2 + lam I`` and return it.
+    """Add ``lam`` to the diagonal of ``a`` in place and return it.
 
-    Each upper block is averaged with the conjugate transpose of its lower
-    block, which then takes the conjugate transpose of the mean: one block
-    of temporary, and bit for bit ``(a + a.conj().T) / 2``.
+    A Gram matrix comes exactly Hermitian from the kernels, so nothing is
+    symmetrized here; :func:`hermitian_solve` still checks it.
     """
-    n = a.shape[0]
-    for i in range(0, n, ASYMMETRY_BLOCK_ROWS):
-        rows = slice(i, i + ASYMMETRY_BLOCK_ROWS)
-        for j in range(i, n, ASYMMETRY_BLOCK_ROWS):
-            cols = slice(j, j + ASYMMETRY_BLOCK_ROWS)
-            mean = np.conjugate(a[cols, rows].T)
-            mean += a[rows, cols]
-            mean /= 2.0
-            a[rows, cols] = mean
-            np.conjugate(mean.T, out=a[cols, rows])
     a[np.diag_indices_from(a)] += lam
     return a
 

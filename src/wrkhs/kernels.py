@@ -16,26 +16,30 @@ with a kernel and a pseudo-kernel coefficient (the separable form). Such a
 pair is *phase-aligned* when its kernel is real and its pseudo-kernel is
 ``p S`` for one unit ``p`` and a real ``S``; ``phase`` reports ``p`` (None
 for every other spec) and ``split_grams`` builds the real ``(K + S, K - S)``
-that split the widely-linear ridge system into two real solves. ``apply``
-evaluates ``K alpha + Kt conj(alpha)`` one gamma at a time, without forming
-``K`` or ``Kt``.
+that split the widely-linear ridge system into two real solves. Their
+``apply`` sums one gamma at a time, without forming ``K`` or ``Kt``.
 
-Every family exposes ``pair`` (the kernel and pseudo-kernel Gram matrices
-from one evaluation), ``gram``/``pseudo_gram`` and ``diag`` (both at
-``x' = x`` in O(n)). Their inputs follow ``core.as_samples``: rows are
-samples, a 1-D input is n scalar samples, and NaN or infinite entries raise
-``ValueError``. Behind them each family's ``_gram`` evaluates checked
-samples; the online recursion calls it directly, with squared row norms it
-keeps, on rows it has checked once.
+Every family exposes ``apply`` (what ``predict`` evaluates), ``pair`` (the
+kernel and pseudo-kernel Gram matrices from one evaluation), ``gram``/
+``pseudo_gram`` and ``diag`` (both at ``x' = x`` in O(n)). Their inputs
+follow ``core.as_samples``: rows are samples, a 1-D input is n scalar
+samples, and NaN or infinite entries raise ``ValueError``. Behind them each
+family's ``_gram`` evaluates checked samples; the online recursion calls it
+directly, with squared row norms it keeps, on rows it has checked once.
 
 Every family but the complex Gaussian gets its squared distances from one
-primitive, ``_sqdist``: complex rows enter as their interleaved real view,
-(n, 2d) with the same Euclidean distances, so the cross products are one
-real GEMM (a ``syrk`` when both sides are the same rows), and the norm
-adds, the clamp at 0, the divide and the ``exp`` all run in place in the
-GEMM's output. ``composite_matrix`` turns an evaluated pair into the
-real composite matrix of the stacked real/imaginary system. Specs are
-immutable and hashable; all evaluations are pure and thread-safe.
+primitive, ``_sqdist``: complex rows enter as their interleaved real (n, 2d)
+view, with the same distances, so the cross products are one real GEMM (a
+``syrk`` when both sides are the same rows), and the norm adds, the clamp at
+0, the divide and the ``exp`` all run in place in the GEMM's output. A Gram
+(``x' = x``) is exactly Hermitian and its pseudo-kernel Gram exactly
+symmetric, so a ridge shift is a diagonal add: ``_sqdist(x, x)`` is a ``syrk``
+plus one norm sum per entry, the sums of real Gaussians and
+``composite_matrix`` keep that entry by entry, ``IndependentGaussian``
+transposes its one cross term and ``ComplexGaussian`` averages its exponent
+with its adjoint. ``composite_matrix`` turns an evaluated pair into the real
+composite matrix of the stacked real/imaginary system. Specs are immutable
+and hashable; all evaluations are pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy.linalg.blas import daxpy
 
-from .core import as_float, as_samples, stacked_apply, store_as_annotated
+from .core import ASYMMETRY_BLOCK_ROWS, as_float, as_samples, stacked_apply, store_as_annotated
 
 __all__ = [
     "KernelSpec",
@@ -91,12 +95,14 @@ def _sqdist(a: np.ndarray, b: np.ndarray, aa=None, bb=None) -> np.ndarray:
     br = ar if b is a else np.ascontiguousarray(b).view(np.float64)
     if aa is None:
         aa = np.einsum("ij,ij->i", ar, ar)
-    if bb is None:
-        bb = aa if b is a else np.einsum("ij,ij->i", br, br)
     d2 = ar @ br.T
     d2 *= -2.0
-    d2 += aa[:, None]
-    d2 += bb
+    if b is a:  # exactly symmetric: a syrk product plus one sum aa_i + aa_j per entry
+        for i in range(0, len(aa), ASYMMETRY_BLOCK_ROWS):
+            d2[i : i + ASYMMETRY_BLOCK_ROWS] += aa[i : i + ASYMMETRY_BLOCK_ROWS, None] + aa
+    else:
+        d2 += aa[:, None]
+        d2 += np.einsum("ij,ij->i", br, br) if bb is None else bb
     return np.maximum(d2, 0.0, out=d2)
 
 
@@ -146,6 +152,10 @@ class KernelSpec:
     def pair(self, x, z=None) -> tuple[np.ndarray, np.ndarray]:
         """``(K, Kt)`` with ``Kt[i, j] = ktilde(x_i, z_j)``, from one evaluation."""
         return self._pair(*_validated(x, z))
+
+    def apply(self, x, z, alpha) -> np.ndarray:
+        """``K(x, z) alpha + Kt(x, z) conj(alpha)``, where ``Kt`` is null: ``K alpha``."""
+        return stacked_apply(np.matmul, self.gram(x, z), alpha)
 
     def pseudo_gram(self, x, z=None) -> np.ndarray:
         """Pseudo-kernel Gram matrix with entries ``ktilde(x_i, z_j)``."""
@@ -248,6 +258,8 @@ class ComplexGaussian(_Gaussian):
         sz = np.sum(z.conj() ** 2, axis=1)[None, :]
         cross = x @ z.conj().T
         expo = -(sx + sz - 2.0 * cross) / self.gamma
+        if z is x:  # exactly Hermitian: k(x', x) has the conjugate exponent of k(x, x')
+            expo = (expo + expo.conj().T) / 2.0
         return np.exp(_saturated(expo.real) + 1j * expo.imag)
 
     def diag(self, x):
@@ -273,9 +285,11 @@ class IndependentGaussian(_Gaussian):
         def kap(a, b):
             return _gaussian(_sqdist(a, b), self.gamma)
 
-        xr, xj = x.real, x.imag
-        zr, zj = z.real, z.imag
-        return kap(xr, zr) + kap(xj, zj) + 1j * (kap(xr, zj) - kap(xj, zr))
+        xr, xj = np.ascontiguousarray(x.real), np.ascontiguousarray(x.imag)
+        if z is x:  # exactly Hermitian: kappa(xj, xr) is the transpose of kappa(xr, xj)
+            rj = kap(xr, xj)
+            return kap(xr, xr) + kap(xj, xj) + 1j * (rj - rj.T)
+        return kap(xr, z.real) + kap(xj, z.imag) + 1j * (kap(xr, z.imag) - kap(xj, z.real))
 
 
 def _real_part_kernel(obj) -> None:

@@ -14,11 +14,11 @@ Schur complement of the complex 2n x 2n augmented system) are the oracles
 ``fit_augmented`` is checked against.
 ``fit_srkhs`` is the strictly-complex fit ``alpha = (K + lam I)^-1 y``.
 
-Predictions follow ``f(x*) = k(x*, X) alpha + ktilde(x*, X) conj(alpha)``.
-With a null pseudo-kernel that is the kernel Gram applied to ``alpha``;
-otherwise it is summed one gamma at a time, ``sum_gamma G_gamma(x*, X)
-(a_gamma alpha + b_gamma conj(alpha))`` (``apply`` of the spec), so the Gram
-pair is never formed. ``predict_composite`` is the composite-path oracle.
+Predictions follow ``f(x*) = k(x*, X) alpha + ktilde(x*, X) conj(alpha)``,
+evaluated by the spec's ``apply``: the kernel Gram applied to ``alpha`` for
+the three Gaussian families, and ``sum_gamma G_gamma(x*, X) (a_gamma alpha +
+b_gamma conj(alpha))`` for the sums of real Gaussians, which never form the
+Gram pair. ``predict_composite`` is the composite-path oracle.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (ComplexDataset, as_samples, check_lam, from_pairs, hermitian_solve,
-                   ridge_shift, stacked_apply, to_pairs)
+                   ridge_shift, to_pairs)
 from .kernels import KernelSpec, composite_matrix, kernel_from_config
 
 __all__ = [
@@ -96,10 +96,10 @@ def fit_schur(data: ComplexDataset, spec: KernelSpec, lam: float) -> WrkhsModel:
     lam = check_lam(lam)
     y = data.y
     k, kt = (np.asarray(m, dtype=np.complex128) for m in spec.pair(data.X))
-    kt = (kt + kt.T) / 2.0
     c = ridge_shift(k, lam)
-    # C^-* conj(Kt) = conj(C^-1 Kt)
-    p = ridge_shift(c - kt @ np.conj(hermitian_solve(c, kt)), 0.0)
+    # C^-* conj(Kt) = conj(C^-1 Kt); P is Hermitian up to rounding
+    p = c - kt @ np.conj(hermitian_solve(c, kt))
+    p = (p + p.conj().T) / 2.0
     u = hermitian_solve(p, y)  # P^-1 y;  P^-* conj(y) = conj(u)
     alpha = u - hermitian_solve(c, kt @ u.conj())
     return WrkhsModel(X=data.X, spec=spec, lam=lam, alpha=alpha)
@@ -151,10 +151,6 @@ def predict(model: WrkhsModel, x_star) -> np.ndarray:
     ``x_star`` follows the kernels' input rule, so a 1-D ``x_star`` is n
     scalar samples.
     """
-    if model.spec.has_null_pseudo:
-        # a real Gram is applied by one real GEMM on [Re alpha, Im alpha]
-        return stacked_apply(np.matmul, model.spec.gram(x_star, model.X), model.alpha)
-    # every family with a pseudo-kernel is a sum of real Gaussians
     return model.spec.apply(x_star, model.X, model.alpha)
 
 

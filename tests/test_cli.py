@@ -951,6 +951,36 @@ def fit_small_model(tmp_path):
     return data_path, model_path
 
 
+class TestKernelFile:
+    """``--kernel`` names a JSON file or holds the JSON itself, with the same result."""
+
+    @staticmethod
+    def argv(tmp_path, command):
+        if command == "kernel-surface":
+            return ["kernel-surface", "--range", "1", "--resolution", "5"]
+        data_path = tmp_path / "d.csv"
+        write_csv(data_path, ["x_re_0", "x_im_0", "y_re", "y_im"],
+                  [["0.0", "0.0", "1.0", "0.0"], ["0.5", "0.25", "0.0", "1.0"],
+                   ["-1.0", "0.75", "0.5", "-0.5"]])
+        return ["fit", "--dataset", str(data_path), "--lam", "0.1"]
+
+    @pytest.mark.parametrize("command", ["fit", "kernel-surface"])
+    def test_file_writes_the_same_bytes_as_inline_json(self, tmp_path, command):
+        kernel_path = tmp_path / "kernel.json"
+        kernel_path.write_text(json.dumps(SEPARATE), encoding="utf-8")
+        outs = [tmp_path / "from_file", tmp_path / "inline"]
+        for kernel, out in zip((str(kernel_path), json.dumps(SEPARATE)), outs):
+            assert main(self.argv(tmp_path, command) + ["--kernel", kernel, "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    @pytest.mark.parametrize("command", ["fit", "kernel-surface"])
+    def test_missing_file_exit_2(self, tmp_path, command):
+        out = tmp_path / "out"
+        argv = self.argv(tmp_path, command) + ["--kernel", str(tmp_path / "nope.json")]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+
+
 class TestGoldenBytes:
     """What the file layer writes, pinned to the bytes earlier outputs carry."""
 

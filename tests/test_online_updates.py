@@ -15,7 +15,7 @@ from wrkhs import (
     predict,
     streaming_ridge_predictions,
 )
-from wrkhs.online import RESIDUAL_CHECK_INTERVAL
+from wrkhs.online import RESIDUAL_CHECK_INTERVAL, RESIDUAL_TOL
 from conftest import online_model, random_inputs
 
 # One real-valued kernel (real BLAS update) and two complex-valued ones
@@ -192,6 +192,38 @@ def test_full_budget_singular_fallback():
                 assert int(np.argmin(scores)) in evicted
         if m == budget:
             assert not model._Q[budget].any() and not model._Q[:, budget].any()
+
+
+def test_full_budget_singular_fallback_drops_the_newcomer():
+    # the fourth input repeats a kept basis with a tiny target: the singular
+    # admit at the budget rebuilds, scores the newcomer lowest and drops it
+    spec, lam = RealGaussian(1.0), 1e-14
+    model = Wrkls(spec, lam, budget=2)
+    for xi, yi in zip([0.0, 0.0, 1.0], [0.5, -0.3, 0.8]):
+        model.observe(np.array([xi]), yi)
+    kept, targets = model.dictionary, model.targets
+    singular, skipped = model.stats["rebuilds"]["singular"], model.stats["skipped"]
+    model.observe(np.array([0.0]), 1e-9)
+    assert model.stats["rebuilds"]["singular"] == singular + 1
+    assert model.stats["skipped"] == skipped + 1
+    np.testing.assert_array_equal(model.dictionary, kept)
+    np.testing.assert_array_equal(model.targets, targets)
+    refit = fit_srkhs(ComplexDataset(X=kept, y=targets), spec, lam)
+    np.testing.assert_allclose(model.coefficients, refit.alpha, rtol=1e-10)
+
+
+def test_residual_above_tolerance_forces_a_rebuild():
+    x, y = random_stream(np.random.default_rng(5), RESIDUAL_CHECK_INTERVAL)
+    model = Wrkls(RealGaussian(1.0), 0.3, budget=8)
+    for i in range(RESIDUAL_CHECK_INTERVAL - 1):
+        model.observe(x[i], y[i])
+    model._Q[:8, :8] *= 1 + 1e-4  # a drifted inverse
+    model.observe(x[-1], y[-1])
+    assert model.stats["rebuilds"]["residual"] == 1
+    assert model.stats["residual_last"] > RESIDUAL_TOL
+    refit = fit_srkhs(ComplexDataset(X=model.dictionary, y=model.targets), model.spec, model.lam)
+    np.testing.assert_allclose(model.coefficients, refit.alpha, rtol=0, atol=1e-10)
+    assert model.inverse_residual() <= 1e-9
 
 
 class TestStats:
