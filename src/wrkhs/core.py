@@ -2,7 +2,8 @@
 
 ``as_samples`` is the one rule for sample matrices: datasets, models, kernel
 evaluations (hence predictions) and the streaming ridge shape and check their
-inputs through it. ``check_lam`` checks every ridge weight, ``as_float``
+inputs through it. ``as_sample`` is its rule for one sample, which the online
+recursion observes. ``check_lam`` checks every ridge weight, ``as_float``
 reads every other number of a config or JSON file, and ``to_pairs``/
 ``from_pairs`` carry every complex value through JSON as ``[re, im]``.
 
@@ -10,10 +11,10 @@ reads every other number of a config or JSON file, and ``to_pairs``/
 dataclass calls it first in ``__post_init__`` to store every field as its
 annotation says, so equal configs serialize, and hash, equally.
 
-``hermitian_solve`` is the one linear solve of the package: a Cholesky
-factorization with one jitter retry, refused for a matrix that is not
-Hermitian to ``HERMITIAN_ATOL``. The kernels build every Gram exactly
-Hermitian, so ``ridge_shift`` only adds the ridge weight to its diagonal.
+``hermitian_factor`` is the one factorization of the package: a Cholesky
+with one jitter retry. ``hermitian_solve``, the one linear solve, factors
+through it once ``A`` is Hermitian to ``HERMITIAN_ATOL``. The kernels build
+every Gram exactly Hermitian, so ``ridge_shift`` only adds to its diagonal.
 ``stacked_apply`` lets a real matrix act on a complex right-hand side as one
 real call on its stacked real and imaginary parts, so the matrix is never
 copied to complex.
@@ -31,12 +32,13 @@ import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 __all__ = [
     "NumericalError",
     "ComplexDataset",
     "as_samples",
+    "as_sample",
     "check_lam",
     "as_float",
     "to_pairs",
@@ -45,6 +47,7 @@ __all__ = [
     "store_as_annotated",
     "is_int",
     "ridge_shift",
+    "hermitian_factor",
     "hermitian_solve",
 ]
 
@@ -71,6 +74,22 @@ def as_samples(x, name: str) -> np.ndarray:
         arr = arr[:, None]
     if arr.ndim != 2:
         raise ValueError(f"{name} must be (n, d) or (n,), got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} contains non-finite values")
+    return arr
+
+
+def as_sample(x, name: str) -> np.ndarray:
+    """``x`` as one sample, a (1, d) complex128 row with ``d >= 1``.
+
+    A 0-d, (d,) or (1, d) input is one sample. Any other shape, or a NaN or
+    infinite entry, raises ``ValueError`` naming ``name``.
+    """
+    arr = np.asarray(x, dtype=np.complex128)
+    if arr.ndim < 2:
+        arr = arr.reshape(1, -1)
+    if arr.ndim != 2 or arr.shape[0] != 1 or arr.shape[1] < 1:
+        raise ValueError(f"{name} must be one sample: 0-d, (d,) or (1, d), got {np.shape(x)}")
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite values")
     return arr
@@ -175,12 +194,11 @@ def hermitian_solve(a, b) -> np.ndarray:
     """Solve ``A X = B`` for a Hermitian positive-definite (n, n) ``A`` (real
     symmetric too) and an (n,) or (n, k) ``B``, complex even when ``A`` is real.
 
-    Uses a Cholesky factorization with a single jitter retry: if the
-    factorization fails, ``1e-12 * trace(A)/n`` is added to the diagonal once
-    before failing hard with :class:`NumericalError`. Exactly diagonal matrices
-    are solved by elementwise division (exact, no factorization error). A
-    non-square ``A``, or one whose max asymmetry ``|A - A^H|`` exceeds
-    ``1e-12``, raises ``ValueError``.
+    Factors ``A`` by :func:`hermitian_factor` (one jitter retry, then
+    :class:`NumericalError`). Exactly diagonal matrices are solved by
+    elementwise division (exact, no factorization error). A non-square ``A``,
+    or one whose max asymmetry ``|A - A^H|`` exceeds ``1e-12``, raises
+    ``ValueError``.
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -203,25 +221,23 @@ def hermitian_solve(a, b) -> np.ndarray:
         d = d.real
         return b / (d[:, None] if b.ndim > 1 else d)
 
-    return stacked_apply(_cholesky_solve, a, b)
+    return stacked_apply(lambda low, rhs: cho_solve((low, True), rhs, check_finite=False),
+                         hermitian_factor(a), b)
 
 
-def _cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``A^-1 B`` by Cholesky, with the jitter retry of :func:`hermitian_solve`."""
+def hermitian_factor(a: np.ndarray) -> np.ndarray:
+    """The Cholesky factor ``L`` of ``A = L L^H`` for an (n, n) ``A`` the caller
+    vouches is Hermitian, in the lower triangle of a new array; its strict upper
+    triangle is not zeroed, and no solve reads it. On failure ``1e-12 * trace(A)/n``
+    is added to the diagonal of a copy once, then :class:`NumericalError` is raised."""
     try:
-        factor = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError:
-        n = a.shape[0]
-        jitter = 1e-12 * np.trace(a).real / n
-        try:
-            factor = scipy.linalg.cho_factor(
-                a + jitter * np.eye(n, dtype=a.dtype), lower=True, check_finite=False
-            )
-        except scipy.linalg.LinAlgError as exc:
-            raise NumericalError(
-                "Cholesky factorization failed; matrix appears indefinite"
-            ) from exc
-    return scipy.linalg.cho_solve(factor, b, check_finite=False)
+        return cho_factor(a, lower=True, check_finite=False)[0]
+    except LinAlgError:
+        a = ridge_shift(a.copy(), 1e-12 * np.trace(a).real / a.shape[0])
+    try:
+        return cho_factor(a, lower=True, overwrite_a=True, check_finite=False)[0]
+    except LinAlgError as exc:
+        raise NumericalError("Cholesky factorization failed; matrix appears indefinite") from exc
 
 
 def stacked_apply(fn, a: np.ndarray, b) -> np.ndarray:

@@ -25,7 +25,7 @@ kernel and pseudo-kernel Gram matrices from one evaluation), ``gram``/
 follow ``core.as_samples``: rows are samples, a 1-D input is n scalar
 samples, and NaN or infinite entries raise ``ValueError``. Behind them each
 family's ``_gram`` evaluates checked samples; the online recursion calls it
-directly, with squared row norms it keeps, on rows it has checked once.
+directly on rows it has checked once, with the norms it keeps by ``sq_norms``.
 
 Every family but the complex Gaussian gets its squared distances from one
 primitive, ``_sqdist``: complex rows enter as their interleaved real (n, 2d)
@@ -82,6 +82,13 @@ def _validated(x, z) -> tuple[np.ndarray, np.ndarray]:
     return x, z
 
 
+def sq_norms(a: np.ndarray) -> np.ndarray:
+    """Squared norms |a_i|^2 of (n, d) complex128 or float64 rows, summed over
+    their interleaved real view: the one norm rule of ``_sqdist`` and its callers."""
+    ar = np.ascontiguousarray(a).view(np.float64)
+    return np.einsum("ij,ij->i", ar, ar)
+
+
 def _sqdist(a: np.ndarray, b: np.ndarray, aa=None, bb=None) -> np.ndarray:
     """Pairwise squared Euclidean distances |a_i - b_j|^2 of (n, d) complex128
     or float64 rows, as ``|a_i|^2 + |b_j|^2 - 2 <a_i, b_j>`` clamped at 0.
@@ -89,12 +96,12 @@ def _sqdist(a: np.ndarray, b: np.ndarray, aa=None, bb=None) -> np.ndarray:
     The rows enter through their interleaved real view, (n, 2d) for complex
     rows, whose Euclidean distances are the same: the cross products are one
     real GEMM, and the epilogue runs in place in its output. ``aa`` and ``bb``
-    are the squared row norms when the caller already holds them.
+    are the squared row norms (:func:`sq_norms`) when the caller holds them.
     """
     ar = np.ascontiguousarray(a).view(np.float64)
     br = ar if b is a else np.ascontiguousarray(b).view(np.float64)
     if aa is None:
-        aa = np.einsum("ij,ij->i", ar, ar)
+        aa = sq_norms(ar)
     d2 = ar @ br.T
     d2 *= -2.0
     if b is a:  # exactly symmetric: a syrk product plus one sum aa_i + aa_j per entry
@@ -102,7 +109,7 @@ def _sqdist(a: np.ndarray, b: np.ndarray, aa=None, bb=None) -> np.ndarray:
             d2[i : i + ASYMMETRY_BLOCK_ROWS] += aa[i : i + ASYMMETRY_BLOCK_ROWS, None] + aa
     else:
         d2 += aa[:, None]
-        d2 += np.einsum("ij,ij->i", br, br) if bb is None else bb
+        d2 += sq_norms(br) if bb is None else bb
     return np.maximum(d2, 0.0, out=d2)
 
 

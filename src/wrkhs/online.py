@@ -32,21 +32,27 @@ triangle of ``Q`` into the upper one, then takes one m x m product.
 
 :func:`streaming_ridge_predictions` computes the same unbounded prediction
 sequence in one Cholesky factorization (prequential form), used by the
-benchmark runners where streams are long.
+benchmark runners where streams are long. It factors by
+``core.hermitian_factor``, with the batch solve's one jitter retry
+(``1e-12 * trace/n`` on the diagonal) before ``NumericalError``.
+
+``observe`` takes one sample (``core.as_sample``): a 0-d, (d,) or (1, d)
+input; any other shape raises ``ValueError``.
 """
 
 from __future__ import annotations
 
 import cmath
+from functools import partial
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import blas
+from scipy.linalg import blas, solve_triangular
 
 from .core import (
-    ComplexDataset, NumericalError, check_lam, hermitian_solve, is_int, ridge_shift, stacked_apply,
+    ComplexDataset, as_sample, check_lam, hermitian_factor, hermitian_solve, is_int, ridge_shift,
+    stacked_apply,
 )
-from .kernels import KernelSpec
+from .kernels import KernelSpec, sq_norms
 
 __all__ = ["Wrkls", "streaming_ridge_predictions"]
 
@@ -55,6 +61,18 @@ RESIDUAL_CHECK_INTERVAL = 128
 
 # Max tolerated |Q (K + lam I) - I| before a full rebuild is forced.
 RESIDUAL_TOL = 1e-6
+
+
+def _recursion_lam(spec: KernelSpec, lam) -> float:
+    """The precondition of the recursion in either form: ``spec`` has a null
+    pseudo-kernel and ``lam`` is finite and > 0. Returns ``lam`` as a float."""
+    if not spec.has_null_pseudo:
+        raise ValueError("online recursion requires a null pseudo-kernel; "
+                         f"family {spec.family!r} has a pseudo-kernel")
+    lam = check_lam(lam)
+    if lam == 0:
+        raise ValueError("lam must be strictly positive")
+    return lam
 
 
 class Wrkls:
@@ -79,14 +97,7 @@ class Wrkls:
     """
 
     def __init__(self, spec: KernelSpec, lam: float, budget: int | None = None):
-        if not spec.has_null_pseudo:
-            raise ValueError(
-                "online recursion requires a null pseudo-kernel; "
-                f"family {spec.family!r} has a pseudo-kernel"
-            )
-        lam = check_lam(lam)
-        if lam == 0:
-            raise ValueError("lam must be strictly positive")
+        lam = _recursion_lam(spec, lam)
         if budget is not None and not (is_int(budget) and budget >= 1):
             raise ValueError(f"budget must be an integer >= 1, got {budget!r}")
         self.spec = spec
@@ -144,16 +155,16 @@ class Wrkls:
         Returns the prediction made *before* the update. When the dictionary
         exceeds the budget, the minimal-score basis is evicted. A sample with
         a NaN or infinite entry raises ``ValueError`` and leaves the model
-        unchanged.
+        unchanged, as does an ``x`` that is not one sample (``core.as_sample``).
         """
-        x = np.asarray(x, dtype=np.complex128).ravel()
+        x = as_sample(x, "observe: x")
         y = complex(y)
-        if not (cmath.isfinite(y) and np.isfinite(x).all()):
-            raise ValueError("observe: sample contains non-finite values")
+        if not cmath.isfinite(y):
+            raise ValueError("observe: y is non-finite")
         if self._dim is None:
-            self._dim = x.shape[0]
-        elif x.shape[0] != self._dim:
-            raise ValueError(f"expected dimension {self._dim}, got {x.shape[0]}")
+            self._dim = x.shape[1]
+        elif x.shape[1] != self._dim:
+            raise ValueError(f"expected dimension {self._dim}, got {x.shape[1]}")
         pred = self._admit(x, y)
         self._observed += 1
         if self._observed % RESIDUAL_CHECK_INTERVAL == 0:
@@ -212,10 +223,9 @@ class Wrkls:
     def _admit(self, x: np.ndarray, y: complex) -> complex:
         m = self._m
         self._ensure_capacity(m + 1)
-        self._D[m] = x
+        self._D[m : m + 1] = x
         self._y[m] = y
-        row = self._D[m].view(np.float64)
-        self._norms[m] = row @ row
+        self._norms[m : m + 1] = sq_norms(x)
         # k(D, x) and k(x, x) from one kernel evaluation of the checked rows
         d, norms = self._D[: m + 1], self._norms[: m + 1]
         col = self.spec._gram(d, d[m:], norms, norms[m:])[:, 0]
@@ -310,21 +320,9 @@ def streaming_ridge_predictions(
     ``z = L^-1 y``, the prediction sequence is ``y - diag(L) * z``. ``x`` and
     ``y`` are checked as a :class:`~wrkhs.core.ComplexDataset`.
     """
-    lam = check_lam(lam)
-    if lam == 0:
-        raise ValueError("lam must be strictly positive")
-    if not spec.has_null_pseudo:
-        raise ValueError("streaming ridge requires a null pseudo-kernel")
+    lam = _recursion_lam(spec, lam)
     data = ComplexDataset(X=x, y=y)
     y = data.y
-    a = ridge_shift(spec.gram(data.X), lam)
-    try:
-        low = scipy.linalg.cholesky(a, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericalError("streaming ridge factorization failed") from exc
-    z = stacked_apply(
-        lambda a, b: scipy.linalg.solve_triangular(a, b, lower=True, check_finite=False),
-        low,
-        y,
-    )
+    low = hermitian_factor(ridge_shift(spec.gram(data.X), lam))
+    z = stacked_apply(partial(solve_triangular, lower=True, check_finite=False), low, y)
     return y - np.real(np.diagonal(low)) * z

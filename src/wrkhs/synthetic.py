@@ -16,6 +16,7 @@ yields the kernel exp(-|x - x'|^2 / (2 g^2)).
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from functools import partial
 
@@ -75,7 +76,7 @@ def gaussian_from_length_scale(length_scale: float) -> RealGaussian:
 
 @dataclass(frozen=True)
 class SyntheticConfig:
-    """Full description of one synthetic benchmark run."""
+    """Full description of one synthetic benchmark run, checked when built."""
 
     experiment: int
     seed: int = 0
@@ -99,8 +100,20 @@ class SyntheticConfig:
             raise ValueError("n_train must be >= 1")
         if self.grid_resolution < 2:
             raise ValueError("grid_resolution must be >= 2")
+        for name in ("input_lo", "input_hi"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.input_lo < self.input_hi:
             raise ValueError("input_lo must be below input_hi")
+        if not math.isfinite(self.input_hi - self.input_lo):
+            raise ValueError("input_hi - input_lo must be finite, got "
+                             f"{self.input_hi!r} - {self.input_lo!r}")
+        for name in ("gamma_re", "gamma_im", "gamma"):
+            value = getattr(self, name)
+            # a length-scale g gives the kernel width 2 g^2, which must be finite and > 0 too
+            if not (value > 0 and 0 < 2.0 * (value * value) < math.inf):
+                raise ValueError(f"{name} must be finite and > 0, and so must the kernel "
+                                 f"width 2 {name}^2; got {value!r}")
 
     def to_config(self) -> dict:
         return asdict(self)

@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wrkhs import (
@@ -751,6 +751,34 @@ class TestBench:
         assert "ridge weight must be finite and >= 0" in capsys.readouterr().err
         assert list((tmp_path / "out").iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "cfg,message",
+        [
+            ({"input_hi": "inf"}, "input_hi must be finite"),
+            ({"input_lo": "-inf"}, "input_lo must be finite"),
+            ({"input_lo": "nan"}, "input_lo must be finite"),
+            ({"input_lo": -1e308, "input_hi": 1e308}, "input_hi - input_lo must be finite"),
+            ({"gamma_re": -1.0}, "gamma_re must be finite and > 0"),
+            ({"gamma_im": 0}, "gamma_im must be finite and > 0"),
+            ({"gamma": "inf"}, "gamma must be finite and > 0"),
+            ({"gamma_re": 1e200}, "gamma_re must be finite and > 0"),
+            ({"gamma": 1e-200}, "gamma must be finite and > 0"),
+        ],
+    )
+    @pytest.mark.parametrize("experiment", ["synthetic1", "synthetic2"])
+    def test_synthetic_field_refused_before_any_trial(
+        self, tmp_path, capsys, monkeypatch, experiment, cfg, message
+    ):
+        # refused when the config is built, naming the field, not by an uncaught overflow
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(synthetic, "draw_training_inputs", no_trial)
+        rc = main(bench_argv(tmp_path, experiment, cfg))
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
+
     def test_largest_seeds_accepted(self):
         assert SyntheticConfig(experiment=1, seed=2**64 - 1).seed == 2**64 - 1
         assert ChannelConfig(rho=0.5, trials=2, base_seed=2**64 - 2).trials == 2
@@ -810,12 +838,15 @@ EQUALIZATION_CHANGED = {"kernel": RealGaussian(gamma=2.0), "lam": 0.5, "budget":
 # an int in a float field is the float's twin, so both are drawn
 REAL = st.one_of(st.integers(-10**6, 10**6), st.floats(allow_nan=False, allow_infinity=False))
 POSITIVE = st.one_of(st.integers(1, 10**6), st.floats(min_value=1e-300, max_value=1e300))
+# a length-scale g whose kernel width 2 g^2 is finite and > 0
+LENGTH_SCALE = st.one_of(st.integers(1, 10**6), st.floats(min_value=1e-150, max_value=1e150))
 COMPLEX = st.complex_numbers(allow_nan=False, allow_infinity=False)
 
 
 @st.composite
 def synthetic_configs(draw):
     lo, hi = sorted(draw(st.lists(REAL, min_size=2, max_size=2, unique=True)))
+    assume(math.isfinite(hi - lo))  # a config refuses an input square of infinite width
     return SyntheticConfig(
         experiment=draw(st.sampled_from([1, 2])),
         seed=draw(st.integers(0, 2**64 - 1)),
@@ -824,7 +855,8 @@ def synthetic_configs(draw):
         input_hi=hi,
         grid_resolution=draw(st.integers(2, 10**4)),
         lam=draw(st.one_of(st.just(0), POSITIVE)),
-        **{name: draw(REAL) for name in ("gamma_re", "gamma_im", "gamma", "omega")},
+        **{name: draw(LENGTH_SCALE) for name in ("gamma_re", "gamma_im", "gamma")},
+        omega=draw(REAL),
     )
 
 

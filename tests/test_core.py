@@ -23,7 +23,8 @@ from wrkhs import (
     streaming_ridge_predictions,
 )
 from wrkhs.core import (
-    ASYMMETRY_BLOCK_ROWS, as_float, from_pairs, ridge_shift, store_as_annotated, to_pairs,
+    ASYMMETRY_BLOCK_ROWS, as_float, from_pairs, hermitian_factor, ridge_shift, store_as_annotated,
+    to_pairs,
 )
 from conftest import transform_matrix
 
@@ -88,6 +89,34 @@ class TestHermitianSolve:
         a = np.diag([1.0, -1.0]) + np.array([[0.0, 0.3], [0.3, 0.0]])
         with pytest.raises(NumericalError):
             hermitian_solve(a, np.ones(2))
+
+
+class TestHermitianFactor:
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_lower_factor_leaves_the_input(self, dtype):
+        rng = np.random.default_rng(7)
+        m = rng.standard_normal((6, 6)).astype(dtype)
+        if dtype is complex:
+            m += 1j * rng.standard_normal((6, 6))
+        a = m @ m.conj().T + np.eye(6)
+        ref = a.copy()
+        low = np.tril(hermitian_factor(a))
+        np.testing.assert_allclose(low @ low.conj().T, ref, atol=1e-12)
+        np.testing.assert_array_equal(a, ref)
+
+    def test_jitter_retry_factors_a_singular_matrix_once(self):
+        # rank one: the plain factorization fails, 1e-12 * trace/n on the diagonal does not
+        a = np.ones((3, 3))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(a)
+        low = np.tril(hermitian_factor(a))
+        jitter = 1e-12 * np.trace(a) / 3
+        np.testing.assert_array_equal(low, np.linalg.cholesky(a + jitter * np.eye(3)))
+        np.testing.assert_array_equal(a, np.ones((3, 3)))
+
+    def test_indefinite_after_the_jitter_fails_hard(self):
+        with pytest.raises(NumericalError, match="indefinite"):
+            hermitian_factor(np.diag([1.0, -1.0]))
 
 
 class TestRidgeShift:

@@ -1,5 +1,7 @@
 """Tests for the budgeted online recursion."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from wrkhs import (
     predict,
     streaming_ridge_predictions,
 )
-from wrkhs import core, kernels
+from wrkhs import NumericalError, core, kernels
 from wrkhs.online import RESIDUAL_CHECK_INTERVAL
 from conftest import online_model, random_inputs
 
@@ -299,3 +301,37 @@ class TestStreamingRidge:
         spec = SeparateRealImag(rr=RealGaussian(1.0), jj=RealGaussian(2.0))
         with pytest.raises(ValueError, match="null pseudo-kernel"):
             streaming_ridge_predictions(spec, np.ones((3, 1)), np.ones(3), 0.1)
+
+    def test_near_zero_lam_takes_the_jitter_retry(self):
+        # duplicate samples make K + 1e-17 I singular to rounding; the one factorization's
+        # jitter retry factors it, as it does for fit_srkhs and an unbudgeted Wrkls
+        x = np.array([0, 1, 1, 0, 2, 1, 0.5])
+        y = np.arange(1.0, 8.0)
+        preds = streaming_ridge_predictions(RealGaussian(1.0), x, y, 1e-17)
+        assert np.all(np.isfinite(preds)) and preds[0] == 0.0
+        batch = fit_srkhs(ComplexDataset(X=x, y=y), RealGaussian(1.0), 1e-17)
+        assert np.all(np.isfinite(batch.alpha))
+
+    def test_indefinite_after_the_jitter_fails_hard(self):
+        spec = Indefinite(gamma=1.0)
+        x, y = random_stream(np.random.default_rng(16), 6)
+        with pytest.raises(NumericalError):
+            streaming_ridge_predictions(spec, x, y, 0.1)
+
+
+@dataclasses.dataclass(frozen=True)
+class Indefinite(RealGaussian):
+    """A negated real Gaussian: an exactly symmetric, negative-definite Gram."""
+
+    def _gram(self, x, z, *norms):
+        return -super()._gram(x, z, *norms)
+
+
+def test_cached_norms_follow_the_kernels_norm_rule():
+    # after replacements, every slot's cached |D_i|^2 is the rule the distances use
+    x, y = random_stream(np.random.default_rng(17), 300, d=5)
+    model = Wrkls(RealGaussian(1.5), 0.3, budget=16)
+    for i in range(300):
+        model.observe(x[i], y[i])
+    assert model.stats["replacements"] > 0
+    np.testing.assert_array_equal(model._norms[: model.size], kernels.sq_norms(model.dictionary))

@@ -279,3 +279,41 @@ class TestNonfiniteInput:
             Wrkls(RealGaussian(1.0), lam)
         with pytest.raises(ValueError, match="finite"):
             streaming_ridge_predictions(RealGaussian(1.0), np.ones((3, 1)), np.ones(3), lam)
+
+
+class TestSampleShape:
+    """``observe`` takes one sample: a 0-d, (d,) or (1, d) input."""
+
+    @pytest.mark.parametrize("shape", [(2, 3), (6, 1), (3, 2), (1, 2, 3), (2, 1, 2), (0,), (1, 0)])
+    def test_observe_rejects_a_block_and_keeps_state(self, shape):
+        # a block of samples is not flattened into one sample, on an empty or a full model
+        model = Wrkls(RealGaussian(1.0), 0.5, budget=4)
+        with pytest.raises(ValueError, match="one sample"):
+            model.observe(np.ones(shape), 1.0)
+        assert model.size == 0
+        xs, ys = random_stream(np.random.default_rng(21), 8, d=6)
+        for i in range(6):
+            model.observe(xs[i], ys[i])
+        before, stats = state(model), repr(model.stats)
+        with pytest.raises(ValueError, match="one sample"):
+            model.observe(np.ones(shape), 1.0)
+        for old, new in zip(before, state(model)):
+            np.testing.assert_array_equal(old, new)
+        assert repr(model.stats) == stats
+        model.observe(xs[6], ys[6])
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_one_sample_in_each_accepted_shape_is_the_same(self, d):
+        xs, ys = random_stream(np.random.default_rng(22), 12, d=d)
+        forms = [lambda v: v, lambda v: v[None, :], list]
+        if d == 1:
+            forms.append(lambda v: v[0])  # a 0-d sample
+        runs = []
+        for form in forms:
+            model = Wrkls(RealGaussian(1.0), 0.5, budget=4)
+            preds = [model.observe(form(xs[i]), ys[i]) for i in range(12)]
+            runs.append((preds, model.dictionary, model.coefficients))
+        for preds, dictionary, coefficients in runs[1:]:
+            assert preds == runs[0][0]
+            np.testing.assert_array_equal(dictionary, runs[0][1])
+            np.testing.assert_array_equal(coefficients, runs[0][2])

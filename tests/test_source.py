@@ -107,6 +107,43 @@ def test_detects_ndim_one_tests(source):
     assert ndim_one_tests(ast.parse(source)) == [1]
 
 
+FACTORIZATIONS = {"cholesky", "cho_factor", "cho_solve"}
+
+
+def factorization_names(tree: ast.AST) -> list[int]:
+    """Line numbers where a Cholesky routine is named or imported."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in FACTORIZATIONS:
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr in FACTORIZATIONS:
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom):
+            lines += [node.lineno for a in node.names if a.name in FACTORIZATIONS]
+    return lines
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "core.py"], ids=lambda p: p.name)
+def test_one_factorization(path):
+    # every factorization goes through core.hermitian_factor, with its one jitter rule
+    assert factorization_names(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+@pytest.mark.parametrize(
+    "source,lines",
+    [
+        ("import scipy.linalg\nlow = scipy.linalg.cholesky(a, lower=True)", [2]),
+        ("from scipy.linalg import cho_factor as f", [1]),
+        ("from scipy import linalg\nx = linalg.cho_solve(f, b)", [2]),
+        ("from scipy.linalg import cholesky\nlow = cholesky(a)", [1, 2]),
+        ("low = np.linalg.cholesky(a)", [1]),
+        ("low = hermitian_factor(a)\nfrom .core import hermitian_solve", []),
+    ],
+)
+def test_detects_factorization_names(source, lines):
+    assert sorted(factorization_names(ast.parse(source))) == lines
+
+
 def test_every_export_is_used_by_the_package():
     # a name only tests call belongs in the tests, not in the package
     trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in MODULES}
