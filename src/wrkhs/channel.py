@@ -5,6 +5,9 @@ through a two-tap linear filter followed by a memoryless cubic nonlinearity,
 corrupt with circular AWGN at a fixed SNR, then stream windowed received
 samples through the online recursion and record the running mean of the
 squared prediction error. Curves are averaged across independent trials.
+A budgeted trial streams its samples through ``Wrkls.observe_many``, one
+kernel evaluation per block of samples; an unbudgeted one takes
+``streaming_ridge_predictions``, one Cholesky factorization.
 
 Randomness is counter-based (Philox): trial i uses key ``base_seed + i`` with
 separate jumped streams for source and noise, so any subset of trials can be
@@ -215,12 +218,7 @@ def _run_trial(config: EqualizationConfig, trial: int) -> np.ndarray:
     if config.budget is None:
         preds = streaming_ridge_predictions(config.kernel, data.X, data.y, config.lam)
     else:
-        model = Wrkls(config.kernel, config.lam, budget=config.budget)
-        preds = np.fromiter(
-            (model.observe(data.X[i], data.y[i]) for i in range(data.n)),
-            dtype=np.complex128,
-            count=data.n,
-        )
+        preds = Wrkls(config.kernel, config.lam, budget=config.budget).observe_many(data.X, data.y)
     sq_err = np.abs(preds - data.y) ** 2
     return np.cumsum(sq_err) / np.arange(1, data.n + 1)
 

@@ -114,6 +114,8 @@ class SyntheticConfig:
             if not (value > 0 and 0 < 2.0 * (value * value) < math.inf):
                 raise ValueError(f"{name} must be finite and > 0, and so must the kernel "
                                  f"width 2 {name}^2; got {value!r}")
+        if not 0.0 <= self.omega < 1.0:
+            raise ValueError(f"omega must lie in [0, 1), got {self.omega!r}")
 
     def to_config(self) -> dict:
         return asdict(self)

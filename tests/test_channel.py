@@ -7,6 +7,7 @@ from wrkhs import (
     ChannelConfig,
     EqualizationConfig,
     RealGaussian,
+    Wrkls,
     add_awgn,
     apply_channel,
     build_equalizer_dataset,
@@ -199,6 +200,30 @@ class TestRunEqualization:
             EqualizationConfig(channel=base, kernel=kernel, lam=0.32, budget=300)
         )
         assert abs(r_unb.final_mse_db - r_bud.final_mse_db) <= 1.0
+
+    def test_budgeted_run_matches_an_observe_loop(self):
+        # a budgeted run streams each trial in blocks; a per-sample observe
+        # replay of the same trials gives the same curve to 1e-9 dB
+        cfg = EqualizationConfig(
+            channel=ChannelConfig(rho=RHO_CIRCULAR, trials=2, base_seed=5, n_samples=600),
+            kernel=RealGaussian(gamma=8.92),
+            lam=0.32,
+            budget=50,
+        )
+        ch, curves = cfg.channel, []
+        for trial in range(ch.trials):
+            source_rng, noise_rng = trial_rngs(ch.base_seed, trial)
+            s = generate_source(ch.n_samples, ch.rho, source_rng, ch.source_scale)
+            r = add_awgn(apply_channel(s, ch.taps, ch.c2, ch.c3), ch.snr_db, noise_rng)
+            data = build_equalizer_dataset(r, s, ch.filter_length, ch.delay)
+            model = Wrkls(cfg.kernel, cfg.lam, budget=cfg.budget)
+            preds = np.array([model.observe(data.X[i], data.y[i]) for i in range(data.n)])
+            assert model.stats["replacements"] > 0
+            curves.append(np.cumsum(np.abs(preds - data.y) ** 2) / np.arange(1, data.n + 1))
+        replay_db = 10.0 * np.log10(np.mean(curves, axis=0))
+        res = run_equalization(cfg)
+        np.testing.assert_allclose(res.curve_db, replay_db, rtol=0, atol=1e-9)
+        assert abs(res.final_mse_db - replay_db[-1]) <= 1e-9
 
     def test_average_of_single_trials(self):
         # trial i is keyed by base_seed + i alone, so a 3-trial run averages

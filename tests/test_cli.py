@@ -763,6 +763,10 @@ class TestBench:
             ({"gamma": "inf"}, "gamma must be finite and > 0"),
             ({"gamma_re": 1e200}, "gamma_re must be finite and > 0"),
             ({"gamma": 1e-200}, "gamma must be finite and > 0"),
+            ({"omega": "inf"}, "omega must lie in [0, 1)"),
+            ({"omega": "nan"}, "omega must lie in [0, 1)"),
+            ({"omega": 1.0}, "omega must lie in [0, 1)"),
+            ({"omega": -0.1}, "omega must lie in [0, 1)"),
         ],
     )
     @pytest.mark.parametrize("experiment", ["synthetic1", "synthetic2"])
@@ -856,7 +860,7 @@ def synthetic_configs(draw):
         grid_resolution=draw(st.integers(2, 10**4)),
         lam=draw(st.one_of(st.just(0), POSITIVE)),
         **{name: draw(LENGTH_SCALE) for name in ("gamma_re", "gamma_im", "gamma")},
-        omega=draw(REAL),
+        omega=draw(st.one_of(st.just(0), st.floats(0, 1, exclude_max=True))),
     )
 
 

@@ -186,6 +186,7 @@ ENTRIES = {
     "ComplexDataset": lambda x: ComplexDataset(X=x, y=np.ones(2)),
     "WrkhsModel": lambda x: WrkhsModel(X=x, spec=SPEC, lam=0.1, alpha=np.ones(2)),
     "Wrkls.observe": lambda x: Wrkls(RealGaussian(1.0), 0.1).observe(x[0], 1.0),
+    "Wrkls.observe_many": lambda x: Wrkls(RealGaussian(1.0), 0.1).observe_many(x, np.ones(2)),
 }
 
 

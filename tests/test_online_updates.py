@@ -15,7 +15,8 @@ from wrkhs import (
     predict,
     streaming_ridge_predictions,
 )
-from wrkhs.online import RESIDUAL_CHECK_INTERVAL, RESIDUAL_TOL
+from wrkhs import core, kernels
+from wrkhs.online import BLOCK_ROWS, RESIDUAL_CHECK_INTERVAL, RESIDUAL_TOL
 from conftest import online_model, random_inputs
 
 # One real-valued kernel (real BLAS update) and two complex-valued ones
@@ -194,6 +195,20 @@ def test_full_budget_singular_fallback():
             assert not model._Q[budget].any() and not model._Q[:, budget].any()
 
 
+def test_full_budget_singular_fallback_through_observe_many():
+    # the stream above in one block: the same rebuild, evictions and state
+    spec, lam, budget = RealGaussian(1.0), 1e-14, 2
+    x = np.array([0.0, 1.0, 1.0, 0.0, 2.0], dtype=complex)
+    y = np.array([1.0, -2.0, 0.5, 3.0, -1.0])
+    loop, many = Wrkls(spec, lam, budget=budget), Wrkls(spec, lam, budget=budget)
+    preds = [loop.observe(x[i], y[i]) for i in range(5)]
+    np.testing.assert_array_equal(many.observe_many(x, y), preds)
+    assert many.stats == loop.stats
+    assert many.stats["rebuilds"]["singular"] == 1
+    for old, new in zip(state(loop), state(many)):
+        np.testing.assert_array_equal(old, new)
+
+
 def test_full_budget_singular_fallback_drops_the_newcomer():
     # the fourth input repeats a kept basis with a tiny target: the singular
     # admit at the budget rebuilds, scores the newcomer lowest and drops it
@@ -317,3 +332,103 @@ class TestSampleShape:
             assert preds == runs[0][0]
             np.testing.assert_array_equal(dictionary, runs[0][1])
             np.testing.assert_array_equal(coefficients, runs[0][2])
+
+
+def counts(model):
+    stats = model.stats
+    return stats["admits"], stats["replacements"], stats["skipped"], stats["rebuilds"]
+
+
+class TestObserveMany:
+    """``observe_many`` runs the loop of ``observe`` a block of samples at a time."""
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @example(seed=0, budget=3, n=2 * RESIDUAL_CHECK_INTERVAL + 9, split=BLOCK_ROWS - 1, lam=0.3)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        budget=st.one_of(st.none(), st.integers(1, 7)),
+        n=st.integers(RESIDUAL_CHECK_INTERVAL + 1, 2 * RESIDUAL_CHECK_INTERVAL + 40),
+        split=st.integers(0, 2 * RESIDUAL_CHECK_INTERVAL + 40),
+        lam=st.floats(0.05, 1.0),
+    )
+    def test_matches_an_observe_loop(self, name, seed, budget, n, split, lam):
+        spec = SPECS[name]
+        x, y = random_stream(np.random.default_rng(seed), n)
+        loop, many = Wrkls(spec, lam, budget=budget), Wrkls(spec, lam, budget=budget)
+        expected = np.array([loop.observe(x[i], y[i]) for i in range(n)])
+        # two calls, so a block also starts from a dictionary grown by the first
+        split = min(split, n)
+        parts = [many.observe_many(x[a:b], y[a:b]) for a, b in ((0, split), (split, n)) if b > a]
+        got = np.concatenate(parts)
+        tol = 1e-12
+        if budget is None:
+            # the whole stream is the dictionary: a last-bit difference of a kernel
+            # value grows with the conditioning of K + lam I along the recursion
+            a = spec.gram(x) + lam * np.eye(n)
+            tol = max(tol, n * np.linalg.cond(a) * np.finfo(float).eps)
+        assert np.max(np.abs(got - expected)) <= tol * np.max(np.abs(expected))
+        assert counts(many) == counts(loop)
+        np.testing.assert_array_equal(many.dictionary, loop.dictionary)
+        assert many.inverse_residual() <= 1e-9
+
+    def test_one_kernel_evaluation_and_one_check_per_call(self, monkeypatch):
+        x, y = random_stream(np.random.default_rng(33), 2 * BLOCK_ROWS + 12)
+        model = Wrkls(RealGaussian(1.0), 0.3, budget=20)
+        model.observe_many(x[:7], y[:7])
+        calls = {"sqdist": 0, "as_samples": 0}
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name.strip("_")] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(kernels, "_sqdist")
+        counted(core, "as_samples")
+        model.observe_many(x[7:], y[7:])
+        assert calls == {"sqdist": 3, "as_samples": 1}  # 2 * BLOCK_ROWS + 5 rows: 3 blocks
+
+    @pytest.mark.parametrize("row", [0, 9, 19])
+    @pytest.mark.parametrize("bad", [np.nan, complex(0.0, np.inf)])
+    @pytest.mark.parametrize("where", ["x", "y"])
+    def test_non_finite_entry_rejected_and_state_kept(self, where, bad, row):
+        xs, ys = random_stream(np.random.default_rng(34), 30)
+        model = Wrkls(RealGaussian(1.0), 0.3, budget=5)
+        model.observe_many(xs[:10], ys[:10])
+        x, y = xs[10:].copy(), ys[10:].copy()
+        if where == "x":
+            x[row, 1] = bad
+        else:
+            y[row] = bad
+        self.assert_refused_and_kept(model, x, y, "non-finite")
+
+    @pytest.mark.parametrize(
+        "x,y,message",
+        [
+            (np.ones((4, 2)), np.ones(3), "rows but y has"),
+            (np.ones((4, 2)), np.ones((4, 1)), "y must be 1-D"),
+            (np.ones((4, 3)), np.ones(4), "expected dimension 2, got 3"),
+            (np.ones(4), np.ones(4), "expected dimension 2, got 1"),
+            (np.ones((1, 2, 2)), np.ones(1), "must be"),
+            (np.ones((0, 2)), np.ones(0), "n >= 1"),
+        ],
+    )
+    def test_malformed_stream_rejected_and_state_kept(self, x, y, message):
+        xs, ys = random_stream(np.random.default_rng(35), 10)
+        model = Wrkls(RealGaussian(1.0), 0.3, budget=5)
+        model.observe_many(xs, ys)
+        self.assert_refused_and_kept(model, x, y, message)
+
+    @staticmethod
+    def assert_refused_and_kept(model, x, y, message):
+        before = state(model) + (model._D.copy(), model._A.copy())
+        stats, observed = repr(model.stats), model._observed
+        with pytest.raises(ValueError, match=message):
+            model.observe_many(x, y)
+        for old, new in zip(before, state(model) + (model._D, model._A)):
+            np.testing.assert_array_equal(old, new)
+        assert repr(model.stats) == stats and model._observed == observed
