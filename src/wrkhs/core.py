@@ -11,16 +11,24 @@ reads every other number of a config or JSON file, and ``to_pairs``/
 dataclass calls it first in ``__post_init__`` to store every field as its
 annotation says, so equal configs serialize, and hash, equally.
 
-``hermitian_factor`` is the one factorization of the package: a Cholesky
-with one jitter retry. ``hermitian_solve``, the one linear solve, factors
-through it once ``A`` is Hermitian to ``HERMITIAN_ATOL``. The kernels build
-every Gram exactly Hermitian, so ``ridge_shift`` only adds to its diagonal.
-``stacked_apply`` lets a real matrix act on a complex right-hand side as one
-real call on its stacked real and imaginary parts, so the matrix is never
-copied to complex.
+One Cholesky call factors every matrix of the package, in place in an
+F-ordered buffer, reading only its lower triangle. A failed factorization
+takes one jitter retry, ``1e-12 * trace/n`` on the diagonal of the matrix
+built afresh; the partly factored buffer is not read again. ``ridge_solve``
+and ``ridge_factor`` take a Gram as the kernels hand it over, a lower
+triangle (``kernels.KernelSpec._gram(x, x)``): the batch fits and the
+streaming ridge build, shift and factor each system in one buffer.
+``ridge_shift`` only adds to the diagonal. ``hermitian_solve`` is the
+full-matrix form, for systems assembled from full matrices: it checks that
+``A`` is Hermitian to ``HERMITIAN_ATOL`` and solves a copy in place;
+``hermitian_factor`` factors a copy. An exactly diagonal system is solved by
+elementwise division. ``stacked_apply`` lets a real matrix act on a complex
+right-hand side as one real call on its stacked real and imaginary parts, so
+the matrix is never copied to complex.
 
-All functions here are pure; arrays returned by dataset containers are
-read-only and safe to share across threads.
+All functions here but ``ridge_shift``, ``ridge_solve`` and ``ridge_factor``,
+which work in the buffer they are given, are pure; arrays returned by
+dataset containers are read-only and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -47,6 +55,8 @@ __all__ = [
     "store_as_annotated",
     "is_int",
     "ridge_shift",
+    "ridge_solve",
+    "ridge_factor",
     "hermitian_factor",
     "hermitian_solve",
 ]
@@ -54,8 +64,9 @@ __all__ = [
 # Max acceptable |A - A^H| entry before a matrix is rejected as non-Hermitian.
 HERMITIAN_ATOL = 1e-12
 
-# Rows per block of the |A - A^H| check and of the norm adds of a symmetric
-# distance matrix (``kernels._sqdist``): a temporary is one block, not a copy.
+# Rows per block of the |A - A^H| check, of the diagonal test of a lower
+# triangle and of its mirror into the upper one (``kernels``): a temporary is
+# one block, not a copy.
 ASYMMETRY_BLOCK_ROWS = 256
 
 
@@ -190,54 +201,97 @@ def ridge_shift(a: np.ndarray, lam: float) -> np.ndarray:
     return a
 
 
+def ridge_solve(a: np.ndarray, lam: float, b, rebuild) -> np.ndarray:
+    """Solve ``(A + lam I) X = B`` in the buffer ``a``, whose lower triangle
+    holds the Hermitian (n, n) ``A``, for an (n,) or (n, k) ``B``.
+
+    The strict upper triangle of ``a`` is never read, and ``a`` is overwritten
+    (in place when it is F-ordered). ``lam`` goes on the diagonal; an exactly
+    diagonal system is then solved by elementwise division, and any other is
+    factored as :func:`ridge_factor` does, with ``rebuild()`` returning ``A``
+    afresh for the one jitter retry. The solution is complex when ``B`` is.
+    """
+    a = ridge_shift(a, lam)
+    b = np.asarray(b)
+    if b.shape[0] != a.shape[0]:
+        raise ValueError(f"shape mismatch: A is {a.shape}, B is {b.shape}")
+    if _lower_is_diagonal(a):
+        d = np.diagonal(a)
+        if np.any(d.real <= 0) or np.any(d.imag != 0):
+            raise NumericalError("diagonal matrix is not positive definite")
+        d = d.real
+        return b / (d[:, None] if b.ndim > 1 else d)
+    low = _cholesky(a, lambda: ridge_shift(rebuild(), lam))
+    return stacked_apply(lambda m, rhs: cho_solve((m, True), rhs, check_finite=False), low, b)
+
+
+def ridge_factor(a: np.ndarray, lam: float, rebuild) -> np.ndarray:
+    """The Cholesky factor ``L`` of ``A + lam I = L L^H``, factored in the
+    buffer ``a`` whose lower triangle holds the Hermitian (n, n) ``A``.
+
+    ``L`` is the lower triangle of the result, which is ``a`` itself when ``a``
+    is F-ordered; no strict upper triangle is read or zeroed. If the
+    factorization fails, ``rebuild()`` returns ``A`` afresh, ``lam`` and
+    ``1e-12 * trace/n`` go on its diagonal and it is factored once more, then
+    :class:`NumericalError` is raised.
+    """
+    return _cholesky(ridge_shift(a, lam), lambda: ridge_shift(rebuild(), lam))
+
+
+def _cholesky(a: np.ndarray, again) -> np.ndarray:
+    """The package's one Cholesky: ``a``'s lower triangle factored in place;
+    after a failure, once more on ``again()`` with the jitter on its diagonal."""
+    for retry in (False, True):
+        try:
+            return cho_factor(a, lower=True, overwrite_a=True, check_finite=False)[0]
+        except LinAlgError as exc:
+            if retry:
+                raise NumericalError(
+                    "Cholesky factorization failed; matrix appears indefinite") from exc
+        a = again()
+        ridge_shift(a, 1e-12 * np.trace(a).real / a.shape[0])
+
+
+def _lower_is_diagonal(a: np.ndarray) -> bool:
+    """True when the strict lower triangle of ``a`` is all zero, read column by
+    column up to the first column with a non-zero entry there."""
+    return not any(a[j + 1 :, j].any() for j in range(a.shape[0]))
+
+
 def hermitian_solve(a, b) -> np.ndarray:
     """Solve ``A X = B`` for a Hermitian positive-definite (n, n) ``A`` (real
     symmetric too) and an (n,) or (n, k) ``B``, complex even when ``A`` is real.
 
-    Factors ``A`` by :func:`hermitian_factor` (one jitter retry, then
-    :class:`NumericalError`). Exactly diagonal matrices are solved by
-    elementwise division (exact, no factorization error). A non-square ``A``,
-    or one whose max asymmetry ``|A - A^H|`` exceeds ``1e-12``, raises
-    ``ValueError``.
+    A non-square ``A``, or one whose max asymmetry ``|A - A^H|`` exceeds
+    ``1e-12``, raises ``ValueError``. ``A`` is left as it is: a copy is solved
+    by :func:`ridge_solve` (exactly diagonal matrices by elementwise division,
+    exact; others by the one Cholesky and its jitter retry, then
+    :class:`NumericalError`).
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
-    b = np.asarray(b)
-    if b.shape[0] != a.shape[0]:
-        raise ValueError(f"shape mismatch: A is {a.shape}, B is {b.shape}")
     asym = 0.0
     for i in range(0, a.shape[0], ASYMMETRY_BLOCK_ROWS):
         rows = slice(i, i + ASYMMETRY_BLOCK_ROWS)
         asym = max(asym, float(np.max(np.abs(a[rows] - a[:, rows].conj().T))))
     if asym > HERMITIAN_ATOL:
         raise ValueError(f"matrix is not Hermitian (max asymmetry {asym:.3e})")
-
-    d = np.diagonal(a)
-    if np.count_nonzero(a) == np.count_nonzero(d):
-        # exactly diagonal
-        if np.any(d.real <= 0) or np.any(d.imag != 0):
-            raise NumericalError("diagonal matrix is not positive definite")
-        d = d.real
-        return b / (d[:, None] if b.ndim > 1 else d)
-
-    return stacked_apply(lambda low, rhs: cho_solve((low, True), rhs, check_finite=False),
-                         hermitian_factor(a), b)
+    return ridge_solve(_f_copy(a), 0.0, b, lambda: _f_copy(a))
 
 
 def hermitian_factor(a: np.ndarray) -> np.ndarray:
     """The Cholesky factor ``L`` of ``A = L L^H`` for an (n, n) ``A`` the caller
     vouches is Hermitian, in the lower triangle of a new array; its strict upper
-    triangle is not zeroed, and no solve reads it. On failure ``1e-12 * trace(A)/n``
-    is added to the diagonal of a copy once, then :class:`NumericalError` is raised."""
-    try:
-        return cho_factor(a, lower=True, check_finite=False)[0]
-    except LinAlgError:
-        a = ridge_shift(a.copy(), 1e-12 * np.trace(a).real / a.shape[0])
-    try:
-        return cho_factor(a, lower=True, overwrite_a=True, check_finite=False)[0]
-    except LinAlgError as exc:
-        raise NumericalError("Cholesky factorization failed; matrix appears indefinite") from exc
+    triangle is not zeroed, and no solve reads it. ``A`` is left as it is: a
+    copy is factored by :func:`ridge_factor`, whose retry takes another copy."""
+    a = np.asarray(a)
+    return ridge_factor(_f_copy(a), 0.0, lambda: _f_copy(a))
+
+
+def _f_copy(a: np.ndarray) -> np.ndarray:
+    """An F-ordered floating-point copy of ``a``, for the in-place solves."""
+    return np.array(a, dtype=np.result_type(a.dtype, np.float64), order="F")
 
 
 def stacked_apply(fn, a: np.ndarray, b) -> np.ndarray:

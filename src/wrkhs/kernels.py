@@ -29,17 +29,24 @@ directly on rows it has checked once, with the norms it keeps by ``sq_norms``.
 
 Every family but the complex Gaussian gets its squared distances from one
 primitive, ``_sqdist``: complex rows enter as their interleaved real (n, 2d)
-view, with the same distances, so the cross products are one real GEMM (a
-``syrk`` when both sides are the same rows), and the norm adds, the clamp at
-0, the divide and the ``exp`` all run in place in the GEMM's output. A Gram
-(``x' = x``) is exactly Hermitian and its pseudo-kernel Gram exactly
-symmetric, so a ridge shift is a diagonal add: ``_sqdist(x, x)`` is a ``syrk``
-plus one norm sum per entry, the sums of real Gaussians and
-``composite_matrix`` keep that entry by entry, ``IndependentGaussian``
-transposes its one cross term and ``ComplexGaussian`` averages its exponent
-with its adjoint. ``composite_matrix`` turns an evaluated pair into the real
-composite matrix of the stacked real/imaginary system. Specs are immutable
-and hashable; all evaluations are pure and thread-safe.
+view, with the same distances, so the cross products are one real GEMM, and
+the norm adds and the clamp at 0 run in place in its output. The samples
+against themselves (``x' = x``) give only the lower triangle of a
+column-ordered buffer: one ``dsyrk``, then one norm sum ``aa_i + aa_j`` per
+entry. ``_gaussian_sums`` is the one evaluation of sums of real Gaussians,
+for the real Gaussian, the block families, their split and their ``apply``:
+tile by tile (``_tiles``), on the triangle only when there is one, with the
+last real sum in the distances' buffer. So ``_gram(x, x)``, ``_pair(x, x)``
+and ``_split_grams(x)`` give lower triangles; a ridge solve shifts and
+factors them in place (``core.ridge_solve``), and ``apply(x, x, alpha)``
+reads them through one ``?symm``/``?hemm``. The public ``gram``, ``pair``
+and ``split_grams`` at ``x' = x`` mirror the triangle block by block, so
+a Gram is exactly Hermitian and its pseudo-kernel Gram exactly symmetric;
+``IndependentGaussian`` transposes its one cross term and
+``ComplexGaussian`` averages its exponent with its adjoint. A ridge shift is
+therefore a diagonal add. ``composite_matrix`` turns an evaluated pair into
+the real composite matrix of the stacked real/imaginary system. Specs are
+immutable and hashable; all evaluations are pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -49,7 +56,7 @@ import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.linalg.blas import daxpy
+from scipy.linalg.blas import dsymm, dsyrk, zhemm
 
 from .core import ASYMMETRY_BLOCK_ROWS, as_float, as_samples, stacked_apply, store_as_annotated
 
@@ -68,6 +75,13 @@ __all__ = [
 
 # Largest exponent fed to exp() for the complex Gaussian before saturation.
 EXP_SATURATION = 700.0
+
+# A distance epilogue and a sum of Gaussians run in tiles of whole rows, each
+# 1/TILES of the matrix but at least TILE_ENTRIES entries. The temporaries of a
+# tile (a few, counting numpy's buffers for strided operands) then stay a few
+# per cent of the matrix, and there are about TILES tiles whatever its size.
+TILES = 128
+TILE_ENTRIES = 4096
 
 
 class KernelOverflowWarning(RuntimeWarning):
@@ -89,6 +103,21 @@ def sq_norms(a: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", ar, ar)
 
 
+def _tiles(shape: tuple[int, int], tri: bool):
+    """Yield ``(rows, cols)`` slices of a C-ordered ``shape`` array, each a
+    block of whole rows (see ``TILES``). Of a triangle (``tri``: the upper one
+    of this view, the lower one of its F-ordered transpose) a block takes the
+    columns from its first row on."""
+    m, n = shape
+    size = max(TILE_ENTRIES, m * n // TILES)
+    i = 0
+    while i < m:
+        c0 = i if tri else 0
+        r = max(1, size // max(1, n - c0))
+        yield slice(i, i + r), slice(c0, n)
+        i += r
+
+
 def _sqdist(a: np.ndarray, b: np.ndarray, aa=None, bb=None) -> np.ndarray:
     """Pairwise squared Euclidean distances |a_i - b_j|^2 of (n, d) complex128
     or float64 rows, as ``|a_i|^2 + |b_j|^2 - 2 <a_i, b_j>`` clamped at 0.
@@ -97,39 +126,121 @@ def _sqdist(a: np.ndarray, b: np.ndarray, aa=None, bb=None) -> np.ndarray:
     rows, whose Euclidean distances are the same: the cross products are one
     real GEMM, and the epilogue runs in place in its output. ``aa`` and ``bb``
     are the squared row norms (:func:`sq_norms`) when the caller holds them.
+
+    When ``b is a`` only the lower triangle is computed, in an F-ordered
+    buffer: one ``dsyrk``, then the sum ``aa_i + aa_j`` and the clamp over
+    :func:`_tiles`. The strict upper triangle is not set, except where a tile
+    overlaps it, which is set to 0.
     """
     ar = np.ascontiguousarray(a).view(np.float64)
-    br = ar if b is a else np.ascontiguousarray(b).view(np.float64)
     if aa is None:
         aa = sq_norms(ar)
+    if b is a:
+        n = ar.shape[0]
+        d2 = (np.zeros((n, n), order="F") if 0 in ar.shape else
+              dsyrk(-2.0, ar.T, c=np.empty((n, n), order="F"), trans=1, lower=1, overwrite_c=1))
+        view = d2.T
+        for rows, cols in _tiles(view.shape, True):
+            t = view[rows, cols]
+            for k in range(1, t.shape[0]):  # where the tile overlaps the upper triangle
+                t[k, :k] = 0.0
+            t += aa[rows, None] + aa[cols]
+            np.maximum(t, 0.0, out=t)
+        return d2
+    br = np.ascontiguousarray(b).view(np.float64)
     d2 = ar @ br.T
     d2 *= -2.0
-    if b is a:  # exactly symmetric: a syrk product plus one sum aa_i + aa_j per entry
-        for i in range(0, len(aa), ASYMMETRY_BLOCK_ROWS):
-            d2[i : i + ASYMMETRY_BLOCK_ROWS] += aa[i : i + ASYMMETRY_BLOCK_ROWS, None] + aa
-    else:
-        d2 += aa[:, None]
-        d2 += sq_norms(br) if bb is None else bb
+    d2 += aa[:, None]
+    d2 += sq_norms(br) if bb is None else bb
     return np.maximum(d2, 0.0, out=d2)
 
 
-def _gaussian(d2: np.ndarray, gamma: float) -> np.ndarray:
-    """``exp(-d2 / gamma)``, overwriting ``d2``."""
-    return np.exp(np.divide(d2, -gamma, out=d2), out=d2)
+def _gaussian_sums(d2, tri, gammas, columns, outs=None) -> list[np.ndarray]:
+    """``sum_g c_g exp(-d2 / gamma_g)`` for each column ``c`` of coefficients,
+    which holds one per gamma: the one evaluation of sums of real Gaussians.
 
-
-def _accumulate(out: np.ndarray, c, e: np.ndarray) -> None:
-    """``out += c * e`` in place for a real ``e`` (BLAS axpy, no temporary).
-
-    A complex ``out`` takes two strided axpys over its float view.
+    A triangle ``d2`` (``tri``, see :func:`_sqdist`) gives lower triangles. A
+    matrix is real unless its column holds a complex coefficient. The work
+    runs tile by tile (:func:`_tiles`), each ``exp`` once per tile and gamma.
+    A matrix's first term is written as ``c * e`` and later terms are added.
+    ``outs`` are the output buffers, laid out as ``d2``; by default the last
+    real matrix with a non-zero term takes ``d2`` itself and the others are
+    new. An output that is ``d2`` keeps its terms in a tile-sized buffer
+    until the tile's last ``exp``, unless only that ``exp`` weights it: then
+    the ``exp`` is taken in place and scaled.
     """
-    x = e.reshape(-1)
-    y = out.reshape(-1).view(np.float64)
-    if np.iscomplexobj(out):
-        daxpy(x, y, a=c.real, incy=2)
-        daxpy(x, y, a=c.imag, offy=1, incy=2)
-    else:
-        daxpy(x, y, a=c)
+    used = [(g, cs) for g, cs in zip(gammas, zip(*columns)) if any(cs)]
+    if outs is None:
+        dtypes = [np.result_type(np.float64, *col) for col in columns]
+        real = [k for k, col in enumerate(columns) if any(col) and dtypes[k] == np.float64]
+        outs = [d2 if real and k == real[-1] else
+                (np.empty_like if any(col) else np.zeros_like)(d2, dtypes[k])
+                for k, col in enumerate(columns)]
+    alias = next((k for k, o in enumerate(outs) if o is d2), None)
+    in_place = alias is not None and not any(cs[alias] for _, cs in used[:-1])
+
+    def view(a):
+        return a.T if tri else a
+
+    d2v, outv = view(d2), [view(o) for o in outs]
+    for tile in _tiles(d2v.shape, tri):
+        d = d2v[tile]
+        acc = [o[tile] for o in outv]
+        if alias is not None and not in_place:
+            acc[alias] = np.empty(d.shape)
+        started = [False] * len(acc)
+        for i, (gamma, cs) in enumerate(used):
+            # where this exp is written: d once it is no longer read, else a
+            # real output it starts, else a temporary
+            if in_place and i == len(used) - 1:
+                home, e = alias, d
+            else:
+                home = next((k for k, c in enumerate(cs) if c and k != alias and not started[k]
+                             and acc[k].dtype == np.float64), None)
+                e = np.empty(d.shape) if home is None else acc[home]
+            np.exp(np.divide(d, -gamma, out=e), out=e)
+            for k, c in enumerate(cs):
+                if c and k != home:
+                    if started[k]:
+                        acc[k] += e if c == 1 else c * e
+                    else:
+                        np.multiply(e, c, out=acc[k])
+                    started[k] = True
+            if home is not None:
+                if cs[home] != 1:
+                    e *= cs[home]
+                started[home] = True
+        if alias is not None and not in_place:
+            d[...] = acc[alias]
+    return outs
+
+
+def _mirrored(a: np.ndarray, conj: bool = True) -> np.ndarray:
+    """The square ``a`` with its strict upper triangle set from its lower one,
+    conjugated (Hermitian) or not (symmetric), in place and one column block
+    at a time; returns ``a``."""
+    b = ASYMMETRY_BLOCK_ROWS
+    for j in range(0, a.shape[0], b):
+        cols = slice(j, j + b)
+        low = a[cols, :j].T
+        a[:j, cols] = low.conj() if conj else low
+        square = a[cols, cols]
+        upper = np.triu_indices(square.shape[0], 1)
+        square[upper] = (square.T.conj() if conj else square.T)[upper]
+    return a
+
+
+def _times(g: np.ndarray, tri: bool, v) -> np.ndarray:
+    """``g @ v``; of a lower triangle ``g`` (``tri``) through one ``?symm``/
+    ``?hemm``, which reads that triangle only."""
+    if not tri:
+        return stacked_apply(np.matmul, g, v)
+
+    def symm(a, b):
+        fn = zhemm if np.iscomplexobj(a) else dsymm
+        return fn(1.0, a, b.reshape(b.shape[0], -1), lower=1).reshape(b.shape)
+
+    return stacked_apply(symm, g, v)
 
 
 def _saturated(expo: np.ndarray) -> np.ndarray:
@@ -153,16 +264,23 @@ class KernelSpec:
     # -- evaluation ---------------------------------------------------------
 
     def gram(self, x, z=None) -> np.ndarray:
-        """Kernel Gram matrix K with ``K[i, j] = k(x_i, z_j)``."""
-        return self._gram(*_validated(x, z))
+        """Kernel Gram matrix K with ``K[i, j] = k(x_i, z_j)``; at ``z = x`` the
+        lower triangle mirrored, so exactly Hermitian."""
+        x, z = _validated(x, z)
+        k = self._gram(x, z)
+        return _mirrored(k) if z is x else k
 
     def pair(self, x, z=None) -> tuple[np.ndarray, np.ndarray]:
-        """``(K, Kt)`` with ``Kt[i, j] = ktilde(x_i, z_j)``, from one evaluation."""
-        return self._pair(*_validated(x, z))
+        """``(K, Kt)`` with ``Kt[i, j] = ktilde(x_i, z_j)``, from one evaluation;
+        at ``z = x`` mirrored, so exactly Hermitian and exactly symmetric."""
+        x, z = _validated(x, z)
+        k, kt = self._pair(x, z)
+        return (_mirrored(k), _mirrored(kt, conj=False)) if z is x else (k, kt)
 
     def apply(self, x, z, alpha) -> np.ndarray:
         """``K(x, z) alpha + Kt(x, z) conj(alpha)``, where ``Kt`` is null: ``K alpha``."""
-        return stacked_apply(np.matmul, self.gram(x, z), alpha)
+        x, z = _validated(x, z)
+        return _times(self._gram(x, z), z is x, alpha)
 
     def pseudo_gram(self, x, z=None) -> np.ndarray:
         """Pseudo-kernel Gram matrix with entries ``ktilde(x_i, z_j)``."""
@@ -197,7 +315,8 @@ class KernelSpec:
     def _gram(self, x, z, *norms) -> np.ndarray:
         """The Gram matrix of checked samples; ``norms`` may hold the squared
         row norms ``(xx, zz)`` of ``x`` and ``z`` when the caller has them (a
-        family may ignore them)."""
+        family may ignore them). At ``z is x`` only the lower triangle is
+        defined, in an F-ordered buffer a solve may factor in place."""
         raise NotImplementedError
 
     def _pair(self, x, z) -> tuple[np.ndarray, np.ndarray]:
@@ -237,9 +356,7 @@ class RealGaussian(_Gaussian):
     family = "real_gaussian"
 
     def _gram(self, x, z, *norms):
-        k = _gaussian(_sqdist(x, z, *norms), self.gamma)
-        k *= self.scale
-        return k
+        return _gaussian_sums(_sqdist(x, z, *norms), z is x, [self.gamma], [[self.scale]])[0]
 
     @property
     def is_real_valued(self) -> bool:
@@ -265,9 +382,13 @@ class ComplexGaussian(_Gaussian):
         sz = np.sum(z.conj() ** 2, axis=1)[None, :]
         cross = x @ z.conj().T
         expo = -(sx + sz - 2.0 * cross) / self.gamma
-        if z is x:  # exactly Hermitian: k(x', x) has the conjugate exponent of k(x, x')
-            expo = (expo + expo.conj().T) / 2.0
-        return np.exp(_saturated(expo.real) + 1j * expo.imag)
+        if z is not x:
+            return np.exp(_saturated(expo.real) + 1j * expo.imag)
+        # exactly Hermitian: k(x', x) has the conjugate exponent of k(x, x'); so
+        # conj(K) transposed is K itself, laid out by columns like the triangles
+        expo = (expo + expo.conj().T) / 2.0
+        k = np.exp(_saturated(expo.real) + 1j * expo.imag)
+        return np.conjugate(k, out=k).T
 
     def diag(self, x):
         # x = x': the exponent is 4 |Im x|^2 / gamma, real
@@ -290,12 +411,15 @@ class IndependentGaussian(_Gaussian):
 
     def _gram(self, x, z, *norms):
         def kap(a, b):
-            return _gaussian(_sqdist(a, b), self.gamma)
+            return _gaussian_sums(_sqdist(a, b), b is a, [self.gamma], [[1.0]])[0]
 
         xr, xj = np.ascontiguousarray(x.real), np.ascontiguousarray(x.imag)
         if z is x:  # exactly Hermitian: kappa(xj, xr) is the transpose of kappa(xr, xj)
             rj = kap(xr, xj)
-            return kap(xr, xr) + kap(xj, xj) + 1j * (rj - rj.T)
+            k = np.empty(rj.shape, np.complex128, order="F")
+            np.add(_mirrored(kap(xr, xr)), _mirrored(kap(xj, xj)), out=k.real)
+            np.subtract(rj, rj.T, out=k.imag)
+            return k
         return kap(xr, z.real) + kap(xj, z.imag) + 1j * (kap(xr, z.imag) - kap(xj, z.real))
 
 
@@ -335,41 +459,29 @@ class _TermSum(KernelSpec):
             for gamma, ab in sums.items()
         }
 
-    def _exps(self, d2, columns):
-        """Yield ``(c_gamma of each column, exp(-d2 / gamma))`` for each
-        distinct gamma that some column weights, in the order of
-        :meth:`_coefficients`. The last exp overwrites ``d2`` itself and the
-        others share one buffer, which keeps the peak low."""
-        used = [(g, cs) for g, cs in zip(self._coefficients(), zip(*columns)) if any(cs)]
-        buffer = np.empty(d2.shape) if len(used) > 1 else None
-        for i, (gamma, cs) in enumerate(used):
-            e = d2 if i == len(used) - 1 else buffer
-            yield cs, np.exp(np.divide(d2, -gamma, out=e), out=e)
-
     def _combine(self, x, z, columns, *norms) -> list[np.ndarray]:
-        """``sum_gamma c_gamma exp(-|x_i - z_j|^2 / gamma)`` for each column.
-
-        A column holds one coefficient ``c_gamma`` per distinct gamma, in the
-        order of :meth:`_coefficients`; its matrix is real unless one of them
-        is complex. Each matrix is accumulated in place.
-        """
+        """``sum_gamma c_gamma exp(-|x_i - z_j|^2 / gamma)`` for each column, by
+        :func:`_gaussian_sums`; a column holds one coefficient ``c_gamma`` per
+        distinct gamma, in the order of :meth:`_coefficients`."""
         d2 = _sqdist(x, z, *norms)
-        out = [np.zeros(d2.shape, np.result_type(*col)) for col in columns]
-        for cs, e in self._exps(d2, columns):
-            for m, c in zip(out, cs):
-                if c != 0:
-                    _accumulate(m, c, e)
-        return out
+        return _gaussian_sums(d2, z is x, list(self._coefficients()), columns)
 
     def apply(self, x, z, alpha) -> np.ndarray:
         """``K(x, z) alpha + Kt(x, z) conj(alpha)`` one gamma at a time, as
         ``sum_gamma G_gamma (a_gamma alpha + b_gamma conj(alpha))``: neither
-        ``K`` nor ``Kt`` is formed."""
+        ``K`` nor ``Kt`` is formed. The last ``G_gamma`` overwrites the
+        distances and the others share one buffer; at ``z = x`` each is a
+        lower triangle."""
         x, z = _validated(x, z)
         alpha = np.asarray(alpha, dtype=np.complex128)
+        d2 = _sqdist(x, z)
+        terms = [(g, a, b) for g, (a, b) in self._coefficients().items() if a != 0 or b != 0]
         out = np.zeros(x.shape[0], dtype=np.complex128)
-        for (a, b), e in self._exps(_sqdist(x, z), self._columns()):
-            out += stacked_apply(np.matmul, e, a * alpha + b * alpha.conj())
+        buffer = np.empty_like(d2) if len(terms) > 1 else None
+        for i, (gamma, a, b) in enumerate(terms):
+            g = d2 if i == len(terms) - 1 else buffer
+            _gaussian_sums(d2, z is x, [gamma], [[1.0]], [g])
+            out += _times(g, z is x, a * alpha + b * alpha.conj())
         return out
 
     def _columns(self) -> list[tuple]:
@@ -407,6 +519,10 @@ class _TermSum(KernelSpec):
 
     def split_grams(self, x) -> tuple[np.ndarray, np.ndarray]:
         """The real ``(K + S, K - S)`` of a phase-aligned pair on ``x``."""
+        return tuple(_mirrored(m) for m in self._split_grams(as_samples(x, "x")))
+
+    def _split_grams(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`split_grams` of checked samples, as two lower triangles."""
         p = self.phase
         if p is None:
             raise ValueError(f"this {self.family!r} spec is not phase-aligned")
@@ -416,7 +532,6 @@ class _TermSum(KernelSpec):
             s = (complex(b) * p.conjugate()).real
             plus.append(a + s)
             minus.append(a - s)
-        x = as_samples(x, "x")
         return tuple(self._combine(x, x, [plus, minus]))
 
 

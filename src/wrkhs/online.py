@@ -46,9 +46,10 @@ bit-identical to, a loop of ``observe``.
 
 :func:`streaming_ridge_predictions` computes the same unbounded prediction
 sequence in one Cholesky factorization (prequential form), used by the
-benchmark runners where streams are long. It factors by
-``core.hermitian_factor``, with the batch solve's one jitter retry
-(``1e-12 * trace/n`` on the diagonal) before ``NumericalError``.
+benchmark runners where streams are long. It factors the Gram's lower
+triangle in its own buffer by ``core.ridge_factor``, with the batch solve's
+one jitter retry (``1e-12 * trace/n`` on the diagonal of the Gram built
+afresh) before ``NumericalError``.
 """
 
 from __future__ import annotations
@@ -60,8 +61,7 @@ import numpy as np
 from scipy.linalg import blas, solve_triangular
 
 from .core import (
-    ComplexDataset, as_sample, check_lam, hermitian_factor, hermitian_solve, is_int, ridge_shift,
-    stacked_apply,
+    ComplexDataset, as_sample, check_lam, hermitian_solve, is_int, ridge_factor, stacked_apply,
 )
 from .kernels import KernelSpec, sq_norms
 
@@ -381,7 +381,7 @@ def streaming_ridge_predictions(
     """
     lam = _recursion_lam(spec, lam)
     data = ComplexDataset(X=x, y=y)
-    y = data.y
-    low = hermitian_factor(ridge_shift(spec.gram(data.X), lam))
+    x, y = data.X, data.y
+    low = ridge_factor(spec._gram(x, x), lam, lambda: spec._gram(x, x))
     z = stacked_apply(partial(solve_triangular, lower=True, check_finite=False), low, y)
     return y - np.real(np.diagonal(low)) * z

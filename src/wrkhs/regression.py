@@ -9,16 +9,23 @@ cheapest exact solve the kernel spec's structure allows:
   parts of ``alpha / (1 + p)`` on ``y / (1 + p)``;
 * anything else -- the real 2n x 2n composite solve of ``fit_composite``.
 
-``fit_composite`` (the stacked real/imaginary system) and ``fit_schur`` (the
-Schur complement of the complex 2n x 2n augmented system) are the oracles
-``fit_augmented`` is checked against.
-``fit_srkhs`` is the strictly-complex fit ``alpha = (K + lam I)^-1 y``.
+Each n x n system is the lower triangle the kernels build
+(``KernelSpec._gram(x, x)``, ``_split_grams``), shifted and factored in its
+own buffer by ``core.ridge_solve``; a failed factorization rebuilds it for
+the jitter retry. The composite system is assembled from the full pair and
+solved by ``core.hermitian_solve``. ``fit_composite`` (the stacked
+real/imaginary system) and ``fit_schur`` (the Schur complement of the
+complex 2n x 2n augmented system) are the oracles ``fit_augmented`` is
+checked against. ``fit_srkhs`` is the strictly-complex fit
+``alpha = (K + lam I)^-1 y``.
 
 Predictions follow ``f(x*) = k(x*, X) alpha + ktilde(x*, X) conj(alpha)``,
 evaluated by the spec's ``apply``: the kernel Gram applied to ``alpha`` for
 the three Gaussian families, and ``sum_gamma G_gamma(x*, X) (a_gamma alpha +
 b_gamma conj(alpha))`` for the sums of real Gaussians, which never form the
-Gram pair. ``predict_composite`` is the composite-path oracle.
+Gram pair. At the training inputs themselves each Gram is a lower triangle
+read by one ``?symm``/``?hemm``. ``predict_composite`` is the composite-path
+oracle.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (ComplexDataset, as_samples, check_lam, from_pairs, hermitian_solve,
-                   ridge_shift, to_pairs)
+                   ridge_shift, ridge_solve, to_pairs)
 from .kernels import KernelSpec, composite_matrix, kernel_from_config
 
 __all__ = [
@@ -109,8 +116,8 @@ def fit_augmented(data: ComplexDataset, spec: KernelSpec, lam: float) -> WrkhsMo
     """Fit the widely-linear ridge system; returns the n complex coefficients.
 
     The solve is chosen from the structure of ``spec`` (see the module
-    docstring); each system goes through :func:`hermitian_solve`, so an
-    indefinite one raises :class:`~wrkhs.core.NumericalError`.
+    docstring); an indefinite system raises
+    :class:`~wrkhs.core.NumericalError`.
     """
     if spec.has_null_pseudo:
         return fit_srkhs(data, spec, lam)
@@ -119,9 +126,9 @@ def fit_augmented(data: ComplexDataset, spec: KernelSpec, lam: float) -> WrkhsMo
     if p is not None:
         h = 1 + p
         rhs = data.y / h
-        plus, minus = spec.split_grams(data.X)
-        br = hermitian_solve(ridge_shift(plus, lam), rhs.real)
-        bi = hermitian_solve(ridge_shift(minus, lam), rhs.imag)
+        plus, minus = spec._split_grams(data.X)
+        br = ridge_solve(plus, lam, rhs.real, lambda: spec._split_grams(data.X)[0])
+        bi = ridge_solve(minus, lam, rhs.imag, lambda: spec._split_grams(data.X)[1])
         alpha = h * (br + 1j * bi)
     else:
         a = _composite_solve(*spec.pair(data.X), data.y, lam)
@@ -141,7 +148,8 @@ def fit_srkhs(data: ComplexDataset, spec: KernelSpec, lam: float) -> WrkhsModel:
             "fit_srkhs requires a null pseudo-kernel; use fit_augmented for "
             f"family {spec.family!r}"
         )
-    alpha = hermitian_solve(ridge_shift(spec.gram(data.X), lam), data.y)
+    x = data.X
+    alpha = ridge_solve(spec._gram(x, x), lam, data.y, lambda: spec._gram(x, x))
     return WrkhsModel(X=data.X, spec=spec, lam=lam, alpha=alpha)
 
 

@@ -149,6 +149,13 @@ class TestGram:
             kt = np.asarray(specs[name].pseudo_gram(x), dtype=complex)
             np.testing.assert_allclose(kt, kt.T, atol=1e-12, err_msg=f"family {name}")
 
+    def test_triangle_matches_the_cross_evaluation(self):
+        # x' = x builds the lower triangle and mirrors it; a copy of x takes the cross path
+        x = random_inputs(np.random.default_rng(14), 300, 2)
+        for name, spec in {**zoo_specs(), "mixed_gamma_blocks": mixed_gamma_blocks()}.items():
+            for tri, cross in zip(spec.pair(x), spec.pair(x, x.copy())):
+                np.testing.assert_allclose(tri, cross, rtol=0, atol=1e-13, err_msg=name)
+
     def test_cross_gram_shapes(self, specs):
         rng = np.random.default_rng(13)
         x = random_inputs(rng, 5, 2)
@@ -211,6 +218,8 @@ class TestSqdist:
         for x, z in cases:
             ref = complex_formula_sqdist(x, z)
             d2 = kernels._sqdist(x, z)
+            if z is x:  # the lower triangle only
+                d2, ref = np.tril(d2), np.tril(ref)
             assert (d2 >= 0).all()
             np.testing.assert_allclose(d2, ref, rtol=0, atol=1e-12 * ref.max())
 

@@ -25,13 +25,17 @@ def test_spans_wrap_a_fit_and_restore_every_attribute(tmp_path):
     rec = spans.Recorder()
     with spans.installed(rec):
         assert any(vars(obj) != b for obj, b in zip(PATCHABLE, before))
+        # the last kernel has no phase, so its fit takes the composite solve
         for kernel in ('{"family": "real_gaussian", "params": {"gamma": 1.0}}',
                        '{"family": "separate_real_imag", '
-                       '"params": {"rr": {"gamma": 1.0}, "jj": {"gamma": 2.0}}}'):
+                       '"params": {"rr": {"gamma": 1.0}, "jj": {"gamma": 2.0}}}',
+                       '{"family": "real_imag_blocks", "params": {'
+                       '"rr": {"gamma": 0.9}, "jj": {"gamma": 3.1, "scale": 0.7}, '
+                       '"rj": {"gamma": 2.0, "scale": 0.2}, "jr": {"gamma": 2.0, "scale": 0.2}}}'):
             argv = ["fit", "--dataset", str(data_path), "--kernel", kernel, "--lam", "0.1"]
             assert cli.main(argv + ["--out", str(tmp_path / "m.json")]) == 0
     names = [s["name"] for s in rec.spans]
-    assert names.count("regression.fit") == 2
+    assert names.count("regression.fit") == 3
     assert {"cli.read_csv", "regression.predict", "core.hermitian_solve"} <= set(names)
     for obj, saved in zip(PATCHABLE, before):
         after = vars(obj)

@@ -21,8 +21,10 @@ from wrkhs import (
     mse_db,
     predict,
     predict_composite,
+    streaming_ridge_predictions,
 )
 from wrkhs import kernels, regression
+from wrkhs.core import ridge_solve
 from conftest import mixed_gamma_blocks, random_inputs, transform_matrix, zoo_specs
 
 
@@ -106,35 +108,41 @@ class TestFitAugmented:
             )
 
     def test_default_solves_by_structure(self, specs, monkeypatch):
-        # the default factors n x n systems only, except the 2n real
-        # composite system for a pseudo-kernel without a phase
+        # the default factors n x n systems only, each in place where it was
+        # built, except the 2n real composite system for a pseudo-kernel
+        # without a phase, which is assembled from full matrices
         n = 10
+        in_place = ((n, n), "float64", "ridge_solve")
         expected = {
-            "real_gaussian": [((n, n), "float64")],
-            "complex_gaussian": [((n, n), "complex128")],
-            "independent": [((n, n), "complex128")],
-            "real_imag_blocks": [((n, n), "float64")] * 2,
-            "separate_real_imag": [((n, n), "float64")] * 2,
-            "sum_of_separable": [((n, n), "float64")] * 2,
-            "mixed_gamma_blocks": [((2 * n, 2 * n), "float64")],
+            "real_gaussian": [in_place],
+            "complex_gaussian": [((n, n), "complex128", "ridge_solve")],
+            "independent": [((n, n), "complex128", "ridge_solve")],
+            "real_imag_blocks": [in_place] * 2,
+            "separate_real_imag": [in_place] * 2,
+            "sum_of_separable": [in_place] * 2,
+            "mixed_gamma_blocks": [((2 * n, 2 * n), "float64", "hermitian_solve")],
         }
         data = random_dataset(np.random.default_rng(16), n, 2)
         seen = []
 
-        def recording_solve(a, b):
-            seen.append((a.shape, a.dtype.name))
-            return hermitian_solve(a, b)
+        def recording(solve):
+            def record(a, *args):
+                seen.append((a.shape, a.dtype.name, solve.__name__))
+                return solve(a, *args)
+            return record
 
-        monkeypatch.setattr(regression, "hermitian_solve", recording_solve)
+        for solve in (hermitian_solve, ridge_solve):
+            monkeypatch.setattr(regression, solve.__name__, recording(solve))
         for name, spec in {**specs, "mixed_gamma_blocks": mixed_gamma_blocks()}.items():
             seen.clear()
             fit_augmented(data, spec, 0.5)
             assert seen == expected[name], name
 
     def test_split_fit_builds_no_complex_kernel_matrix(self, specs):
-        # K + S and K - S are evaluated as real matrices: the peak is the
-        # distances, one exp buffer and the two systems (4 n^2 doubles); a
-        # complex K or Kt on top of them would need 2 n^2 more
+        # K + S and K - S are evaluated as real lower triangles, one in the
+        # distances' buffer, and each is factored where it was built: the peak
+        # is the two systems (2 n^2 doubles) and tile-sized temporaries; a copy
+        # of either, an exp buffer or a complex K or Kt would need n^2 more
         n = 600
         data = random_dataset(np.random.default_rng(41), n, 1)
         for name in ("real_imag_blocks", "separate_real_imag", "sum_of_separable"):
@@ -144,10 +152,25 @@ class TestFitAugmented:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= 4.1 * 8 * n * n, (name, peak / (8 * n * n))
+            assert peak <= 2.1 * 8 * n * n, (name, peak / (8 * n * n))
 
 
 class TestFitSrkhs:
+    def test_gram_is_built_and_factored_in_one_buffer(self):
+        # the Gram's lower triangle is built in the distances' buffer and
+        # factored there: a full copy of it would need n^2 doubles more
+        n = 600
+        data = random_dataset(np.random.default_rng(44), n, 2)
+        two_gammas = SumOfSeparable(terms=((RealGaussian(0.7), 0.0), (RealGaussian(2.0), 0.0)))
+        for spec in (RealGaussian(gamma=1.0), two_gammas):
+            tracemalloc.start()
+            try:
+                fit_srkhs(data, spec, 0.5)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.1 * 8 * n * n, (spec, peak / (8 * n * n))
+
     def test_identity_gram_interpolates(self):
         # points far apart with a narrow kernel: K is exactly the identity
         x = (10.0 * np.arange(4)).astype(complex)[:, None]
@@ -239,14 +262,18 @@ class TestPredict:
         assert predict(model, random_inputs(rng, 3, 1)).shape == (3,)
 
     def test_real_gram_applied_without_complex_copy(self, monkeypatch):
-        # a real Gram times complex alpha is one real GEMM on [Re a, Im a]
+        # at the training inputs a real Gram's lower triangle times complex
+        # alpha is one real ?symm on [Re a, Im a]: neither a complex copy nor
+        # the upper triangle
         n = 600
         rng = np.random.default_rng(42)
         data = random_dataset(rng, n, 1)
         spec = RealGaussian(gamma=1.0)
         model = fit_srkhs(data, spec, 0.1)
-        g = spec.gram(data.X)
-        monkeypatch.setattr(RealGaussian, "gram", lambda self, x, z=None: g)
+        full = spec.gram(data.X)
+        low = spec._gram(data.X, data.X)
+        low[np.triu_indices(n, 1)] = np.nan
+        monkeypatch.setattr(RealGaussian, "_gram", lambda self, x, z, *norms: low)
         tracemalloc.start()
         try:
             pred = predict(model, data.X)
@@ -255,6 +282,26 @@ class TestPredict:
             tracemalloc.stop()
         assert peak <= 0.1 * 8 * n * n, peak / (8 * n * n)
         # |g| <= 1: each entry rounds within n eps sum |alpha| of the complex product
+        bound = 1e-12 * np.abs(model.alpha).sum()
+        np.testing.assert_allclose(pred, full.astype(complex) @ model.alpha, rtol=0, atol=bound)
+
+    def test_real_cross_gram_applied_without_complex_copy(self, monkeypatch):
+        # at other inputs a real Gram times complex alpha is one real GEMM on [Re a, Im a]
+        n = 600
+        rng = np.random.default_rng(45)
+        data = random_dataset(rng, n, 1)
+        spec = RealGaussian(gamma=1.0)
+        model = fit_srkhs(data, spec, 0.1)
+        x_star = random_inputs(rng, n, 1)
+        g = spec.gram(x_star, data.X)
+        monkeypatch.setattr(RealGaussian, "_gram", lambda self, x, z, *norms: g)
+        tracemalloc.start()
+        try:
+            pred = predict(model, x_star)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.1 * 8 * n * n, peak / (8 * n * n)
         bound = 1e-12 * np.abs(model.alpha).sum()
         np.testing.assert_allclose(pred, g.astype(complex) @ model.alpha, rtol=0, atol=bound)
 
@@ -281,6 +328,17 @@ class TestPredict:
             finally:
                 tracemalloc.stop()
             assert peak <= 1.1 * 8 * n * n, (name, peak / (8 * n * n))
+
+    def test_training_inputs_match_a_copy_of_them(self):
+        # at the model's own inputs the Grams are lower triangles read by ?symm/?hemm;
+        # a copy of the inputs takes the cross path
+        rng = np.random.default_rng(47)
+        data = random_dataset(rng, 300, 2)
+        for name, spec in {**zoo_specs(), "mixed_gamma_blocks": mixed_gamma_blocks()}.items():
+            model = fit_augmented(data, spec, 0.6)
+            scale = np.abs(model.alpha).sum()
+            np.testing.assert_allclose(predict(model, data.X), predict(model, data.X.copy()),
+                                       rtol=0, atol=1e-12 * scale, err_msg=name)
 
     def test_nonfinite_inputs_rejected(self):
         rng = np.random.default_rng(17)
@@ -336,6 +394,79 @@ class TestThreePathEquivalence:
                 )
                 np.testing.assert_allclose(p_direct, p_schur, atol=1e-8, err_msg=name)
                 np.testing.assert_allclose(p_direct, p_com, atol=1e-8, err_msg=name)
+
+
+class TestTriangleContract:
+    """A self-Gram is handed to the solves as the lower triangle of its buffer:
+    nothing reads the strict upper triangle, and a failed factorization takes
+    its jitter on a matrix built afresh."""
+
+    @staticmethod
+    def poison_upper(monkeypatch):
+        # every distance matrix of samples with themselves gets NaN above its diagonal
+        sqdist = kernels._sqdist
+
+        def poisoned(a, b, *args):
+            d2 = sqdist(a, b, *args)
+            if b is a:
+                d2[np.triu_indices(d2.shape[0], 1)] = np.nan
+            return d2
+
+        monkeypatch.setattr(kernels, "_sqdist", poisoned)
+
+    def test_upper_triangle_is_never_read(self, monkeypatch):
+        rng = np.random.default_rng(46)
+        specs = {**zoo_specs(), "mixed_gamma_blocks": mixed_gamma_blocks()}
+        # 300 samples cross the tiles and the column blocks of the mirror
+        problems = [(random_dataset(rng, n, d), float(rng.uniform(0.3, 1.5)))
+                    for n, d in ((7, 1), (40, 3), (300, 2))]
+
+        def run():
+            out = []
+            for data, lam in problems:
+                for name, spec in specs.items():
+                    model = fit_augmented(data, spec, lam)
+                    out += [model.alpha, predict(model, data.X)]
+                    if spec.has_null_pseudo:
+                        out += [fit_srkhs(data, spec, lam).alpha,
+                                streaming_ridge_predictions(spec, data.X, data.y, lam)]
+            return out
+
+        clean = run()
+        self.poison_upper(monkeypatch)
+        for got, want in zip(run(), clean, strict=True):
+            np.testing.assert_array_equal(got, want)
+
+    def test_rank_deficient_gram_takes_the_jitter_once(self, monkeypatch):
+        # duplicate samples first, lam = 0: the first factorization fails at its
+        # second pivot; the retry factors K + 1e-12 trace(K)/n I, built afresh
+        x = np.array([1 + 1j, 1 + 1j, 0.5j, 2.0, 1 + 1j, -0.5 + 0.25j])
+        y = np.arange(1.0, 7.0) - 1j
+        data = ComplexDataset(X=x, y=y)
+
+        def jittered(m):
+            return m + 1e-12 * np.trace(m) / m.shape[0] * np.eye(m.shape[0])
+
+        builds = []
+        for cls, name in ((RealGaussian, "_gram"), (SeparateRealImag, "_split_grams")):
+            build = getattr(cls, name)
+            monkeypatch.setattr(cls, name, lambda *a, build=build: builds.append(1) or build(*a))
+
+        spec = RealGaussian(gamma=1.0)
+        alpha = fit_srkhs(data, spec, 0.0).alpha
+        assert len(builds) == 2
+        want = hermitian_solve(jittered(spec.gram(data.X)), y)
+        np.testing.assert_allclose(alpha, want, rtol=1e-12)
+
+        builds.clear()
+        spec = SeparateRealImag(rr=RealGaussian(gamma=0.9), jj=RealGaussian(gamma=3.1))
+        alpha = fit_augmented(data, spec, 0.0).alpha
+        assert len(builds) == 3  # the pair, then afresh for each of its two systems
+        h = 1 + spec.phase
+        plus, minus = spec.split_grams(data.X)
+        want = h * (hermitian_solve(jittered(plus), (y / h).real)
+                    + 1j * hermitian_solve(jittered(minus), (y / h).imag))
+        np.testing.assert_allclose(alpha, want, rtol=1e-12)
 
 
 class TestMseDb:

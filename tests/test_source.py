@@ -1,6 +1,7 @@
 """Static checks over the package source."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -107,25 +108,39 @@ def test_detects_ndim_one_tests(source):
     assert ndim_one_tests(ast.parse(source)) == [1]
 
 
-FACTORIZATIONS = {"cholesky", "cho_factor", "cho_solve"}
+FACTORIZATIONS = {"cholesky", "cho_factor", "cho_solve", "get_lapack_funcs"}
+# LAPACK's Cholesky routines in any precision, named or spelled as a string
+LAPACK_FACTORIZATIONS = re.compile(r"[sdcz]?(potrf|potrs)")
+
+
+def named(tree: ast.AST, is_name) -> list[int]:
+    """Line numbers where a name, attribute, import or string constant is one
+    that ``is_name`` accepts."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.ImportFrom):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names = [node.value]
+        else:
+            continue
+        lines += [node.lineno for name in names if is_name(name)]
+    return lines
 
 
 def factorization_names(tree: ast.AST) -> list[int]:
-    """Line numbers where a Cholesky routine is named or imported."""
-    lines = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and node.id in FACTORIZATIONS:
-            lines.append(node.lineno)
-        elif isinstance(node, ast.Attribute) and node.attr in FACTORIZATIONS:
-            lines.append(node.lineno)
-        elif isinstance(node, ast.ImportFrom):
-            lines += [node.lineno for a in node.names if a.name in FACTORIZATIONS]
-    return lines
+    """Line numbers where a Cholesky routine is named, imported or spelled."""
+    return named(tree, lambda name: name in FACTORIZATIONS
+                 or LAPACK_FACTORIZATIONS.fullmatch(name) is not None)
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "core.py"], ids=lambda p: p.name)
 def test_one_factorization(path):
-    # every factorization goes through core.hermitian_factor, with its one jitter rule
+    # every factorization goes through core's one Cholesky, with its one jitter rule
     assert factorization_names(ast.parse(path.read_text(encoding="utf-8"))) == []
 
 
@@ -137,11 +152,43 @@ def test_one_factorization(path):
         ("from scipy import linalg\nx = linalg.cho_solve(f, b)", [2]),
         ("from scipy.linalg import cholesky\nlow = cholesky(a)", [1, 2]),
         ("low = np.linalg.cholesky(a)", [1]),
-        ("low = hermitian_factor(a)\nfrom .core import hermitian_solve", []),
+        ("from scipy.linalg.lapack import dpotrf", [1]),
+        ("from scipy.linalg import lapack\nlow, info = lapack.zpotrf(a, lower=1)", [2]),
+        ("x, info = scipy.linalg.lapack.dpotrs(low, b)", [1]),
+        ("potrf, = get_lapack_funcs(('potrf',), (a,))", [1, 1, 1]),
+        ("from scipy.linalg import get_lapack_funcs", [1]),
+        ("low = hermitian_factor(a)\nfrom .core import hermitian_solve, ridge_solve", []),
+        ("f = getattr(lapack, 'dgetrf')\nrepotrf = 1", []),
     ],
 )
 def test_detects_factorization_names(source, lines):
     assert sorted(factorization_names(ast.parse(source))) == lines
+
+
+def syrk_names(tree: ast.AST) -> list[int]:
+    """Line numbers where a BLAS rank-k update (``?syrk``/``?herk``) is named,
+    imported or spelled."""
+    return named(tree, lambda name: re.fullmatch(r"[sdcz]?(syrk|herk)", name) is not None)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "kernels.py"],
+                         ids=lambda p: p.name)
+def test_one_gram_product(path):
+    # the cross products of samples with themselves are kernels._sqdist's one syrk
+    assert syrk_names(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+@pytest.mark.parametrize(
+    "source,lines",
+    [
+        ("from scipy.linalg.blas import dsyrk", [1]),
+        ("from scipy.linalg import blas\nc = blas.zherk(1.0, a)", [2]),
+        ("syrk = getattr(blas, 'dsyrk')", [1, 1]),
+        ("c = ar @ ar.T\nb = blas.dsyr(1.0, x, a=q)", []),
+    ],
+)
+def test_detects_syrk_names(source, lines):
+    assert sorted(syrk_names(ast.parse(source))) == lines
 
 
 def test_every_export_is_used_by_the_package():
