@@ -9,8 +9,9 @@ Subcommands
 
 Dataset CSV format: header ``x_re_0,..,x_re_{d-1},x_im_0,..,x_im_{d-1},y_re,
 y_im`` (the two target columns are optional for ``predict``), one sample per
-row, UTF-8, '.' decimal separator. ``csv`` and ``json`` write every number as
-its shortest round-trip ``repr``, and every value reads back bit-exactly.
+row, UTF-8, '.' decimal separator. Every CSV is written by one column writer
+(``_write_csv``) and every JSON by ``json``; both write each number as its
+shortest round-trip ``repr``, and every value reads back bit-exactly.
 
 Kernel JSON format: ``{"family": <name>, "params": {...}}`` with families
 ``real_gaussian`` (params ``gamma``, optional ``scale``), ``complex_gaussian``
@@ -24,9 +25,9 @@ A benchmark config is a JSON object of config dataclass fields, each stored
 as its annotation says (``core.store_as_annotated``). An equalization config
 is checked when it is built, so a bad one exits 2 before any trial runs.
 
-Exit codes: 0 success, 2 input error, 3 numerical failure. Benchmark outputs
-embed the sha256 of their canonical config and the seed; reruns of the same
-config are byte-identical.
+Exit codes: 0 success, 2 input error (an input too large to hold in memory
+included), 3 numerical failure. Benchmark outputs embed the sha256 of their
+canonical config and the seed; reruns of the same config are byte-identical.
 """
 
 from __future__ import annotations
@@ -65,21 +66,41 @@ EXIT_NUMERICAL = 3
 # ---------------------------------------------------------------------------
 
 
-def _re_im_rows(*arrays):
-    """Rows of the real then the imaginary parts of each array in turn, each
-    converted to Python floats as it is written; a 2-D array gives a column per input dimension."""
-    return map(np.ndarray.tolist, np.column_stack([p for a in arrays for p in (a.real, a.imag)]))
+def _re_im_columns(*arrays) -> list[np.ndarray]:
+    """The real then the imaginary part of each array in turn, as 1-D columns;
+    a 2-D array gives one column per input dimension."""
+    return [col for a in arrays for part in (a.real, a.imag) for col in np.atleast_2d(part.T)]
 
 
-def _write_csv(path, header, rows, comment=None) -> None:
-    """``header`` then ``rows`` of Python numbers, which ``csv`` writes as their
-    shortest round-trip ``repr``, after a ``comment`` line when one is given."""
+# rows formatted and written at a time, so a file's size never sets the memory held
+CSV_BLOCK_ROWS = 512
+
+
+def _column_strings(col: np.ndarray) -> list[str]:
+    """``col`` as text: an integer as ``str``, and a float as its shortest
+    round-trip ``repr``, taken once per distinct 64-bit pattern (so ``-0.0``
+    and every NaN keep their own)."""
+    if col.dtype != np.float64:
+        return list(map(str, col.tolist()))
+    # a dict on the patterns, not np.unique: its sort pages in ~0.4 MB of numpy
+    bits = col.view(np.uint64).tolist()
+    value = dict(zip(bits, col.tolist()))
+    text = dict(zip(value, map(repr, value.values())))
+    return list(map(text.__getitem__, bits))
+
+
+def _write_csv(path, header, columns, comment=None) -> None:
+    """``header`` then the rows of the equal-length 1-D arrays ``columns``, in
+    the bytes the standard ``csv`` module writes for the same rows of Python
+    numbers (``\\r\\n`` line ends), after a ``comment`` line when one is given."""
+    n = len(columns[0])
     with open(path, "w", newline="", encoding="utf-8") as fh:
         if comment is not None:
             fh.write(comment + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, n, CSV_BLOCK_ROWS):
+            text = [_column_strings(c[start : start + CSV_BLOCK_ROWS]) for c in columns]
+            fh.write("\r\n".join(map(",".join, zip(*text))) + "\r\n")
 
 
 def _dataset_header(d: int, with_targets: bool = True) -> list[str]:
@@ -117,7 +138,7 @@ def read_dataset_csv(path) -> ComplexDataset:
 
 def write_dataset_csv(path, data: ComplexDataset) -> None:
     """Write ``data`` in the format :func:`read_dataset_csv` parses."""
-    _write_csv(path, _dataset_header(data.d), _re_im_rows(data.X, data.y))
+    _write_csv(path, _dataset_header(data.d), _re_im_columns(data.X, data.y))
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +188,7 @@ def cmd_predict(args) -> int:
     data = read_dataset_csv(args.dataset)
     preds = predict(model, data.X)
     header = _dataset_header(data.d, with_targets=False) + ["pred_re", "pred_im"]
-    _write_csv(args.out, header, _re_im_rows(data.X, preds))
+    _write_csv(args.out, header, _re_im_columns(data.X, preds))
     print(f"n={data.n} d={data.d} predictions={args.out}")
     return EXIT_OK
 
@@ -199,7 +220,7 @@ def cmd_kernel_surface(args) -> int:
     _write_csv(
         args.out,
         ["x_re", "x_im", "k_re", "k_im", "pk_re", "pk_im"],
-        _re_im_rows(pts[:, 0], k, pk),
+        _re_im_columns(pts[:, 0], k, pk),
         _hash_comment(_config_hash(cfg), "none"),
     )
     print(f"points={pts.shape[0]} surface={args.out}")
@@ -207,12 +228,12 @@ def cmd_kernel_surface(args) -> int:
 
 
 def _write_bench(out_dir: Path, name: str, config, seed, table, results: dict) -> None:
-    """Write ``<name>_<kind>.csv`` from ``table = (kind, header, rows)`` and
+    """Write ``<name>_<kind>.csv`` from ``table = (kind, header, columns)`` and
     ``<name>_summary.json``, both stamped with the hash of ``config``."""
     cfg = config.to_config()
     chash = _config_hash(cfg)
-    kind, header, rows = table
-    _write_csv(out_dir / f"{name}_{kind}.csv", header, rows, _hash_comment(chash, seed))
+    kind, header, columns = table
+    _write_csv(out_dir / f"{name}_{kind}.csv", header, columns, _hash_comment(chash, seed))
     summary = {"config": cfg, "config_sha256": chash, "seed": seed, **results}
     (out_dir / f"{name}_summary.json").write_text(
         _canonical_json(summary) + "\n", encoding="utf-8"
@@ -238,7 +259,8 @@ def cmd_bench(args) -> int:
             cfg["base_seed"] = args.seed
         config = EqualizationConfig.from_config(cfg)
         result = run_equalization(config)
-        curve = ("curve", ["sample_index", "avg_mse_db"], enumerate(result.curve_db.tolist()))
+        curve = ("curve", ["sample_index", "avg_mse_db"],
+                 [np.arange(len(result.curve_db)), result.curve_db])
         results = {key: getattr(result, key) for key in ("final_mse_db", "n_stream", "trials")}
         _write_bench(out_dir, name, config, config.channel.base_seed, curve, results)
         print(f"equalization: final_mse_db={result.final_mse_db!r}")
@@ -253,7 +275,7 @@ def cmd_bench(args) -> int:
     # looked up per call, so a replaced run_exp1/run_exp2 is the one that runs
     result = (run_exp1 if exp_id == 1 else run_exp2)(config)
     grid = ("grid", ["x_r", "x_j", "pred_r", "pred_j", "true_r", "true_j"],
-            _re_im_rows(result.grid, result.wrkhs_pred, result.truth))
+            _re_im_columns(result.grid, result.wrkhs_pred, result.truth))
     results = {"wrkhs_mse_db": result.wrkhs_mse_db, ablation_key: result.ablation_mse_db}
     _write_bench(out_dir, name, config, config.seed, grid, results)
     print(f"{name}: " + " ".join(f"{key}={value!r}" for key, value in results.items()))
@@ -316,6 +338,10 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     except (ValueError, TypeError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:
+        # an input too large to evaluate, such as a kernel surface of 10^10 points
+        print(f"input error: out of memory: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

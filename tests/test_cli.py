@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from wrkhs import (
@@ -28,11 +28,23 @@ from wrkhs import (
     predict_composite,
 )
 from wrkhs import channel, synthetic
-from wrkhs.cli import _config_hash, main, read_dataset_csv, write_dataset_csv
+from wrkhs.cli import (
+    CSV_BLOCK_ROWS,
+    _config_hash,
+    _re_im_columns,
+    _write_csv,
+    main,
+    read_dataset_csv,
+    write_dataset_csv,
+)
 
 
-def write_csv(path, header, rows):
+def write_csv(path, header, rows, comment=None):
+    """``csv.writer`` over rows of Python numbers: the writer every output file
+    went through before the column writer, kept as its oracle."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
+        if comment is not None:
+            fh.write(comment + "\n")
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -109,6 +121,80 @@ class TestDatasetIO:
                 a, b = getattr(got, part), getattr(want, part)
                 np.testing.assert_array_equal(a, b)
                 np.testing.assert_array_equal(np.signbit(a), np.signbit(b))
+
+
+B = CSV_BLOCK_ROWS
+# empty, one row, and either side of one and of several block boundaries
+ROW_COUNTS = [0, 1, B - 1, B, B + 1, 3 * B + 7]
+# bit patterns whose text is easy to get wrong: both zeros, NaNs of either sign
+# and other payloads, both infinities, subnormals, 1e-05 and 1e+16
+SPECIAL_BITS = [0x0, 0x8000000000000000, 0x7FF8000000000000, 0xFFF8000000000000,
+                0x7FF0000000000001, 0xFFF00000DEADBEEF, 0x7FF0000000000000,
+                0xFFF0000000000000, 0x1, 0x800FFFFFFFFFFFFF,
+                *np.array([1e-05, 1e+16]).view(np.uint64).tolist()]
+FLOAT_BITS = st.one_of(
+    st.sampled_from(SPECIAL_BITS),
+    st.integers(0, 2**64 - 1),
+    st.floats().map(lambda v: int(np.array(v).view(np.uint64))),
+)
+
+
+def float_column(rng, pool, n):
+    """``n`` draws from the bit patterns ``pool``, led by every special pattern
+    that fits, so both zeros and the NaNs share the first block."""
+    bits = np.array(pool, dtype=np.uint64)[rng.integers(len(pool), size=n)]
+    lead = min(n, len(SPECIAL_BITS))
+    bits[:lead] = SPECIAL_BITS[:lead]
+    return bits.view(np.float64)
+
+
+class TestColumnWriter:
+    @settings(derandomize=True, max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n=st.sampled_from(ROW_COUNTS), pool=st.lists(FLOAT_BITS, min_size=1, max_size=12),
+           n_float=st.integers(1, 4), n_int=st.integers(0, 2), seed=st.integers(0, 2**32 - 1),
+           comment=st.sampled_from([None, "# config_sha256=00ff seed=7"]))
+    def test_matches_csv_writer(self, tmp_path, n, pool, n_float, n_int, seed, comment):
+        rng = np.random.default_rng(seed)
+        columns = [float_column(rng, pool, n) for _ in range(n_float)]
+        columns += [rng.integers(-(2**63), 2**63 - 1, size=n, endpoint=True) // 10 ** k
+                    for k in rng.integers(0, 19, size=n_int)]
+        columns = [columns[k] for k in rng.permutation(len(columns))]
+        header = [f"c{k}" for k in range(len(columns))]
+        _write_csv(tmp_path / "got.csv", header, columns, comment)
+        write_csv(tmp_path / "want.csv", header, zip(*(c.tolist() for c in columns)), comment)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    @settings(derandomize=True, max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n=st.sampled_from(ROW_COUNTS), d=st.integers(1, 3),
+           pool=st.lists(FLOAT_BITS, min_size=1, max_size=12), seed=st.integers(0, 2**32 - 1))
+    def test_complex_columns_match_stacked_rows(self, tmp_path, n, d, pool, seed):
+        rng = np.random.default_rng(seed)
+        x = np.empty((n, d), dtype=np.complex128)
+        y = np.empty(n, dtype=np.complex128)
+        for part in (x.real, x.imag, y.real, y.imag):
+            part[...] = float_column(rng, pool, part.size).reshape(part.shape)
+        header = [f"c{k}" for k in range(2 * d + 2)]
+        _write_csv(tmp_path / "got.csv", header, _re_im_columns(x, y))
+        # the oracle: the same parts stacked into one table, written as rows of Python floats
+        rows = map(np.ndarray.tolist, np.column_stack([x.real, x.imag, y.real, y.imag]))
+        write_csv(tmp_path / "want.csv", header, rows)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_memory_does_not_grow_with_rows(self, tmp_path):
+        rng = np.random.default_rng(0)
+
+        def peak(n):
+            columns = list(rng.standard_normal((6, n)))
+            tracemalloc.start()
+            try:
+                _write_csv(tmp_path / "m.csv", [f"c{k}" for k in range(6)], columns)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(100_000) <= 1.2 * peak(10_000)
 
 
 class TestFit:
@@ -563,6 +649,24 @@ class TestKernelSurface:
         rc = main(["kernel-surface", "--kernel", KERNEL_RG, *argv, "--out", str(out)])
         assert rc == 2
         assert "input error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("diagonal", [[], ["--diagonal"]])
+    def test_out_of_memory_exit_2(self, tmp_path, capsys, monkeypatch, diagonal):
+        # a stand-in raises what numpy raises for a grid too large to hold;
+        # asking for the allocation itself can get the process killed instead
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 298. GiB for an array")
+
+        for name in ("pair", "diag"):
+            monkeypatch.setattr(KernelSpec, name, too_large)
+        out = tmp_path / "s.csv"
+        rc = main(["kernel-surface", "--kernel", KERNEL_RG, "--range", "1", "--resolution", "5",
+                   *diagonal, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("input error: ") and err.count("\n") == 1
+        assert "298. GiB" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_independent_cross_shape(self, tmp_path):

@@ -191,6 +191,41 @@ def test_detects_syrk_names(source, lines):
     assert sorted(syrk_names(ast.parse(source))) == lines
 
 
+CSV_WRITERS = {"writer", "DictWriter"}
+
+
+def csv_writer_names(tree: ast.AST) -> list[int]:
+    """Line numbers where ``csv.writer``/``csv.DictWriter`` is named or imported."""
+    lines = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in CSV_WRITERS
+                and isinstance(node.value, ast.Name) and node.value.id == "csv"):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "csv":
+            lines += [node.lineno for a in node.names if a.name in CSV_WRITERS]
+    return lines
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_one_csv_writer(path):
+    # every CSV is written by cli._write_csv, one repr per distinct value
+    assert csv_writer_names(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+@pytest.mark.parametrize(
+    "source,lines",
+    [
+        ("import csv\nw = csv.writer(fh)", [2]),
+        ("import csv\nw = csv.DictWriter(fh, fields)", [2]),
+        ("from csv import writer", [1]),
+        ("from csv import reader, writer as w", [1]),
+        ("rows = list(csv.reader(fh))\nlog.writer = None", []),
+    ],
+)
+def test_detects_csv_writers(source, lines):
+    assert csv_writer_names(ast.parse(source)) == lines
+
+
 def test_every_export_is_used_by_the_package():
     # a name only tests call belongs in the tests, not in the package
     trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in MODULES}
