@@ -19,12 +19,12 @@ and ``ridge_factor`` take a Gram as the kernels hand it over, a lower
 triangle (``kernels.KernelSpec._gram(x, x)``): the batch fits and the
 streaming ridge build, shift and factor each system in one buffer.
 ``ridge_shift`` only adds to the diagonal. ``hermitian_solve`` is the
-full-matrix form, for systems assembled from full matrices: it checks that
-``A`` is Hermitian to ``HERMITIAN_ATOL`` and solves a copy in place;
-``hermitian_factor`` factors a copy. An exactly diagonal system is solved by
-elementwise division. ``stacked_apply`` lets a real matrix act on a complex
-right-hand side as one real call on its stacked real and imaginary parts, so
-the matrix is never copied to complex.
+full-matrix form, for the oracle fits (``fit_composite``, ``fit_schur``) and
+the budgeted recursion's rebuild, which assemble full matrices: it checks
+that ``A`` is Hermitian to ``HERMITIAN_ATOL`` and solves a copy in place. An
+exactly diagonal system is solved by elementwise division. ``stacked_apply``
+lets a real matrix act on a complex right-hand side as one real call on its
+stacked real and imaginary parts, so the matrix is never copied to complex.
 
 All functions here but ``ridge_shift``, ``ridge_solve`` and ``ridge_factor``,
 which work in the buffer they are given, are pure; arrays returned by
@@ -57,7 +57,6 @@ __all__ = [
     "ridge_shift",
     "ridge_solve",
     "ridge_factor",
-    "hermitian_factor",
     "hermitian_solve",
 ]
 
@@ -278,15 +277,6 @@ def hermitian_solve(a, b) -> np.ndarray:
     if asym > HERMITIAN_ATOL:
         raise ValueError(f"matrix is not Hermitian (max asymmetry {asym:.3e})")
     return ridge_solve(_f_copy(a), 0.0, b, lambda: _f_copy(a))
-
-
-def hermitian_factor(a: np.ndarray) -> np.ndarray:
-    """The Cholesky factor ``L`` of ``A = L L^H`` for an (n, n) ``A`` the caller
-    vouches is Hermitian, in the lower triangle of a new array; its strict upper
-    triangle is not zeroed, and no solve reads it. ``A`` is left as it is: a
-    copy is factored by :func:`ridge_factor`, whose retry takes another copy."""
-    a = np.asarray(a)
-    return ridge_factor(_f_copy(a), 0.0, lambda: _f_copy(a))
 
 
 def _f_copy(a: np.ndarray) -> np.ndarray:

@@ -15,8 +15,9 @@ The last three share one evaluator over a list of real Gaussian terms, each
 with a kernel and a pseudo-kernel coefficient (the separable form). Such a
 pair is *phase-aligned* when its kernel is real and its pseudo-kernel is
 ``p S`` for one unit ``p`` and a real ``S``; ``phase`` reports ``p`` (None
-for every other spec) and ``split_grams`` builds the real ``(K + S, K - S)``
-that split the widely-linear ridge system into two real solves. Their
+for every other spec). ``_ridge_systems`` builds the real form of the
+widely-linear ridge system: for an aligned pair the real ``K + S`` and
+``K - S`` of two real solves, for any other one real 2n x 2n system. Their
 ``apply`` sums one gamma at a time, without forming ``K`` or ``Kt``.
 
 Every family exposes ``apply`` (what ``predict`` evaluates), ``pair`` (the
@@ -34,19 +35,21 @@ the norm adds and the clamp at 0 run in place in its output. The samples
 against themselves (``x' = x``) give only the lower triangle of a
 column-ordered buffer: one ``dsyrk``, then one norm sum ``aa_i + aa_j`` per
 entry. ``_gaussian_sums`` is the one evaluation of sums of real Gaussians,
-for the real Gaussian, the block families, their split and their ``apply``:
-tile by tile (``_tiles``), on the triangle only when there is one, with the
-last real sum in the distances' buffer. So ``_gram(x, x)``, ``_pair(x, x)``
-and ``_split_grams(x)`` give lower triangles; a ridge solve shifts and
-factors them in place (``core.ridge_solve``), and ``apply(x, x, alpha)``
-reads them through one ``?symm``/``?hemm``. The public ``gram``, ``pair``
-and ``split_grams`` at ``x' = x`` mirror the triangle block by block, so
-a Gram is exactly Hermitian and its pseudo-kernel Gram exactly symmetric;
+for the real Gaussian, the block families, their ridge systems and their
+``apply``: tile by tile (``_tiles``), on the triangle only when there is
+one, with the last real sum in the distances' buffer unless the caller
+gives the outputs. So ``_gram(x, x)``, ``_pair(x, x)`` and
+``_ridge_systems(x)`` give lower triangles; a ridge solve shifts and factors
+them in place (``core.ridge_solve``), and ``apply(x, x, alpha)`` reads them
+through one ``?symm``/``?hemm``. The public ``gram`` and ``pair`` at
+``x' = x`` mirror the triangle block by block, so a Gram is exactly
+Hermitian and its pseudo-kernel Gram exactly symmetric;
 ``IndependentGaussian`` transposes its one cross term and
 ``ComplexGaussian`` averages its exponent with its adjoint. A ridge shift is
 therefore a diagonal add. ``composite_matrix`` turns an evaluated pair into
-the real composite matrix of the stacked real/imaginary system. Specs are
-immutable and hashable; all evaluations are pure and thread-safe.
+the real composite matrix of the stacked real/imaginary system, for the
+oracle fit ``fit_composite``. Specs are immutable and hashable; all
+evaluations are pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -517,22 +520,34 @@ class _TermSum(KernelSpec):
         p = b0 / abs(b0)
         return -p if p.real < 0 or (p.real == 0 and p.imag < 0) else p
 
-    def split_grams(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """The real ``(K + S, K - S)`` of a phase-aligned pair on ``x``."""
-        return tuple(_mirrored(m) for m in self._split_grams(as_samples(x, "x")))
+    def _ridge_systems(self, x) -> tuple[complex, list[np.ndarray]]:
+        """The real form of the widely-linear ridge system on checked samples:
+        ``h`` and the lower triangles of ``[[R, C], [C, J]]``, whose solution
+        ``[br; bi]`` of ``[Re y/h; Im y/h]`` gives ``alpha = h (br + j bi)``.
 
-    def _split_grams(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`split_grams` of checked samples, as two lower triangles."""
+        With ``p = phase``, or 1 when there is none, ``h = 1 + p`` and each
+        block is a real sum of Gaussians: ``R = K + S`` and ``J = K - S`` for
+        ``S = sum_gamma Re(b_gamma conj(p)) G_gamma``, and ``C = Im Kt``. A
+        phase-aligned pair has ``C = 0`` by definition, so two n x n systems,
+        ``R`` and ``J``. Any other pair gives one 2n x 2n system in one
+        F-ordered buffer: one evaluation writes ``R``, ``J`` and ``C``, and
+        ``C``, all of it below the diagonal, is mirrored.
+        """
         p = self.phase
-        if p is None:
-            raise ValueError(f"this {self.family!r} spec is not phase-aligned")
-        # S = sum_gamma s_gamma G_gamma with s_gamma = Re(b_gamma conj(p))
-        plus, minus = [], []
-        for a, b in self._coefficients().values():
-            s = (complex(b) * p.conjugate()).real
-            plus.append(a + s)
-            minus.append(a - s)
-        return tuple(self._combine(x, x, [plus, minus]))
+        aligned = p is not None
+        p = p if aligned else 1
+        coefficients = self._coefficients()
+        rotated = [(a, complex(b) * p.conjugate()) for a, b in coefficients.values()]
+        columns = [[a + s.real for a, s in rotated], [a - s.real for a, s in rotated]]
+        if aligned:
+            return 1 + p, self._combine(x, x, columns)
+        n = x.shape[0]
+        system = np.zeros((2 * n, 2 * n), order="F")
+        blocks = [system[:n, :n], system[n:, n:], system[n:, :n]]
+        _gaussian_sums(_sqdist(x, x), True, list(coefficients),
+                       columns + [[s.imag for _, s in rotated]], blocks)
+        _mirrored(blocks[2], conj=False)
+        return 1 + p, [system]
 
 
 @dataclass(frozen=True)

@@ -4,20 +4,21 @@
 cheapest exact solve the kernel spec's structure allows:
 
 * a null pseudo-kernel -- the n x n solve of ``fit_srkhs``;
-* a phase-aligned pair, real ``K`` and ``Kt = p S`` (``KernelSpec.phase``)
-  -- the real n x n ``(K +- S + lam I)`` solved for the real and imaginary
-  parts of ``alpha / (1 + p)`` on ``y / (1 + p)``;
-* anything else -- the real 2n x 2n composite solve of ``fit_composite``.
+* any other pair -- its real form ``[[R, C], [C, J]] [br; bi] = [Re y/h;
+  Im y/h]`` with ``alpha = h (br + j bi)`` (``KernelSpec._ridge_systems``):
+  for a phase-aligned pair, real ``K`` and ``Kt = p S``
+  (``KernelSpec.phase``), ``h = 1 + p`` and ``C = 0``, so two real n x n
+  solves of ``K +- S + lam I``; for any other, ``h = 2`` and one real
+  2n x 2n solve.
 
-Each n x n system is the lower triangle the kernels build
-(``KernelSpec._gram(x, x)``, ``_split_grams``), shifted and factored in its
-own buffer by ``core.ridge_solve``; a failed factorization rebuilds it for
-the jitter retry. The composite system is assembled from the full pair and
-solved by ``core.hermitian_solve``. ``fit_composite`` (the stacked
-real/imaginary system) and ``fit_schur`` (the Schur complement of the
-complex 2n x 2n augmented system) are the oracles ``fit_augmented`` is
-checked against. ``fit_srkhs`` is the strictly-complex fit
-``alpha = (K + lam I)^-1 y``.
+Each system is the lower triangle the kernels build (``KernelSpec._gram(x,
+x)``, ``_ridge_systems``), shifted and factored in its own buffer by
+``core.ridge_solve``; a failed factorization rebuilds it for the jitter
+retry. ``fit_composite`` (the stacked real/imaginary system assembled from
+the full pair) and ``fit_schur`` (the Schur complement of the complex
+2n x 2n augmented system) are the oracles ``fit_augmented`` is checked
+against; they solve full matrices by ``core.hermitian_solve``. ``fit_srkhs``
+is the strictly-complex fit ``alpha = (K + lam I)^-1 y``.
 
 Predictions follow ``f(x*) = k(x*, X) alpha + ktilde(x*, X) conj(alpha)``,
 evaluated by the spec's ``apply``: the kernel Gram applied to ``alpha`` for
@@ -81,15 +82,10 @@ class WrkhsModel:
         object.__setattr__(self, "alpha", a)
 
 
-def _composite_solve(k: np.ndarray, kt: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
-    kc = ridge_shift(composite_matrix(k, kt), lam)
-    return hermitian_solve(kc, np.concatenate([y.real, y.imag]))
-
-
 def fit_composite(data: ComplexDataset, spec: KernelSpec, lam: float) -> np.ndarray:
     """Composite-path coefficients ``(K_com + lam I)^-1 [Re y; Im y]`` (2n real)."""
-    lam = check_lam(lam)
-    return _composite_solve(*spec.pair(data.X), data.y, lam)
+    kc = ridge_shift(composite_matrix(*spec.pair(data.X)), check_lam(lam))
+    return hermitian_solve(kc, np.concatenate([data.y.real, data.y.imag]))
 
 
 def fit_schur(data: ComplexDataset, spec: KernelSpec, lam: float) -> WrkhsModel:
@@ -122,17 +118,13 @@ def fit_augmented(data: ComplexDataset, spec: KernelSpec, lam: float) -> WrkhsMo
     if spec.has_null_pseudo:
         return fit_srkhs(data, spec, lam)
     lam = check_lam(lam)
-    p = spec.phase
-    if p is not None:
-        h = 1 + p
-        rhs = data.y / h
-        plus, minus = spec._split_grams(data.X)
-        br = ridge_solve(plus, lam, rhs.real, lambda: spec._split_grams(data.X)[0])
-        bi = ridge_solve(minus, lam, rhs.imag, lambda: spec._split_grams(data.X)[1])
-        alpha = h * (br + 1j * bi)
-    else:
-        a = _composite_solve(*spec.pair(data.X), data.y, lam)
-        alpha = a[: data.n] + 1j * a[data.n :]
+    x, n = data.X, data.n
+    h, systems = spec._ridge_systems(x)
+    rhs = data.y / h
+    parts = [rhs.real, rhs.imag] if len(systems) == 2 else [np.concatenate([rhs.real, rhs.imag])]
+    b = np.concatenate([ridge_solve(m, lam, part, lambda k=k: spec._ridge_systems(x)[1][k])
+                        for k, (m, part) in enumerate(zip(systems, parts))])
+    alpha = h * (b[:n] + 1j * b[n:])
     return WrkhsModel(X=data.X, spec=spec, lam=lam, alpha=alpha)
 
 

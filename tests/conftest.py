@@ -14,7 +14,8 @@ from wrkhs import (
     SyntheticConfig,
     WrkhsModel,
 )
-from wrkhs.kernels import composite_matrix
+from wrkhs.core import as_samples
+from wrkhs.kernels import _mirrored, composite_matrix
 
 
 def random_inputs(rng, n, d, scale=1.5):
@@ -52,6 +53,13 @@ def augmented_gram(spec, x):
     """The augmented kernel matrix ``[[K, Kt], [conj(Kt), conj(K)]]``."""
     k, kt = (np.asarray(m, dtype=np.complex128) for m in spec.pair(x))
     return np.block([[k, kt], [kt.conj(), k.conj()]])
+
+
+def ridge_systems(spec, x):
+    """``(h, systems)`` of the real ridge systems a pseudo-kernel fit solves
+    (``_ridge_systems``), each lower triangle mirrored into a full matrix."""
+    h, systems = spec._ridge_systems(as_samples(x, "x"))
+    return h, [_mirrored(m, conj=False) for m in systems]
 
 
 def min_composite_eigenvalue(spec, x) -> float:

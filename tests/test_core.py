@@ -23,7 +23,7 @@ from wrkhs import (
     streaming_ridge_predictions,
 )
 from wrkhs.core import (
-    ASYMMETRY_BLOCK_ROWS, as_float, from_pairs, hermitian_factor, ridge_shift, store_as_annotated,
+    ASYMMETRY_BLOCK_ROWS, as_float, from_pairs, ridge_factor, ridge_shift, store_as_annotated,
     to_pairs,
 )
 from conftest import transform_matrix
@@ -92,31 +92,44 @@ class TestHermitianSolve:
 
 
 class TestHermitianFactor:
+    """``ridge_factor`` factors a Hermitian matrix in the buffer it is given,
+    reading its lower triangle only; ``rebuild`` hands over a fresh copy."""
+
+    @staticmethod
+    def factor(a, lam=0.0):
+        buffer = np.array(a, order="F")
+        low = ridge_factor(buffer, lam, lambda: np.array(a, order="F"))
+        assert low is buffer
+        return low
+
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_lower_factor_leaves_the_input(self, dtype):
+        # the strict upper triangle is neither read nor zeroed
         rng = np.random.default_rng(7)
         m = rng.standard_normal((6, 6)).astype(dtype)
         if dtype is complex:
             m += 1j * rng.standard_normal((6, 6))
         a = m @ m.conj().T + np.eye(6)
-        ref = a.copy()
-        low = np.tril(hermitian_factor(a))
-        np.testing.assert_allclose(low @ low.conj().T, ref, atol=1e-12)
-        np.testing.assert_array_equal(a, ref)
+        poisoned = a.copy()
+        upper = np.triu_indices(6, 1)
+        poisoned[upper] = np.nan
+        low = self.factor(poisoned, 0.5)
+        assert np.isnan(low[upper]).all()
+        low = np.tril(low)
+        np.testing.assert_allclose(low @ low.conj().T, a + 0.5 * np.eye(6), atol=1e-12)
 
     def test_jitter_retry_factors_a_singular_matrix_once(self):
         # rank one: the plain factorization fails, 1e-12 * trace/n on the diagonal does not
         a = np.ones((3, 3))
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(a)
-        low = np.tril(hermitian_factor(a))
+        low = np.tril(ridge_factor(np.array(a, order="F"), 0.0, lambda: np.array(a, order="F")))
         jitter = 1e-12 * np.trace(a) / 3
         np.testing.assert_array_equal(low, np.linalg.cholesky(a + jitter * np.eye(3)))
-        np.testing.assert_array_equal(a, np.ones((3, 3)))
 
     def test_indefinite_after_the_jitter_fails_hard(self):
         with pytest.raises(NumericalError, match="indefinite"):
-            hermitian_factor(np.diag([1.0, -1.0]))
+            self.factor(np.diag([1.0, -1.0]))
 
 
 class TestRidgeShift:

@@ -28,6 +28,7 @@ from conftest import (
     mixed_gamma_blocks,
     pseudo_value,
     random_inputs,
+    ridge_systems,
     transform_matrix,
     zoo_specs,
 )
@@ -180,8 +181,8 @@ class TestExactHermitian:
             assert np.array_equal(kt, kt.T), name
             kc = composite_matrix(k, kt)
             assert np.array_equal(kc, kc.T), name
-            if spec.phase is not None:
-                for m in spec.split_grams(x):
+            if not spec.has_null_pseudo:
+                for m in ridge_systems(spec, x)[1]:
                     assert np.array_equal(m, m.T), name
 
     @pytest.mark.parametrize("d", [1, 5, 9])
@@ -296,19 +297,27 @@ class TestPair:
             assert specs[name].phase is None, name
 
     def test_split_grams_rotate_the_pair(self, specs):
-        # (K + S, K - S) with Kt = p S, both real
+        # an aligned pair, Kt = p S: the real (K + S, K - S) with h = 1 + p
         x = random_inputs(np.random.default_rng(29), 6, 2)
         for name in ("real_imag_blocks", "separate_real_imag", "sum_of_separable"):
             spec = specs[name]
             k, kt = spec.pair(x)
-            plus, minus = spec.split_grams(x)
+            h, (plus, minus) = ridge_systems(spec, x)
+            assert h == 1 + spec.phase, name
             assert plus.dtype == minus.dtype == np.float64, name
             np.testing.assert_allclose((plus + minus) / 2, k, atol=1e-14, err_msg=name)
             np.testing.assert_allclose(
                 spec.phase * (plus - minus) / 2, kt, atol=1e-14, err_msg=name
             )
-        with pytest.raises(ValueError, match="not phase-aligned"):
-            mixed_gamma_blocks().split_grams(x)
+        # no phase: one 2n system, [[K + Re Kt, Im Kt], [Im Kt, K - Re Kt]] with h = 2,
+        # the composite matrix of the pair
+        spec = mixed_gamma_blocks()
+        h, systems = ridge_systems(spec, x)
+        assert h == 2 and len(systems) == 1
+        assert systems[0].dtype == np.float64 and systems[0].shape == (12, 12)
+        np.testing.assert_allclose(
+            systems[0], composite_matrix(*spec.pair(x)), rtol=0, atol=1e-14
+        )
 
     def test_diag_matches_gram_diagonal(self, specs):
         x = random_inputs(np.random.default_rng(28), 7, 2)

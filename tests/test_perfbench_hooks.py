@@ -2,6 +2,7 @@
 that every name it replaces still exists and is put back afterwards."""
 
 import importlib
+import json
 import sys
 from pathlib import Path
 
@@ -25,7 +26,8 @@ def test_spans_wrap_a_fit_and_restore_every_attribute(tmp_path):
     rec = spans.Recorder()
     with spans.installed(rec):
         assert any(vars(obj) != b for obj, b in zip(PATCHABLE, before))
-        # the last kernel has no phase, so its fit takes the composite solve
+        # the last kernel has no phase: the CLI fit solves its one 2n system in
+        # place, and the Schur oracle solves full matrices by hermitian_solve
         for kernel in ('{"family": "real_gaussian", "params": {"gamma": 1.0}}',
                        '{"family": "separate_real_imag", '
                        '"params": {"rr": {"gamma": 1.0}, "jj": {"gamma": 2.0}}}',
@@ -34,6 +36,8 @@ def test_spans_wrap_a_fit_and_restore_every_attribute(tmp_path):
                        '"rj": {"gamma": 2.0, "scale": 0.2}, "jr": {"gamma": 2.0, "scale": 0.2}}}'):
             argv = ["fit", "--dataset", str(data_path), "--kernel", kernel, "--lam", "0.1"]
             assert cli.main(argv + ["--out", str(tmp_path / "m.json")]) == 0
+        data = cli.read_dataset_csv(data_path)
+        regression.fit_schur(data, kernels.kernel_from_config(json.loads(kernel)), 0.1)
     names = [s["name"] for s in rec.spans]
     assert names.count("regression.fit") == 3
     assert {"cli.read_csv", "regression.predict", "core.hermitian_solve"} <= set(names)
