@@ -22,13 +22,17 @@ streaming ridge build, shift and factor each system in one buffer.
 full-matrix form, for the oracle fits (``fit_composite``, ``fit_schur``) and
 the budgeted recursion's rebuild, which assemble full matrices: it checks
 that ``A`` is Hermitian to ``HERMITIAN_ATOL`` and solves a copy in place. An
-exactly diagonal system is solved by elementwise division. ``stacked_apply``
-lets a real matrix act on a complex right-hand side as one real call on its
-stacked real and imaginary parts, so the matrix is never copied to complex.
+exactly diagonal system is solved by elementwise division. ``mirror_lower``
+is the one mirror of such a lower triangle into the upper one, Hermitian or
+symmetric, in place, for the public Grams, the ``C`` block of a ridge system
+and the recursion's residual check. ``stacked_apply`` lets a real matrix act
+on a complex right-hand side as one real call on its stacked real and
+imaginary parts, so the matrix is never copied to complex.
 
-All functions here but ``ridge_shift``, ``ridge_solve`` and ``ridge_factor``,
-which work in the buffer they are given, are pure; arrays returned by
-dataset containers are read-only and safe to share across threads.
+All functions here but ``ridge_shift``, ``ridge_solve``, ``ridge_factor`` and
+``mirror_lower``, which work in the buffer they are given, are pure; arrays
+returned by dataset containers are read-only and safe to share across
+threads.
 """
 
 from __future__ import annotations
@@ -58,14 +62,13 @@ __all__ = [
     "ridge_solve",
     "ridge_factor",
     "hermitian_solve",
+    "mirror_lower",
 ]
 
 # Max acceptable |A - A^H| entry before a matrix is rejected as non-Hermitian.
 HERMITIAN_ATOL = 1e-12
 
-# Rows per block of the |A - A^H| check, of the diagonal test of a lower
-# triangle and of its mirror into the upper one (``kernels``): a temporary is
-# one block, not a copy.
+# Rows per block of the |A - A^H| check: a temporary is one block, not a copy.
 ASYMMETRY_BLOCK_ROWS = 256
 
 
@@ -282,6 +285,15 @@ def hermitian_solve(a, b) -> np.ndarray:
 def _f_copy(a: np.ndarray) -> np.ndarray:
     """An F-ordered floating-point copy of ``a``, for the in-place solves."""
     return np.array(a, dtype=np.result_type(a.dtype, np.float64), order="F")
+
+
+def mirror_lower(a: np.ndarray, conj: bool = True) -> np.ndarray:
+    """The square ``a`` with its strict upper triangle set from its lower one,
+    conjugated (Hermitian) or not (symmetric), in place one column at a time;
+    returns ``a``."""
+    for j in range(1, a.shape[0]):
+        a[:j, j] = a[j, :j].conj() if conj else a[j, :j]
+    return a
 
 
 def stacked_apply(fn, a: np.ndarray, b) -> np.ndarray:

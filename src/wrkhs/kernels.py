@@ -37,12 +37,14 @@ column-ordered buffer: one ``dsyrk``, then one norm sum ``aa_i + aa_j`` per
 entry. ``_gaussian_sums`` is the one evaluation of sums of real Gaussians,
 for the real Gaussian, the block families, their ridge systems and their
 ``apply``: tile by tile (``_tiles``), on the triangle only when there is
-one, with the last real sum in the distances' buffer unless the caller
-gives the outputs. So ``_gram(x, x)``, ``_pair(x, x)`` and
-``_ridge_systems(x)`` give lower triangles; a ridge solve shifts and factors
-them in place (``core.ridge_solve``), and ``apply(x, x, alpha)`` reads them
-through one ``?symm``/``?hemm``. The public ``gram`` and ``pair`` at
-``x' = x`` mirror the triangle block by block, so a Gram is exactly
+one. Each ``exp`` of a tile is written to its own tile-sized buffer and
+scaled into the sums; by default the last real sum takes the distances'
+buffer, written after the tile's last ``exp`` has read them. So
+``_gram(x, x)``, ``_pair(x, x)`` and ``_ridge_systems(x)`` give lower
+triangles; a ridge solve shifts and factors them in place
+(``core.ridge_solve``), and ``apply(x, x, alpha)`` reads them through one
+``?symm``/``?hemm``. The public ``gram`` and ``pair`` at ``x' = x`` mirror
+the triangle column by column (``core.mirror_lower``), so a Gram is exactly
 Hermitian and its pseudo-kernel Gram exactly symmetric;
 ``IndependentGaussian`` transposes its one cross term and
 ``ComplexGaussian`` averages its exponent with its adjoint. A ridge shift is
@@ -61,7 +63,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy.linalg.blas import dsymm, dsyrk, zhemm
 
-from .core import ASYMMETRY_BLOCK_ROWS, as_float, as_samples, stacked_apply, store_as_annotated
+from .core import as_float, as_samples, mirror_lower, stacked_apply, store_as_annotated
 
 __all__ = [
     "KernelSpec",
@@ -163,14 +165,15 @@ def _gaussian_sums(d2, tri, gammas, columns, outs=None) -> list[np.ndarray]:
     which holds one per gamma: the one evaluation of sums of real Gaussians.
 
     A triangle ``d2`` (``tri``, see :func:`_sqdist`) gives lower triangles. A
-    matrix is real unless its column holds a complex coefficient. The work
-    runs tile by tile (:func:`_tiles`), each ``exp`` once per tile and gamma.
-    A matrix's first term is written as ``c * e`` and later terms are added.
-    ``outs`` are the output buffers, laid out as ``d2``; by default the last
-    real matrix with a non-zero term takes ``d2`` itself and the others are
-    new. An output that is ``d2`` keeps its terms in a tile-sized buffer
-    until the tile's last ``exp``, unless only that ``exp`` weights it: then
-    the ``exp`` is taken in place and scaled.
+    matrix is real unless its column holds a complex coefficient. Tile by tile
+    (:func:`_tiles`), each ``exp`` is written to its own tile-sized buffer
+    ``e``; a matrix starts as ``c * e`` and adds later terms in gamma order.
+    ``outs`` are the output buffers, laid out as ``d2`` (that of an all-zero
+    column is not written); by default the last real matrix with a non-zero
+    term takes ``d2`` itself and the others are new. An output that is ``d2``
+    is summed aside and copied back after the tile's last ``exp`` when a term
+    before the last gamma weights it; otherwise it is written directly, as
+    the last ``divide`` has read the distances.
     """
     used = [(g, cs) for g, cs in zip(gammas, zip(*columns)) if any(cs)]
     if outs is None:
@@ -180,57 +183,26 @@ def _gaussian_sums(d2, tri, gammas, columns, outs=None) -> list[np.ndarray]:
                 (np.empty_like if any(col) else np.zeros_like)(d2, dtypes[k])
                 for k, col in enumerate(columns)]
     alias = next((k for k, o in enumerate(outs) if o is d2), None)
-    in_place = alias is not None and not any(cs[alias] for _, cs in used[:-1])
-
-    def view(a):
-        return a.T if tri else a
-
-    d2v, outv = view(d2), [view(o) for o in outs]
+    aside = alias is not None and any(cs[alias] for _, cs in used[:-1])
+    d2v, *outv = [a.T if tri else a for a in (d2, *outs)]
     for tile in _tiles(d2v.shape, tri):
         d = d2v[tile]
         acc = [o[tile] for o in outv]
-        if alias is not None and not in_place:
+        if aside:
             acc[alias] = np.empty(d.shape)
         started = [False] * len(acc)
-        for i, (gamma, cs) in enumerate(used):
-            # where this exp is written: d once it is no longer read, else a
-            # real output it starts, else a temporary
-            if in_place and i == len(used) - 1:
-                home, e = alias, d
-            else:
-                home = next((k for k, c in enumerate(cs) if c and k != alias and not started[k]
-                             and acc[k].dtype == np.float64), None)
-                e = np.empty(d.shape) if home is None else acc[home]
-            np.exp(np.divide(d, -gamma, out=e), out=e)
+        for gamma, cs in used:
+            e = np.divide(d, -gamma)
+            np.exp(e, out=e)
             for k, c in enumerate(cs):
-                if c and k != home:
-                    if started[k]:
-                        acc[k] += e if c == 1 else c * e
-                    else:
-                        np.multiply(e, c, out=acc[k])
+                if c and started[k]:
+                    acc[k] += e if c == 1 else c * e
+                elif c:
+                    np.multiply(e, c, out=acc[k])
                     started[k] = True
-            if home is not None:
-                if cs[home] != 1:
-                    e *= cs[home]
-                started[home] = True
-        if alias is not None and not in_place:
+        if aside:
             d[...] = acc[alias]
     return outs
-
-
-def _mirrored(a: np.ndarray, conj: bool = True) -> np.ndarray:
-    """The square ``a`` with its strict upper triangle set from its lower one,
-    conjugated (Hermitian) or not (symmetric), in place and one column block
-    at a time; returns ``a``."""
-    b = ASYMMETRY_BLOCK_ROWS
-    for j in range(0, a.shape[0], b):
-        cols = slice(j, j + b)
-        low = a[cols, :j].T
-        a[:j, cols] = low.conj() if conj else low
-        square = a[cols, cols]
-        upper = np.triu_indices(square.shape[0], 1)
-        square[upper] = (square.T.conj() if conj else square.T)[upper]
-    return a
 
 
 def _times(g: np.ndarray, tri: bool, v) -> np.ndarray:
@@ -271,14 +243,14 @@ class KernelSpec:
         lower triangle mirrored, so exactly Hermitian."""
         x, z = _validated(x, z)
         k = self._gram(x, z)
-        return _mirrored(k) if z is x else k
+        return mirror_lower(k) if z is x else k
 
     def pair(self, x, z=None) -> tuple[np.ndarray, np.ndarray]:
         """``(K, Kt)`` with ``Kt[i, j] = ktilde(x_i, z_j)``, from one evaluation;
         at ``z = x`` mirrored, so exactly Hermitian and exactly symmetric."""
         x, z = _validated(x, z)
         k, kt = self._pair(x, z)
-        return (_mirrored(k), _mirrored(kt, conj=False)) if z is x else (k, kt)
+        return (mirror_lower(k), mirror_lower(kt, conj=False)) if z is x else (k, kt)
 
     def apply(self, x, z, alpha) -> np.ndarray:
         """``K(x, z) alpha + Kt(x, z) conj(alpha)``, where ``Kt`` is null: ``K alpha``."""
@@ -420,7 +392,7 @@ class IndependentGaussian(_Gaussian):
         if z is x:  # exactly Hermitian: kappa(xj, xr) is the transpose of kappa(xr, xj)
             rj = kap(xr, xj)
             k = np.empty(rj.shape, np.complex128, order="F")
-            np.add(_mirrored(kap(xr, xr)), _mirrored(kap(xj, xj)), out=k.real)
+            np.add(mirror_lower(kap(xr, xr)), mirror_lower(kap(xj, xj)), out=k.real)
             np.subtract(rj, rj.T, out=k.imag)
             return k
         return kap(xr, z.real) + kap(xj, z.imag) + 1j * (kap(xr, z.imag) - kap(xj, z.real))
@@ -546,7 +518,7 @@ class _TermSum(KernelSpec):
         blocks = [system[:n, :n], system[n:, n:], system[n:, :n]]
         _gaussian_sums(_sqdist(x, x), True, list(coefficients),
                        columns + [[s.imag for _, s in rotated]], blocks)
-        _mirrored(blocks[2], conj=False)
+        mirror_lower(blocks[2], conj=False)
         return 1 + p, [system]
 
 

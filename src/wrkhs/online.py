@@ -28,7 +28,7 @@ slotted like ``Q`` keeps the regularized Gram ``K_DD + lam I``, exactly
 Hermitian. An admit writes the newcomer's kernel column ``k(D, x)`` as its
 column and row there. The periodic residual check and a rebuild read this
 Gram. The check first mirrors the lower triangle of ``Q`` into the upper
-one, then takes one m x m product.
+one (``core.mirror_lower``), then takes one m x m product.
 
 One update loop serves both entries. ``observe_many`` takes a stream of
 samples, checked once (``core.ComplexDataset``) with their norms taken in one
@@ -61,7 +61,8 @@ import numpy as np
 from scipy.linalg import blas, solve_triangular
 
 from .core import (
-    ComplexDataset, as_sample, check_lam, hermitian_solve, is_int, ridge_factor, stacked_apply,
+    ComplexDataset, as_sample, check_lam, hermitian_solve, is_int, mirror_lower, ridge_factor,
+    stacked_apply,
 )
 from .kernels import KernelSpec, sq_norms
 
@@ -205,10 +206,7 @@ class Wrkls:
             return 0.0
         # mirror into the upper triangle for numpy's GEMM (scipy's ?symm would touch
         # a second BLAS work buffer)
-        q = self._Q[:m, :m]
-        for j in range(1, m):
-            q[:j, j] = q[j, :j].conj()
-        r = q @ self._A[:m, :m]
+        r = mirror_lower(self._Q[:m, :m]) @ self._A[:m, :m]
         r[np.diag_indices(m)] -= 1.0
         # |r| in place; a complex r keeps a zero imaginary part
         return float(np.max(np.abs(r, out=r)).real)

@@ -14,8 +14,8 @@ from wrkhs import (
     SyntheticConfig,
     WrkhsModel,
 )
-from wrkhs.core import as_samples
-from wrkhs.kernels import _mirrored, composite_matrix
+from wrkhs.core import as_samples, mirror_lower
+from wrkhs.kernels import composite_matrix
 
 
 def random_inputs(rng, n, d, scale=1.5):
@@ -59,7 +59,7 @@ def ridge_systems(spec, x):
     """``(h, systems)`` of the real ridge systems a pseudo-kernel fit solves
     (``_ridge_systems``), each lower triangle mirrored into a full matrix."""
     h, systems = spec._ridge_systems(as_samples(x, "x"))
-    return h, [_mirrored(m, conj=False) for m in systems]
+    return h, [mirror_lower(m, conj=False) for m in systems]
 
 
 def min_composite_eigenvalue(spec, x) -> float:

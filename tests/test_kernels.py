@@ -243,6 +243,77 @@ class TestSqdist:
         assert peak <= 1.25 * d2.nbytes, peak / d2.nbytes
 
 
+def gaussian_sums_reference(d2, gammas, columns):
+    """``c_0 e_0 + c_1 e_1 + ...`` term by term in gamma order, each
+    ``e_g = exp(d2 / -gamma_g)`` a full matrix; zero terms are left out."""
+    exps = [np.exp(d2 / -g) for g in gammas]
+    sums = []
+    for col in columns:
+        terms = [c * e for c, e in zip(col, exps) if c]
+        sums.append(sum(terms[1:], terms[0]) if terms else np.zeros(d2.shape))
+    return sums
+
+
+class TestGaussianSums:
+    @staticmethod
+    def distances(tri):
+        # 150 samples cross several tiles of the triangle and of the rectangle
+        rng = np.random.default_rng(48)
+        x = as_samples(random_inputs(rng, 150, 2), "x")
+        return kernels._sqdist(x, x if tri else as_samples(random_inputs(rng, 90, 2), "z"))
+
+    @staticmethod
+    def terms(m):
+        # m gammas; a real column, a complex one (with a unit term) and a zero one
+        gammas = [0.7, 2.0, 1.3, 4.5][:m]
+        return gammas, [[1.0, 0.0, -0.4, 2.5][:m], [0.3 - 1.2j, 1.0, 0.0, 0.5j][:m], [0.0] * m]
+
+    @staticmethod
+    def assert_sums(sums, d2, tri, gammas, columns):
+        # bit-equal to the reference; of a triangle, on its lower part only
+        ref = gaussian_sums_reference(np.tril(d2) if tri else d2, gammas, columns)
+        cut = np.tril if tri else np.asarray
+        for s, r, col in zip(sums, ref, columns):
+            assert s.dtype == np.result_type(np.float64, *col)
+            np.testing.assert_array_equal(cut(s), cut(r))
+
+    @pytest.mark.parametrize("tri", [True, False])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_default_outputs(self, tri, m):
+        gammas, columns = self.terms(m)
+        d2 = self.distances(tri)
+        before = d2.copy()
+        sums = kernels._gaussian_sums(d2, tri, gammas, columns)
+        assert sums[0] is d2  # the last real sum with a term takes the distances
+        self.assert_sums(sums, before, tri, gammas, columns)
+        # without a real sum to take them, the distances are only read
+        d2 = self.distances(tri)
+        before = d2.copy()
+        sums = kernels._gaussian_sums(d2, tri, gammas, columns[1:])
+        assert d2.tobytes() == before.tobytes()
+        self.assert_sums(sums, before, tri, gammas, columns[1:])
+
+    @pytest.mark.parametrize("tri", [True, False])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_given_outputs(self, tri, m):
+        gammas, columns = self.terms(m)
+        # the distances as the one output: summed aside when a gamma before the
+        # last weights them (m > 1), else written after the last divide
+        for col in (columns[0], [0.0] * (m - 1) + [1.5]):
+            d2 = self.distances(tri)
+            before = d2.copy()
+            assert kernels._gaussian_sums(d2, tri, gammas, [col], [d2])[0] is d2
+            self.assert_sums([d2], before, tri, gammas, [col])
+        # buffers that exclude the distances: every gamma reads them unchanged
+        d2 = self.distances(tri)
+        before = d2.copy()
+        outs = [np.zeros_like(d2, np.result_type(np.float64, *col)) for col in columns]
+        sums = kernels._gaussian_sums(d2, tri, gammas, columns, outs)
+        assert all(s is o for s, o in zip(sums, outs))
+        assert d2.tobytes() == before.tobytes()
+        self.assert_sums(sums, before, tri, gammas, columns)
+
+
 class TestPair:
     def test_matches_separate_evaluations(self, specs):
         rng = np.random.default_rng(25)

@@ -146,8 +146,11 @@ class TestFitAugmented:
         # the distances (n^2): the pair and its composite would need 11 n^2
         n = 600
         data = random_dataset(np.random.default_rng(41), n, 1)
-        bounds = {specs[name]: 2.1 for name in
-                  ("real_imag_blocks", "separate_real_imag", "sum_of_separable")}
+        # 16 gammas: the tile temporaries do not grow with their number
+        sixteen = SumOfSeparable(terms=tuple((RealGaussian(0.5 + 0.25 * q), 0.05 * (q + 1))
+                                             for q in range(16)))
+        bounds = {spec: 2.1 for spec in (specs["real_imag_blocks"], specs["separate_real_imag"],
+                                         specs["sum_of_separable"], sixteen)}
         for spec, bound in {**bounds, mixed_gamma_blocks(): 5.5}.items():
             tracemalloc.start()
             try:
@@ -165,7 +168,9 @@ class TestFitSrkhs:
         n = 600
         data = random_dataset(np.random.default_rng(44), n, 2)
         two_gammas = SumOfSeparable(terms=((RealGaussian(0.7), 0.0), (RealGaussian(2.0), 0.0)))
-        for spec in (RealGaussian(gamma=1.0), two_gammas):
+        # the tile temporaries do not grow with the number of gammas
+        sixteen = SumOfSeparable(terms=tuple((RealGaussian(0.5 + 0.25 * q), 0.0) for q in range(16)))
+        for spec in (RealGaussian(gamma=1.0), two_gammas, sixteen):
             tracemalloc.start()
             try:
                 fit_srkhs(data, spec, 0.5)
@@ -420,7 +425,7 @@ class TestTriangleContract:
     def test_upper_triangle_is_never_read(self, monkeypatch):
         rng = np.random.default_rng(46)
         specs = {**zoo_specs(), "mixed_gamma_blocks": mixed_gamma_blocks()}
-        # 300 samples cross the tiles and the column blocks of the mirror
+        # 300 samples cross several tiles
         problems = [(random_dataset(rng, n, d), float(rng.uniform(0.3, 1.5)))
                     for n, d in ((7, 1), (40, 3), (300, 2))]
 

@@ -191,6 +191,46 @@ def test_detects_syrk_names(source, lines):
     assert sorted(syrk_names(ast.parse(source))) == lines
 
 
+# The one evaluation of sums of real Gaussians, and the complex Gaussian.
+GAUSSIAN_LOOPS = {"_gaussian_sums", "ComplexGaussian"}
+
+
+def exp_names(tree: ast.Module, allowed=frozenset()) -> list[int]:
+    """Line numbers where ``exp`` is named, imported or spelled outside the
+    top-level functions and classes named in ``allowed``."""
+    return sorted(
+        line
+        for node in tree.body
+        if not (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in allowed)
+        for line in named(node, lambda name: name == "exp")
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_one_gaussian_loop(path):
+    # every real Gaussian is evaluated by kernels._gaussian_sums, tile by tile
+    allowed = GAUSSIAN_LOOPS if path.name == "kernels.py" else frozenset()
+    assert exp_names(ast.parse(path.read_text(encoding="utf-8")), allowed) == []
+
+
+@pytest.mark.parametrize(
+    "source,lines",
+    [
+        ("import numpy as np\ne = np.exp(-d2)", [2]),
+        ("from math import exp\nv = exp(1.0)", [1, 2]),
+        ("import cmath\nw = cmath.exp(1j)", [2]),
+        ("f = getattr(np, 'exp')", [1]),
+        ("def _gaussian_sums(d2):\n    return np.exp(d2)", []),
+        ("class ComplexGaussian:\n    def _gram(self, x):\n        return np.exp(x)", []),
+        ("class RealGaussian:\n    def _gram(self, d2):\n        return np.exp(-d2)", [3]),
+        ("def _tiles(d2):\n    def _gaussian_sums(d):\n        return np.exp(d)", [3]),
+        ("y = np.expm1(x)\nexpo = -d2", []),
+    ],
+)
+def test_detects_exp_names(source, lines):
+    assert exp_names(ast.parse(source), GAUSSIAN_LOOPS) == lines
+
+
 CSV_WRITERS = {"writer", "DictWriter"}
 
 
