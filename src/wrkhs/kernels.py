@@ -17,12 +17,14 @@ pair is *phase-aligned* when its kernel is real and its pseudo-kernel is
 ``p S`` for one unit ``p`` and a real ``S``; ``phase`` reports ``p`` (None
 for every other spec). ``_ridge_systems`` builds the real form of the
 widely-linear ridge system: for an aligned pair the real ``K + S`` and
-``K - S`` of two real solves, for any other one real 2n x 2n system. Their
-``apply`` sums one gamma at a time, without forming ``K`` or ``Kt``.
+``K - S`` of two real solves, for any other one real 2n x 2n system.
 
 Every family exposes ``apply`` (what ``predict`` evaluates), ``pair`` (the
 kernel and pseudo-kernel Gram matrices from one evaluation), ``gram``/
-``pseudo_gram`` and ``diag`` (both at ``x' = x`` in O(n)). Their inputs
+``pseudo_gram`` and ``diag`` (both at ``x' = x`` in O(n)). ``apply`` takes
+``x`` in blocks of rows, each a rectangle against ``z``; the sums of real
+Gaussians apply each ``exp`` to ``a_gamma alpha + b_gamma conj(alpha)``,
+without forming ``K`` or ``Kt``. Their inputs
 follow ``core.as_samples``: rows are samples, a 1-D input is n scalar
 samples, and NaN or infinite entries raise ``ValueError``. Behind them each
 family's ``_gram`` evaluates checked samples; the online recursion calls it
@@ -41,9 +43,8 @@ one. Each ``exp`` of a tile is written to its own tile-sized buffer and
 scaled into the sums; by default the last real sum takes the distances'
 buffer, written after the tile's last ``exp`` has read them. So
 ``_gram(x, x)``, ``_pair(x, x)`` and ``_ridge_systems(x)`` give lower
-triangles; a ridge solve shifts and factors them in place
-(``core.ridge_solve``), and ``apply(x, x, alpha)`` reads them through one
-``?symm``/``?hemm``. The public ``gram`` and ``pair`` at ``x' = x`` mirror
+triangles, which a ridge solve shifts and factors in place
+(``core.ridge_solve``). The public ``gram`` and ``pair`` at ``x' = x`` mirror
 the triangle column by column (``core.mirror_lower``), so a Gram is exactly
 Hermitian and its pseudo-kernel Gram exactly symmetric;
 ``IndependentGaussian`` transposes its one cross term and
@@ -61,7 +62,7 @@ import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.linalg.blas import dsymm, dsyrk, zhemm
+from scipy.linalg.blas import dsyrk
 
 from .core import as_float, as_samples, mirror_lower, stacked_apply, store_as_annotated
 
@@ -87,6 +88,10 @@ EXP_SATURATION = 700.0
 # per cent of the matrix, and there are about TILES tiles whatever its size.
 TILES = 128
 TILE_ENTRIES = 4096
+
+# Rows of x per block of ``apply``: a block holds a few APPLY_BLOCK_ROWS x n
+# buffers whatever the number of rows; 128, 256 and 512 rows ran alike.
+APPLY_BLOCK_ROWS = 256
 
 
 class KernelOverflowWarning(RuntimeWarning):
@@ -160,6 +165,8 @@ def _sqdist(a: np.ndarray, b: np.ndarray, aa=None, bb=None) -> np.ndarray:
     return np.maximum(d2, 0.0, out=d2)
 
 
+# an exponent that overflows to -inf gives exp 0, as any below about -745 does
+@np.errstate(over="ignore")
 def _gaussian_sums(d2, tri, gammas, columns, outs=None) -> list[np.ndarray]:
     """``sum_g c_g exp(-d2 / gamma_g)`` for each column ``c`` of coefficients,
     which holds one per gamma: the one evaluation of sums of real Gaussians.
@@ -205,19 +212,6 @@ def _gaussian_sums(d2, tri, gammas, columns, outs=None) -> list[np.ndarray]:
     return outs
 
 
-def _times(g: np.ndarray, tri: bool, v) -> np.ndarray:
-    """``g @ v``; of a lower triangle ``g`` (``tri``) through one ``?symm``/
-    ``?hemm``, which reads that triangle only."""
-    if not tri:
-        return stacked_apply(np.matmul, g, v)
-
-    def symm(a, b):
-        fn = zhemm if np.iscomplexobj(a) else dsymm
-        return fn(1.0, a, b.reshape(b.shape[0], -1), lower=1).reshape(b.shape)
-
-    return stacked_apply(symm, g, v)
-
-
 def _saturated(expo: np.ndarray) -> np.ndarray:
     """Real exponents clipped at ``EXP_SATURATION``, with a warning if any was."""
     if np.any(expo > EXP_SATURATION):
@@ -253,9 +247,15 @@ class KernelSpec:
         return (mirror_lower(k), mirror_lower(kt, conj=False)) if z is x else (k, kt)
 
     def apply(self, x, z, alpha) -> np.ndarray:
-        """``K(x, z) alpha + Kt(x, z) conj(alpha)``, where ``Kt`` is null: ``K alpha``."""
+        """``K(x, z) alpha + Kt(x, z) conj(alpha)`` by blocks of rows of ``x``
+        (:meth:`_apply_rows`): a row's value depends on no other row."""
         x, z = _validated(x, z)
-        return _times(self._gram(x, z), z is x, alpha)
+        alpha, zz = np.asarray(alpha, dtype=np.complex128), sq_norms(z)
+        out = np.empty(x.shape[:1] + alpha.shape[1:], dtype=np.complex128)
+        for start in range(0, x.shape[0], APPLY_BLOCK_ROWS):
+            rows = slice(start, start + APPLY_BLOCK_ROWS)
+            out[rows] = self._apply_rows(x[rows], z, alpha, sq_norms(x[rows]), zz)
+        return out
 
     def pseudo_gram(self, x, z=None) -> np.ndarray:
         """Pseudo-kernel Gram matrix with entries ``ktilde(x_i, z_j)``."""
@@ -296,6 +296,10 @@ class KernelSpec:
 
     def _pair(self, x, z) -> tuple[np.ndarray, np.ndarray]:
         return self._gram(x, z), np.zeros((x.shape[0], z.shape[0]))
+
+    def _apply_rows(self, x, z, alpha, *norms) -> np.ndarray:
+        """``apply`` on checked rows and norms; here, ``Kt`` null, ``K alpha``."""
+        return stacked_apply(np.matmul, self._gram(x, z, *norms), alpha)
 
     # -- serialization ------------------------------------------------------
 
@@ -441,22 +445,16 @@ class _TermSum(KernelSpec):
         d2 = _sqdist(x, z, *norms)
         return _gaussian_sums(d2, z is x, list(self._coefficients()), columns)
 
-    def apply(self, x, z, alpha) -> np.ndarray:
-        """``K(x, z) alpha + Kt(x, z) conj(alpha)`` one gamma at a time, as
-        ``sum_gamma G_gamma (a_gamma alpha + b_gamma conj(alpha))``: neither
-        ``K`` nor ``Kt`` is formed. The last ``G_gamma`` overwrites the
-        distances and the others share one buffer; at ``z = x`` each is a
-        lower triangle."""
-        x, z = _validated(x, z)
-        alpha = np.asarray(alpha, dtype=np.complex128)
-        d2 = _sqdist(x, z)
-        terms = [(g, a, b) for g, (a, b) in self._coefficients().items() if a != 0 or b != 0]
-        out = np.zeros(x.shape[0], dtype=np.complex128)
-        buffer = np.empty_like(d2) if len(terms) > 1 else None
-        for i, (gamma, a, b) in enumerate(terms):
-            g = d2 if i == len(terms) - 1 else buffer
-            _gaussian_sums(d2, z is x, [gamma], [[1.0]], [g])
-            out += _times(g, z is x, a * alpha + b * alpha.conj())
+    def _apply_rows(self, x, z, alpha, *norms):
+        """``sum_gamma G_gamma (a_gamma alpha + b_gamma conj(alpha))``, every
+        ``G_gamma`` in one buffer in turn: neither ``K`` nor ``Kt`` is formed."""
+        d2 = _sqdist(x, z, *norms)
+        g = np.empty_like(d2)
+        out = np.zeros(x.shape[:1] + alpha.shape[1:], dtype=np.complex128)
+        for gamma, (a, b) in self._coefficients().items():
+            if a != 0 or b != 0:
+                _gaussian_sums(d2, False, [gamma], [[1.0]], [g])
+                out += stacked_apply(np.matmul, g, a * alpha + b * alpha.conj())
         return out
 
     def _columns(self) -> list[tuple]:

@@ -21,12 +21,13 @@ against; they solve full matrices by ``core.hermitian_solve``. ``fit_srkhs``
 is the strictly-complex fit ``alpha = (K + lam I)^-1 y``.
 
 Predictions follow ``f(x*) = k(x*, X) alpha + ktilde(x*, X) conj(alpha)``,
-evaluated by the spec's ``apply``: the kernel Gram applied to ``alpha`` for
-the three Gaussian families, and ``sum_gamma G_gamma(x*, X) (a_gamma alpha +
-b_gamma conj(alpha))`` for the sums of real Gaussians, which never form the
-Gram pair. At the training inputs themselves each Gram is a lower triangle
-read by one ``?symm``/``?hemm``. ``predict_composite`` is the composite-path
-oracle.
+evaluated by the spec's ``apply`` in blocks of rows of ``x*``, each a
+rectangle against ``X``: the kernel Gram applied to ``alpha`` for the three
+Gaussian families, and ``sum_gamma G_gamma(x*, X) (a_gamma alpha + b_gamma
+conj(alpha))`` for the sums of real Gaussians, which never form the Gram
+pair. The training inputs themselves take the same blocks, so a prediction
+does not depend on which array holds ``x*``. ``predict_composite`` is the
+composite-path oracle.
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -736,6 +737,18 @@ class TestBench:
         assert rc == 0
         summary = json.loads((out_dir / "synthetic2_summary.json").read_text())
         assert "srkhs_mse_db" in summary
+
+    def test_tiny_kernel_width_runs_without_warning(self, tmp_path, capsys):
+        # a subnormal width is valid: its far kernel values are exactly 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": 1, "n_train": 5, "grid_resolution": 3,
+                                   "gamma_re": 1e-160}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["bench", "synthetic1", "--config", str(cfg), "--out-dir", str(tmp_path)])
+        assert rc == 0
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == ""
 
     def test_experiment_mismatch_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"

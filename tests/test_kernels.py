@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -312,6 +313,14 @@ class TestGaussianSums:
         assert all(s is o for s, o in zip(sums, outs))
         assert d2.tobytes() == before.tobytes()
         self.assert_sums(sums, before, tri, gammas, columns)
+
+    def test_overflowing_exponent_is_zero_without_warning(self):
+        # 1e22 / 1e-300 overflows to -inf, whose exp is 0, as exp of any
+        # exponent below about -745 is
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            k = RealGaussian(gamma=1e-300).gram([0, 1e11])
+        np.testing.assert_array_equal(k, np.eye(2))
 
 
 class TestPair:

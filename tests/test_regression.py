@@ -28,10 +28,28 @@ from wrkhs.core import ridge_solve
 from conftest import mixed_gamma_blocks, random_inputs, ridge_systems, transform_matrix, zoo_specs
 
 
+BLOCK = kernels.APPLY_BLOCK_ROWS
+
+
 def random_dataset(rng, n, d, scale=1.5):
     x = random_inputs(rng, n, d, scale)
     y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return ComplexDataset(X=x, y=y)
+
+
+def row_blocks(full):
+    """A stand-in for an evaluation ``apply`` makes per block of rows ``x``:
+    each call returns the next ``len(x)`` rows of ``full``, from its first row
+    again after its last."""
+    start = 0
+
+    def rows(x, *args):
+        nonlocal start
+        block = full[start : start + x.shape[0]]
+        start = (start + x.shape[0]) % full.shape[0]
+        return block
+
+    return rows
 
 
 class TestFitComposite:
@@ -269,52 +287,32 @@ class TestPredict:
         monkeypatch.setattr(type(spec), "pair", None)
         assert predict(model, random_inputs(rng, 3, 1)).shape == (3,)
 
-    def test_real_gram_applied_without_complex_copy(self, monkeypatch):
-        # at the training inputs a real Gram's lower triangle times complex
-        # alpha is one real ?symm on [Re a, Im a]: neither a complex copy nor
-        # the upper triangle
-        n = 600
-        rng = np.random.default_rng(42)
-        data = random_dataset(rng, n, 1)
-        spec = RealGaussian(gamma=1.0)
-        model = fit_srkhs(data, spec, 0.1)
-        full = spec.gram(data.X)
-        low = spec._gram(data.X, data.X)
-        low[np.triu_indices(n, 1)] = np.nan
-        monkeypatch.setattr(RealGaussian, "_gram", lambda self, x, z, *norms: low)
-        tracemalloc.start()
-        try:
-            pred = predict(model, data.X)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 0.1 * 8 * n * n, peak / (8 * n * n)
-        # |g| <= 1: each entry rounds within n eps sum |alpha| of the complex product
-        bound = 1e-12 * np.abs(model.alpha).sum()
-        np.testing.assert_allclose(pred, full.astype(complex) @ model.alpha, rtol=0, atol=bound)
-
     def test_real_cross_gram_applied_without_complex_copy(self, monkeypatch):
-        # at other inputs a real Gram times complex alpha is one real GEMM on [Re a, Im a]
+        # at other inputs and at the training inputs alike, a real Gram block
+        # times complex alpha is one real GEMM on [Re a, Im a]
         n = 600
         rng = np.random.default_rng(45)
         data = random_dataset(rng, n, 1)
         spec = RealGaussian(gamma=1.0)
         model = fit_srkhs(data, spec, 0.1)
         x_star = random_inputs(rng, n, 1)
-        g = spec.gram(x_star, data.X)
-        monkeypatch.setattr(RealGaussian, "_gram", lambda self, x, z, *norms: g)
-        tracemalloc.start()
-        try:
-            pred = predict(model, x_star)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 0.1 * 8 * n * n, peak / (8 * n * n)
-        bound = 1e-12 * np.abs(model.alpha).sum()
-        np.testing.assert_allclose(pred, g.astype(complex) @ model.alpha, rtol=0, atol=bound)
+        grams = [(x_star, spec.gram(x_star, data.X)), (data.X, spec.gram(data.X))]
+        for x, g in grams:
+            rows = row_blocks(g)
+            monkeypatch.setattr(RealGaussian, "_gram", lambda self, *args: rows(*args))
+            tracemalloc.start()
+            try:
+                pred = predict(model, x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 0.1 * 8 * n * n, peak / (8 * n * n)
+            # |g| <= 1: each entry rounds within n eps sum |alpha| of the complex product
+            bound = 1e-12 * np.abs(model.alpha).sum()
+            np.testing.assert_allclose(pred, g.astype(complex) @ model.alpha, rtol=0, atol=bound)
 
     def test_pseudo_kernel_applied_one_gamma_at_a_time(self, specs, monkeypatch):
-        # with the distances given, the peak is the one exp buffer; the Gram
+        # with the distances given, the peak is one block's exp buffer; the Gram
         # pair would take a real K and a complex Kt (3 mn doubles) or more
         n = 600
         data = random_dataset(np.random.default_rng(43), n, 1)
@@ -326,8 +324,7 @@ class TestPredict:
                 ("mixed_gamma_blocks", mixed_gamma_blocks()),
             )
         }
-        d2 = kernels._sqdist(data.X, data.X)
-        monkeypatch.setattr(kernels, "_sqdist", lambda a, b: d2)
+        monkeypatch.setattr(kernels, "_sqdist", row_blocks(kernels._sqdist(data.X, data.X.copy())))
         for name, model in models.items():
             tracemalloc.start()
             try:
@@ -338,15 +335,55 @@ class TestPredict:
             assert peak <= 1.1 * 8 * n * n, (name, peak / (8 * n * n))
 
     def test_training_inputs_match_a_copy_of_them(self):
-        # at the model's own inputs the Grams are lower triangles read by ?symm/?hemm;
-        # a copy of the inputs takes the cross path
+        # predict takes the same row blocks whatever array object holds x*
         rng = np.random.default_rng(47)
         data = random_dataset(rng, 300, 2)
         for name, spec in {**zoo_specs(), "mixed_gamma_blocks": mixed_gamma_blocks()}.items():
             model = fit_augmented(data, spec, 0.6)
-            scale = np.abs(model.alpha).sum()
-            np.testing.assert_allclose(predict(model, data.X), predict(model, data.X.copy()),
-                                       rtol=0, atol=1e-12 * scale, err_msg=name)
+            np.testing.assert_array_equal(predict(model, data.X), predict(model, data.X.copy()),
+                                          err_msg=name)
+
+    @pytest.mark.parametrize("m", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+    def test_row_blocks_match_the_gram_pair(self, m):
+        rng = np.random.default_rng(48)
+        data = random_dataset(rng, 40, 2)
+        x_star = random_inputs(rng, m, 2)
+        for name, spec in {**zoo_specs(), "mixed_gamma_blocks": mixed_gamma_blocks()}.items():
+            model = fit_augmented(data, spec, 0.6)
+            k, kt = spec.pair(x_star, data.X)
+            want = k @ model.alpha + kt @ model.alpha.conj()
+            np.testing.assert_allclose(predict(model, x_star), want, rtol=0,
+                                       atol=1e-12 * np.abs(model.alpha).sum(), err_msg=name)
+
+    def test_a_block_is_predicted_alone(self):
+        # a row's prediction does not depend on the rows around it, to the bit
+        rng = np.random.default_rng(49)
+        data = random_dataset(rng, 40, 2)
+        x_star = random_inputs(rng, 3 * BLOCK + 7, 2)
+        for name, spec in {**zoo_specs(), "mixed_gamma_blocks": mixed_gamma_blocks()}.items():
+            model = fit_augmented(data, spec, 0.6)
+            pred = predict(model, x_star)
+            np.testing.assert_array_equal(pred[:BLOCK], predict(model, x_star[:BLOCK]), err_msg=name)
+            np.testing.assert_array_equal(pred[3 * BLOCK :], predict(model, x_star[3 * BLOCK :]),
+                                          err_msg=name)
+
+    def test_memory_does_not_grow_with_the_rows(self):
+        # beyond its output predict holds one block's buffers; a whole m x n
+        # distance matrix would add 12000 x 200 x 8 B from m = 4000 to 16000
+        rng = np.random.default_rng(50)
+        data = random_dataset(rng, 200, 1)
+        model = fit_augmented(data, SeparateRealImag(rr=RealGaussian(gamma=0.9),
+                                                     jj=RealGaussian(gamma=3.1)), 0.5)
+        peaks = {}
+        for m in (4000, 16000):
+            x_star = random_inputs(rng, m, 1)
+            tracemalloc.start()
+            try:
+                predict(model, x_star)
+                peaks[m] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[16000] <= peaks[4000] + 12000 * 16 + 2**16, peaks
 
     def test_nonfinite_inputs_rejected(self):
         rng = np.random.default_rng(17)

@@ -191,6 +191,31 @@ def test_detects_syrk_names(source, lines):
     assert sorted(syrk_names(ast.parse(source))) == lines
 
 
+def symm_names(tree: ast.AST) -> list[int]:
+    """Line numbers where a BLAS symmetric or Hermitian product (``?symm``/
+    ``?hemm``) is named, imported or spelled."""
+    return named(tree, lambda name: re.fullmatch(r"[sdcz]?(symm|hemm)", name) is not None)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_triangle_product(path):
+    # predict applies rectangles of rows, whatever x* is; no Gram is read as a triangle
+    assert symm_names(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+@pytest.mark.parametrize(
+    "source,lines",
+    [
+        ("from scipy.linalg.blas import dsymm", [1]),
+        ("from scipy.linalg import blas\nc = blas.zhemm(1.0, a, b)", [2]),
+        ('symm = getattr(blas, "dsymm")', [1, 1]),
+        ("from scipy.linalg.blas import dsymv, zhemv\ny = blas.zhemv(1.0, a, x)", []),
+    ],
+)
+def test_detects_symm_names(source, lines):
+    assert sorted(symm_names(ast.parse(source))) == lines
+
+
 # The one evaluation of sums of real Gaussians, and the complex Gaussian.
 GAUSSIAN_LOOPS = {"_gaussian_sums", "ComplexGaussian"}
 
