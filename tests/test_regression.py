@@ -287,29 +287,48 @@ class TestPredict:
         monkeypatch.setattr(type(spec), "pair", None)
         assert predict(model, random_inputs(rng, 3, 1)).shape == (3,)
 
+    def test_real_gram_applied_without_complex_copy(self, monkeypatch):
+        # at the training inputs, as at any other, each row block of a real
+        # Gram times complex alpha is one real GEMM on [Re a, Im a]: no complex copy
+        n = 600
+        rng = np.random.default_rng(42)
+        data = random_dataset(rng, n, 1)
+        spec = RealGaussian(gamma=1.0)
+        model = fit_srkhs(data, spec, 0.1)
+        full = spec.gram(data.X)
+        rows = row_blocks(full)
+        monkeypatch.setattr(RealGaussian, "_gram", lambda self, *args: rows(*args))
+        tracemalloc.start()
+        try:
+            pred = predict(model, data.X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.1 * 8 * n * n, peak / (8 * n * n)
+        # |g| <= 1: each entry rounds within n eps sum |alpha| of the complex product
+        bound = 1e-12 * np.abs(model.alpha).sum()
+        np.testing.assert_allclose(pred, full.astype(complex) @ model.alpha, rtol=0, atol=bound)
+
     def test_real_cross_gram_applied_without_complex_copy(self, monkeypatch):
-        # at other inputs and at the training inputs alike, a real Gram block
-        # times complex alpha is one real GEMM on [Re a, Im a]
+        # at other inputs a real Gram block times complex alpha is one real GEMM on [Re a, Im a]
         n = 600
         rng = np.random.default_rng(45)
         data = random_dataset(rng, n, 1)
         spec = RealGaussian(gamma=1.0)
         model = fit_srkhs(data, spec, 0.1)
         x_star = random_inputs(rng, n, 1)
-        grams = [(x_star, spec.gram(x_star, data.X)), (data.X, spec.gram(data.X))]
-        for x, g in grams:
-            rows = row_blocks(g)
-            monkeypatch.setattr(RealGaussian, "_gram", lambda self, *args: rows(*args))
-            tracemalloc.start()
-            try:
-                pred = predict(model, x)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= 0.1 * 8 * n * n, peak / (8 * n * n)
-            # |g| <= 1: each entry rounds within n eps sum |alpha| of the complex product
-            bound = 1e-12 * np.abs(model.alpha).sum()
-            np.testing.assert_allclose(pred, g.astype(complex) @ model.alpha, rtol=0, atol=bound)
+        g = spec.gram(x_star, data.X)
+        rows = row_blocks(g)
+        monkeypatch.setattr(RealGaussian, "_gram", lambda self, *args: rows(*args))
+        tracemalloc.start()
+        try:
+            pred = predict(model, x_star)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.1 * 8 * n * n, peak / (8 * n * n)
+        bound = 1e-12 * np.abs(model.alpha).sum()
+        np.testing.assert_allclose(pred, g.astype(complex) @ model.alpha, rtol=0, atol=bound)
 
     def test_pseudo_kernel_applied_one_gamma_at_a_time(self, specs, monkeypatch):
         # with the distances given, the peak is one block's exp buffer; the Gram
