@@ -14,7 +14,7 @@ annotation says, so equal configs serialize, and hash, equally.
 One Cholesky call factors every matrix of the package, in place in an
 F-ordered buffer, reading only its lower triangle. A failed factorization
 takes one jitter retry, ``1e-12 * trace/n`` on the diagonal of the matrix
-built afresh; the partly factored buffer is not read again. ``ridge_solve``
+built afresh after the partly factored buffer is dropped. ``ridge_solve``
 and ``ridge_factor`` take a Gram as the kernels hand it over, a lower
 triangle (``kernels.KernelSpec._gram(x, x)``): the batch fits and the
 streaming ridge build, shift and factor each system in one buffer.
@@ -223,7 +223,9 @@ def ridge_solve(a: np.ndarray, lam: float, b, rebuild) -> np.ndarray:
             raise NumericalError("diagonal matrix is not positive definite")
         d = d.real
         return b / (d[:, None] if b.ndim > 1 else d)
-    low = _cholesky(a, lambda: ridge_shift(rebuild(), lam))
+    held = [a]
+    del a  # so that no reference keeps a failed factorization through the retry
+    low = _cholesky(held, lambda: ridge_shift(rebuild(), lam))
     return stacked_apply(lambda m, rhs: cho_solve((m, True), rhs, check_finite=False), low, b)
 
 
@@ -237,21 +239,24 @@ def ridge_factor(a: np.ndarray, lam: float, rebuild) -> np.ndarray:
     ``1e-12 * trace/n`` go on its diagonal and it is factored once more, then
     :class:`NumericalError` is raised.
     """
-    return _cholesky(ridge_shift(a, lam), lambda: ridge_shift(rebuild(), lam))
+    held = [ridge_shift(a, lam)]
+    del a
+    return _cholesky(held, lambda: ridge_shift(rebuild(), lam))
 
 
-def _cholesky(a: np.ndarray, again) -> np.ndarray:
-    """The package's one Cholesky: ``a``'s lower triangle factored in place;
-    after a failure, once more on ``again()`` with the jitter on its diagonal."""
+def _cholesky(held: list, again) -> np.ndarray:
+    """The package's one Cholesky: the lower triangle of the matrix taken out
+    of ``held`` factored in place; after a failure, with the failed buffer
+    dropped, once more on ``again()`` with the jitter on its diagonal."""
     for retry in (False, True):
         try:
-            return cho_factor(a, lower=True, overwrite_a=True, check_finite=False)[0]
+            return cho_factor(held.pop(), lower=True, overwrite_a=True, check_finite=False)[0]
         except LinAlgError as exc:
             if retry:
                 raise NumericalError(
                     "Cholesky factorization failed; matrix appears indefinite") from exc
         a = again()
-        ridge_shift(a, 1e-12 * np.trace(a).real / a.shape[0])
+        held.append(ridge_shift(a, 1e-12 * np.trace(a).real / a.shape[0]))
 
 
 def _lower_is_diagonal(a: np.ndarray) -> bool:

@@ -11,24 +11,26 @@ real part kernels rr, jj, rj, jr), ``SeparateRealImag`` (independent real
 and imaginary output parts) and ``SumOfSeparable`` (the mixed-effect design).
 Each class docstring gives its formula.
 
-The last three share one evaluator over a list of real Gaussian terms, each
-with a kernel and a pseudo-kernel coefficient (the separable form). Such a
-pair is *phase-aligned* when its kernel is real and its pseudo-kernel is
-``p S`` for one unit ``p`` and a real ``S``; ``phase`` reports ``p`` (None
-for every other spec). ``_ridge_systems`` builds the real form of the
-widely-linear ridge system: for an aligned pair the real ``K + S`` and
-``K - S`` of two real solves, for any other one real 2n x 2n system.
+The real Gaussian (one term) and the last three share one evaluator over a
+list of real Gaussian terms, each with a kernel and a pseudo-kernel
+coefficient (the separable form). Such a pair is *phase-aligned* when its
+kernel is real and its pseudo-kernel is ``p S`` for one unit ``p`` and a
+real ``S``; ``phase`` reports ``p`` (None for every other spec).
+``_ridge_systems`` builds the real form of the widely-linear ridge system:
+for an aligned pair the real ``K + S`` and ``K - S`` of two real solves, for
+any other one real 2n x 2n system.
 
 Every family exposes ``apply`` (what ``predict`` evaluates), ``pair`` (the
 kernel and pseudo-kernel Gram matrices from one evaluation), ``gram``/
-``pseudo_gram`` and ``diag`` (both at ``x' = x`` in O(n)). ``apply`` takes
-``x`` in blocks of rows, each a rectangle against ``z``; the sums of real
-Gaussians apply each ``exp`` to ``a_gamma alpha + b_gamma conj(alpha)``,
-without forming ``K`` or ``Kt``. Their inputs
-follow ``core.as_samples``: rows are samples, a 1-D input is n scalar
-samples, and NaN or infinite entries raise ``ValueError``. Behind them each
-family's ``_gram`` evaluates checked samples; the online recursion calls it
-directly on rows it has checked once, with the norms it keeps by ``sq_norms``.
+``pseudo_gram`` and ``diag`` (both at ``x' = x`` in O(n)). ``apply`` is the
+one-pair case of ``apply_pairs``, which takes ``x`` in blocks of rows, each
+one distance matrix against ``z`` for every ``(spec, alpha)``; the sums of
+real Gaussians apply one ``exp`` per distinct gamma to ``a_gamma alpha +
+b_gamma conj(alpha)``, without forming ``K`` or ``Kt``. Their inputs follow
+``core.as_samples``: rows are samples, a 1-D input is n scalar samples, and
+NaN or infinite entries raise ``ValueError``. Behind them each family's
+``_gram`` evaluates checked samples; the online recursion calls it directly
+on rows it has checked once, with the norms it keeps by ``sq_norms``.
 
 Every family but the complex Gaussian gets its squared distances from one
 primitive, ``_sqdist``: complex rows enter as their interleaved real (n, 2d)
@@ -37,27 +39,30 @@ the norm adds and the clamp at 0 run in place in its output. The samples
 against themselves (``x' = x``) give only the lower triangle of a
 column-ordered buffer: one ``dsyrk``, then one norm sum ``aa_i + aa_j`` per
 entry. ``_gaussian_sums`` is the one evaluation of sums of real Gaussians,
-for the real Gaussian, the block families, their ridge systems and their
-``apply``: tile by tile (``_tiles``), on the triangle only when there is
-one. Each ``exp`` of a tile is written to its own tile-sized buffer and
-scaled into the sums; by default the last real sum takes the distances'
-buffer, written after the tile's last ``exp`` has read them. So
-``_gram(x, x)``, ``_pair(x, x)`` and ``_ridge_systems(x)`` give lower
-triangles, which a ridge solve shifts and factors in place
-(``core.ridge_solve``). The public ``gram`` and ``pair`` at ``x' = x`` mirror
-the triangle column by column (``core.mirror_lower``), so a Gram is exactly
-Hermitian and its pseudo-kernel Gram exactly symmetric;
-``IndependentGaussian`` transposes its one cross term and
-``ComplexGaussian`` averages its exponent with its adjoint. A ridge shift is
-therefore a diagonal add. ``composite_matrix`` turns an evaluated pair into
-the real composite matrix of the stacked real/imaginary system, for the
-oracle fit ``fit_composite``. Specs are immutable and hashable; all
-evaluations are pure and thread-safe.
+for every family but the complex Gaussian, the ridge systems and ``apply``:
+tile by tile (``_tiles``; an ``apply`` block is one tile), on the triangle
+only when there is one. Each ``exp`` of a tile is written to its own tile-sized buffer
+and scaled into the sums, or straight into a real sum it starts with
+coefficient 1; by default the last real sum takes the distances' buffer,
+written after the tile's last ``exp`` has read them. So ``_gram(x, x)``,
+``_pair(x, x)`` and ``_ridge_systems(x)`` give lower triangles, which a
+ridge solve shifts and factors in place (``core.ridge_solve``). The public
+``gram`` and ``pair`` at ``x' = x`` mirror the triangle column by column
+(``core.mirror_lower``), so a Gram is exactly Hermitian and its
+pseudo-kernel Gram exactly symmetric; ``IndependentGaussian`` transposes its
+one cross term and ``ComplexGaussian`` averages its exponent with its
+adjoint (and warns once per call, from its caller's line, when it
+saturates). A ridge shift is therefore a diagonal add. ``composite_matrix``
+turns an evaluated pair into the real composite matrix of the stacked
+real/imaginary system, for the oracle fit ``fit_composite``. Specs are
+immutable and hashable; all evaluations are pure and thread-safe.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import sys
 import warnings
 from dataclasses import dataclass, fields
 
@@ -115,11 +120,11 @@ def sq_norms(a: np.ndarray) -> np.ndarray:
 
 def _tiles(shape: tuple[int, int], tri: bool):
     """Yield ``(rows, cols)`` slices of a C-ordered ``shape`` array, each a
-    block of whole rows (see ``TILES``). Of a triangle (``tri``: the upper one
-    of this view, the lower one of its F-ordered transpose) a block takes the
-    columns from its first row on."""
+    block of whole rows (see ``TILES``; an ``apply`` block is one). Of a
+    triangle (``tri``: the upper one of this view, the lower one of its
+    F-ordered transpose) a block takes the columns from its first row on."""
     m, n = shape
-    size = max(TILE_ENTRIES, m * n // TILES)
+    size = m * max(1, n) if not tri and m <= APPLY_BLOCK_ROWS else max(TILE_ENTRIES, m * n // TILES)
     i = 0
     while i < m:
         c0 = i if tri else 0
@@ -174,13 +179,14 @@ def _gaussian_sums(d2, tri, gammas, columns, outs=None) -> list[np.ndarray]:
     A triangle ``d2`` (``tri``, see :func:`_sqdist`) gives lower triangles. A
     matrix is real unless its column holds a complex coefficient. Tile by tile
     (:func:`_tiles`), each ``exp`` is written to its own tile-sized buffer
-    ``e``; a matrix starts as ``c * e`` and adds later terms in gamma order.
-    ``outs`` are the output buffers, laid out as ``d2`` (that of an all-zero
-    column is not written); by default the last real matrix with a non-zero
-    term takes ``d2`` itself and the others are new. An output that is ``d2``
-    is summed aside and copied back after the tile's last ``exp`` when a term
-    before the last gamma weights it; otherwise it is written directly, as
-    the last ``divide`` has read the distances.
+    ``e``, or straight into the first real matrix whose first term it is with
+    coefficient 1; a matrix starts as ``c * e`` and adds later terms in gamma
+    order. ``outs`` are the output buffers, laid out as ``d2`` (that of an
+    all-zero column is not written); by default the last real matrix with a
+    non-zero term takes ``d2`` itself and the others are new. An output that
+    is ``d2`` is summed aside and copied back after the tile's last ``exp``
+    when a term before the last gamma weights it; otherwise it is written
+    directly, as the last ``divide`` has read the distances.
     """
     used = [(g, cs) for g, cs in zip(gammas, zip(*columns)) if any(cs)]
     if outs is None:
@@ -199,10 +205,14 @@ def _gaussian_sums(d2, tri, gammas, columns, outs=None) -> list[np.ndarray]:
             acc[alias] = np.empty(d.shape)
         started = [False] * len(acc)
         for gamma, cs in used:
-            e = np.divide(d, -gamma)
+            first = next((k for k, c in enumerate(cs) if c == 1 and not started[k]
+                          and acc[k].dtype == np.float64), None)
+            e = np.divide(d, -gamma, out=None if first is None else acc[first])
             np.exp(e, out=e)
             for k, c in enumerate(cs):
-                if c and started[k]:
+                if k == first:
+                    started[k] = True
+                elif c and started[k]:
                     acc[k] += e if c == 1 else c * e
                 elif c:
                     np.multiply(e, c, out=acc[k])
@@ -212,17 +222,72 @@ def _gaussian_sums(d2, tri, gammas, columns, outs=None) -> list[np.ndarray]:
     return outs
 
 
+# In an ``apply_pairs`` walk, the list its saturations are noted in, to warn once
+_saturations = contextvars.ContextVar("saturations", default=None)
+
+
 def _saturated(expo: np.ndarray) -> np.ndarray:
     """Real exponents clipped at ``EXP_SATURATION``, with a warning if any was."""
     if np.any(expo > EXP_SATURATION):
-        warnings.warn(
-            "complex Gaussian exponent exceeded saturation threshold; "
-            "values clipped at exp(700)",
-            KernelOverflowWarning,
-            stacklevel=4,
-        )
+        seen = _saturations.get()
+        if seen is None:
+            _overflow_warning()
+        else:
+            seen.append(True)
         return np.minimum(expo, EXP_SATURATION)
     return expo
+
+
+def _overflow_warning() -> None:
+    """Warn of a saturated exponent, from the first caller outside the package."""
+    frame, level = sys._getframe(1), 2
+    while frame is not None and frame.f_globals.get("__package__") == __package__:
+        frame, level = frame.f_back, level + 1
+    warnings.warn("complex Gaussian exponent exceeded saturation threshold; "
+                  "values clipped at exp(700)", KernelOverflowWarning, stacklevel=level)
+
+
+def apply_pairs(x, z, pairs) -> list[np.ndarray]:
+    """``K(x, z) alpha + Kt(x, z) conj(alpha)`` for each ``(spec, alpha)`` of
+    ``pairs``, ``alpha`` a vector, by blocks of ``APPLY_BLOCK_ROWS`` rows of
+    ``x``: a row's value depends on no other row. A block takes one
+    ``_sqdist``, then one ``exp`` per gamma distinct over the sums of real
+    Gaussians, as one tile in a buffer kept across blocks (the last gamma's
+    in the distances' own), times ``a_gamma alpha + b_gamma conj(alpha)`` of
+    every spec using that gamma. Any other spec's block is its ``_gram``
+    times ``alpha``."""
+    x, z = _validated(x, z)
+    outs = [np.zeros(len(x), dtype=np.complex128) for _ in pairs]
+    by_gamma = {}
+    for k, (spec, alpha) in enumerate(pairs):
+        alpha = np.asarray(alpha, dtype=np.complex128)
+        for gamma, (a, b) in (spec._coefficients() if isinstance(spec, _TermSum) else {}).items():
+            if a != 0 or b != 0:
+                by_gamma.setdefault(gamma, []).append((k, a * alpha + b * alpha.conj()))
+    g = np.empty((min(len(x), APPLY_BLOCK_ROWS), len(z))) if len(by_gamma) > 1 else None
+    zz, seen = sq_norms(z), []
+    token = _saturations.set(seen)
+    try:
+        for start in range(0, len(x), APPLY_BLOCK_ROWS):
+            rows = slice(start, start + APPLY_BLOCK_ROWS)
+            xb, xx = x[rows], sq_norms(x[rows])
+            d2 = _sqdist(xb, z, xx, zz) if by_gamma else None
+            for i, (gamma, columns) in enumerate(by_gamma.items()):
+                e = d2 if i == len(by_gamma) - 1 else g[: len(xb)]
+                _gaussian_sums(d2, False, [gamma], [[1.0]], [e])
+                # a product per spec: one of stacked columns would round the
+                # rows of a block's tail apart from a lone spec's
+                for k, column in columns:
+                    outs[k][rows] += stacked_apply(np.matmul, e, column)
+            for (spec, alpha), out in zip(pairs, outs):
+                if not isinstance(spec, _TermSum):
+                    out[rows] = stacked_apply(np.matmul, spec._gram(xb, z, xx, zz), alpha)
+            d2 = e = None  # freed before the next block's distances
+    finally:
+        _saturations.reset(token)
+    if seen:
+        _overflow_warning()
+    return outs
 
 
 class KernelSpec:
@@ -247,15 +312,8 @@ class KernelSpec:
         return (mirror_lower(k), mirror_lower(kt, conj=False)) if z is x else (k, kt)
 
     def apply(self, x, z, alpha) -> np.ndarray:
-        """``K(x, z) alpha + Kt(x, z) conj(alpha)`` by blocks of rows of ``x``
-        (:meth:`_apply_rows`): a row's value depends on no other row."""
-        x, z = _validated(x, z)
-        alpha, zz = np.asarray(alpha, dtype=np.complex128), sq_norms(z)
-        out = np.empty(x.shape[:1] + alpha.shape[1:], dtype=np.complex128)
-        for start in range(0, x.shape[0], APPLY_BLOCK_ROWS):
-            rows = slice(start, start + APPLY_BLOCK_ROWS)
-            out[rows] = self._apply_rows(x[rows], z, alpha, sq_norms(x[rows]), zz)
-        return out
+        """``K(x, z) alpha + Kt(x, z) conj(alpha)``: :func:`apply_pairs` of one pair."""
+        return apply_pairs(x, z, [(self, alpha)])[0]
 
     def pseudo_gram(self, x, z=None) -> np.ndarray:
         """Pseudo-kernel Gram matrix with entries ``ktilde(x_i, z_j)``."""
@@ -297,10 +355,6 @@ class KernelSpec:
     def _pair(self, x, z) -> tuple[np.ndarray, np.ndarray]:
         return self._gram(x, z), np.zeros((x.shape[0], z.shape[0]))
 
-    def _apply_rows(self, x, z, alpha, *norms) -> np.ndarray:
-        """``apply`` on checked rows and norms; here, ``Kt`` null, ``K alpha``."""
-        return stacked_apply(np.matmul, self._gram(x, z, *norms), alpha)
-
     # -- serialization ------------------------------------------------------
 
     def to_config(self) -> dict:
@@ -324,22 +378,6 @@ class _Gaussian(KernelSpec):
         scale = getattr(self, "scale", 1.0)
         if not (math.isfinite(scale) and scale >= 0):
             raise ValueError(f"scale must be finite and non-negative, got {scale}")
-
-
-@dataclass(frozen=True)
-class RealGaussian(_Gaussian):
-    """``scale * exp(-|x - x'|^2 / gamma)`` on complex (or real) vectors."""
-
-    gamma: float
-    scale: float = 1.0
-    family = "real_gaussian"
-
-    def _gram(self, x, z, *norms):
-        return _gaussian_sums(_sqdist(x, z, *norms), z is x, [self.gamma], [[self.scale]])[0]
-
-    @property
-    def is_real_valued(self) -> bool:
-        return True
 
 
 @dataclass(frozen=True)
@@ -389,9 +427,7 @@ class IndependentGaussian(_Gaussian):
     family = "independent"
 
     def _gram(self, x, z, *norms):
-        def kap(a, b):
-            return _gaussian_sums(_sqdist(a, b), b is a, [self.gamma], [[1.0]])[0]
-
+        kap = RealGaussian(self.gamma)._gram
         xr, xj = np.ascontiguousarray(x.real), np.ascontiguousarray(x.imag)
         if z is x:  # exactly Hermitian: kappa(xj, xr) is the transpose of kappa(xr, xj)
             rj = kap(xr, xj)
@@ -444,18 +480,6 @@ class _TermSum(KernelSpec):
         distinct gamma, in the order of :meth:`_coefficients`."""
         d2 = _sqdist(x, z, *norms)
         return _gaussian_sums(d2, z is x, list(self._coefficients()), columns)
-
-    def _apply_rows(self, x, z, alpha, *norms):
-        """``sum_gamma G_gamma (a_gamma alpha + b_gamma conj(alpha))``, every
-        ``G_gamma`` in one buffer in turn: neither ``K`` nor ``Kt`` is formed."""
-        d2 = _sqdist(x, z, *norms)
-        g = np.empty_like(d2)
-        out = np.zeros(x.shape[:1] + alpha.shape[1:], dtype=np.complex128)
-        for gamma, (a, b) in self._coefficients().items():
-            if a != 0 or b != 0:
-                _gaussian_sums(d2, False, [gamma], [[1.0]], [g])
-                out += stacked_apply(np.matmul, g, a * alpha + b * alpha.conj())
-        return out
 
     def _columns(self) -> list[tuple]:
         """The kernel and pseudo-kernel coefficient columns."""
@@ -518,6 +542,21 @@ class _TermSum(KernelSpec):
                        columns + [[s.imag for _, s in rotated]], blocks)
         mirror_lower(blocks[2], conj=False)
         return 1 + p, [system]
+
+
+@dataclass(frozen=True)
+class RealGaussian(_Gaussian, _TermSum):
+    """``scale * exp(-|x - x'|^2 / gamma)`` on complex (or real) vectors; one term."""
+
+    gamma: float
+    scale: float = 1.0
+    family = "real_gaussian"
+
+    def _terms(self):
+        return ((self, 1, 0),)
+
+    def _gram(self, x, z, *norms):
+        return _gaussian_sums(_sqdist(x, z, *norms), z is x, [self.gamma], [[self.scale]])[0]
 
 
 @dataclass(frozen=True)

@@ -21,13 +21,13 @@ against; they solve full matrices by ``core.hermitian_solve``. ``fit_srkhs``
 is the strictly-complex fit ``alpha = (K + lam I)^-1 y``.
 
 Predictions follow ``f(x*) = k(x*, X) alpha + ktilde(x*, X) conj(alpha)``,
-evaluated by the spec's ``apply`` in blocks of rows of ``x*``, each a
-rectangle against ``X``: the kernel Gram applied to ``alpha`` for the three
-Gaussian families, and ``sum_gamma G_gamma(x*, X) (a_gamma alpha + b_gamma
+evaluated by ``kernels.apply_pairs`` in blocks of rows of ``x*``, each a
+rectangle against ``X``: ``sum_gamma G_gamma(x*, X) (a_gamma alpha + b_gamma
 conj(alpha))`` for the sums of real Gaussians, which never form the Gram
-pair. The training inputs themselves take the same blocks, so a prediction
-does not depend on which array holds ``x*``. ``predict_composite`` is the
-composite-path oracle.
+pair, else the kernel Gram applied to ``alpha``. Models fitted on equal
+inputs share one walk: each block's distances and each gamma's ``exp``. The
+training inputs take the same blocks, so a prediction does not depend on
+which array holds ``x*``. ``predict_composite`` is the composite-path oracle.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import numpy as np
 
 from .core import (ComplexDataset, as_samples, check_lam, from_pairs, hermitian_solve,
                    ridge_shift, ridge_solve, to_pairs)
-from .kernels import KernelSpec, composite_matrix, kernel_from_config
+from .kernels import KernelSpec, apply_pairs, composite_matrix, kernel_from_config
 
 __all__ = [
     "WrkhsModel",
@@ -123,8 +123,9 @@ def fit_augmented(data: ComplexDataset, spec: KernelSpec, lam: float) -> WrkhsMo
     h, systems = spec._ridge_systems(x)
     rhs = data.y / h
     parts = [rhs.real, rhs.imag] if len(systems) == 2 else [np.concatenate([rhs.real, rhs.imag])]
-    b = np.concatenate([ridge_solve(m, lam, part, lambda k=k: spec._ridge_systems(x)[1][k])
-                        for k, (m, part) in enumerate(zip(systems, parts))])
+    b = np.concatenate([ridge_solve(systems.pop(0), lam, part,
+                                    lambda k=k: spec._ridge_systems(x)[1][k])
+                        for k, part in enumerate(parts)])
     alpha = h * (b[:n] + 1j * b[n:])
     return WrkhsModel(X=data.X, spec=spec, lam=lam, alpha=alpha)
 
@@ -146,13 +147,20 @@ def fit_srkhs(data: ComplexDataset, spec: KernelSpec, lam: float) -> WrkhsModel:
     return WrkhsModel(X=data.X, spec=spec, lam=lam, alpha=alpha)
 
 
-def predict(model: WrkhsModel, x_star) -> np.ndarray:
+def predict(model: WrkhsModel | tuple[WrkhsModel, ...], x_star):
     """Evaluate ``k(x*, X) alpha + ktilde(x*, X) conj(alpha)`` row-wise.
 
     ``x_star`` follows the kernels' input rule, so a 1-D ``x_star`` is n
-    scalar samples.
+    scalar samples. A tuple of models fitted on equal training inputs gives
+    the tuple of their predictions, from one walk; any other raises
+    ``ValueError``.
     """
-    return model.spec.apply(x_star, model.X, model.alpha)
+    models = model if isinstance(model, tuple) else (model,)
+    if not models or not all(isinstance(m, WrkhsModel) and np.array_equal(m.X, models[0].X)
+                             for m in models):
+        raise ValueError("predict takes a model or a tuple of models on equal training inputs")
+    preds = apply_pairs(x_star, models[0].X, [(m.spec, m.alpha) for m in models])
+    return tuple(preds) if isinstance(model, tuple) else preds[0]
 
 
 def predict_composite(

@@ -1,12 +1,16 @@
 """Tests for the batch fit paths, predictions, and their equivalences."""
 
+import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from wrkhs import (
     ComplexDataset,
+    ComplexGaussian,
+    KernelOverflowWarning,
     NumericalError,
     RealGaussian,
     SeparateRealImag,
@@ -296,8 +300,8 @@ class TestPredict:
         spec = RealGaussian(gamma=1.0)
         model = fit_srkhs(data, spec, 0.1)
         full = spec.gram(data.X)
-        rows = row_blocks(full)
-        monkeypatch.setattr(RealGaussian, "_gram", lambda self, *args: rows(*args))
+        # the distances given by blocks, each block's exp written over them
+        monkeypatch.setattr(kernels, "_sqdist", row_blocks(kernels._sqdist(data.X, data.X.copy())))
         tracemalloc.start()
         try:
             pred = predict(model, data.X)
@@ -318,8 +322,7 @@ class TestPredict:
         model = fit_srkhs(data, spec, 0.1)
         x_star = random_inputs(rng, n, 1)
         g = spec.gram(x_star, data.X)
-        rows = row_blocks(g)
-        monkeypatch.setattr(RealGaussian, "_gram", lambda self, *args: rows(*args))
+        monkeypatch.setattr(kernels, "_sqdist", row_blocks(kernels._sqdist(x_star, data.X)))
         tracemalloc.start()
         try:
             pred = predict(model, x_star)
@@ -343,8 +346,10 @@ class TestPredict:
                 ("mixed_gamma_blocks", mixed_gamma_blocks()),
             )
         }
-        monkeypatch.setattr(kernels, "_sqdist", row_blocks(kernels._sqdist(data.X, data.X.copy())))
+        sqdist = kernels._sqdist
         for name, model in models.items():
+            # distances of their own: a block's last exp is written over them
+            monkeypatch.setattr(kernels, "_sqdist", row_blocks(sqdist(data.X, data.X.copy())))
             tracemalloc.start()
             try:
                 predict(model, data.X)
@@ -403,6 +408,53 @@ class TestPredict:
             finally:
                 tracemalloc.stop()
         assert peaks[16000] <= peaks[4000] + 12000 * 16 + 2**16, peaks
+
+    @pytest.mark.parametrize("m", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+    def test_models_on_equal_inputs_are_predicted_together(self, m):
+        # pairs with and without a common gamma, and with a complex Gaussian or
+        # independent member, whose blocks are their Gram times alpha
+        rng = np.random.default_rng(51)
+        data = random_dataset(rng, 40, 2)
+        x_star = random_inputs(rng, m, 2)
+        specs = {**zoo_specs(), "mixed_gamma_blocks": mixed_gamma_blocks()}
+        models = {name: fit_augmented(data, spec, 0.6) for name, spec in specs.items()}
+        alone = {name: predict(model, x_star) for name, model in models.items()}
+        for pair in [*itertools.combinations(models, 2), tuple(models)]:
+            preds = predict(tuple(models[name] for name in pair), x_star)
+            assert isinstance(preds, tuple) and len(preds) == len(pair)
+            for name, pred in zip(pair, preds):
+                np.testing.assert_allclose(pred, alone[name], rtol=0, err_msg=f"{pair} {name}",
+                                           atol=1e-12 * np.abs(models[name].alpha).sum())
+
+    def test_models_predicted_together_need_equal_inputs(self):
+        rng = np.random.default_rng(52)
+        data = random_dataset(rng, 12, 1)
+        model = fit_srkhs(data, RealGaussian(1.0), 0.1)
+        other = fit_srkhs(ComplexDataset(X=data.X + 0.5, y=data.y), RealGaussian(1.0), 0.1)
+        fewer = fit_srkhs(ComplexDataset(X=data.X[:6], y=data.y[:6]), RealGaussian(1.0), 0.1)
+        x_star = random_inputs(rng, 3, 1)
+        for bad in ((model, other), (model, fewer), (), (model, "model"), ("model",)):
+            with pytest.raises(ValueError, match="equal training inputs"):
+                predict(bad, x_star)
+        equal = fit_srkhs(ComplexDataset(X=data.X.copy(), y=-data.y), RealGaussian(2.0), 0.1)
+        assert len(predict((model, equal), x_star)) == 2
+
+    def test_a_saturated_evaluation_warns_once_from_its_caller(self):
+        # 1000 rows are four blocks, each with saturated exponents (250j)
+        rng = np.random.default_rng(53)
+        spec = ComplexGaussian(gamma=60.0)
+        model = fit_srkhs(random_dataset(rng, 5, 1, scale=0.5), spec, 0.1)
+        x_star = np.zeros((1000, 1), dtype=complex)
+        x_star[::50] = 250j
+        for evaluate in (lambda: predict(model, x_star),
+                         lambda: spec.apply(x_star, model.X, model.alpha),
+                         lambda: spec.gram(x_star, model.X),
+                         lambda: spec.pair(x_star, model.X)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                evaluate()
+            assert [w.category for w in caught] == [KernelOverflowWarning]
+            assert caught[0].filename == __file__
 
     def test_nonfinite_inputs_rejected(self):
         rng = np.random.default_rng(17)
@@ -542,6 +594,30 @@ class TestTriangleContract:
         h, (system,) = ridge_systems(spec, data.X)
         b = hermitian_solve(jittered(system), np.concatenate([(y / h).real, (y / h).imag]))
         np.testing.assert_allclose(alpha, h * (b[:6] + 1j * b[6:]), rtol=1e-12)
+
+
+    def test_jitter_retry_holds_one_build_of_the_systems(self, monkeypatch):
+        # every sample twice and lam = 0: each first factorization fails, and the
+        # retry builds afresh after the failed buffer is dropped, so the peaks
+        # stay within the bounds of a fit without the retry
+        n = 600
+        data = random_dataset(np.random.default_rng(54), n // 2, 1)
+        data = ComplexDataset(X=np.concatenate([data.X, data.X]), y=np.tile(data.y, 2))
+        builds = []
+        for cls, name in ((RealGaussian, "_gram"), (kernels._TermSum, "_ridge_systems")):
+            build = getattr(cls, name)
+            monkeypatch.setattr(cls, name, lambda *a, build=build: builds.append(1) or build(*a))
+        for fit, spec, bound in ((fit_srkhs, RealGaussian(gamma=1.0), 1.1),
+                                 (fit_augmented, mixed_gamma_blocks(), 5.5)):
+            builds.clear()
+            tracemalloc.start()
+            try:
+                fit(data, spec, 0.0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(builds) == 2, spec.family
+            assert peak <= bound * 8 * n * n, (spec.family, peak / (8 * n * n))
 
 
 class TestMseDb:

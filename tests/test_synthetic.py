@@ -121,13 +121,35 @@ class TestSampling:
     ],
 )
 def test_one_distance_matrix_per_kernel_evaluation(run, config, monkeypatch):
-    # two fits and two predictions, each one joint kernel evaluation (a
-    # 25-point grid is one block of rows)
+    # two fits, each one joint kernel evaluation, and one prediction of both
+    # models (a 25-point grid is one block of rows)
     calls = []
     sqdist = kernels._sqdist
     monkeypatch.setattr(kernels, "_sqdist", lambda *args: calls.append(1) or sqdist(*args))
     run(config)
-    assert len(calls) <= 4
+    assert len(calls) <= 3
+
+
+@pytest.mark.parametrize("run, config, gammas", [
+    (run_exp1, experiment1(n_train=20, grid_resolution=17), 2),
+    (run_exp2, experiment2(n_train=20, grid_resolution=17), 1),
+])
+def test_one_exp_per_distinct_gamma_per_grid_block(run, config, gammas, monkeypatch):
+    # the wide model and its ablation share their gammas: experiment 1 has two
+    # distinct ones (three terms), experiment 2 one (two terms); the grid's
+    # 289 points are two blocks of rows
+    exps = []
+    sums = kernels._gaussian_sums
+
+    def spy(d2, tri, *args):
+        if not tri:  # the fits' triangles are not counted
+            exps.append(len(args[0]))
+        return sums(d2, tri, *args)
+
+    monkeypatch.setattr(kernels, "_gaussian_sums", spy)
+    run(config)
+    blocks = -(-config.grid_resolution**2 // kernels.APPLY_BLOCK_ROWS)
+    assert exps == [1] * (blocks * gammas)
 
 
 class TestRunExp1:
