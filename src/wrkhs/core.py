@@ -11,23 +11,23 @@ reads every other number of a config or JSON file, and ``to_pairs``/
 dataclass calls it first in ``__post_init__`` to store every field as its
 annotation says, so equal configs serialize, and hash, equally.
 
-One Cholesky call factors every matrix of the package, in place in an
-F-ordered buffer, reading only its lower triangle. A failed factorization
-takes one jitter retry, ``1e-12 * trace/n`` on the diagonal of the matrix
-built afresh after the partly factored buffer is dropped. ``ridge_solve``
-and ``ridge_factor`` take a Gram as the kernels hand it over, a lower
-triangle (``kernels.KernelSpec._gram(x, x)``): the batch fits and the
-streaming ridge build, shift and factor each system in one buffer.
-``ridge_shift`` only adds to the diagonal. ``hermitian_solve`` is the
-full-matrix form, for the oracle fits (``fit_composite``, ``fit_schur``) and
-the budgeted recursion's rebuild, which assemble full matrices: it checks
-that ``A`` is Hermitian to ``HERMITIAN_ATOL`` and solves a copy in place. An
-exactly diagonal system is solved by elementwise division. ``mirror_lower``
-is the one mirror of such a lower triangle into the upper one, Hermitian or
-symmetric, in place, for the public Grams, the ``C`` block of a ridge system
-and the recursion's residual check. ``stacked_apply`` lets a real matrix act
-on a complex right-hand side as one real call on its stacked real and
-imaginary parts, so the matrix is never copied to complex.
+Every ridge system is held as LAPACK's rectangular full packed (RFP) lower
+triangle (``transr="N"``; Gustavson et al., ACM TOMS 37(2), 2010): the
+n (n + 1) / 2 entries of an order-n matrix in one 1-D buffer, the F-ordered
+(n + 1 - n % 2, ceil(n/2)) array whose first ceil(n/2) columns of the lower
+triangle sit below the trailing triangle, transposed. ``ridge_solve`` and
+``ridge_factor`` take a Gram as the kernels hand it over
+(``kernels.KernelSpec._gram(x, x)``), shift it and factor it in place by
+the one Cholesky, ``?pftrf``; ``packed_solve`` solves by the factor. A
+failed factorization takes one jitter retry, ``1e-12 * trace/n`` on the
+diagonal of the matrix built afresh after the partly factored buffer is
+dropped. ``packed`` and ``unpacked`` convert full matrices, the latter by
+``mirror_lower``, the one mirror of a lower triangle into the upper one.
+``hermitian_solve`` solves a full matrix, for the oracle fits and the
+budgeted recursion's rebuild, after checking that it is Hermitian to
+``HERMITIAN_ATOL``. An exactly diagonal system is solved by division.
+``stacked_apply`` lets a real matrix act on a complex right-hand side as
+one real call on its stacked real and imaginary parts.
 
 All functions here but ``ridge_shift``, ``ridge_solve``, ``ridge_factor`` and
 ``mirror_lower``, which work in the buffer they are given, are pure; arrays
@@ -44,7 +44,7 @@ import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import get_lapack_funcs
 
 __all__ = [
     "NumericalError",
@@ -61,6 +61,11 @@ __all__ = [
     "ridge_shift",
     "ridge_solve",
     "ridge_factor",
+    "packed_solve",
+    "packed",
+    "unpacked",
+    "packed_order",
+    "packed_diagonal",
     "hermitian_solve",
     "mirror_lower",
 ]
@@ -193,49 +198,81 @@ def check_seed(seed, name: str = "seed", count: int = 1) -> None:
         raise ValueError(f"{name} must be an integer in [0, 2**64 - {count}], got {seed!r}")
 
 
+def packed_order(a: np.ndarray) -> int:
+    """The order n of the RFP triangle ``a``, which holds n (n + 1) / 2 entries."""
+    return (math.isqrt(8 * len(a) + 1) - 1) // 2
+
+
+def packed_diagonal(n: int) -> np.ndarray:
+    """Where an order-n RFP triangle holds its diagonal: heading each of its
+    first ceil(n/2) columns below the trailing triangle, then that triangle's."""
+    c, t = (n + 1) // 2, n % 2
+    step = n + 2 - t  # one column (n + 1 - t entries) and one row further
+    return np.concatenate([np.arange(c) * step + 1 - t, np.arange(n - c) * step + t * n])
+
+
+def packed(a) -> np.ndarray:
+    """The lower triangle of the square ``a``, in floating point, as an RFP
+    triangle (``?trttf``); the strict upper triangle is not read."""
+    a = np.asarray(a, dtype=np.result_type(np.asarray(a), np.float64))
+    trttf, = get_lapack_funcs(("trttf",), (a,))
+    return trttf(a, uplo="L")[0]
+
+
+def unpacked(a: np.ndarray, conj: bool = True) -> np.ndarray:
+    """The square matrix of the RFP triangle ``a`` (``?tfttr``), its strict
+    upper triangle mirrored from the lower one. A complex Hermitian triangle
+    holds its trailing triangle conjugated, as ``?trttf`` packs it; a complex
+    symmetric one (``conj=False``) is laid out as its real and imaginary parts."""
+    if np.iscomplexobj(a) and not conj:
+        return unpacked(a.real) + 1j * unpacked(a.imag)
+    n = packed_order(a)
+    tfttr, = get_lapack_funcs(("tfttr",), (a,))
+    return mirror_lower(tfttr(n, a, uplo="L")[0][:n], conj)  # n = 0 gives a row
+
+
 def ridge_shift(a: np.ndarray, lam: float) -> np.ndarray:
-    """Add ``lam`` to the diagonal of ``a`` in place and return it.
+    """Add ``lam`` to the diagonal of ``a``, a square matrix or an RFP
+    triangle, in place and return it.
 
     A Gram matrix comes exactly Hermitian from the kernels, so nothing is
     symmetrized here; :func:`hermitian_solve` still checks it.
     """
-    a[np.diag_indices_from(a)] += lam
+    a[np.diag_indices_from(a) if a.ndim == 2 else packed_diagonal(packed_order(a))] += lam
     return a
 
 
 def ridge_solve(a: np.ndarray, lam: float, b, rebuild) -> np.ndarray:
-    """Solve ``(A + lam I) X = B`` in the buffer ``a``, whose lower triangle
-    holds the Hermitian (n, n) ``A``, for an (n,) or (n, k) ``B``.
+    """Solve ``(A + lam I) X = B`` in the buffer ``a``, the RFP triangle of the
+    Hermitian (n, n) ``A``, for an (n,) or (n, k) ``B``.
 
-    The strict upper triangle of ``a`` is never read, and ``a`` is overwritten
-    (in place when it is F-ordered). ``lam`` goes on the diagonal; an exactly
+    ``a`` is overwritten in place. ``lam`` goes on the diagonal; an exactly
     diagonal system is then solved by elementwise division, and any other is
     factored as :func:`ridge_factor` does, with ``rebuild()`` returning ``A``
     afresh for the one jitter retry. The solution is complex when ``B`` is.
     """
+    n = packed_order(a)
     a = ridge_shift(a, lam)
     b = np.asarray(b)
-    if b.shape[0] != a.shape[0]:
-        raise ValueError(f"shape mismatch: A is {a.shape}, B is {b.shape}")
-    if _lower_is_diagonal(a):
-        d = np.diagonal(a)
+    if b.shape[0] != n:
+        raise ValueError(f"shape mismatch: A is {(n, n)}, B is {b.shape}")
+    d = a[packed_diagonal(n)]
+    if np.count_nonzero(a) == np.count_nonzero(d):  # one pass: none off the diagonal
         if np.any(d.real <= 0) or np.any(d.imag != 0):
             raise NumericalError("diagonal matrix is not positive definite")
         d = d.real
         return b / (d[:, None] if b.ndim > 1 else d)
     held = [a]
     del a  # so that no reference keeps a failed factorization through the retry
-    low = _cholesky(held, lambda: ridge_shift(rebuild(), lam))
-    return stacked_apply(lambda m, rhs: cho_solve((m, True), rhs, check_finite=False), low, b)
+    return packed_solve(_cholesky(held, lambda: ridge_shift(rebuild(), lam)), b)
 
 
 def ridge_factor(a: np.ndarray, lam: float, rebuild) -> np.ndarray:
-    """The Cholesky factor ``L`` of ``A + lam I = L L^H``, factored in the
-    buffer ``a`` whose lower triangle holds the Hermitian (n, n) ``A``.
+    """The Cholesky factor ``L`` of ``A + lam I = L L^H``, factored in place in
+    the buffer ``a``, the RFP triangle of the Hermitian (n, n) ``A``.
 
-    ``L`` is the lower triangle of the result, which is ``a`` itself when ``a``
-    is F-ordered; no strict upper triangle is read or zeroed. If the
-    factorization fails, ``rebuild()`` returns ``A`` afresh, ``lam`` and
+    ``L`` is returned as the RFP triangle it is factored in, ``a`` itself. If
+    the factorization fails, ``rebuild()`` returns ``A`` afresh, ``lam`` and
     ``1e-12 * trace/n`` go on its diagonal and it is factored once more, then
     :class:`NumericalError` is raised.
     """
@@ -244,25 +281,33 @@ def ridge_factor(a: np.ndarray, lam: float, rebuild) -> np.ndarray:
     return _cholesky(held, lambda: ridge_shift(rebuild(), lam))
 
 
+def packed_solve(low: np.ndarray, b, forward: bool = False) -> np.ndarray:
+    """``(L L^H)^-1 B`` (``?pftrs``), or ``L^-1 B`` when ``forward``
+    (``?tfsm``), for the RFP triangle ``low`` of a lower-triangular ``L`` and
+    an (n,) or (n, k) ``B``; complex when ``B`` is."""
+    def solve(m, rhs):
+        f, = get_lapack_funcs(("tfsm" if forward else "pftrs",), (m, rhs))
+        cols = rhs.reshape(len(rhs), -1)
+        x = f(1.0, m, cols, uplo="L") if forward else f(len(rhs), m, cols, uplo="L")[0]
+        return x.reshape(rhs.shape)
+    return stacked_apply(solve, low, b)
+
+
 def _cholesky(held: list, again) -> np.ndarray:
-    """The package's one Cholesky: the lower triangle of the matrix taken out
-    of ``held`` factored in place; after a failure, with the failed buffer
-    dropped, once more on ``again()`` with the jitter on its diagonal."""
+    """The package's one Cholesky: the RFP triangle taken out of ``held``
+    factored in place; after a failure, with the failed buffer dropped, once
+    more on ``again()`` with the jitter on its diagonal."""
     for retry in (False, True):
-        try:
-            return cho_factor(held.pop(), lower=True, overwrite_a=True, check_finite=False)[0]
-        except LinAlgError as exc:
-            if retry:
-                raise NumericalError(
-                    "Cholesky factorization failed; matrix appears indefinite") from exc
+        a = held.pop()
+        pftrf, = get_lapack_funcs(("pftrf",), (a,))
+        low, info = pftrf(packed_order(a), a, uplo="L", overwrite_a=1)
+        if info == 0:
+            return low
+        del a, low
+        if retry:
+            raise NumericalError("Cholesky factorization failed; matrix appears indefinite")
         a = again()
-        held.append(ridge_shift(a, 1e-12 * np.trace(a).real / a.shape[0]))
-
-
-def _lower_is_diagonal(a: np.ndarray) -> bool:
-    """True when the strict lower triangle of ``a`` is all zero, read column by
-    column up to the first column with a non-zero entry there."""
-    return not any(a[j + 1 :, j].any() for j in range(a.shape[0]))
+        held.append(ridge_shift(a, 1e-12 * np.mean(a[packed_diagonal(packed_order(a))].real)))
 
 
 def hermitian_solve(a, b) -> np.ndarray:
@@ -270,10 +315,10 @@ def hermitian_solve(a, b) -> np.ndarray:
     symmetric too) and an (n,) or (n, k) ``B``, complex even when ``A`` is real.
 
     A non-square ``A``, or one whose max asymmetry ``|A - A^H|`` exceeds
-    ``1e-12``, raises ``ValueError``. ``A`` is left as it is: a copy is solved
-    by :func:`ridge_solve` (exactly diagonal matrices by elementwise division,
-    exact; others by the one Cholesky and its jitter retry, then
-    :class:`NumericalError`).
+    ``1e-12``, raises ``ValueError``. ``A`` is left as it is: its packed lower
+    triangle (:func:`packed`) is solved by :func:`ridge_solve` (exactly
+    diagonal matrices by elementwise division, exact; others by the one
+    Cholesky and its jitter retry, then :class:`NumericalError`).
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -284,12 +329,7 @@ def hermitian_solve(a, b) -> np.ndarray:
         asym = max(asym, float(np.max(np.abs(a[rows] - a[:, rows].conj().T))))
     if asym > HERMITIAN_ATOL:
         raise ValueError(f"matrix is not Hermitian (max asymmetry {asym:.3e})")
-    return ridge_solve(_f_copy(a), 0.0, b, lambda: _f_copy(a))
-
-
-def _f_copy(a: np.ndarray) -> np.ndarray:
-    """An F-ordered floating-point copy of ``a``, for the in-place solves."""
-    return np.array(a, dtype=np.result_type(a.dtype, np.float64), order="F")
+    return ridge_solve(packed(a), 0.0, b, lambda: packed(a))
 
 
 def mirror_lower(a: np.ndarray, conj: bool = True) -> np.ndarray:

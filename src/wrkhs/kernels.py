@@ -36,26 +36,27 @@ Every family but the complex Gaussian gets its squared distances from one
 primitive, ``_sqdist``: complex rows enter as their interleaved real (n, 2d)
 view, with the same distances, so the cross products are one real GEMM, and
 the norm adds and the clamp at 0 run in place in its output. The samples
-against themselves (``x' = x``) give only the lower triangle of a
-column-ordered buffer: one ``dsyrk``, then one norm sum ``aa_i + aa_j`` per
-entry. ``_gaussian_sums`` is the one evaluation of sums of real Gaussians,
-for every family but the complex Gaussian, the ridge systems and ``apply``:
-tile by tile (``_tiles``; an ``apply`` block is one tile), on the triangle
-only when there is one. Each ``exp`` of a tile is written to its own tile-sized buffer
-and scaled into the sums, or straight into a real sum it starts with
-coefficient 1; by default the last real sum takes the distances' buffer,
-written after the tile's last ``exp`` has read them. So ``_gram(x, x)``,
-``_pair(x, x)`` and ``_ridge_systems(x)`` give lower triangles, which a
-ridge solve shifts and factors in place (``core.ridge_solve``). The public
-``gram`` and ``pair`` at ``x' = x`` mirror the triangle column by column
-(``core.mirror_lower``), so a Gram is exactly Hermitian and its
-pseudo-kernel Gram exactly symmetric; ``IndependentGaussian`` transposes its
-one cross term and ``ComplexGaussian`` averages its exponent with its
-adjoint (and warns once per call, from its caller's line, when it
-saturates). A ridge shift is therefore a diagonal add. ``composite_matrix``
-turns an evaluated pair into the real composite matrix of the stacked
-real/imaginary system, for the oracle fit ``fit_composite``. Specs are
-immutable and hashable; all evaluations are pure and thread-safe.
+against themselves (``x' = x``) give the packed (RFP, see ``core``) lower
+triangle: one ``dsfrk``, then one norm sum ``aa_i + aa_j`` per entry, by
+columns of the packed array. ``_gaussian_sums`` is the one evaluation of
+sums of real Gaussians, for every family but the complex Gaussian, the ridge
+systems and ``apply``: tile by tile (``_tiles``; an ``apply`` block is one
+tile; a packed triangle's tiles are contiguous slices). Each ``exp`` of a
+tile is written to its own tile-sized buffer and scaled into the sums, or
+straight into a real sum it starts with coefficient 1; by default the last
+real sum takes the distances' buffer, written after the tile's last ``exp``
+has read them. So ``_gram(x, x)``, ``_pair(x, x)`` and
+``_ridge_systems(x)`` give packed triangles, which ``core.ridge_solve``
+shifts and factors in place; the complex and independent Gaussians pack
+full matrices. The public ``gram`` and ``pair`` at ``x' = x`` unpack them,
+so a Gram is exactly Hermitian and its pseudo-kernel Gram exactly symmetric;
+``IndependentGaussian`` transposes its one cross term and
+``ComplexGaussian`` averages its exponent with its adjoint (and warns once
+per call, from its caller's line, when it saturates). A ridge shift is
+therefore a diagonal add. ``composite_matrix`` turns an evaluated pair into
+the real composite matrix of the stacked real/imaginary system, for the
+oracle fit ``fit_composite``. Specs are immutable and hashable; all
+evaluations are pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -67,9 +68,9 @@ import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.linalg.blas import dsyrk
+from scipy.linalg.lapack import dsfrk
 
-from .core import as_float, as_samples, mirror_lower, stacked_apply, store_as_annotated
+from .core import as_float, as_samples, packed, stacked_apply, store_as_annotated, unpacked
 
 __all__ = [
     "KernelSpec",
@@ -87,10 +88,10 @@ __all__ = [
 # Largest exponent fed to exp() for the complex Gaussian before saturation.
 EXP_SATURATION = 700.0
 
-# A distance epilogue and a sum of Gaussians run in tiles of whole rows, each
-# 1/TILES of the matrix but at least TILE_ENTRIES entries. The temporaries of a
-# tile (a few, counting numpy's buffers for strided operands) then stay a few
-# per cent of the matrix, and there are about TILES tiles whatever its size.
+# A sum of Gaussians runs in tiles of whole rows (of a packed triangle, slices),
+# each 1/TILES of the matrix but at least TILE_ENTRIES entries. The temporaries
+# of a tile (a few) then stay a few per cent of the matrix, and there are about
+# TILES tiles whatever its size.
 TILES = 128
 TILE_ENTRIES = 4096
 
@@ -118,19 +119,14 @@ def sq_norms(a: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", ar, ar)
 
 
-def _tiles(shape: tuple[int, int], tri: bool):
-    """Yield ``(rows, cols)`` slices of a C-ordered ``shape`` array, each a
-    block of whole rows (see ``TILES``; an ``apply`` block is one). Of a
-    triangle (``tri``: the upper one of this view, the lower one of its
-    F-ordered transpose) a block takes the columns from its first row on."""
+def _tiles(shape: tuple[int, int]):
+    """Yield slices of the rows of a ``shape`` array, each a block of whole rows
+    (see ``TILES``; an ``apply`` block is one)."""
     m, n = shape
-    size = m * max(1, n) if not tri and m <= APPLY_BLOCK_ROWS else max(TILE_ENTRIES, m * n // TILES)
-    i = 0
-    while i < m:
-        c0 = i if tri else 0
-        r = max(1, size // max(1, n - c0))
-        yield slice(i, i + r), slice(c0, n)
-        i += r
+    size = m * max(1, n) if m <= APPLY_BLOCK_ROWS else max(TILE_ENTRIES, m * n // TILES)
+    r = max(1, size // max(1, n))
+    for i in range(0, m, r):
+        yield slice(i, i + r)
 
 
 def _sqdist(a: np.ndarray, b: np.ndarray, aa=None, bb=None) -> np.ndarray:
@@ -142,26 +138,23 @@ def _sqdist(a: np.ndarray, b: np.ndarray, aa=None, bb=None) -> np.ndarray:
     real GEMM, and the epilogue runs in place in its output. ``aa`` and ``bb``
     are the squared row norms (:func:`sq_norms`) when the caller holds them.
 
-    When ``b is a`` only the lower triangle is computed, in an F-ordered
-    buffer: one ``dsyrk``, then the sum ``aa_i + aa_j`` and the clamp over
-    :func:`_tiles`. The strict upper triangle is not set, except where a tile
-    overlaps it, which is set to 0.
+    When ``b is a`` only the lower triangle is computed, packed (RFP, see
+    ``core``): one ``dsfrk``, then the sum ``aa_i + aa_j`` a column of the
+    packed array at a time, and the clamp.
     """
     ar = np.ascontiguousarray(a).view(np.float64)
     if aa is None:
         aa = sq_norms(ar)
     if b is a:
-        n = ar.shape[0]
-        d2 = (np.zeros((n, n), order="F") if 0 in ar.shape else
-              dsyrk(-2.0, ar.T, c=np.empty((n, n), order="F"), trans=1, lower=1, overwrite_c=1))
-        view = d2.T
-        for rows, cols in _tiles(view.shape, True):
-            t = view[rows, cols]
-            for k in range(1, t.shape[0]):  # where the tile overlaps the upper triangle
-                t[k, :k] = 0.0
-            t += aa[rows, None] + aa[cols]
-            np.maximum(t, 0.0, out=t)
-        return d2
+        (n, k), size = ar.shape, ar.shape[0] * (ar.shape[0] + 1) // 2
+        d2 = np.zeros(size) if 0 in ar.shape else dsfrk(
+            n, k, -2.0, ar.T, 0.0, np.empty(size), uplo="L", trans="T", overwrite_c=1)
+        c, t = (n + 1) // 2, n % 2
+        for j, col in enumerate(d2.reshape(c, -1) if n else []):
+            u = j + 1 - t  # column j: the trailing triangle's row c + u - 1, then A[j:, j]
+            col[:u] += aa[c : c + u] + aa[c + u - 1]
+            col[u:] += aa[j:] + aa[j]
+        return np.maximum(d2, 0.0, out=d2)
     br = np.ascontiguousarray(b).view(np.float64)
     d2 = ar @ br.T
     d2 *= -2.0
@@ -172,33 +165,34 @@ def _sqdist(a: np.ndarray, b: np.ndarray, aa=None, bb=None) -> np.ndarray:
 
 # an exponent that overflows to -inf gives exp 0, as any below about -745 does
 @np.errstate(over="ignore")
-def _gaussian_sums(d2, tri, gammas, columns, outs=None) -> list[np.ndarray]:
+def _gaussian_sums(d2, gammas, columns, outs=None) -> list[np.ndarray]:
     """``sum_g c_g exp(-d2 / gamma_g)`` for each column ``c`` of coefficients,
     which holds one per gamma: the one evaluation of sums of real Gaussians.
 
-    A triangle ``d2`` (``tri``, see :func:`_sqdist`) gives lower triangles. A
-    matrix is real unless its column holds a complex coefficient. Tile by tile
-    (:func:`_tiles`), each ``exp`` is written to its own tile-sized buffer
-    ``e``, or straight into the first real matrix whose first term it is with
-    coefficient 1; a matrix starts as ``c * e`` and adds later terms in gamma
-    order. ``outs`` are the output buffers, laid out as ``d2`` (that of an
-    all-zero column is not written); by default the last real matrix with a
-    non-zero term takes ``d2`` itself and the others are new. An output that
-    is ``d2`` is summed aside and copied back after the tile's last ``exp``
-    when a term before the last gamma weights it; otherwise it is written
-    directly, as the last ``divide`` has read the distances.
+    ``d2`` is any array of distances, such as a packed triangle or a
+    rectangle from :func:`_sqdist`, and each sum is laid out as it is. A sum
+    is real unless its column holds a complex coefficient. Tile by tile
+    (:func:`_tiles`; a packed triangle's tiles are contiguous slices), each
+    ``exp`` is written to its own tile-sized buffer ``e``, or straight into
+    the first real sum whose first term it is with coefficient 1; a sum
+    starts as ``c * e`` and adds later terms in gamma order, and that of an
+    all-zero column is 0. ``outs`` are the output buffers; by default the
+    last real sum with a non-zero term takes ``d2`` itself and the others are
+    new. An output that is ``d2`` is summed aside and copied back after the
+    tile's last ``exp`` when a term before the last gamma weights it;
+    otherwise it is written directly, as the last ``divide`` has read the
+    distances.
     """
     used = [(g, cs) for g, cs in zip(gammas, zip(*columns)) if any(cs)]
     if outs is None:
         dtypes = [np.result_type(np.float64, *col) for col in columns]
         real = [k for k, col in enumerate(columns) if any(col) and dtypes[k] == np.float64]
-        outs = [d2 if real and k == real[-1] else
-                (np.empty_like if any(col) else np.zeros_like)(d2, dtypes[k])
-                for k, col in enumerate(columns)]
+        outs = [d2 if real and k == real[-1] else np.empty_like(d2, dtypes[k])
+                for k in range(len(columns))]
     alias = next((k for k, o in enumerate(outs) if o is d2), None)
     aside = alias is not None and any(cs[alias] for _, cs in used[:-1])
-    d2v, *outv = [a.T if tri else a for a in (d2, *outs)]
-    for tile in _tiles(d2v.shape, tri):
+    d2v, *outv = [a[:, None] if a.ndim < 2 else a for a in (d2, *outs)]
+    for tile in _tiles(d2v.shape):
         d = d2v[tile]
         acc = [o[tile] for o in outv]
         if aside:
@@ -217,6 +211,8 @@ def _gaussian_sums(d2, tri, gammas, columns, outs=None) -> list[np.ndarray]:
                 elif c:
                     np.multiply(e, c, out=acc[k])
                     started[k] = True
+        for zero in [a for a, s in zip(acc, started) if not s]:  # all-zero columns
+            zero[...] = 0.0
         if aside:
             d[...] = acc[alias]
     return outs
@@ -274,7 +270,7 @@ def apply_pairs(x, z, pairs) -> list[np.ndarray]:
             d2 = _sqdist(xb, z, xx, zz) if by_gamma else None
             for i, (gamma, columns) in enumerate(by_gamma.items()):
                 e = d2 if i == len(by_gamma) - 1 else g[: len(xb)]
-                _gaussian_sums(d2, False, [gamma], [[1.0]], [e])
+                _gaussian_sums(d2, [gamma], [[1.0]], [e])
                 # a product per spec: one of stacked columns would round the
                 # rows of a block's tail apart from a lone spec's
                 for k, column in columns:
@@ -299,17 +295,17 @@ class KernelSpec:
 
     def gram(self, x, z=None) -> np.ndarray:
         """Kernel Gram matrix K with ``K[i, j] = k(x_i, z_j)``; at ``z = x`` the
-        lower triangle mirrored, so exactly Hermitian."""
+        packed lower triangle unpacked and mirrored, so exactly Hermitian."""
         x, z = _validated(x, z)
         k = self._gram(x, z)
-        return mirror_lower(k) if z is x else k
+        return unpacked(k) if z is x else k
 
     def pair(self, x, z=None) -> tuple[np.ndarray, np.ndarray]:
         """``(K, Kt)`` with ``Kt[i, j] = ktilde(x_i, z_j)``, from one evaluation;
-        at ``z = x`` mirrored, so exactly Hermitian and exactly symmetric."""
+        at ``z = x`` unpacked and mirrored, so exactly Hermitian and exactly symmetric."""
         x, z = _validated(x, z)
         k, kt = self._pair(x, z)
-        return (mirror_lower(k), mirror_lower(kt, conj=False)) if z is x else (k, kt)
+        return (unpacked(k), unpacked(kt, conj=False)) if z is x else (k, kt)
 
     def apply(self, x, z, alpha) -> np.ndarray:
         """``K(x, z) alpha + Kt(x, z) conj(alpha)``: :func:`apply_pairs` of one pair."""
@@ -324,8 +320,8 @@ class KernelSpec:
         x = as_samples(x, "x")
         # every family but the complex Gaussian is stationary: k(x, x) = k(0, 0)
         zero = np.zeros((1, x.shape[1]), dtype=np.complex128)
-        k, kt = self._pair(zero, zero)
-        return np.full(x.shape[0], k[0, 0]), np.full(x.shape[0], kt[0, 0])
+        k, kt = self._pair(zero, zero)  # packed triangles of order 1
+        return np.full(x.shape[0], k[0]), np.full(x.shape[0], kt[0])
 
     # -- structure ----------------------------------------------------------
 
@@ -348,12 +344,13 @@ class KernelSpec:
     def _gram(self, x, z, *norms) -> np.ndarray:
         """The Gram matrix of checked samples; ``norms`` may hold the squared
         row norms ``(xx, zz)`` of ``x`` and ``z`` when the caller has them (a
-        family may ignore them). At ``z is x`` only the lower triangle is
-        defined, in an F-ordered buffer a solve may factor in place."""
+        family may ignore them). At ``z is x`` it is the packed lower triangle
+        (RFP, see ``core``), which a solve may factor in place."""
         raise NotImplementedError
 
     def _pair(self, x, z) -> tuple[np.ndarray, np.ndarray]:
-        return self._gram(x, z), np.zeros((x.shape[0], z.shape[0]))
+        k = self._gram(x, z)
+        return k, np.zeros(k.shape)
 
     # -- serialization ------------------------------------------------------
 
@@ -402,10 +399,10 @@ class ComplexGaussian(_Gaussian):
         if z is not x:
             return np.exp(_saturated(expo.real) + 1j * expo.imag)
         # exactly Hermitian: k(x', x) has the conjugate exponent of k(x, x'); so
-        # conj(K) transposed is K itself, laid out by columns like the triangles
+        # conj(K) transposed is K itself, laid out by columns for the packing
         expo = (expo + expo.conj().T) / 2.0
         k = np.exp(_saturated(expo.real) + 1j * expo.imag)
-        return np.conjugate(k, out=k).T
+        return packed(np.conjugate(k, out=k).T)
 
     def diag(self, x):
         # x = x': the exponent is 4 |Im x|^2 / gamma, real
@@ -430,10 +427,11 @@ class IndependentGaussian(_Gaussian):
         kap = RealGaussian(self.gamma)._gram
         xr, xj = np.ascontiguousarray(x.real), np.ascontiguousarray(x.imag)
         if z is x:  # exactly Hermitian: kappa(xj, xr) is the transpose of kappa(xr, xj)
-            rj = kap(xr, xj)
-            k = np.empty(rj.shape, np.complex128, order="F")
-            np.add(mirror_lower(kap(xr, xr)), mirror_lower(kap(xj, xj)), out=k.real)
-            np.subtract(rj, rj.T, out=k.imag)
+            k = np.zeros((len(x), len(x)), np.complex128, order="F")
+            k.imag[...] = kap(xr, xj)
+            k.imag -= k.imag.T.copy()
+            k = packed(k)
+            k += kap(xr, xr) + kap(xj, xj)
             return k
         return kap(xr, z.real) + kap(xj, z.imag) + 1j * (kap(xr, z.imag) - kap(xj, z.real))
 
@@ -479,7 +477,7 @@ class _TermSum(KernelSpec):
         :func:`_gaussian_sums`; a column holds one coefficient ``c_gamma`` per
         distinct gamma, in the order of :meth:`_coefficients`."""
         d2 = _sqdist(x, z, *norms)
-        return _gaussian_sums(d2, z is x, list(self._coefficients()), columns)
+        return _gaussian_sums(d2, list(self._coefficients()), columns)
 
     def _columns(self) -> list[tuple]:
         """The kernel and pseudo-kernel coefficient columns."""
@@ -516,16 +514,16 @@ class _TermSum(KernelSpec):
 
     def _ridge_systems(self, x) -> tuple[complex, list[np.ndarray]]:
         """The real form of the widely-linear ridge system on checked samples:
-        ``h`` and the lower triangles of ``[[R, C], [C, J]]``, whose solution
+        ``h`` and the packed triangles of ``[[R, C], [C, J]]``, whose solution
         ``[br; bi]`` of ``[Re y/h; Im y/h]`` gives ``alpha = h (br + j bi)``.
 
         With ``p = phase``, or 1 when there is none, ``h = 1 + p`` and each
         block is a real sum of Gaussians: ``R = K + S`` and ``J = K - S`` for
         ``S = sum_gamma Re(b_gamma conj(p)) G_gamma``, and ``C = Im Kt``. A
         phase-aligned pair has ``C = 0`` by definition, so two n x n systems,
-        ``R`` and ``J``. Any other pair gives one 2n x 2n system in one
-        F-ordered buffer: one evaluation writes ``R``, ``J`` and ``C``, and
-        ``C``, all of it below the diagonal, is mirrored.
+        ``R`` and ``J``. Any other pair gives one packed 2n x 2n system, the
+        distances of ``[x; x]``: column j holds ``J``'s row j to the diagonal,
+        ``R``'s column j from it and ``C``'s column j, summed a tile at a time.
         """
         p = self.phase
         aligned = p is not None
@@ -535,12 +533,14 @@ class _TermSum(KernelSpec):
         columns = [[a + s.real for a, s in rotated], [a - s.real for a, s in rotated]]
         if aligned:
             return 1 + p, self._combine(x, x, columns)
-        n = x.shape[0]
-        system = np.zeros((2 * n, 2 * n), order="F")
-        blocks = [system[:n, :n], system[n:, n:], system[n:, :n]]
-        _gaussian_sums(_sqdist(x, x), True, list(coefficients),
-                       columns + [[s.imag for _, s in rotated]], blocks)
-        mirror_lower(blocks[2], conj=False)
+        n, gammas, twice = x.shape[0], list(coefficients), np.concatenate([x, x])
+        system = _sqdist(twice, twice)
+        cols = system.reshape(n, 2 * n + 1)
+        for rows in _tiles(cols.shape):
+            top, c = cols[rows, : n + 1], cols[rows, n + 1 :]
+            _gaussian_sums(c, gammas, [[s.imag for _, s in rotated]], [c])
+            _, j = _gaussian_sums(top, gammas, columns, [top, np.empty(top.shape)])
+            np.copyto(top, j, where=np.arange(n + 1) <= np.arange(n)[rows, None])
         return 1 + p, [system]
 
 
@@ -556,7 +556,7 @@ class RealGaussian(_Gaussian, _TermSum):
         return ((self, 1, 0),)
 
     def _gram(self, x, z, *norms):
-        return _gaussian_sums(_sqdist(x, z, *norms), z is x, [self.gamma], [[self.scale]])[0]
+        return _gaussian_sums(_sqdist(x, z, *norms), [self.gamma], [[self.scale]])[0]
 
 
 @dataclass(frozen=True)

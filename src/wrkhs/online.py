@@ -9,9 +9,10 @@ regularized least-squares objective caused by removing basis i (the
 the least informative basis. Without a budget the recursion reproduces the
 batch ridge solution on all samples seen so far.
 
-Storage: ``Q`` is kept in the lower triangle of one F-contiguous buffer
-(``budget + 1`` square when budgeted), zero outside the live m x m block;
-no update reads the strict upper triangle. Each BLAS update takes the whole
+Storage: ``Q`` is kept in the lower triangle of one dense F-contiguous
+buffer (``budget + 1`` square when budgeted; level-2 BLAS has no packed
+form), zero outside the live m x m block; no update reads the strict upper
+triangle. Each BLAS update takes the whole
 buffer with ``lower=1`` and zero-padded vectors, so scipy's wrappers update
 it in place. ``b = Q k`` is one ``?symv``/``?hemv``; an admit into a free
 slot is one ``?syr``/``?her`` with ``u = [b; -1]``. At the budget the
@@ -46,23 +47,23 @@ bit-identical to, a loop of ``observe``.
 
 :func:`streaming_ridge_predictions` computes the same unbounded prediction
 sequence in one Cholesky factorization (prequential form), used by the
-benchmark runners where streams are long. It factors the Gram's lower
+benchmark runners where streams are long. It factors the Gram's packed
 triangle in its own buffer by ``core.ridge_factor``, with the batch solve's
 one jitter retry (``1e-12 * trace/n`` on the diagonal of the Gram built
-afresh) before ``NumericalError``.
+afresh) before ``NumericalError``, and solves the packed factor by
+``core.packed_solve``.
 """
 
 from __future__ import annotations
 
 import cmath
-from functools import partial
 
 import numpy as np
-from scipy.linalg import blas, solve_triangular
+from scipy.linalg import blas
 
 from .core import (
-    ComplexDataset, as_sample, check_lam, hermitian_solve, is_int, mirror_lower, ridge_factor,
-    stacked_apply,
+    ComplexDataset, as_sample, check_lam, hermitian_solve, is_int, mirror_lower, packed_diagonal,
+    packed_solve, ridge_factor,
 )
 from .kernels import KernelSpec, sq_norms
 
@@ -381,5 +382,4 @@ def streaming_ridge_predictions(
     data = ComplexDataset(X=x, y=y)
     x, y = data.X, data.y
     low = ridge_factor(spec._gram(x, x), lam, lambda: spec._gram(x, x))
-    z = stacked_apply(partial(solve_triangular, lower=True, check_finite=False), low, y)
-    return y - np.real(np.diagonal(low)) * z
+    return y - low[packed_diagonal(len(y))].real * packed_solve(low, y, forward=True)

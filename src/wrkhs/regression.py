@@ -11,7 +11,7 @@ cheapest exact solve the kernel spec's structure allows:
   solves of ``K +- S + lam I``; for any other, ``h = 2`` and one real
   2n x 2n solve.
 
-Each system is the lower triangle the kernels build (``KernelSpec._gram(x,
+Each system is the packed triangle the kernels build (``KernelSpec._gram(x,
 x)``, ``_ridge_systems``), shifted and factored in its own buffer by
 ``core.ridge_solve``; a failed factorization rebuilds it for the jitter
 retry. ``fit_composite`` (the stacked real/imaginary system assembled from

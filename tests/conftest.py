@@ -14,7 +14,7 @@ from wrkhs import (
     SyntheticConfig,
     WrkhsModel,
 )
-from wrkhs.core import as_samples, mirror_lower
+from wrkhs.core import as_samples, unpacked
 from wrkhs.kernels import composite_matrix
 
 
@@ -57,9 +57,9 @@ def augmented_gram(spec, x):
 
 def ridge_systems(spec, x):
     """``(h, systems)`` of the real ridge systems a pseudo-kernel fit solves
-    (``_ridge_systems``), each lower triangle mirrored into a full matrix."""
+    (``_ridge_systems``), each packed triangle unpacked into a full matrix."""
     h, systems = spec._ridge_systems(as_samples(x, "x"))
-    return h, [mirror_lower(m, conj=False) for m in systems]
+    return h, [unpacked(m) for m in systems]
 
 
 def min_composite_eigenvalue(spec, x) -> float:

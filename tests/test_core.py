@@ -23,8 +23,8 @@ from wrkhs import (
     streaming_ridge_predictions,
 )
 from wrkhs.core import (
-    ASYMMETRY_BLOCK_ROWS, as_float, from_pairs, ridge_factor, ridge_shift, store_as_annotated,
-    to_pairs,
+    ASYMMETRY_BLOCK_ROWS, as_float, from_pairs, packed, ridge_factor, ridge_shift, ridge_solve,
+    store_as_annotated, to_pairs, unpacked,
 )
 from conftest import transform_matrix
 
@@ -92,44 +92,71 @@ class TestHermitianSolve:
 
 
 class TestHermitianFactor:
-    """``ridge_factor`` factors a Hermitian matrix in the buffer it is given,
-    reading its lower triangle only; ``rebuild`` hands over a fresh copy."""
+    """``ridge_factor`` factors a Hermitian matrix in the packed triangle it is
+    given; ``rebuild`` hands over a fresh one."""
 
     @staticmethod
     def factor(a, lam=0.0):
-        buffer = np.array(a, order="F")
-        low = ridge_factor(buffer, lam, lambda: np.array(a, order="F"))
+        buffer = packed(a)
+        low = ridge_factor(buffer, lam, lambda: packed(a))
         assert low is buffer
-        return low
+        return np.tril(unpacked(low))
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_lower_factor_leaves_the_input(self, dtype):
-        # the strict upper triangle is neither read nor zeroed
+        # packing reads the lower triangle only, at orders of either parity
         rng = np.random.default_rng(7)
-        m = rng.standard_normal((6, 6)).astype(dtype)
-        if dtype is complex:
-            m += 1j * rng.standard_normal((6, 6))
-        a = m @ m.conj().T + np.eye(6)
-        poisoned = a.copy()
-        upper = np.triu_indices(6, 1)
-        poisoned[upper] = np.nan
-        low = self.factor(poisoned, 0.5)
-        assert np.isnan(low[upper]).all()
-        low = np.tril(low)
-        np.testing.assert_allclose(low @ low.conj().T, a + 0.5 * np.eye(6), atol=1e-12)
+        for n in (1, 2, 3, 6, 7):
+            m = rng.standard_normal((n, n)).astype(dtype)
+            if dtype is complex:
+                m += 1j * rng.standard_normal((n, n))
+            a = m @ m.conj().T + np.eye(n)
+            poisoned = a.copy()
+            poisoned[np.triu_indices(n, 1)] = np.nan
+            assert np.isfinite(packed(poisoned)).all()
+            low = self.factor(poisoned, 0.5)
+            np.testing.assert_allclose(low @ low.conj().T, a + 0.5 * np.eye(n), atol=1e-12)
 
     def test_jitter_retry_factors_a_singular_matrix_once(self):
         # rank one: the plain factorization fails, 1e-12 * trace/n on the diagonal does not
         a = np.ones((3, 3))
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(a)
-        low = np.tril(ridge_factor(np.array(a, order="F"), 0.0, lambda: np.array(a, order="F")))
+        low = np.tril(unpacked(ridge_factor(packed(a), 0.0, lambda: packed(a))))
         jitter = 1e-12 * np.trace(a) / 3
-        np.testing.assert_array_equal(low, np.linalg.cholesky(a + jitter * np.eye(3)))
+        # bit for bit the packed factor of A + jitter I; the packed Cholesky
+        # rounds apart from LAPACK's dense one, here by 2.5e-13 of an entry
+        np.testing.assert_array_equal(low, self.factor(a + jitter * np.eye(3)))
+        np.testing.assert_allclose(low, np.linalg.cholesky(a + jitter * np.eye(3)), rtol=1e-12)
 
     def test_indefinite_after_the_jitter_fails_hard(self):
         with pytest.raises(NumericalError, match="indefinite"):
             self.factor(np.diag([1.0, -1.0]))
+
+
+class TestExactDiagonal:
+    """An exactly diagonal packed system is solved by division, one pass over
+    the packed triangle deciding it; any off-diagonal non-zero goes to the
+    Cholesky."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 9])
+    def test_diagonal_is_divided(self, n):
+        d = np.arange(1.0, n + 1.0)
+        b = np.ones(n) + 1j
+        x = ridge_solve(packed(np.diag(d)), 0.5, b, lambda: None)
+        np.testing.assert_array_equal(x, b / (d + 0.5))
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 9])
+    def test_last_column_entry_goes_to_the_cholesky(self, n):
+        # the only off-diagonal non-zero is in the last column (and row): a
+        # diagonal solve would ignore it, and here it makes A indefinite
+        a = np.eye(n)
+        a[n - 1, n - 2] = a[n - 2, n - 1] = 2.0
+        with pytest.raises(NumericalError):
+            ridge_solve(packed(a), 0.0, np.ones(n), lambda: packed(a))
+        a[n - 1, n - 2] = a[n - 2, n - 1] = 0.5
+        x = ridge_solve(packed(a), 0.0, np.ones(n), lambda: packed(a))
+        np.testing.assert_allclose(x, np.linalg.solve(a, np.ones(n)), rtol=1e-14)
 
 
 class TestRidgeShift:

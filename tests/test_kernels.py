@@ -20,7 +20,7 @@ from wrkhs import (
     fit_srkhs,
     kernel_from_config,
 )
-from wrkhs.core import as_samples
+from wrkhs.core import as_samples, unpacked
 from wrkhs.kernels import composite_matrix
 from conftest import (
     augmented_gram,
@@ -220,8 +220,9 @@ class TestSqdist:
         for x, z in cases:
             ref = complex_formula_sqdist(x, z)
             d2 = kernels._sqdist(x, z)
-            if z is x:  # the lower triangle only
-                d2, ref = np.tril(d2), np.tril(ref)
+            if z is x:  # the packed lower triangle
+                assert d2.shape == (len(x) * (len(x) + 1) // 2,)
+                d2 = unpacked(d2)
             assert (d2 >= 0).all()
             np.testing.assert_allclose(d2, ref, rtol=0, atol=1e-12 * ref.max())
 
@@ -241,7 +242,17 @@ class TestSqdist:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * d2.nbytes, peak / d2.nbytes
+        packed = 8 * 2000 * 2001 // 2  # the packed triangle, n (n + 1) / 2 doubles
+        assert d2.nbytes == packed
+        assert peak <= 1.25 * packed, peak / packed
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 300, 301])
+    def test_packed_triangle_of_either_parity(self, n):
+        # the norm add follows the packed layout of even and odd orders alike
+        x = as_samples(random_inputs(np.random.default_rng(47), n, 2), "x")
+        ref = complex_formula_sqdist(x, x)
+        d2 = unpacked(kernels._sqdist(x, x))
+        np.testing.assert_allclose(d2, ref, rtol=0, atol=1e-12 * max(1.0, ref.max()))
 
 
 def gaussian_sums_reference(d2, gammas, columns):
@@ -258,7 +269,7 @@ def gaussian_sums_reference(d2, gammas, columns):
 class TestGaussianSums:
     @staticmethod
     def distances(tri):
-        # 150 samples cross several tiles of the triangle and of the rectangle
+        # 150 samples cross several tiles of the packed triangle and of the rectangle
         rng = np.random.default_rng(48)
         x = as_samples(random_inputs(rng, 150, 2), "x")
         return kernels._sqdist(x, x if tri else as_samples(random_inputs(rng, 90, 2), "z"))
@@ -270,13 +281,12 @@ class TestGaussianSums:
         return gammas, [[1.0, 0.0, -0.4, 2.5][:m], [0.3 - 1.2j, 1.0, 0.0, 0.5j][:m], [0.0] * m]
 
     @staticmethod
-    def assert_sums(sums, d2, tri, gammas, columns):
-        # bit-equal to the reference; of a triangle, on its lower part only
-        ref = gaussian_sums_reference(np.tril(d2) if tri else d2, gammas, columns)
-        cut = np.tril if tri else np.asarray
+    def assert_sums(sums, d2, gammas, columns):
+        # bit-equal to the reference, in the layout of the distances
+        ref = gaussian_sums_reference(d2, gammas, columns)
         for s, r, col in zip(sums, ref, columns):
             assert s.dtype == np.result_type(np.float64, *col)
-            np.testing.assert_array_equal(cut(s), cut(r))
+            np.testing.assert_array_equal(s, r)
 
     @pytest.mark.parametrize("tri", [True, False])
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -284,15 +294,15 @@ class TestGaussianSums:
         gammas, columns = self.terms(m)
         d2 = self.distances(tri)
         before = d2.copy()
-        sums = kernels._gaussian_sums(d2, tri, gammas, columns)
+        sums = kernels._gaussian_sums(d2, gammas, columns)
         assert sums[0] is d2  # the last real sum with a term takes the distances
-        self.assert_sums(sums, before, tri, gammas, columns)
+        self.assert_sums(sums, before, gammas, columns)
         # without a real sum to take them, the distances are only read
         d2 = self.distances(tri)
         before = d2.copy()
-        sums = kernels._gaussian_sums(d2, tri, gammas, columns[1:])
+        sums = kernels._gaussian_sums(d2, gammas, columns[1:])
         assert d2.tobytes() == before.tobytes()
-        self.assert_sums(sums, before, tri, gammas, columns[1:])
+        self.assert_sums(sums, before, gammas, columns[1:])
 
     @pytest.mark.parametrize("tri", [True, False])
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -303,16 +313,19 @@ class TestGaussianSums:
         for col in (columns[0], [0.0] * (m - 1) + [1.5]):
             d2 = self.distances(tri)
             before = d2.copy()
-            assert kernels._gaussian_sums(d2, tri, gammas, [col], [d2])[0] is d2
-            self.assert_sums([d2], before, tri, gammas, [col])
-        # buffers that exclude the distances: every gamma reads them unchanged
+            assert kernels._gaussian_sums(d2, gammas, [col], [d2])[0] is d2
+            self.assert_sums([d2], before, gammas, [col])
+        # buffers that exclude the distances: every gamma reads them unchanged,
+        # and an all-zero column's buffer is set to 0
         d2 = self.distances(tri)
         before = d2.copy()
-        outs = [np.zeros_like(d2, np.result_type(np.float64, *col)) for col in columns]
-        sums = kernels._gaussian_sums(d2, tri, gammas, columns, outs)
+        outs = [np.full_like(d2, np.nan, np.result_type(np.float64, *col)) for col in columns]
+        sums = kernels._gaussian_sums(d2, gammas, columns, outs)
         assert all(s is o for s, o in zip(sums, outs))
         assert d2.tobytes() == before.tobytes()
-        self.assert_sums(sums, before, tri, gammas, columns)
+        self.assert_sums(sums, before, gammas, columns)
+        # the distances as the output of an all-zero column
+        assert not kernels._gaussian_sums(d2, gammas, [[0.0] * m], [d2])[0].any()
 
     def test_overflowing_exponent_is_zero_without_warning(self):
         # 1e22 / 1e-300 overflows to -inf, whose exp is 0, as exp of any
@@ -395,6 +408,7 @@ class TestPair:
         h, systems = ridge_systems(spec, x)
         assert h == 2 and len(systems) == 1
         assert systems[0].dtype == np.float64 and systems[0].shape == (12, 12)
+        assert spec._ridge_systems(as_samples(x, "x"))[1][0].shape == (6 * 13,)
         np.testing.assert_allclose(
             systems[0], composite_matrix(*spec.pair(x)), rtol=0, atol=1e-14
         )

@@ -27,7 +27,7 @@ from wrkhs import (
     predict_composite,
     streaming_ridge_predictions,
 )
-from wrkhs import kernels, regression
+from wrkhs import core, kernels, regression
 from wrkhs.core import ridge_solve
 from conftest import mixed_gamma_blocks, random_inputs, ridge_systems, transform_matrix, zoo_specs
 
@@ -130,18 +130,19 @@ class TestFitAugmented:
             )
 
     def test_default_solves_by_structure(self, specs, monkeypatch):
-        # the default factors every system in place where it was built: n x n
-        # ones, except the one 2n real system of a pseudo-kernel without a phase
+        # the default factors every system in place where it was built: packed
+        # triangles of order n, except the one of order 2n, a real system of a
+        # pseudo-kernel without a phase
         n = 10
-        in_place = ((n, n), "float64", "ridge_solve")
+        in_place = ((n * (n + 1) // 2,), "float64", "ridge_solve")
         expected = {
             "real_gaussian": [in_place],
-            "complex_gaussian": [((n, n), "complex128", "ridge_solve")],
-            "independent": [((n, n), "complex128", "ridge_solve")],
+            "complex_gaussian": [((n * (n + 1) // 2,), "complex128", "ridge_solve")],
+            "independent": [((n * (n + 1) // 2,), "complex128", "ridge_solve")],
             "real_imag_blocks": [in_place] * 2,
             "separate_real_imag": [in_place] * 2,
             "sum_of_separable": [in_place] * 2,
-            "mixed_gamma_blocks": [((2 * n, 2 * n), "float64", "ridge_solve")],
+            "mixed_gamma_blocks": [((n * (2 * n + 1),), "float64", "ridge_solve")],
         }
         data = random_dataset(np.random.default_rng(16), n, 2)
         seen = []
@@ -160,20 +161,20 @@ class TestFitAugmented:
             assert seen == expected[name], name
 
     def test_split_fit_builds_no_complex_kernel_matrix(self, specs):
-        # K + S and K - S are evaluated as real lower triangles, one in the
+        # K + S and K - S are evaluated as real packed triangles, one in the
         # distances' buffer, and each is factored where it was built: the peak
-        # is the two systems (2 n^2 doubles) and tile-sized temporaries; a copy
-        # of either, an exp buffer or a complex K or Kt would need n^2 more.
-        # Without a phase the one 2n system (4 n^2) is written by blocks from
-        # the distances (n^2): the pair and its composite would need 11 n^2
+        # is the two systems (n^2 doubles) and tile-sized temporaries; a copy
+        # of either, an exp buffer or a complex K or Kt would need n^2 / 2 more.
+        # Without a phase the one packed 2n system (2 n^2) is its own distances
+        # buffer, summed by tiles: the pair and its composite would need 11 n^2
         n = 600
         data = random_dataset(np.random.default_rng(41), n, 1)
         # 16 gammas: the tile temporaries do not grow with their number
         sixteen = SumOfSeparable(terms=tuple((RealGaussian(0.5 + 0.25 * q), 0.05 * (q + 1))
                                              for q in range(16)))
-        bounds = {spec: 2.1 for spec in (specs["real_imag_blocks"], specs["separate_real_imag"],
-                                         specs["sum_of_separable"], sixteen)}
-        for spec, bound in {**bounds, mixed_gamma_blocks(): 5.5}.items():
+        bounds = {spec: 1.15 for spec in (specs["real_imag_blocks"], specs["separate_real_imag"],
+                                          specs["sum_of_separable"], sixteen)}
+        for spec, bound in {**bounds, mixed_gamma_blocks(): 2.6}.items():
             tracemalloc.start()
             try:
                 fit_augmented(data, spec, 0.5)
@@ -185,8 +186,8 @@ class TestFitAugmented:
 
 class TestFitSrkhs:
     def test_gram_is_built_and_factored_in_one_buffer(self):
-        # the Gram's lower triangle is built in the distances' buffer and
-        # factored there: a full copy of it would need n^2 doubles more
+        # the Gram's packed triangle (n^2 / 2 doubles) is built in the distances'
+        # buffer and factored there: a copy of it would need n^2 / 2 doubles more
         n = 600
         data = random_dataset(np.random.default_rng(44), n, 2)
         two_gammas = SumOfSeparable(terms=((RealGaussian(0.7), 0.0), (RealGaussian(2.0), 0.0)))
@@ -199,7 +200,7 @@ class TestFitSrkhs:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= 1.1 * 8 * n * n, (spec, peak / (8 * n * n))
+            assert peak <= 0.6 * 8 * n * n, (spec, peak / (8 * n * n))
 
     def test_identity_gram_interpolates(self):
         # points far apart with a narrow kernel: K is exactly the identity
@@ -513,22 +514,22 @@ class TestThreePathEquivalence:
 
 
 class TestTriangleContract:
-    """A self-Gram is handed to the solves as the lower triangle of its buffer:
-    nothing reads the strict upper triangle, and a failed factorization takes
-    its jitter on a matrix built afresh."""
+    """A self-Gram is handed to the solves as a packed lower triangle: a full
+    matrix is packed without reading its strict upper triangle, and a failed
+    factorization takes its jitter on a matrix built afresh."""
 
     @staticmethod
     def poison_upper(monkeypatch):
-        # every distance matrix of samples with themselves gets NaN above its diagonal
-        sqdist = kernels._sqdist
+        # every full matrix packed for a solve gets NaN above its diagonal
+        pack = core.packed
 
-        def poisoned(a, b, *args):
-            d2 = sqdist(a, b, *args)
-            if b is a:
-                d2[np.triu_indices(d2.shape[0], 1)] = np.nan
-            return d2
+        def poisoned(a):
+            a = np.array(a, dtype=np.result_type(np.asarray(a).dtype, np.float64))
+            a[np.triu_indices(a.shape[0], 1)] = np.nan
+            return pack(a)
 
-        monkeypatch.setattr(kernels, "_sqdist", poisoned)
+        for module in (core, kernels):
+            monkeypatch.setattr(module, "packed", poisoned)
 
     def test_upper_triangle_is_never_read(self, monkeypatch):
         rng = np.random.default_rng(46)
@@ -575,7 +576,11 @@ class TestTriangleContract:
         np.testing.assert_allclose(alpha, want, rtol=1e-12)
 
         builds.clear()
-        spec = SeparateRealImag(rr=RealGaussian(gamma=0.9), jj=RealGaussian(gamma=3.1))
+        # unit scales of K +- S: each system's duplicate block is all ones, so its
+        # second pivot is exactly 0 in any Cholesky (at scale 2 its rounding
+        # leaves a pivot of about +4e-16, which the packed Cholesky accepts)
+        spec = SeparateRealImag(rr=RealGaussian(gamma=0.9, scale=0.5),
+                                jj=RealGaussian(gamma=3.1, scale=0.5))
         alpha = fit_augmented(data, spec, 0.0).alpha
         assert len(builds) == 3  # the pair, then afresh for each of its two systems
         h, (plus, minus) = ridge_systems(spec, data.X)
@@ -607,8 +612,8 @@ class TestTriangleContract:
         for cls, name in ((RealGaussian, "_gram"), (kernels._TermSum, "_ridge_systems")):
             build = getattr(cls, name)
             monkeypatch.setattr(cls, name, lambda *a, build=build: builds.append(1) or build(*a))
-        for fit, spec, bound in ((fit_srkhs, RealGaussian(gamma=1.0), 1.1),
-                                 (fit_augmented, mixed_gamma_blocks(), 5.5)):
+        for fit, spec, bound in ((fit_srkhs, RealGaussian(gamma=1.0), 0.6),
+                                 (fit_augmented, mixed_gamma_blocks(), 2.6)):
             builds.clear()
             tracemalloc.start()
             try:
@@ -618,6 +623,66 @@ class TestTriangleContract:
                 tracemalloc.stop()
             assert len(builds) == 2, spec.family
             assert peak <= bound * 8 * n * n, (spec.family, peak / (8 * n * n))
+
+
+class TestPackedParity:
+    """Every ridge system is a packed triangle whose layout depends on the
+    parity of its order: each solve matches a dense oracle at small orders and
+    at one of each parity past the tiles, to 1e-12 of sum |alpha|."""
+
+    ORDERS = [1, 2, 3, 4, 7, 8, 300, 301]
+
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_fits_match_the_dense_oracles(self, n):
+        data = random_dataset(np.random.default_rng(70 + n), n, 2)
+        lam = 0.4
+        for name, spec in {**zoo_specs(), "mixed_gamma_blocks": mixed_gamma_blocks()}.items():
+            alpha = fit_augmented(data, spec, lam).alpha
+            a_com = fit_composite(data, spec, lam)
+            want = a_com[:n] + 1j * a_com[n:]
+            assert np.abs(alpha - want).max() <= 1e-12 * np.abs(want).sum(), name
+            if spec.has_null_pseudo:
+                k = spec.gram(data.X)
+                want = np.linalg.solve(k + lam * np.eye(n), data.y)
+                alpha = fit_srkhs(data, spec, lam).alpha
+                assert np.abs(alpha - want).max() <= 1e-12 * np.abs(want).sum(), name
+                # prequential: y - diag(L) L^-1 y with L the dense Cholesky factor
+                low = np.linalg.cholesky(k + lam * np.eye(n))
+                want = data.y - np.diagonal(low).real * np.linalg.solve(low, data.y)
+                got = streaming_ridge_predictions(spec, data.X, data.y, lam)
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(data.y).sum(), name
+
+    @pytest.mark.parametrize("n", ORDERS[1:])
+    def test_jitter_retry(self, n, monkeypatch):
+        # the first two samples equal, lam = 0: each system has a block of ones,
+        # its second pivot is exactly 0, and the retry builds it afresh
+        data = random_dataset(np.random.default_rng(80 + n), n, 1)
+        x = data.X.copy()
+        x[1] = x[0]
+        data = ComplexDataset(X=x, y=data.y)
+        builds = []
+        for cls, name in ((RealGaussian, "_gram"), (kernels._TermSum, "_ridge_systems")):
+            build = getattr(cls, name)
+            monkeypatch.setattr(cls, name, lambda *a, build=build: builds.append(1) or build(*a))
+
+        def jittered(m):
+            return m + 1e-12 * np.trace(m) / n * np.eye(n)
+
+        spec = RealGaussian(gamma=1.0)
+        alpha = fit_srkhs(data, spec, 0.0).alpha
+        assert len(builds) == 2
+        want = hermitian_solve(jittered(spec.gram(data.X)), data.y)
+        np.testing.assert_allclose(alpha, want, rtol=1e-12)
+        builds.clear()
+        spec = SeparateRealImag(rr=RealGaussian(gamma=0.9, scale=0.5),
+                                jj=RealGaussian(gamma=3.1, scale=0.5))
+        alpha = fit_augmented(data, spec, 0.0).alpha
+        assert len(builds) == 3
+        h, (plus, minus) = ridge_systems(spec, data.X)
+        y = data.y / h
+        want = h * (hermitian_solve(jittered(plus), y.real)
+                    + 1j * hermitian_solve(jittered(minus), y.imag))
+        np.testing.assert_allclose(alpha, want, rtol=1e-12)
 
 
 class TestMseDb:

@@ -109,8 +109,9 @@ def test_detects_ndim_one_tests(source):
 
 
 FACTORIZATIONS = {"cholesky", "cho_factor", "cho_solve", "get_lapack_funcs"}
-# LAPACK's Cholesky routines in any precision, named or spelled as a string
-LAPACK_FACTORIZATIONS = re.compile(r"[sdcz]?(potrf|potrs)")
+# LAPACK's Cholesky routines in any precision, dense or packed (RFP), the RFP
+# triangular solve and the packing routines, named or spelled as a string
+LAPACK_FACTORIZATIONS = re.compile(r"[sdcz]?(potrf|potrs|pftrf|pftrs|tfsm|trttf|tfttr)")
 
 
 def named(tree: ast.AST, is_name) -> list[int]:
@@ -140,8 +141,34 @@ def factorization_names(tree: ast.AST) -> list[int]:
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "core.py"], ids=lambda p: p.name)
 def test_one_factorization(path):
-    # every factorization goes through core's one Cholesky, with its one jitter rule
+    # every factorization goes through core's one Cholesky, with its one jitter
+    # rule, and every packing and packed solve is core's
     assert factorization_names(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def dense_triangle_names(tree: ast.AST) -> list[int]:
+    """Line numbers where a dense Cholesky or rank-k update is named, imported
+    or spelled."""
+    return named(tree, lambda name: name in {"cholesky", "cho_factor", "cho_solve"}
+                 or re.fullmatch(r"[sdcz]?(potrf|potrs|syrk|herk)", name) is not None)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_one_triangle_layout(path):
+    # every ridge system is a packed (RFP) triangle; no dense one is built or factored
+    assert dense_triangle_names(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+@pytest.mark.parametrize(
+    "source,lines",
+    [
+        ("from scipy.linalg import cho_factor, cho_solve", [1, 1]),
+        ("low, info = lapack.dpotrf(a, lower=1)\nc = blas.dsyrk(-2.0, a)", [1, 2]),
+        ("low, info = lapack.dpftrf(n, a)\nc = lapack.dsfrk(n, k, 1.0, a, 0.0, c)", []),
+    ],
+)
+def test_detects_dense_triangle_names(source, lines):
+    assert sorted(dense_triangle_names(ast.parse(source))) == lines
 
 
 @pytest.mark.parametrize(
@@ -159,6 +186,9 @@ def test_one_factorization(path):
         ("from scipy.linalg import get_lapack_funcs", [1]),
         ("low = hermitian_factor(a)\nfrom .core import hermitian_solve, ridge_solve", []),
         ("f = getattr(lapack, 'dgetrf')\nrepotrf = 1", []),
+        ("from scipy.linalg.lapack import dpftrf, zpftrs", [1, 1]),
+        ("low, info = lapack.zpftrf(n, a, uplo='L')\nx = lapack.dtfsm(1.0, low, b)", [1, 2]),
+        ("f, = get_lapack_funcs(('trttf',), (a,))\na = lapack.ztfttr(n, p)[0]", [1, 1, 2]),
     ],
 )
 def test_detects_factorization_names(source, lines):
@@ -166,15 +196,15 @@ def test_detects_factorization_names(source, lines):
 
 
 def syrk_names(tree: ast.AST) -> list[int]:
-    """Line numbers where a BLAS rank-k update (``?syrk``/``?herk``) is named,
-    imported or spelled."""
-    return named(tree, lambda name: re.fullmatch(r"[sdcz]?(syrk|herk)", name) is not None)
+    """Line numbers where a rank-k update, dense (``?syrk``/``?herk``) or
+    packed (``?sfrk``/``?hfrk``), is named, imported or spelled."""
+    return named(tree, lambda name: re.fullmatch(r"[sdcz]?(syrk|herk|sfrk|hfrk)", name) is not None)
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "kernels.py"],
                          ids=lambda p: p.name)
 def test_one_gram_product(path):
-    # the cross products of samples with themselves are kernels._sqdist's one syrk
+    # the cross products of samples with themselves are kernels._sqdist's one sfrk
     assert syrk_names(ast.parse(path.read_text(encoding="utf-8"))) == []
 
 
@@ -185,6 +215,8 @@ def test_one_gram_product(path):
         ("from scipy.linalg import blas\nc = blas.zherk(1.0, a)", [2]),
         ("syrk = getattr(blas, 'dsyrk')", [1, 1]),
         ("c = ar @ ar.T\nb = blas.dsyr(1.0, x, a=q)", []),
+        ("from scipy.linalg.lapack import dsfrk", [1]),
+        ("c = lapack.zhfrk(n, k, 1.0, a, 0.0, c)", [1]),
     ],
 )
 def test_detects_syrk_names(source, lines):
