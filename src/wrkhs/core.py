@@ -13,21 +13,16 @@ annotation says, so equal configs serialize, and hash, equally.
 
 Every ridge system is held as LAPACK's rectangular full packed (RFP) lower
 triangle (``transr="N"``; Gustavson et al., ACM TOMS 37(2), 2010): the
-n (n + 1) / 2 entries of an order-n matrix in one 1-D buffer, the F-ordered
-(n + 1 - n % 2, ceil(n/2)) array whose first ceil(n/2) columns of the lower
-triangle sit below the trailing triangle, transposed. ``ridge_solve`` and
-``ridge_factor`` take a Gram as the kernels hand it over
-(``kernels.KernelSpec._gram(x, x)``), shift it and factor it in place by
-the one Cholesky, ``?pftrf``; ``packed_solve`` solves by the factor. A
-failed factorization takes one jitter retry, ``1e-12 * trace/n`` on the
-diagonal of the matrix built afresh after the partly factored buffer is
-dropped. ``packed`` and ``unpacked`` convert full matrices, the latter by
-``mirror_lower``, the one mirror of a lower triangle into the upper one.
-``hermitian_solve`` solves a full matrix, for the oracle fits and the
-budgeted recursion's rebuild, after checking that it is Hermitian to
-``HERMITIAN_ATOL``. An exactly diagonal system is solved by division.
-``stacked_apply`` lets a real matrix act on a complex right-hand side as
-one real call on its stacked real and imaginary parts.
+n (n + 1) / 2 entries of an order-n matrix in one 1-D buffer.
+``ridge_solve`` and ``ridge_factor`` shift a Gram as the kernels hand it
+over (``kernels.KernelSpec._gram(x, x)``) and factor it in place by the one
+Cholesky, ``?pftrf``, with one jitter retry; ``packed_solve`` and
+``packed_forward`` solve by the factor. ``packed`` and ``unpacked`` convert
+full matrices, the latter through ``mirror_lower``, the one mirror of a
+lower triangle. ``hermitian_solve`` solves a full matrix after checking that
+it is Hermitian to ``HERMITIAN_ATOL``; an exactly diagonal system is solved
+by division. ``stacked_apply`` lets a real matrix act on a complex
+right-hand side as one real call on its stacked real and imaginary parts.
 
 All functions here but ``ridge_shift``, ``ridge_solve``, ``ridge_factor`` and
 ``mirror_lower``, which work in the buffer they are given, are pure; arrays
@@ -62,6 +57,7 @@ __all__ = [
     "ridge_solve",
     "ridge_factor",
     "packed_solve",
+    "packed_forward",
     "packed",
     "unpacked",
     "packed_order",
@@ -281,27 +277,32 @@ def ridge_factor(a: np.ndarray, lam: float, rebuild) -> np.ndarray:
     return _cholesky(held, lambda: ridge_shift(rebuild(), lam))
 
 
-def packed_solve(low: np.ndarray, b, forward: bool = False) -> np.ndarray:
-    """``(L L^H)^-1 B`` (``?pftrs``), or ``L^-1 B`` when ``forward``
-    (``?tfsm``), for the RFP triangle ``low`` of a lower-triangular ``L`` and
-    an (n,) or (n, k) ``B``; complex when ``B`` is."""
+def packed_solve(low: np.ndarray, b) -> np.ndarray:
+    """``(L L^H)^-1 B`` (``?pftrs``) for the RFP triangle ``low`` of a
+    lower-triangular ``L`` and an (n,) or (n, k) ``B``; complex when ``B`` is."""
     def solve(m, rhs):
-        f, = get_lapack_funcs(("tfsm" if forward else "pftrs",), (m, rhs))
-        cols = rhs.reshape(len(rhs), -1)
-        x = f(1.0, m, cols, uplo="L") if forward else f(len(rhs), m, cols, uplo="L")[0]
-        return x.reshape(rhs.shape)
+        return get_lapack_funcs(("pftrs",), (m, rhs))[0](len(rhs), m, rhs, uplo="L")[0]
+    return stacked_apply(solve, low, b)
+
+
+def packed_forward(low: np.ndarray, b) -> np.ndarray:
+    """``L^-1 B`` (``?tfsm``), with ``low`` and ``B`` as :func:`packed_solve` takes them."""
+    def solve(m, rhs):
+        return get_lapack_funcs(("tfsm",), (m, rhs))[0](1.0, m, rhs, uplo="L")
     return stacked_apply(solve, low, b)
 
 
 def _cholesky(held: list, again) -> np.ndarray:
     """The package's one Cholesky: the RFP triangle taken out of ``held``
     factored in place; after a failure, with the failed buffer dropped, once
-    more on ``again()`` with the jitter on its diagonal."""
+    more on ``again()`` with the jitter on its diagonal. A first factor with a
+    pivot ``L_ii^2`` of at most ``n eps`` times the largest has failed too."""
     for retry in (False, True):
         a = held.pop()
-        pftrf, = get_lapack_funcs(("pftrf",), (a,))
-        low, info = pftrf(packed_order(a), a, uplo="L", overwrite_a=1)
-        if info == 0:
+        n = packed_order(a)
+        low, info = get_lapack_funcs(("pftrf",), (a,))[0](n, a, uplo="L", overwrite_a=1)
+        pivots = np.square(low[packed_diagonal(n)].real)
+        if info == 0 and (retry or not n or pivots.min() > n * np.finfo(float).eps * pivots.max()):
             return low
         del a, low
         if retry:

@@ -40,15 +40,12 @@ against themselves (``x' = x``) give the packed (RFP, see ``core``) lower
 triangle: one ``dsfrk``, then one norm sum ``aa_i + aa_j`` per entry, by
 columns of the packed array. ``_gaussian_sums`` is the one evaluation of
 sums of real Gaussians, for every family but the complex Gaussian, the ridge
-systems and ``apply``: tile by tile (``_tiles``; an ``apply`` block is one
-tile; a packed triangle's tiles are contiguous slices). Each ``exp`` of a
-tile is written to its own tile-sized buffer and scaled into the sums, or
-straight into a real sum it starts with coefficient 1; by default the last
-real sum takes the distances' buffer, written after the tile's last ``exp``
-has read them. So ``_gram(x, x)``, ``_pair(x, x)`` and
-``_ridge_systems(x)`` give packed triangles, which ``core.ridge_solve``
-shifts and factors in place; the complex and independent Gaussians pack
-full matrices. The public ``gram`` and ``pair`` at ``x' = x`` unpack them,
+systems and ``apply``, one ``exp`` per tile (``_tiles``; an ``apply``
+block is one tile; a packed triangle's tiles are contiguous slices),
+writing the last real sum into the distances' own buffer. So
+``_gram(x, x)``, ``_pair(x, x)`` and ``_ridge_systems(x)`` give packed
+triangles, which ``core.ridge_solve`` shifts and factors in place; the
+complex and independent Gaussians pack full matrices. The public ``gram`` and ``pair`` at ``x' = x`` unpack them,
 so a Gram is exactly Hermitian and its pseudo-kernel Gram exactly symmetric;
 ``IndependentGaussian`` transposes its one cross term and
 ``ComplexGaussian`` averages its exponent with its adjoint (and warns once
@@ -169,19 +166,17 @@ def _gaussian_sums(d2, gammas, columns, outs=None) -> list[np.ndarray]:
     """``sum_g c_g exp(-d2 / gamma_g)`` for each column ``c`` of coefficients,
     which holds one per gamma: the one evaluation of sums of real Gaussians.
 
-    ``d2`` is any array of distances, such as a packed triangle or a
-    rectangle from :func:`_sqdist`, and each sum is laid out as it is. A sum
-    is real unless its column holds a complex coefficient. Tile by tile
-    (:func:`_tiles`; a packed triangle's tiles are contiguous slices), each
-    ``exp`` is written to its own tile-sized buffer ``e``, or straight into
-    the first real sum whose first term it is with coefficient 1; a sum
-    starts as ``c * e`` and adds later terms in gamma order, and that of an
-    all-zero column is 0. ``outs`` are the output buffers; by default the
-    last real sum with a non-zero term takes ``d2`` itself and the others are
-    new. An output that is ``d2`` is summed aside and copied back after the
-    tile's last ``exp`` when a term before the last gamma weights it;
-    otherwise it is written directly, as the last ``divide`` has read the
-    distances.
+    ``d2`` is any array of distances (a packed triangle, a rectangle), and
+    each sum is laid out as it is, real unless its column holds a complex
+    coefficient. Tile by tile (:func:`_tiles`), each ``exp`` is written to
+    its own tile-sized buffer ``e``, or straight into the first real sum
+    whose first term it is with coefficient 1; a sum starts as ``c * e`` and
+    adds later terms in gamma order, and that of an all-zero column is 0.
+    ``outs`` are the output buffers; by default the last real sum with a
+    non-zero term takes ``d2`` itself and the others are new. An output that
+    is ``d2`` is summed aside and copied back after the tile's last ``exp``
+    when a term before the last gamma weights it; otherwise it is written
+    directly, as the last ``divide`` has read the distances.
     """
     used = [(g, cs) for g, cs in zip(gammas, zip(*columns)) if any(cs)]
     if outs is None:
@@ -521,9 +516,10 @@ class _TermSum(KernelSpec):
         block is a real sum of Gaussians: ``R = K + S`` and ``J = K - S`` for
         ``S = sum_gamma Re(b_gamma conj(p)) G_gamma``, and ``C = Im Kt``. A
         phase-aligned pair has ``C = 0`` by definition, so two n x n systems,
-        ``R`` and ``J``. Any other pair gives one packed 2n x 2n system, the
-        distances of ``[x; x]``: column j holds ``J``'s row j to the diagonal,
-        ``R``'s column j from it and ``C``'s column j, summed a tile at a time.
+        ``R`` and ``J``. Any other pair gives one packed 2n x 2n system whose
+        column j holds ``J``'s row j to the diagonal, then ``R``'s and ``C``'s
+        column j: a tile of distance rows takes one ``exp`` per gamma into ``C``
+        and ``J`` (``R``) left (right) of its diagonal square, summed both ways.
         """
         p = self.phase
         aligned = p is not None
@@ -533,15 +529,20 @@ class _TermSum(KernelSpec):
         columns = [[a + s.real for a, s in rotated], [a - s.real for a, s in rotated]]
         if aligned:
             return 1 + p, self._combine(x, x, columns)
-        n, gammas, twice = x.shape[0], list(coefficients), np.concatenate([x, x])
-        system = _sqdist(twice, twice)
-        cols = system.reshape(n, 2 * n + 1)
-        for rows in _tiles(cols.shape):
-            top, c = cols[rows, : n + 1], cols[rows, n + 1 :]
-            _gaussian_sums(c, gammas, [[s.imag for _, s in rotated]], [c])
-            _, j = _gaussian_sums(top, gammas, columns, [top, np.empty(top.shape)])
-            np.copyto(top, j, where=np.arange(n + 1) <= np.arange(n)[rows, None])
-        return 1 + p, [system]
+        (n, _), gammas, aa = x.shape, list(coefficients), sq_norms(x)
+        r, j, c = *columns, [s.imag for _, s in rotated]
+        cols = np.empty((n, 2 * n + 1))
+        for rows in _tiles((n, n)):
+            d = _sqdist(x[rows], x, aa[rows], aa)
+            i, m = rows.start, d.shape[0]
+            top, bottom, square = cols[rows, : n + 1], cols[rows, n + 1 :], np.empty((2, m, m))
+            _gaussian_sums(d[:, :i], gammas, [j, c], [top[:, :i], bottom[:, :i]])
+            _gaussian_sums(d[:, i + m :], gammas, [r, c], [top[:, i + m + 1 :], bottom[:, i + m :]])
+            _gaussian_sums(d[:, i : i + m], gammas, [r, j, c], [*square, bottom[:, i : i + m]])
+            lower = np.arange(m) <= np.arange(m)[:, None]
+            np.copyto(top[:, i : i + m], square[1], where=lower)
+            np.copyto(top[:, i + 1 : i + m + 1], square[0], where=lower.T)
+        return 1 + p, [cols.reshape(-1)]
 
 
 @dataclass(frozen=True)

@@ -12,17 +12,16 @@ batch ridge solution on all samples seen so far.
 Storage: ``Q`` is kept in the lower triangle of one dense F-contiguous
 buffer (``budget + 1`` square when budgeted; level-2 BLAS has no packed
 form), zero outside the live m x m block; no update reads the strict upper
-triangle. Each BLAS update takes the whole
-buffer with ``lower=1`` and zero-padded vectors, so scipy's wrappers update
-it in place. ``b = Q k`` is one ``?symv``/``?hemv``; an admit into a free
-slot is one ``?syr``/``?her`` with ``u = [b; -1]``. At the budget the
-post-admit scores follow in O(m) from ``diag(Q)``, ``b`` and ``alpha``; a
-newcomer with the smallest score ``|err|^2 / gamma`` is skipped, since
-admitting and evicting it is the identity. Otherwise it takes the evicted
-basis's slot r: row and column r are zeroed, and
-``Q += u u^H / gamma - w w^H / w_rr`` is one ``?syr2``/``?her2``, with
-``u = b`` but ``u_r = -1`` and ``w`` column r of the admitted inverse, the
-newcomer's entry in place r.
+triangle. Each BLAS update takes the whole buffer with ``lower=1`` and
+zero-padded vectors, so scipy's wrappers update it in place. ``b = Q k`` is
+one ``?symv``/``?hemv``; an admit into a free slot is one ``?syr``/``?her``
+with ``u = [b; -1]``. At the budget the post-admit scores follow in O(m)
+from ``diag(Q)``, ``b`` and ``alpha``; a newcomer with the smallest score
+``|err|^2 / gamma`` is skipped, since admitting and evicting it is the
+identity. Otherwise it takes the evicted basis's slot r: row and column r
+are zeroed, and ``Q += u u^H / gamma - w w^H / w_rr`` is one
+``?syr2``/``?her2``, with ``u = b`` but ``u_r = -1`` and ``w`` column r of
+the admitted inverse, the newcomer's entry in place r.
 
 Each slot also keeps its squared norm ``|D_i|^2``, and a second buffer
 slotted like ``Q`` keeps the regularized Gram ``K_DD + lam I``, exactly
@@ -50,8 +49,7 @@ sequence in one Cholesky factorization (prequential form), used by the
 benchmark runners where streams are long. It factors the Gram's packed
 triangle in its own buffer by ``core.ridge_factor``, with the batch solve's
 one jitter retry (``1e-12 * trace/n`` on the diagonal of the Gram built
-afresh) before ``NumericalError``, and solves the packed factor by
-``core.packed_solve``.
+afresh) before ``NumericalError``, and solves by ``L`` (``core.packed_forward``).
 """
 
 from __future__ import annotations
@@ -63,7 +61,7 @@ from scipy.linalg import blas
 
 from .core import (
     ComplexDataset, as_sample, check_lam, hermitian_solve, is_int, mirror_lower, packed_diagonal,
-    packed_solve, ridge_factor,
+    packed_forward, ridge_factor,
 )
 from .kernels import KernelSpec, sq_norms
 
@@ -382,4 +380,4 @@ def streaming_ridge_predictions(
     data = ComplexDataset(X=x, y=y)
     x, y = data.X, data.y
     low = ridge_factor(spec._gram(x, x), lam, lambda: spec._gram(x, x))
-    return y - low[packed_diagonal(len(y))].real * packed_solve(low, y, forward=True)
+    return y - low[packed_diagonal(len(y))].real * packed_forward(low, y)

@@ -17,6 +17,7 @@ from wrkhs import (
     SeparateRealImag,
     WrkhsModel,
     Wrkls,
+    core,
     hermitian_solve,
     kernels,
     predict,
@@ -117,16 +118,24 @@ class TestHermitianFactor:
             low = self.factor(poisoned, 0.5)
             np.testing.assert_allclose(low @ low.conj().T, a + 0.5 * np.eye(n), atol=1e-12)
 
-    def test_jitter_retry_factors_a_singular_matrix_once(self):
+    def test_jitter_retry_factors_a_singular_matrix_once(self, monkeypatch):
         # rank one: the plain factorization fails, 1e-12 * trace/n on the diagonal does not
         a = np.ones((3, 3))
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(a)
+        shifts = []
+
+        def shift(m, lam):
+            shifts.append(lam)
+            return ridge_shift(m, lam)
+
+        monkeypatch.setattr(core, "ridge_shift", shift)
         low = np.tril(unpacked(ridge_factor(packed(a), 0.0, lambda: packed(a))))
         jitter = 1e-12 * np.trace(a) / 3
-        # bit for bit the packed factor of A + jitter I; the packed Cholesky
-        # rounds apart from LAPACK's dense one, here by 2.5e-13 of an entry
-        np.testing.assert_array_equal(low, self.factor(a + jitter * np.eye(3)))
+        # lam on the first build, lam again on the second, then exactly the jitter
+        assert shifts == [0.0, 0.0, jitter]
+        # the packed Cholesky rounds apart from LAPACK's dense one, here by
+        # 2.5e-13 of an entry, so the dense factor is matched to 1e-12
         np.testing.assert_allclose(low, np.linalg.cholesky(a + jitter * np.eye(3)), rtol=1e-12)
 
     def test_indefinite_after_the_jitter_fails_hard(self):

@@ -165,8 +165,8 @@ class TestFitAugmented:
         # distances' buffer, and each is factored where it was built: the peak
         # is the two systems (n^2 doubles) and tile-sized temporaries; a copy
         # of either, an exp buffer or a complex K or Kt would need n^2 / 2 more.
-        # Without a phase the one packed 2n system (2 n^2) is its own distances
-        # buffer, summed by tiles: the pair and its composite would need 11 n^2
+        # Without a phase the one packed 2n system (2 n^2) is summed from tiles
+        # of the distances: the pair and its composite would need 11 n^2
         n = 600
         data = random_dataset(np.random.default_rng(41), n, 1)
         # 16 gammas: the tile temporaries do not grow with their number
@@ -554,12 +554,11 @@ class TestTriangleContract:
         for got, want in zip(run(), clean, strict=True):
             np.testing.assert_array_equal(got, want)
 
-    def test_rank_deficient_gram_takes_the_jitter_once(self, monkeypatch):
-        # duplicate samples first, lam = 0: the first factorization fails at its
-        # second pivot; the retry factors K + 1e-12 trace(K)/n I, built afresh
-        x = np.array([1 + 1j, 1 + 1j, 0.5j, 2.0, 1 + 1j, -0.5 + 0.25j])
-        y = np.arange(1.0, 7.0) - 1j
-        data = ComplexDataset(X=x, y=y)
+    @staticmethod
+    def check_jitter_once(data, monkeypatch):
+        # lam = 0 with equal samples: each first factorization fails, or keeps a
+        # pivot of rounding only; the retry factors K + 1e-12 trace(K)/n I, built afresh
+        n, y = len(data.y), data.y
 
         def jittered(m):
             return m + 1e-12 * np.trace(m) / m.shape[0] * np.eye(m.shape[0])
@@ -576,11 +575,7 @@ class TestTriangleContract:
         np.testing.assert_allclose(alpha, want, rtol=1e-12)
 
         builds.clear()
-        # unit scales of K +- S: each system's duplicate block is all ones, so its
-        # second pivot is exactly 0 in any Cholesky (at scale 2 its rounding
-        # leaves a pivot of about +4e-16, which the packed Cholesky accepts)
-        spec = SeparateRealImag(rr=RealGaussian(gamma=0.9, scale=0.5),
-                                jj=RealGaussian(gamma=3.1, scale=0.5))
+        spec = SeparateRealImag(rr=RealGaussian(gamma=0.9), jj=RealGaussian(gamma=3.1))
         alpha = fit_augmented(data, spec, 0.0).alpha
         assert len(builds) == 3  # the pair, then afresh for each of its two systems
         h, (plus, minus) = ridge_systems(spec, data.X)
@@ -598,8 +593,22 @@ class TestTriangleContract:
         # in test_kernels)
         h, (system,) = ridge_systems(spec, data.X)
         b = hermitian_solve(jittered(system), np.concatenate([(y / h).real, (y / h).imag]))
-        np.testing.assert_allclose(alpha, h * (b[:6] + 1j * b[6:]), rtol=1e-12)
+        np.testing.assert_allclose(alpha, h * (b[:n] + 1j * b[n:]), rtol=1e-12)
 
+    def test_rank_deficient_gram_takes_the_jitter_once(self, monkeypatch):
+        # duplicate samples first: the dense Cholesky fails at the second pivot
+        # of every system, the packed one of K +- S keeps one of about 4e-16
+        x = np.array([1 + 1j, 1 + 1j, 0.5j, 2.0, 1 + 1j, -0.5 + 0.25j])
+        y = np.arange(1.0, 7.0) - 1j
+        self.check_jitter_once(ComplexDataset(X=x, y=y), monkeypatch)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 8, 300, 301])
+    def test_jitter_retry_at_packed_orders(self, n, monkeypatch):
+        # the first two samples equal, at orders of either parity
+        data = random_dataset(np.random.default_rng(80 + n), n, 1)
+        x = data.X.copy()
+        x[1] = x[0]
+        self.check_jitter_once(ComplexDataset(X=x, y=data.y), monkeypatch)
 
     def test_jitter_retry_holds_one_build_of_the_systems(self, monkeypatch):
         # every sample twice and lam = 0: each first factorization fails, and the
@@ -651,38 +660,6 @@ class TestPackedParity:
                 want = data.y - np.diagonal(low).real * np.linalg.solve(low, data.y)
                 got = streaming_ridge_predictions(spec, data.X, data.y, lam)
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(data.y).sum(), name
-
-    @pytest.mark.parametrize("n", ORDERS[1:])
-    def test_jitter_retry(self, n, monkeypatch):
-        # the first two samples equal, lam = 0: each system has a block of ones,
-        # its second pivot is exactly 0, and the retry builds it afresh
-        data = random_dataset(np.random.default_rng(80 + n), n, 1)
-        x = data.X.copy()
-        x[1] = x[0]
-        data = ComplexDataset(X=x, y=data.y)
-        builds = []
-        for cls, name in ((RealGaussian, "_gram"), (kernels._TermSum, "_ridge_systems")):
-            build = getattr(cls, name)
-            monkeypatch.setattr(cls, name, lambda *a, build=build: builds.append(1) or build(*a))
-
-        def jittered(m):
-            return m + 1e-12 * np.trace(m) / n * np.eye(n)
-
-        spec = RealGaussian(gamma=1.0)
-        alpha = fit_srkhs(data, spec, 0.0).alpha
-        assert len(builds) == 2
-        want = hermitian_solve(jittered(spec.gram(data.X)), data.y)
-        np.testing.assert_allclose(alpha, want, rtol=1e-12)
-        builds.clear()
-        spec = SeparateRealImag(rr=RealGaussian(gamma=0.9, scale=0.5),
-                                jj=RealGaussian(gamma=3.1, scale=0.5))
-        alpha = fit_augmented(data, spec, 0.0).alpha
-        assert len(builds) == 3
-        h, (plus, minus) = ridge_systems(spec, data.X)
-        y = data.y / h
-        want = h * (hermitian_solve(jittered(plus), y.real)
-                    + 1j * hermitian_solve(jittered(minus), y.imag))
-        np.testing.assert_allclose(alpha, want, rtol=1e-12)
 
 
 class TestMseDb:
