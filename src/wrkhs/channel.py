@@ -158,7 +158,7 @@ def apply_channel(
     """
     s = np.asarray(s, dtype=np.complex128).ravel()
     if s.size < 2:
-        raise ValueError("stream must have length >= 2")
+        raise ValueError(f"s must have length >= 2, got {s.size}")
     h0, h1 = taps
     t = h0 * s
     t[1:] += h1 * s[:-1]
@@ -195,7 +195,7 @@ def build_equalizer_dataset(
     r = np.asarray(r, dtype=np.complex128).ravel()
     s = np.asarray(s, dtype=np.complex128).ravel()
     if r.size != s.size:
-        raise ValueError("received and source streams must have equal length")
+        raise ValueError(f"r and s must have equal length, got {r.size} and {s.size}")
     n_total = r.size
     first = max(0, filter_length - 1 - delay)
     last = n_total - 1 - delay

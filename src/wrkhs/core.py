@@ -255,7 +255,7 @@ def ridge_solve(a: np.ndarray, lam: float, b, rebuild) -> np.ndarray:
     d = a[packed_diagonal(n)]
     if np.count_nonzero(a) == np.count_nonzero(d):  # one pass: none off the diagonal
         if np.any(d.real <= 0) or np.any(d.imag != 0):
-            raise NumericalError("diagonal matrix is not positive definite")
+            raise NumericalError("diagonal matrix A + lam I is not positive definite")
         d = d.real
         return b / (d[:, None] if b.ndim > 1 else d)
     held = [a]
@@ -323,7 +323,7 @@ def hermitian_solve(a, b) -> np.ndarray:
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
+        raise ValueError(f"A must be square, got shape {a.shape}")
     asym = 0.0
     for i in range(0, a.shape[0], ASYMMETRY_BLOCK_ROWS):
         rows = slice(i, i + ASYMMETRY_BLOCK_ROWS)

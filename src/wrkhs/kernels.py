@@ -44,16 +44,18 @@ systems and ``apply``, one ``exp`` per tile (``_tiles``; an ``apply``
 block is one tile; a packed triangle's tiles are contiguous slices),
 writing the last real sum into the distances' own buffer. So
 ``_gram(x, x)``, ``_pair(x, x)`` and ``_ridge_systems(x)`` give packed
-triangles, which ``core.ridge_solve`` shifts and factors in place; the
-complex and independent Gaussians pack full matrices. The public ``gram`` and ``pair`` at ``x' = x`` unpack them,
-so a Gram is exactly Hermitian and its pseudo-kernel Gram exactly symmetric;
-``IndependentGaussian`` transposes its one cross term and
-``ComplexGaussian`` averages its exponent with its adjoint (and warns once
-per call, from its caller's line, when it saturates). A ridge shift is
-therefore a diagonal add. ``composite_matrix`` turns an evaluated pair into
-the real composite matrix of the stacked real/imaginary system, for the
-oracle fit ``fit_composite``. Specs are immutable and hashable; all
-evaluations are pure and thread-safe.
+triangles, which ``core.ridge_solve`` shifts and factors in place.
+``IndependentGaussian`` packs one full matrix, its cross term minus its
+transpose. ``ComplexGaussian`` packs the lower triangle of its exponent, one
+product laid out by columns, with a real diagonal, and takes one ``exp`` per
+stored entry; it warns once per call, from its caller's line, when it
+saturates, and refuses an exponent with no defined phase. The public
+``gram`` and ``pair`` unpack a triangle when ``z`` is ``x`` as passed (or
+None), so a Gram is exactly Hermitian and its pseudo-kernel Gram exactly
+symmetric. A ridge shift is therefore a diagonal add. ``composite_matrix``
+turns an evaluated pair into the real composite matrix of the stacked
+real/imaginary system, for the oracle fit ``fit_composite``. Specs are
+immutable and hashable; all evaluations are pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -102,7 +104,7 @@ class KernelOverflowWarning(RuntimeWarning):
 
 
 def _validated(x, z) -> tuple[np.ndarray, np.ndarray]:
-    x = as_samples(x, "x")
+    x, z = as_samples(x, "x"), None if z is x else z  # the same input, whatever its type
     z = x if z is None else as_samples(z, "z")
     if x.shape[1] != z.shape[1]:
         raise ValueError(f"input dimension mismatch: {x.shape[1]} vs {z.shape[1]}")
@@ -218,14 +220,14 @@ _saturations = contextvars.ContextVar("saturations", default=None)
 
 
 def _saturated(expo: np.ndarray) -> np.ndarray:
-    """Real exponents clipped at ``EXP_SATURATION``, with a warning if any was."""
+    """Real exponents clipped at ``EXP_SATURATION`` in place, with a warning if any was."""
     if np.any(expo > EXP_SATURATION):
         seen = _saturations.get()
         if seen is None:
             _overflow_warning()
         else:
             seen.append(True)
-        return np.minimum(expo, EXP_SATURATION)
+        np.minimum(expo, EXP_SATURATION, out=expo)
     return expo
 
 
@@ -386,23 +388,27 @@ class ComplexGaussian(_Gaussian):
     family = "complex_gaussian"
 
     def _gram(self, x, z, *norms):
-        # (x - z*)^T (x - z*) = sum x^2 + sum (z*)^2 - 2 x . z*
-        sx = np.sum(x**2, axis=1)[:, None]
-        sz = np.sum(z.conj() ** 2, axis=1)[None, :]
-        cross = x @ z.conj().T
-        expo = -(sx + sz - 2.0 * cross) / self.gamma
-        if z is not x:
-            return np.exp(_saturated(expo.real) + 1j * expo.imag)
-        # exactly Hermitian: k(x', x) has the conjugate exponent of k(x, x'); so
-        # conj(K) transposed is K itself, laid out by columns for the packing
-        expo = (expo + expo.conj().T) / 2.0
-        k = np.exp(_saturated(expo.real) + 1j * expo.imag)
-        return packed(np.conjugate(k, out=k).T)
+        # (x - z*)^T (x - z*) = sum x^2 + sum (z*)^2 - 2 x . z*, laid out by columns
+        with np.errstate(over="ignore", invalid="ignore"):
+            expo = (z.conj() @ x.T).T
+            expo *= 2.0
+            expo -= np.sum(x**2, axis=1)[:, None]
+            expo -= np.sum(z.conj() ** 2, axis=1)
+            expo /= self.gamma
+        if z is x:  # exactly Hermitian: the lower triangle packed, k(x, x) real
+            np.fill_diagonal(expo.imag, 0.0)
+            expo = packed(expo)
+        if np.isnan(expo).any() or (np.isinf(expo.imag) & (expo.real > -np.inf)).any():
+            raise ValueError("complex Gaussian exponent has no defined phase "
+                             "(NaN or infinite imaginary part): inputs too large for gamma")
+        _saturated(expo.real)
+        return np.exp(expo, out=expo)
 
     def diag(self, x):
         # x = x': the exponent is 4 |Im x|^2 / gamma, real
         x = as_samples(x, "x")
-        expo = 4.0 * np.sum(x.imag**2, axis=1) / self.gamma
+        with np.errstate(over="ignore"):
+            expo = 4.0 * np.sum(x.imag**2, axis=1) / self.gamma
         return np.exp(_saturated(expo)), np.zeros(x.shape[0])
 
 
@@ -431,10 +437,10 @@ class IndependentGaussian(_Gaussian):
         return kap(xr, z.real) + kap(xj, z.imag) + 1j * (kap(xr, z.imag) - kap(xj, z.real))
 
 
-def _real_part_kernel(obj) -> None:
+def _real_part_kernel(obj, name: str) -> None:
     if not isinstance(obj, RealGaussian):
         raise TypeError(
-            "block kernels must be real-valued kernels of complex inputs "
+            f"block kernel {name} must be a real-valued kernel of complex inputs "
             f"(RealGaussian), got {type(obj).__name__}"
         )
 
@@ -450,7 +456,7 @@ class _TermSum(KernelSpec):
 
     def __post_init__(self):
         for f in fields(self):
-            _real_part_kernel(getattr(self, f.name))
+            _real_part_kernel(getattr(self, f.name), f.name)
 
     def _terms(self) -> tuple[tuple[RealGaussian, complex, complex], ...]:
         raise NotImplementedError
@@ -556,9 +562,6 @@ class RealGaussian(_Gaussian, _TermSum):
     def _terms(self):
         return ((self, 1, 0),)
 
-    def _gram(self, x, z, *norms):
-        return _gaussian_sums(_sqdist(x, z, *norms), [self.gamma], [[self.scale]])[0]
-
 
 @dataclass(frozen=True)
 class RealImagBlocks(_TermSum):
@@ -623,9 +626,9 @@ class SumOfSeparable(_TermSum):
     def __post_init__(self):
         terms = tuple((kq, as_float(w, "weight")) for kq, w in self.terms)
         if not terms:
-            raise ValueError("at least one separable term is required")
+            raise ValueError("terms must hold at least one separable term")
         for kq, w in terms:
-            _real_part_kernel(kq)
+            _real_part_kernel(kq, "terms")
             if not 0.0 <= w < 1.0:
                 raise ValueError(f"weights must lie in [0, 1), got {w}")
         object.__setattr__(self, "terms", terms)

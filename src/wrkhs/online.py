@@ -10,7 +10,7 @@ the least informative basis. Without a budget the recursion reproduces the
 batch ridge solution on all samples seen so far.
 
 Storage: ``Q`` is kept in the lower triangle of one dense F-contiguous
-buffer (``budget + 1`` square when budgeted; level-2 BLAS has no packed
+buffer (``budget + 1`` square when budgeted; level-2 BLAS has no RFP
 form), zero outside the live m x m block; no update reads the strict upper
 triangle. Each BLAS update takes the whole buffer with ``lower=1`` and
 zero-padded vectors, so scipy's wrappers update it in place. ``b = Q k`` is

@@ -179,7 +179,7 @@ def mse_db(pred, truth) -> float:
     pred = np.asarray(pred, dtype=np.complex128).ravel()
     truth = np.asarray(truth, dtype=np.complex128).ravel()
     if pred.shape != truth.shape:
-        raise ValueError(f"length mismatch: {pred.shape} vs {truth.shape}")
+        raise ValueError(f"pred and truth differ in length: {pred.shape} vs {truth.shape}")
     if pred.size == 0:
         raise ValueError("mse_db needs at least one sample")
     mse = float(np.mean(np.abs(pred - truth) ** 2))

@@ -273,3 +273,20 @@ class TestConfig:
         assert not np.allclose(
             trial_rngs(5, 3)[0].standard_normal(8), c_src.standard_normal(8)
         )
+
+
+@pytest.mark.parametrize(
+    "call, field",
+    [
+        (lambda: ChannelConfig(rho=0.5, filter_length=0), "^filter_length"),
+        (lambda: ChannelConfig(rho=0.5, delay=-1), "^delay"),
+        (lambda: ChannelConfig(rho=0.5, n_samples=7), "^n_samples"),  # filter_length + delay
+        (lambda: apply_channel([1.0]), "^s must"),
+        (lambda: add_awgn([1.0, 2.0], float("nan"), np.random.default_rng(0)), "^snr_db"),
+        (lambda: build_equalizer_dataset([1.0, 2.0, 3.0], [1.0, 2.0], 2, 0), "^r and s"),
+    ],
+    ids=["filter_length", "delay", "n_samples", "short_stream", "snr_db", "unequal_streams"],
+)
+def test_every_input_check_names_its_field(call, field):
+    with pytest.raises(ValueError, match=field):
+        call()

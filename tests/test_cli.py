@@ -18,6 +18,7 @@ from wrkhs import (
     ComplexGaussian,
     EqualizationConfig,
     IndependentGaussian,
+    KernelOverflowWarning,
     KernelSpec,
     RealGaussian,
     SyntheticConfig,
@@ -93,6 +94,18 @@ class TestDatasetIO:
             [["1.0", "0.0", "1.0", "0.0"], ["1.0", "oops", "0.0", "0.0"]],
         )
         with pytest.raises(ValueError, match="row 3"):
+            read_dataset_csv(p)
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [("# a comment and no rows\n", "empty dataset file"),
+         ("x_re_0,x_im_0,y_re,y_im\n1.0,0.0,1.0\n", "row 2: expected 4 fields")],
+        ids=["empty", "short_row"],
+    )
+    def test_every_input_check_names_its_field(self, tmp_path, text, field):
+        p = tmp_path / "bad.csv"
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=f"bad.csv: {field}"):
             read_dataset_csv(p)
 
     def test_bad_header(self, tmp_path):
@@ -651,6 +664,30 @@ class TestKernelSurface:
         assert rc == 2
         assert "input error" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("gamma, extent", [(1.0, "1e300"), (1e-300, "1e10")])
+    def test_complex_gaussian_exponent_without_phase_exit_2(self, tmp_path, capsys, gamma, extent):
+        # sum (z*)^2 overflows to NaN (inf - inf), or its imaginary part to inf
+        kernel = json.dumps({"family": "complex_gaussian", "params": {"gamma": gamma}})
+        out = tmp_path / "s.csv"
+        rc = main(["kernel-surface", "--kernel", kernel, "--range", extent, "--resolution", "3",
+                   "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("input error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_complex_gaussian_diagonal_saturates_with_one_warning(self, tmp_path):
+        kernel = json.dumps({"family": "complex_gaussian", "params": {"gamma": 1.0}})
+        out = tmp_path / "s.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["kernel-surface", "--kernel", kernel, "--diagonal", "--range", "1e300",
+                       "--resolution", "3", "--out", str(out)])
+        assert rc == 0
+        assert [w.category for w in caught] == [KernelOverflowWarning]
+        _, cols = read_rows(out)
+        assert np.isfinite(cols["k_re"]).all()
 
     @pytest.mark.parametrize("diagonal", [[], ["--diagonal"]])
     def test_out_of_memory_exit_2(self, tmp_path, capsys, monkeypatch, diagonal):

@@ -344,3 +344,19 @@ class TestStoreAsAnnotated:
     def test_rejects_naming_the_field(self, field, value, message):
         with pytest.raises(ValueError, match="^" + re.escape(message)):
             Annotated(**{**VALID, field: value})
+
+
+@pytest.mark.parametrize(
+    "call, error, field",
+    [
+        (lambda: core.ridge_solve(core.packed(np.eye(3)), 0.0, np.ones(2), None),
+         ValueError, r"A is \(3, 3\), B is \(2,\)"),
+        (lambda: core.ridge_solve(core.packed(-np.eye(3)), 0.0, np.ones(3), None),
+         NumericalError, r"A \+ lam I"),
+        (lambda: hermitian_solve(np.ones((2, 3)), np.ones(2)), ValueError, "^A must be square"),
+    ],
+    ids=["ridge_solve_shapes", "ridge_solve_diagonal", "hermitian_solve_square"],
+)
+def test_every_solver_check_names_its_operand(call, error, field):
+    with pytest.raises(error, match=field):
+        call()

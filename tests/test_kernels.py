@@ -158,6 +158,16 @@ class TestGram:
             for tri, cross in zip(spec.pair(x), spec.pair(x, x.copy())):
                 np.testing.assert_allclose(tri, cross, rtol=0, atol=1e-13, err_msg=name)
 
+    @pytest.mark.parametrize("kind", ["float", "list", "one_dimensional"])
+    def test_the_same_input_twice_is_the_triangle(self, kind):
+        # "x' = x" is decided from the arguments, before they are converted
+        x = random_inputs(np.random.default_rng(15), 9, 2)
+        x = {"float": x.real, "list": x.real.tolist(), "one_dimensional": x[:, 0]}[kind]
+        for name, spec in {**zoo_specs(), "mixed_gamma_blocks": mixed_gamma_blocks()}.items():
+            assert np.array_equal(spec.gram(x, x), spec.gram(x)), name
+            for twice, once in zip(spec.pair(x, x), spec.pair(x)):
+                assert np.array_equal(twice, once), name
+
     def test_cross_gram_shapes(self, specs):
         rng = np.random.default_rng(13)
         x = random_inputs(rng, 5, 2)
@@ -561,6 +571,21 @@ class TestStructuralProperties:
         assert np.isfinite(k).all()
         assert k[0, 0].real == pytest.approx(np.exp(700.0))
 
+    def test_an_infinite_real_exponent_vanishes_or_saturates(self):
+        # gamma 1e-300: exponents overflow to -inf (exp 0) or to +inf (clipped at 700)
+        spec = ComplexGaussian(gamma=1e-300)
+        np.testing.assert_array_equal(spec.gram([0.0, 1e10]), np.eye(2))
+        np.testing.assert_array_equal(spec.gram([1e10], [0.0]), [[0.0]])
+        with pytest.warns(KernelOverflowWarning):
+            k = spec.gram([1e10j])
+        assert k[0, 0] == np.exp(700.0)
+
+    @pytest.mark.parametrize("z", [None, [[0.0]]])
+    def test_an_exponent_without_phase_is_refused(self, z):
+        # the imaginary part of exp(-(x - z*)^2 / gamma)'s exponent is infinite
+        with pytest.raises(ValueError, match="no defined phase"):
+            ComplexGaussian(gamma=1e-300).gram([[0.0], [1e10 + 1e10j]], z)
+
 
 def gaussian_params(gamma, scale=1.0):
     return {"gamma": gamma, "scale": scale}
@@ -652,3 +677,20 @@ class TestConfigRoundtrip:
     def test_nonfinite_params_rejected(self, cls, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             cls(**{"gamma": 1.0, field: value})
+
+
+@pytest.mark.parametrize(
+    "call, error, field",
+    [
+        (lambda: SeparateRealImag(rr=RealGaussian(1.0), jj=ComplexGaussian(1.0)),
+         TypeError, "^block kernel jj"),
+        (lambda: SumOfSeparable(terms=((ComplexGaussian(1.0), 0.5),)),
+         TypeError, "^block kernel terms"),
+        (lambda: SumOfSeparable(terms=()), ValueError, "^terms"),
+        (lambda: kernel_from_config({"params": {"gamma": 1.0}}), ValueError, "'family'"),
+    ],
+    ids=["block_kernel", "separable_term_kernel", "no_terms", "no_family"],
+)
+def test_every_input_check_names_its_field(call, error, field):
+    with pytest.raises(error, match=field):
+        call()

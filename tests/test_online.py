@@ -335,3 +335,7 @@ def test_cached_norms_follow_the_kernels_norm_rule():
         model.observe(x[i], y[i])
     assert model.stats["replacements"] > 0
     np.testing.assert_array_equal(model._norms[: model.size], kernels.sq_norms(model.dictionary))
+
+
+def test_the_residual_of_an_empty_model_is_zero():
+    assert Wrkls(RealGaussian(1.0), 0.1).inverse_residual() == 0.0

@@ -10,6 +10,7 @@ import pytest
 from wrkhs import (
     ComplexDataset,
     ComplexGaussian,
+    IndependentGaussian,
     KernelOverflowWarning,
     NumericalError,
     RealGaussian,
@@ -201,6 +202,20 @@ class TestFitSrkhs:
             finally:
                 tracemalloc.stop()
             assert peak <= 0.6 * 8 * n * n, (spec, peak / (8 * n * n))
+
+    def test_complex_and_independent_fits_hold_three_gram_sizes(self):
+        # each holds one full n x n complex matrix (2 n^2 doubles) before packing it:
+        # the complex Gaussian its exponent, the independent Gaussian its cross term
+        n = 600
+        data = random_dataset(np.random.default_rng(45), n, 2)
+        for spec in (ComplexGaussian(gamma=60.0), IndependentGaussian(gamma=0.8)):
+            tracemalloc.start()
+            try:
+                fit_srkhs(data, spec, 0.5)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 3.1 * 8 * n * n, (spec, peak / (8 * n * n))
 
     def test_identity_gram_interpolates(self):
         # points far apart with a narrow kernel: K is exactly the identity
@@ -764,3 +779,17 @@ class TestModelSerialization:
             WrkhsModel(
                 X=np.array([[x]]), spec=RealGaussian(1.0), lam=lam, alpha=np.ones(1)
             )
+
+
+@pytest.mark.parametrize(
+    "call, field",
+    [
+        (lambda: regression.WrkhsModel(X=np.zeros((2, 1)), spec=RealGaussian(1.0), lam=0.1,
+                                       alpha=np.ones(3)), "^alpha"),
+        (lambda: mse_db([1.0, 2.0], [1.0]), "^pred and truth"),
+    ],
+    ids=["alpha_length", "mse_db_lengths"],
+)
+def test_every_input_check_names_its_field(call, field):
+    with pytest.raises(ValueError, match=field):
+        call()

@@ -216,3 +216,13 @@ class TestRunExp2:
     def test_wrong_experiment_rejected(self):
         with pytest.raises(ValueError, match="experiment 2"):
             run_exp2(experiment1(seed=0))
+
+
+@pytest.mark.parametrize(
+    "fields, field",
+    [({"n_train": 0}, "^n_train"), ({"input_lo": 1.0, "input_hi": 1.0}, "^input_lo")],
+    ids=["n_train", "input_range"],
+)
+def test_every_config_check_names_its_field(fields, field):
+    with pytest.raises(ValueError, match=field):
+        SyntheticConfig(experiment=1, **fields)
