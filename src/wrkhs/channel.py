@@ -11,17 +11,24 @@ kernel evaluation per block of samples; an unbudgeted one takes
 
 Randomness is counter-based (Philox): trial i uses key ``base_seed + i`` with
 separate jumped streams for source and noise, so any subset of trials can be
-reproduced on its own. Trials run one after another in the calling thread.
+reproduced on its own. The trials are split in trial order over one process
+per core, at most one per trial: the calling process runs the first share and
+forked children the others, each process with its share of the cores as BLAS
+threads (``core.limit_blas_threads``). The curves are summed in trial order,
+so the average does not depend on the split.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
+import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import ComplexDataset, check_seed, store_as_annotated, to_pairs
+from .core import ComplexDataset, check_seed, limit_blas_threads, store_as_annotated, to_pairs
 from .kernels import KernelSpec, RealGaussian, kernel_from_config
 from .online import Wrkls, streaming_ridge_predictions
 
@@ -224,10 +231,41 @@ def _run_trial(config: EqualizationConfig, trial: int) -> np.ndarray:
 
 
 def run_equalization(config: EqualizationConfig) -> EqualizationResult:
-    """Average the per-sample running MSE over all configured trials."""
+    """Average the per-sample running MSE over all configured trials.
+
+    The trials run in ``W = min(cores, trials)`` processes (one without the
+    ``fork`` start method, or in a daemonic process, which may start none),
+    each with at most ``cores // W`` BLAS threads: this one runs the first
+    share of trials, forked children the later ones.
+    A child's warnings are issued again here and its exception is raised
+    here; a child that exits without its curves raises ``ChildProcessError``.
+    """
     trials = config.channel.trials
-    curves = [_run_trial(config, t) for t in range(trials)]
-    avg = np.mean(np.stack(curves), axis=0)
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    forks = ("fork" in multiprocessing.get_all_start_methods()
+             and not multiprocessing.current_process().daemon)
+    workers = min(cores, trials) if forks else 1
+    first, *rest = [range(k * trials // workers, (k + 1) * trials // workers)
+                    for k in range(workers)]
+    children = []
+    try:
+        for share in rest:
+            children.append(_fork_share(config, share, cores // workers))
+        with limit_blas_threads(cores // workers):
+            total = _run_trial(config, first[0])
+            for trial in first[1:]:
+                total += _run_trial(config, trial)
+        for child, reader in children:
+            for curve in _share_curves(child, reader):
+                total += curve
+    finally:
+        for child, reader in children:
+            reader.close()
+            if child.is_alive():
+                child.kill()
+            child.join()
+    avg = total / trials
     curve_db = 10.0 * np.log10(avg)
     return EqualizationResult(
         curve_db=curve_db,
@@ -235,3 +273,43 @@ def run_equalization(config: EqualizationConfig) -> EqualizationResult:
         n_stream=avg.shape[0],
         trials=trials,
     )
+
+
+def _fork_share(config: EqualizationConfig, share: range, threads: int):
+    """A forked process running :func:`_run_share`, and its pipe's reading end."""
+    context = multiprocessing.get_context("fork")
+    reader, writer = context.Pipe(duplex=False)
+    child = context.Process(target=_run_share, args=(config, share, threads, writer), daemon=True)
+    child.start()
+    writer.close()  # so that a child gone without a word reads as the end of the pipe
+    return child, reader
+
+
+def _run_share(config: EqualizationConfig, share: range, threads: int, writer) -> None:
+    """In a child: send the curves of the trials in ``share``, the warnings
+    they issued and the exception that stopped them, or None, through ``writer``."""
+    curves, error = [], None
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            with limit_blas_threads(threads):
+                curves = [_run_trial(config, trial) for trial in share]
+        except BaseException as exc:  # raised again in the parent
+            error = exc
+    writer.send((curves, [w.message for w in caught], error))
+
+
+def _share_curves(child, reader) -> list[np.ndarray]:
+    """The curves a child sent, after issuing its warnings again, from the
+    caller of :func:`run_equalization`, and raising its exception, if any."""
+    try:
+        curves, messages, error = reader.recv()
+    except (EOFError, OSError):
+        child.join()
+        raise ChildProcessError(f"an equalization trial process exited with code "
+                                f"{child.exitcode} before sending its curves") from None
+    child.join()
+    for message in messages:
+        warnings.warn(message, stacklevel=3)
+    if error is not None:
+        raise error
+    return curves

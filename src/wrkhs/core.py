@@ -24,21 +24,31 @@ it is Hermitian to ``HERMITIAN_ATOL``; an exactly diagonal system is solved
 by division. ``stacked_apply`` lets a real matrix act on a complex
 right-hand side as one real call on its stacked real and imaginary parts.
 
+``limit_blas_threads`` caps the thread pools of the OpenBLAS copies numpy and
+scipy have loaded for the length of a block, so that processes running BLAS
+side by side share the cores instead of each taking all of them.
+
 All functions here but ``ridge_shift``, ``ridge_solve``, ``ridge_factor`` and
-``mirror_lower``, which work in the buffer they are given, are pure; arrays
-returned by dataset containers are read-only and safe to share across
-threads.
+``mirror_lower``, which work in the buffer they are given, and
+``limit_blas_threads``, which sets this process's BLAS thread counts, are
+pure; arrays returned by dataset containers are read-only and safe to share
+across threads.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import inspect
 import itertools
 import math
 import numbers
+import os
 from dataclasses import dataclass, fields
+from pathlib import Path
 
 import numpy as np
+import scipy
 from scipy.linalg import get_lapack_funcs
 
 __all__ = [
@@ -64,6 +74,7 @@ __all__ = [
     "packed_diagonal",
     "hermitian_solve",
     "mirror_lower",
+    "limit_blas_threads",
 ]
 
 # Max acceptable |A - A^H| entry before a matrix is rejected as non-Hermitian.
@@ -71,6 +82,10 @@ HERMITIAN_ATOL = 1e-12
 
 # Rows per block of the |A - A^H| check: a temporary is one block, not a copy.
 ASYMMETRY_BLOCK_ROWS = 256
+
+# The OpenBLAS that numpy's and scipy's Linux wheels each ship in the package's
+# ``<name>.libs`` directory; its thread calls end in ``64_`` (numpy's) or not.
+OPENBLAS_LIBRARIES = "libscipy_openblas*.so"
 
 
 class NumericalError(RuntimeError):
@@ -399,3 +414,47 @@ class ComplexDataset:
     @property
     def d(self) -> int:
         return self.X.shape[1]
+
+
+def _openblas_pools() -> list[tuple]:
+    """``(get, set)`` of the thread count of each OpenBLAS copy that numpy's or
+    scipy's wheel has loaded into this process. Each is opened as threadpoolctl
+    opens it: ``dlopen`` with ``RTLD_NOLOAD`` opens a library only if it is loaded."""
+    pools = []
+    for package in (np, scipy):
+        libs = Path(package.__file__).parent.with_name(package.__name__ + ".libs")
+        for path in sorted(libs.glob(OPENBLAS_LIBRARIES)):
+            try:
+                lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
+            except OSError:  # not loaded
+                continue
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+                put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    pools.append((get, put))
+                    break
+    return pools
+
+
+@contextlib.contextmanager
+def limit_blas_threads(limit: int):
+    """Run the block with each loaded OpenBLAS thread pool at ``min(its count,
+    limit)`` threads, and give every pool its count back on exit.
+
+    numpy and scipy each load an OpenBLAS of their own, each with its own
+    pool; both are set, through ``ctypes`` on the libraries already loaded.
+    No environment variable is read, and with no OpenBLAS loaded nothing
+    happens. The counts belong to this process, not to the calling thread.
+    """
+    pools = _openblas_pools()
+    before = [get() for get, _ in pools]
+    try:
+        for (_, put), count in zip(pools, before):
+            put(min(count, limit))
+        yield
+    finally:
+        for (_, put), count in zip(pools, before):
+            put(count)

@@ -35,7 +35,9 @@ on rows it has checked once, with the norms it keeps by ``sq_norms``.
 Every family but the complex Gaussian gets its squared distances from one
 primitive, ``_sqdist``: complex rows enter as their interleaved real (n, 2d)
 view, with the same distances, so the cross products are one real GEMM, and
-the norm adds and the clamp at 0 run in place in its output. The samples
+the norm adds and the clamp at 0 run in place in its output; it refuses a
+sample whose squared norm exceeds ``MAX_SQUARED_NORM``, whose distances
+would overflow, with a ``ValueError`` naming its operand. The samples
 against themselves (``x' = x``) give the packed (RFP, see ``core``) lower
 triangle: one ``dsfrk``, then one norm sum ``aa_i + aa_j`` per entry, by
 columns of the packed array. ``_gaussian_sums`` is the one evaluation of
@@ -94,6 +96,10 @@ EXP_SATURATION = 700.0
 TILES = 128
 TILE_ENTRIES = 4096
 
+# The largest squared sample norm the distances take: |a|^2 + |b|^2 - 2 <a, b>
+# is then at most 4 times it, so no product, term or partial sum overflows.
+MAX_SQUARED_NORM = np.finfo(np.float64).max / 4
+
 # Rows of x per block of ``apply``: a block holds a few APPLY_BLOCK_ROWS x n
 # buffers whatever the number of rows; 128, 256 and 512 rows ran alike.
 APPLY_BLOCK_ROWS = 256
@@ -135,15 +141,16 @@ def _sqdist(a: np.ndarray, b: np.ndarray, aa=None, bb=None) -> np.ndarray:
     The rows enter through their interleaved real view, (n, 2d) for complex
     rows, whose Euclidean distances are the same: the cross products are one
     real GEMM, and the epilogue runs in place in its output. ``aa`` and ``bb``
-    are the squared row norms (:func:`sq_norms`) when the caller holds them.
+    are the squared row norms (:func:`sq_norms`) when the caller holds them;
+    a row of ``a`` (``b``) with a squared norm above ``MAX_SQUARED_NORM``
+    raises ``ValueError`` naming ``x`` (``z``) before any product.
 
     When ``b is a`` only the lower triangle is computed, packed (RFP, see
     ``core``): one ``dsfrk``, then the sum ``aa_i + aa_j`` a column of the
     packed array at a time, and the clamp.
     """
     ar = np.ascontiguousarray(a).view(np.float64)
-    if aa is None:
-        aa = sq_norms(ar)
+    aa = _bounded(sq_norms(ar) if aa is None else aa, "x")
     if b is a:
         (n, k), size = ar.shape, ar.shape[0] * (ar.shape[0] + 1) // 2
         d2 = np.zeros(size) if 0 in ar.shape else dsfrk(
@@ -155,11 +162,21 @@ def _sqdist(a: np.ndarray, b: np.ndarray, aa=None, bb=None) -> np.ndarray:
             col[u:] += aa[j:] + aa[j]
         return np.maximum(d2, 0.0, out=d2)
     br = np.ascontiguousarray(b).view(np.float64)
+    bb = _bounded(sq_norms(br) if bb is None else bb, "z")
     d2 = ar @ br.T
     d2 *= -2.0
     d2 += aa[:, None]
-    d2 += sq_norms(br) if bb is None else bb
+    d2 += bb
     return np.maximum(d2, 0.0, out=d2)
+
+
+def _bounded(norms: np.ndarray, name: str) -> np.ndarray:
+    """The squared sample norms ``norms``; ``ValueError`` naming ``name`` when
+    one exceeds ``MAX_SQUARED_NORM``, so that no distance overflows."""
+    if len(norms) and norms.max() > MAX_SQUARED_NORM:
+        raise ValueError(f"{name} has a sample of squared norm {norms.max():.3g}, above "
+                         f"{MAX_SQUARED_NORM:.3g}: its squared distances would overflow")
+    return norms
 
 
 # an exponent that overflows to -inf gives exp 0, as any below about -745 does
@@ -425,6 +442,8 @@ class IndependentGaussian(_Gaussian):
     family = "independent"
 
     def _gram(self, x, z, *norms):
+        for name, rows in (("x", x), ("z", z)):  # checked whole: kappa sees only their parts
+            _bounded(sq_norms(rows), name)
         kap = RealGaussian(self.gamma)._gram
         xr, xj = np.ascontiguousarray(x.real), np.ascontiguousarray(x.imag)
         if z is x:  # exactly Hermitian: kappa(xj, xr) is the transpose of kappa(xr, xj)

@@ -1,11 +1,18 @@
 """Tests for source generation, the nonlinear channel, and the benchmark loop."""
 
+import contextlib
+import multiprocessing
+import os
+import signal
+import warnings
+
 import numpy as np
 import pytest
 
 from wrkhs import (
     ChannelConfig,
     EqualizationConfig,
+    KernelOverflowWarning,
     RealGaussian,
     Wrkls,
     add_awgn,
@@ -15,8 +22,42 @@ from wrkhs import (
     run_equalization,
     trial_rngs,
 )
+from wrkhs import channel, core
 
 RHO_CIRCULAR = 1.0 / np.sqrt(2.0)
+
+
+def small_config(trials, budget=40):
+    return EqualizationConfig(
+        channel=ChannelConfig(rho=RHO_CIRCULAR, trials=trials, base_seed=11, n_samples=200),
+        kernel=RealGaussian(gamma=8.92),
+        lam=0.32,
+        budget=budget,
+    )
+
+
+def use_cores(monkeypatch, n):
+    """Make ``run_equalization`` see ``n`` usable cores, whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def blas_counts():
+    return [get() for get, _ in core._openblas_pools()]
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise ``TimeoutError`` in the block once it has run for ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestSource:
@@ -241,6 +282,101 @@ class TestRunEqualization:
 
         singles = np.mean([run(1, 3 + i) for i in range(3)], axis=0)
         np.testing.assert_allclose(run(3, 3), singles, rtol=1e-12, atol=0)
+
+
+class TestTrialProcesses:
+    """Trials split over processes: one per core, at most one per trial."""
+
+    @pytest.mark.parametrize("budget", [40, None])
+    @pytest.mark.parametrize("trials", [2, 3, 5])
+    def test_split_equals_the_serial_average(self, monkeypatch, trials, budget):
+        use_cores(monkeypatch, 3)  # 2, 3 and 3 processes, so 1 BLAS thread each
+        cfg = small_config(trials, budget)
+        with core.limit_blas_threads(1):
+            total = channel._run_trial(cfg, 0)
+            for trial in range(1, trials):
+                total += channel._run_trial(cfg, trial)
+        res = run_equalization(cfg)
+        np.testing.assert_array_equal(res.curve_db, 10.0 * np.log10(total / trials))
+        assert res.final_mse_db == res.curve_db[-1]
+
+    @pytest.mark.parametrize("case", ["one_trial", "one_core", "no_fork", "daemonic"])
+    def test_trials_run_in_process_when_nothing_can_be_split(self, monkeypatch, case):
+        use_cores(monkeypatch, 1 if case == "one_core" else 4)
+        if case == "no_fork":
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        if case == "daemonic":
+            monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
+        parent = os.getpid()
+        # 1 for a trial run in this process, else 2
+        monkeypatch.setattr(channel, "_run_trial",
+                            lambda config, t: np.array([1.0 + (os.getpid() != parent)]))
+        res = run_equalization(small_config(1 if case == "one_trial" else 3))
+        assert res.curve_db.tolist() == [0.0]
+
+    def test_each_process_takes_its_share_of_the_blas_threads(self, monkeypatch):
+        pools = core._openblas_pools()
+        if not pools:
+            pytest.skip("no OpenBLAS loaded")
+        use_cores(monkeypatch, 4)
+        before = blas_counts()
+        try:
+            for _, put in pools:
+                put(4)
+            for trials in (1, 2, 3, 4):
+                share = 4 // min(4, trials)
+
+                def trial(config, t, share=share):
+                    # 1 in a process whose pools are within its share, else 2
+                    return np.array([1.0 + (max(blas_counts()) > share)])
+
+                monkeypatch.setattr(channel, "_run_trial", trial)
+                assert run_equalization(small_config(trials)).curve_db.tolist() == [0.0]
+                assert blas_counts() == [4] * len(pools)
+        finally:
+            for (_, put), count in zip(pools, before):
+                put(count)
+        assert blas_counts() == before
+
+    def test_limit_blas_threads_restores_the_counts(self):
+        before = blas_counts()
+        with pytest.raises(KeyError), core.limit_blas_threads(1):
+            assert blas_counts() == [1] * len(before)
+            raise KeyError("left by an exception")
+        assert blas_counts() == before
+
+    def test_a_child_gone_without_its_curves_raises(self, monkeypatch):
+        use_cores(monkeypatch, 2)
+        parent = os.getpid()
+
+        def trial(config, t):
+            if os.getpid() != parent:
+                os._exit(7)
+            return np.ones(1)
+
+        monkeypatch.setattr(channel, "_run_trial", trial)
+        with deadline(60), pytest.raises(ChildProcessError, match="exited with code 7"):
+            run_equalization(small_config(2))
+
+    def test_a_childs_warning_reaches_the_callers_filters(self, monkeypatch):
+        use_cores(monkeypatch, 3)
+        parent = os.getpid()
+
+        def trial(config, t):
+            if os.getpid() != parent:
+                warnings.warn(f"trial {t}", KernelOverflowWarning)
+            return np.ones(1)
+
+        monkeypatch.setattr(channel, "_run_trial", trial)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_equalization(small_config(3))
+        assert [(w.category, str(w.message), w.filename) for w in caught] == [
+            (KernelOverflowWarning, f"trial {t}", __file__) for t in (1, 2)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(KernelOverflowWarning, match="trial 1"):
+                run_equalization(small_config(3))
 
 
 class TestConfig:

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import tracemalloc
 import warnings
 
@@ -30,6 +31,7 @@ from wrkhs import (
     predict_composite,
 )
 from wrkhs import channel, synthetic
+from wrkhs.core import NumericalError
 from wrkhs.cli import (
     CSV_BLOCK_ROWS,
     _config_hash,
@@ -283,6 +285,20 @@ class TestFit:
         with pytest.raises(SystemExit) as exc:
             main(["fit", "--bogus", "x"])
         assert exc.value.code == 2
+
+    def test_sample_whose_distances_overflow_exit_2(self, tmp_path, capsys):
+        # |x|^2 overflows: the fit once ended on NaN alphas after numpy warnings
+        data_path = tmp_path / "d.csv"
+        write_dataset_csv(data_path, ComplexDataset(X=[1e300, 0.0], y=[1.0, 1.0]))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["fit", "--dataset", str(data_path), "--kernel", KERNEL_RG,
+                       "--lam", "0.1", "--out", str(tmp_path / "m.json")])
+        assert rc == 2 and caught == []
+        assert capsys.readouterr().err.splitlines() == [
+            "input error: x has a sample of squared norm inf, above 4.49e+307: "
+            "its squared distances would overflow"]
+        assert not (tmp_path / "m.json").exists()
 
     def test_indefinite_kernel_pair_exit_3(self, tmp_path, capsys):
         # overweight cross blocks make the composite Gram indefinite
@@ -774,6 +790,22 @@ class TestBench:
         assert rc == 0
         summary = json.loads((out_dir / "synthetic2_summary.json").read_text())
         assert "srkhs_mse_db" in summary
+
+    def test_numerical_failure_in_a_trial_process_exit_3(self, tmp_path, capsys, monkeypatch):
+        # the second of two trials runs in a forked child, which sends its error back
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        parent = os.getpid()
+
+        def trial(config, t):
+            if os.getpid() != parent:
+                raise NumericalError(f"trial {t} failed in a child")
+            return np.ones(1)
+
+        monkeypatch.setattr(channel, "_run_trial", trial)
+        rc = main(bench_argv(tmp_path, "equalization", {"rho": 0.5, "trials": 2, "n_samples": 100}))
+        assert rc == 3
+        assert capsys.readouterr().err == "numerical failure: trial 1 failed in a child\n"
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_tiny_kernel_width_runs_without_warning(self, tmp_path, capsys):
         # a subnormal width is valid: its far kernel values are exactly 0

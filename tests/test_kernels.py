@@ -244,6 +244,21 @@ class TestSqdist:
             kernels._sqdist(x, z, xx, zz), kernels._sqdist(x, z), rtol=0, atol=1e-13
         )
 
+    @pytest.mark.parametrize("family", [f for f in zoo_specs() if f != "complex_gaussian"])
+    def test_a_sample_whose_distances_overflow_is_refused(self, family):
+        # |x|^2 = inf made NaN entries (inf - inf) with RuntimeWarnings
+        spec = zoo_specs()[family]
+        for call, name in [(lambda: spec.gram([0.0, 1e300]), "x"),
+                           (lambda: spec.pair([0.0], [1e300j]), "z"),
+                           (lambda: spec.apply([1e300], [0.0], [1.0]), "x"),
+                           (lambda: kernels._sqdist(as_samples([0.0, 7e153], "x"),
+                                                    as_samples([0.0], "z")), "x")]:
+            with pytest.raises(ValueError, match=f"^{name} has a sample of squared norm"):
+                call()
+        far = spec.gram([0.0, 6.6e153 * (1 + 1j) / 2**0.5])  # |x|^2 just below the bound
+        np.testing.assert_array_equal(np.diag(far), spec.diag([0.0, 6.6e153])[0])
+        assert far[0, 1] == 0
+
     def test_peak_is_the_output(self):
         x = random_inputs(np.random.default_rng(46), 2000, 5)
         tracemalloc.start()

@@ -195,6 +195,79 @@ def test_detects_factorization_names(source, lines):
     assert sorted(factorization_names(ast.parse(source))) == lines
 
 
+def module_names(tree: ast.AST, module: str) -> list[int]:
+    """Line numbers where ``module`` (or a submodule) is imported, imported
+    from, or named."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            lines += [node.lineno for a in node.names if a.name.split(".")[0] == module]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == module:
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Name) and node.id == module:
+            lines.append(node.lineno)
+    return lines
+
+
+FORKS = {"fork", "forkpty"}
+
+
+def process_names(tree: ast.AST) -> list[int]:
+    """Line numbers where ``multiprocessing`` is imported or named, or
+    ``os.fork`` (``os.forkpty``) is named or imported."""
+    lines = module_names(tree, "multiprocessing")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in FORKS
+                and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            lines += [node.lineno for a in node.names if a.name in FORKS]
+    return lines
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "channel.py"],
+                         ids=lambda p: p.name)
+def test_one_process_split(path):
+    # the one place that starts processes is the trial split of channel.run_equalization
+    assert process_names(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+@pytest.mark.parametrize(
+    "source,lines",
+    [
+        ("import multiprocessing\nctx = multiprocessing.get_context('fork')", [1, 2]),
+        ("import multiprocessing as mp\np = mp.Process(target=f)", [1]),
+        ("from multiprocessing import Pipe, Process", [1]),
+        ("from multiprocessing.pool import Pool", [1]),
+        ("import os\npid = os.fork()", [2]),
+        ("from os import fork, getpid", [1]),
+        ("pid = os.getpid()\ncores = len(os.sched_getaffinity(0))", []),
+        ("import multiprocessing_helpers\nforks = 2", []),
+    ],
+)
+def test_detects_process_names(source, lines):
+    assert sorted(process_names(ast.parse(source))) == lines
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "core.py"], ids=lambda p: p.name)
+def test_one_foreign_library_call(path):
+    # the one call into a C library by hand is core's OpenBLAS thread limit
+    assert module_names(ast.parse(path.read_text(encoding="utf-8")), "ctypes") == []
+
+
+@pytest.mark.parametrize(
+    "source,lines",
+    [
+        ("import ctypes\nlib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)", [1, 2]),
+        ("from ctypes import CDLL, c_int", [1]),
+        ("import ctypes.util as cu", [1]),
+        ("address = arr.ctypes.data\nctypes_seen = 0", []),
+    ],
+)
+def test_detects_ctypes_names(source, lines):
+    assert sorted(module_names(ast.parse(source), "ctypes")) == lines
+
+
 def syrk_names(tree: ast.AST) -> list[int]:
     """Line numbers where a rank-k update, dense (``?syrk``/``?herk``) or
     packed (``?sfrk``/``?hfrk``), is named, imported or spelled."""
