@@ -21,14 +21,12 @@ from .kernels import (
 from .regression import (
     WrkhsModel,
     fit_augmented,
-    fit_composite,
     fit_schur,
     fit_srkhs,
     model_from_json,
     model_to_json,
     mse_db,
     predict,
-    predict_composite,
 )
 from .online import Wrkls, streaming_ridge_predictions
 from .channel import (

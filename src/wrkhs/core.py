@@ -20,9 +20,10 @@ Cholesky, ``?pftrf``, with one jitter retry; ``packed_solve`` and
 ``packed_forward`` solve by the factor. ``packed`` and ``unpacked`` convert
 full matrices, the latter through ``mirror_lower``, the one mirror of a
 lower triangle. ``hermitian_solve`` solves a full matrix after checking that
-it is Hermitian to ``HERMITIAN_ATOL``; an exactly diagonal system is solved
-by division. ``stacked_apply`` lets a real matrix act on a complex
-right-hand side as one real call on its stacked real and imaginary parts.
+it and the right-hand side are finite and that it is Hermitian to
+``HERMITIAN_ATOL``; an exactly diagonal system is solved by division.
+``stacked_apply`` lets a real matrix act on a complex right-hand side as one
+real call on its stacked real and imaginary parts.
 
 ``limit_blas_threads`` caps the thread pools of the OpenBLAS copies numpy and
 scipy have loaded for the length of a block, so that processes running BLAS
@@ -330,18 +331,23 @@ def hermitian_solve(a, b) -> np.ndarray:
     """Solve ``A X = B`` for a Hermitian positive-definite (n, n) ``A`` (real
     symmetric too) and an (n,) or (n, k) ``B``, complex even when ``A`` is real.
 
-    A non-square ``A``, or one whose max asymmetry ``|A - A^H|`` exceeds
-    ``1e-12``, raises ``ValueError``. ``A`` is left as it is: its packed lower
-    triangle (:func:`packed`) is solved by :func:`ridge_solve` (exactly
-    diagonal matrices by elementwise division, exact; others by the one
-    Cholesky and its jitter retry, then :class:`NumericalError`).
+    A non-square ``A``, a NaN or infinite entry of ``A`` or ``B``, or an ``A``
+    whose max asymmetry ``|A - A^H|`` exceeds ``1e-12``, raises ``ValueError``
+    naming the operand. ``A`` is left as it is: its packed lower triangle
+    (:func:`packed`) is solved by :func:`ridge_solve` (exactly diagonal
+    matrices by elementwise division, exact; others by the one Cholesky and
+    its jitter retry, then :class:`NumericalError`).
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"A must be square, got shape {a.shape}")
+    if not np.isfinite(b).all():
+        raise ValueError("B contains non-finite values")
     asym = 0.0
     for i in range(0, a.shape[0], ASYMMETRY_BLOCK_ROWS):
         rows = slice(i, i + ASYMMETRY_BLOCK_ROWS)
+        if not np.isfinite(a[rows]).all():  # a NaN asymmetry exceeds no bound
+            raise ValueError("A contains non-finite values")
         asym = max(asym, float(np.max(np.abs(a[rows] - a[:, rows].conj().T))))
     if asym > HERMITIAN_ATOL:
         raise ValueError(f"matrix is not Hermitian (max asymmetry {asym:.3e})")

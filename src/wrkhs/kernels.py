@@ -30,23 +30,25 @@ b_gamma conj(alpha)``, without forming ``K`` or ``Kt``. Their inputs follow
 ``core.as_samples``: rows are samples, a 1-D input is n scalar samples, and
 NaN or infinite entries raise ``ValueError``. Behind them each family's
 ``_gram`` evaluates checked samples; the online recursion calls it directly
-on rows it has checked once, with the norms it keeps by ``sq_norms``.
+on rows it has checked once.
 
 Every family but the complex Gaussian gets its squared distances from one
-primitive, ``_sqdist``: complex rows enter as their interleaved real (n, 2d)
-view, with the same distances, so the cross products are one real GEMM, and
-the norm adds and the clamp at 0 run in place in its output; it refuses a
-sample whose squared norm exceeds ``MAX_SQUARED_NORM``, whose distances
-would overflow, with a ``ValueError`` naming its operand. The samples
-against themselves (``x' = x``) give the packed (RFP, see ``core``) lower
-triangle: one ``dsfrk``, then one norm sum ``aa_i + aa_j`` per entry, by
-columns of the packed array. ``_gaussian_sums`` is the one evaluation of
-sums of real Gaussians, for every family but the complex Gaussian, the ridge
-systems and ``apply``, one ``exp`` per tile (``_tiles``; an ``apply``
-block is one tile; a packed triangle's tiles are contiguous slices),
-writing the last real sum into the distances' own buffer. So
-``_gram(x, x)``, ``_pair(x, x)`` and ``_ridge_systems(x)`` give packed
-triangles, which ``core.ridge_solve`` shifts and factors in place.
+primitive, ``_sqdist``, which takes the squared sample norms itself
+(``sq_norms``; no caller passes them): complex rows enter as their
+interleaved real (n, 2d) view, with the same distances, so the cross
+products are one real GEMM, and the norm adds and the clamp at 0 run in
+place in its output; it refuses a sample whose squared norm exceeds
+``MAX_SQUARED_NORM``, whose distances would overflow, with a ``ValueError``
+naming its operand. The samples against themselves (``x' = x``) give the
+packed (RFP, see ``core``) lower triangle: one ``dsfrk``, then one norm sum
+``aa_i + aa_j`` per entry, by columns of the packed array.
+``_gaussian_sums`` is the one evaluation of sums of real Gaussians, for
+every family but the complex Gaussian, the ridge systems and ``apply``, one
+``exp`` per tile (``_tiles``; an ``apply`` block is one tile; a packed
+triangle's tiles are contiguous slices), writing the last real sum into the
+distances' own buffer. So ``_gram(x, x)``, ``_pair(x, x)`` and
+``_ridge_systems(x)`` give packed triangles, which ``core.ridge_solve``
+shifts and factors in place.
 ``IndependentGaussian`` packs one full matrix, its cross term minus its
 transpose. ``ComplexGaussian`` packs the lower triangle of its exponent, one
 product laid out by columns, with a real diagonal, and takes one ``exp`` per
@@ -54,10 +56,8 @@ stored entry; it warns once per call, from its caller's line, when it
 saturates, and refuses an exponent with no defined phase. The public
 ``gram`` and ``pair`` unpack a triangle when ``z`` is ``x`` as passed (or
 None), so a Gram is exactly Hermitian and its pseudo-kernel Gram exactly
-symmetric. A ridge shift is therefore a diagonal add. ``composite_matrix``
-turns an evaluated pair into the real composite matrix of the stacked
-real/imaginary system, for the oracle fit ``fit_composite``. Specs are
-immutable and hashable; all evaluations are pure and thread-safe.
+symmetric. A ridge shift is therefore a diagonal add. Specs are immutable
+and hashable; all evaluations are pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -82,7 +82,6 @@ __all__ = [
     "SeparateRealImag",
     "SumOfSeparable",
     "KernelOverflowWarning",
-    "composite_matrix",
     "kernel_from_config",
 ]
 
@@ -119,7 +118,7 @@ def _validated(x, z) -> tuple[np.ndarray, np.ndarray]:
 
 def sq_norms(a: np.ndarray) -> np.ndarray:
     """Squared norms |a_i|^2 of (n, d) complex128 or float64 rows, summed over
-    their interleaved real view: the one norm rule of ``_sqdist`` and its callers."""
+    their interleaved real view: the one norm rule of the distances."""
     ar = np.ascontiguousarray(a).view(np.float64)
     return np.einsum("ij,ij->i", ar, ar)
 
@@ -134,23 +133,23 @@ def _tiles(shape: tuple[int, int]):
         yield slice(i, i + r)
 
 
-def _sqdist(a: np.ndarray, b: np.ndarray, aa=None, bb=None) -> np.ndarray:
+def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise squared Euclidean distances |a_i - b_j|^2 of (n, d) complex128
     or float64 rows, as ``|a_i|^2 + |b_j|^2 - 2 <a_i, b_j>`` clamped at 0.
 
     The rows enter through their interleaved real view, (n, 2d) for complex
     rows, whose Euclidean distances are the same: the cross products are one
-    real GEMM, and the epilogue runs in place in its output. ``aa`` and ``bb``
-    are the squared row norms (:func:`sq_norms`) when the caller holds them;
-    a row of ``a`` (``b``) with a squared norm above ``MAX_SQUARED_NORM``
-    raises ``ValueError`` naming ``x`` (``z``) before any product.
+    real GEMM, and the epilogue runs in place in its output. It takes the
+    squared row norms (:func:`sq_norms`) itself; a row of ``a`` (``b``) with
+    a squared norm above ``MAX_SQUARED_NORM`` raises ``ValueError`` naming
+    ``x`` (``z``) before any product.
 
     When ``b is a`` only the lower triangle is computed, packed (RFP, see
     ``core``): one ``dsfrk``, then the sum ``aa_i + aa_j`` a column of the
     packed array at a time, and the clamp.
     """
     ar = np.ascontiguousarray(a).view(np.float64)
-    aa = _bounded(sq_norms(ar) if aa is None else aa, "x")
+    aa = _bounded(sq_norms(ar), "x")
     if b is a:
         (n, k), size = ar.shape, ar.shape[0] * (ar.shape[0] + 1) // 2
         d2 = np.zeros(size) if 0 in ar.shape else dsfrk(
@@ -162,7 +161,7 @@ def _sqdist(a: np.ndarray, b: np.ndarray, aa=None, bb=None) -> np.ndarray:
             col[u:] += aa[j:] + aa[j]
         return np.maximum(d2, 0.0, out=d2)
     br = np.ascontiguousarray(b).view(np.float64)
-    bb = _bounded(sq_norms(br) if bb is None else bb, "z")
+    bb = _bounded(sq_norms(br), "z")
     d2 = ar @ br.T
     d2 *= -2.0
     d2 += aa[:, None]
@@ -275,13 +274,13 @@ def apply_pairs(x, z, pairs) -> list[np.ndarray]:
             if a != 0 or b != 0:
                 by_gamma.setdefault(gamma, []).append((k, a * alpha + b * alpha.conj()))
     g = np.empty((min(len(x), APPLY_BLOCK_ROWS), len(z))) if len(by_gamma) > 1 else None
-    zz, seen = sq_norms(z), []
+    seen = []
     token = _saturations.set(seen)
     try:
         for start in range(0, len(x), APPLY_BLOCK_ROWS):
             rows = slice(start, start + APPLY_BLOCK_ROWS)
-            xb, xx = x[rows], sq_norms(x[rows])
-            d2 = _sqdist(xb, z, xx, zz) if by_gamma else None
+            xb = x[rows]
+            d2 = _sqdist(xb, z) if by_gamma else None
             for i, (gamma, columns) in enumerate(by_gamma.items()):
                 e = d2 if i == len(by_gamma) - 1 else g[: len(xb)]
                 _gaussian_sums(d2, [gamma], [[1.0]], [e])
@@ -291,7 +290,7 @@ def apply_pairs(x, z, pairs) -> list[np.ndarray]:
                     outs[k][rows] += stacked_apply(np.matmul, e, column)
             for (spec, alpha), out in zip(pairs, outs):
                 if not isinstance(spec, _TermSum):
-                    out[rows] = stacked_apply(np.matmul, spec._gram(xb, z, xx, zz), alpha)
+                    out[rows] = stacked_apply(np.matmul, spec._gram(xb, z), alpha)
             d2 = e = None  # freed before the next block's distances
     finally:
         _saturations.reset(token)
@@ -355,11 +354,9 @@ class KernelSpec:
         with ``S`` real and not null), or None."""
         return None
 
-    def _gram(self, x, z, *norms) -> np.ndarray:
-        """The Gram matrix of checked samples; ``norms`` may hold the squared
-        row norms ``(xx, zz)`` of ``x`` and ``z`` when the caller has them (a
-        family may ignore them). At ``z is x`` it is the packed lower triangle
-        (RFP, see ``core``), which a solve may factor in place."""
+    def _gram(self, x, z) -> np.ndarray:
+        """The Gram matrix of checked samples. At ``z is x`` it is the packed
+        lower triangle (RFP, see ``core``), which a solve may factor in place."""
         raise NotImplementedError
 
     def _pair(self, x, z) -> tuple[np.ndarray, np.ndarray]:
@@ -404,7 +401,7 @@ class ComplexGaussian(_Gaussian):
     gamma: float
     family = "complex_gaussian"
 
-    def _gram(self, x, z, *norms):
+    def _gram(self, x, z):
         # (x - z*)^T (x - z*) = sum x^2 + sum (z*)^2 - 2 x . z*, laid out by columns
         with np.errstate(over="ignore", invalid="ignore"):
             expo = (z.conj() @ x.T).T
@@ -441,7 +438,7 @@ class IndependentGaussian(_Gaussian):
     gamma: float
     family = "independent"
 
-    def _gram(self, x, z, *norms):
+    def _gram(self, x, z):
         for name, rows in (("x", x), ("z", z)):  # checked whole: kappa sees only their parts
             _bounded(sq_norms(rows), name)
         kap = RealGaussian(self.gamma)._gram
@@ -492,19 +489,19 @@ class _TermSum(KernelSpec):
             for gamma, ab in sums.items()
         }
 
-    def _combine(self, x, z, columns, *norms) -> list[np.ndarray]:
+    def _combine(self, x, z, columns) -> list[np.ndarray]:
         """``sum_gamma c_gamma exp(-|x_i - z_j|^2 / gamma)`` for each column, by
         :func:`_gaussian_sums`; a column holds one coefficient ``c_gamma`` per
         distinct gamma, in the order of :meth:`_coefficients`."""
-        d2 = _sqdist(x, z, *norms)
+        d2 = _sqdist(x, z)
         return _gaussian_sums(d2, list(self._coefficients()), columns)
 
     def _columns(self) -> list[tuple]:
         """The kernel and pseudo-kernel coefficient columns."""
         return list(zip(*self._coefficients().values()))
 
-    def _gram(self, x, z, *norms):
-        return self._combine(x, z, self._columns()[:1], *norms)[0]
+    def _gram(self, x, z):
+        return self._combine(x, z, self._columns()[:1])[0]
 
     def _pair(self, x, z):
         return tuple(self._combine(x, z, self._columns()))
@@ -554,11 +551,11 @@ class _TermSum(KernelSpec):
         columns = [[a + s.real for a, s in rotated], [a - s.real for a, s in rotated]]
         if aligned:
             return 1 + p, self._combine(x, x, columns)
-        (n, _), gammas, aa = x.shape, list(coefficients), sq_norms(x)
+        (n, _), gammas = x.shape, list(coefficients)
         r, j, c = *columns, [s.imag for _, s in rotated]
         cols = np.empty((n, 2 * n + 1))
         for rows in _tiles((n, n)):
-            d = _sqdist(x[rows], x, aa[rows], aa)
+            d = _sqdist(x[rows], x)
             i, m = rows.start, d.shape[0]
             top, bottom, square = cols[rows, : n + 1], cols[rows, n + 1 :], np.empty((2, m, m))
             _gaussian_sums(d[:, :i], gammas, [j, c], [top[:, :i], bottom[:, :i]])
@@ -658,27 +655,6 @@ class SumOfSeparable(_TermSum):
     def to_config(self) -> dict:
         terms = [{"weight": w, **kq.to_config()["params"]} for kq, w in self.terms]
         return {"family": self.family, "params": {"terms": terms}}
-
-
-# ---------------------------------------------------------------------------
-# derived Gram structures
-# ---------------------------------------------------------------------------
-
-
-def composite_matrix(k: np.ndarray, kt: np.ndarray) -> np.ndarray:
-    """The real composite matrix ``2 [[rr, rj], [jr, jj]]`` of a pair ``(K, Kt)``.
-
-    Its blocks invert the kernel/pseudo-kernel identification:
-    ``rr = (Re k + Re kt)/2``, ``jj = (Re k - Re kt)/2``,
-    ``jr = (Im k + Im kt)/2``, ``rj = (Im kt - Im k)/2``.
-    """
-    rr = (k.real + kt.real) / 2.0
-    jj = (k.real - kt.real) / 2.0
-    jr = (k.imag + kt.imag) / 2.0
-    rj = (kt.imag - k.imag) / 2.0
-    kc = np.block([[rr, rj], [jr, jj]])
-    kc *= 2.0
-    return kc
 
 
 # ---------------------------------------------------------------------------

@@ -23,24 +23,24 @@ are zeroed, and ``Q += u u^H / gamma - w w^H / w_rr`` is one
 ``?syr2``/``?her2``, with ``u = b`` but ``u_r = -1`` and ``w`` column r of
 the admitted inverse, the newcomer's entry in place r.
 
-Each slot also keeps its squared norm ``|D_i|^2``, and a second buffer
-slotted like ``Q`` keeps the regularized Gram ``K_DD + lam I``, exactly
-Hermitian. An admit writes the newcomer's kernel column ``k(D, x)`` as its
-column and row there. The periodic residual check and a rebuild read this
-Gram. The check first mirrors the lower triangle of ``Q`` into the upper
-one (``core.mirror_lower``), then takes one m x m product.
+A second buffer slotted like ``Q`` keeps the regularized Gram
+``K_DD + lam I``, exactly Hermitian. An admit writes the newcomer's kernel
+column ``k(D, x)`` as its column and row there. The periodic residual check
+and a rebuild read this Gram. The check first mirrors the lower triangle of
+``Q`` into the upper one (``core.mirror_lower``), then takes one m x m
+product.
 
 One update loop serves both entries. ``observe_many`` takes a stream of
-samples, checked once (``core.ComplexDataset``) with their norms taken in one
-``sq_norms`` call, and returns the one-step predictions. The loop works in
-blocks of ``BLOCK_ROWS`` samples: one kernel evaluation on the stacked rows
-``[D; block]`` gives every column ``k(D, x_t)`` against the dictionary at the
-block's start and the block's own cross Gram ``k(x_u, x_t)``. The columns
-wait zero-padded to the capacity, so each goes straight to ``?symv``/
-``?hemv``; when sample u takes slot s, row s of the later columns becomes
-row u of the cross Gram. ``observe`` is the one-row case, with one sample
-taken by ``core.as_sample``: a 0-d, (d,) or (1, d) input; any other shape
-raises ``ValueError``. A block's kernel values can differ in the last bit
+samples, checked once (``core.ComplexDataset``), and returns the one-step
+predictions. The loop works in blocks of ``BLOCK_ROWS`` samples: one kernel
+evaluation on the stacked rows ``[D; block]`` gives every column
+``k(D, x_t)`` against the dictionary at the block's start and the block's
+own cross Gram ``k(x_u, x_t)``. The columns wait zero-padded to the
+capacity, so each goes straight to ``?symv``/``?hemv``; when sample u takes
+slot s, row s of the later columns becomes row u of the cross Gram.
+``observe`` is the one-row case, with one sample taken by
+``core.as_sample``: a 0-d, (d,) or (1, d) input; any other shape raises
+``ValueError``. A block's kernel values can differ in the last bit
 from one-sample ones, so ``observe_many`` is within rounding of, not
 bit-identical to, a loop of ``observe``.
 
@@ -63,7 +63,7 @@ from .core import (
     ComplexDataset, as_sample, check_lam, hermitian_solve, is_int, mirror_lower, packed_diagonal,
     packed_forward, ridge_factor,
 )
-from .kernels import KernelSpec, sq_norms
+from .kernels import KernelSpec
 
 __all__ = ["Wrkls", "streaming_ridge_predictions"]
 
@@ -129,7 +129,6 @@ class Wrkls:
         self._observed = 0
         self._cap = 0
         self._D = np.zeros((0, 0), dtype=np.complex128)
-        self._norms = np.zeros(0)
         self._y = np.zeros(0, dtype=np.complex128)
         self._alpha = np.zeros(0, dtype=np.complex128)
         self._Q = np.zeros((0, 0), dtype=self._dtype, order="F")
@@ -180,7 +179,7 @@ class Wrkls:
         if not cmath.isfinite(y):
             raise ValueError("observe: y is non-finite")
         self._fix_dim(x.shape[1])
-        return complex(self._stream(x, sq_norms(x), (y,))[0])
+        return complex(self._stream(x, (y,))[0])
 
     def observe_many(self, X, y) -> np.ndarray:
         """One-step predictions of a stream: entry i is the prediction of
@@ -195,7 +194,7 @@ class Wrkls:
         """
         data = ComplexDataset(X=X, y=y)
         self._fix_dim(data.d)
-        return self._stream(data.X, sq_norms(data.X), data.y.tolist())
+        return self._stream(data.X, data.y.tolist())
 
     def inverse_residual(self) -> float:
         """``max |Q (K_DD + lam I) - I|`` over the current dictionary, from the
@@ -228,7 +227,6 @@ class Wrkls:
         new_cap = need if self.budget is not None else max(16, 2 * self._cap, need)
         dim = self._dim or 1
         new_d = np.zeros((new_cap, dim), dtype=np.complex128)
-        new_n = np.zeros(new_cap)
         new_y = np.zeros(new_cap, dtype=np.complex128)
         new_a = np.zeros(new_cap, dtype=np.complex128)
         new_q = np.zeros((new_cap, new_cap), dtype=self._dtype, order="F")
@@ -236,29 +234,27 @@ class Wrkls:
         m = self._m
         if m:
             new_d[:m] = self._D[:m]
-            new_n[:m] = self._norms[:m]
             new_y[:m] = self._y[:m]
             new_a[:m] = self._alpha[:m]
             new_q[:m, :m] = self._Q[:m, :m]
             new_k[:m, :m] = self._A[:m, :m]
-        self._D, self._norms, self._y, self._alpha = new_d, new_n, new_y, new_a
+        self._D, self._y, self._alpha = new_d, new_y, new_a
         self._Q, self._A = new_q, new_k
         self._cap = new_cap
 
-    def _stream(self, x: np.ndarray, norms: np.ndarray, y) -> np.ndarray:
-        """Predict and admit checked rows ``x`` in order, with their squared
-        norms ``norms`` and targets ``y`` (Python complex numbers, so that each
-        sample's arithmetic is that of :meth:`observe`), running the periodic
-        residual check; returns the predictions. The kernel columns come a
-        block at a time, as the module docstring describes."""
+    def _stream(self, x: np.ndarray, y) -> np.ndarray:
+        """Predict and admit checked rows ``x`` in order, with targets ``y``
+        (Python complex numbers, so that each sample's arithmetic is that of
+        :meth:`observe`), running the periodic residual check; returns the
+        predictions. The kernel columns come a block at a time, as the module
+        docstring describes."""
         preds = np.empty(len(y), dtype=np.complex128)
         for start in range(0, len(y), BLOCK_ROWS):
             stop = min(start + BLOCK_ROWS, len(y))
             m = self._m
             self._ensure_capacity(m + stop - start)
             rows = np.concatenate((self._D[:m], x[start:stop]))
-            row_norms = np.concatenate((self._norms[:m], norms[start:stop]))
-            gram = self.spec._gram(rows, rows[m:], row_norms, row_norms[m:])
+            gram = self.spec._gram(rows, rows[m:])
             cols = np.zeros((self._cap, stop - start), dtype=self._dtype, order="F")
             cols[:m] = gram[:m]
             cross = gram[m:]
@@ -266,7 +262,7 @@ class Wrkls:
             for t, i in enumerate(range(start, stop)):
                 # the newcomer waits in the spare slot m until it is placed
                 m = self._m
-                self._D[m], self._norms[m], self._y[m] = x[i], norms[i], y[i]
+                self._D[m], self._y[m] = x[i], y[i]
                 preds[i], s = self._step(cols[:, t], shifted[t], y[i])
                 if s is not None:
                     cols[s, t + 1 :] = cross[t, t + 1 :]
@@ -352,7 +348,7 @@ class Wrkls:
     def _place(self, s: int, col: np.ndarray, c: float) -> None:
         """Move the newcomer from spare slot ``len(col)`` into slot ``s``."""
         a, m = self._A, col.shape[0]
-        for v in (self._D, self._norms, self._y):
+        for v in (self._D, self._y):
             v[s] = v[m]
         a[:m, s] = col
         a[s, :m] = col.conj()

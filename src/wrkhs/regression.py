@@ -14,11 +14,10 @@ cheapest exact solve the kernel spec's structure allows:
 Each system is the packed triangle the kernels build (``KernelSpec._gram(x,
 x)``, ``_ridge_systems``), shifted and factored in its own buffer by
 ``core.ridge_solve``; a failed factorization rebuilds it for the jitter
-retry. ``fit_composite`` (the stacked real/imaginary system assembled from
-the full pair) and ``fit_schur`` (the Schur complement of the complex
-2n x 2n augmented system) are the oracles ``fit_augmented`` is checked
-against; they solve full matrices by ``core.hermitian_solve``. ``fit_srkhs``
-is the strictly-complex fit ``alpha = (K + lam I)^-1 y``.
+retry. ``fit_schur`` (the Schur complement of the complex 2n x 2n
+augmented system) is an oracle ``fit_augmented`` is checked against; it
+solves full matrices by ``core.hermitian_solve``. ``fit_srkhs`` is the
+strictly-complex fit ``alpha = (K + lam I)^-1 y``.
 
 Predictions follow ``f(x*) = k(x*, X) alpha + ktilde(x*, X) conj(alpha)``,
 evaluated by ``kernels.apply_pairs`` in blocks of rows of ``x*``, each a
@@ -27,7 +26,7 @@ conj(alpha))`` for the sums of real Gaussians, which never form the Gram
 pair, else the kernel Gram applied to ``alpha``. Models fitted on equal
 inputs share one walk: each block's distances and each gamma's ``exp``. The
 training inputs take the same blocks, so a prediction does not depend on
-which array holds ``x*``. ``predict_composite`` is the composite-path oracle.
+which array holds ``x*``.
 """
 
 from __future__ import annotations
@@ -39,16 +38,14 @@ import numpy as np
 
 from .core import (ComplexDataset, as_samples, check_lam, from_pairs, hermitian_solve,
                    ridge_shift, ridge_solve, to_pairs)
-from .kernels import KernelSpec, apply_pairs, composite_matrix, kernel_from_config
+from .kernels import KernelSpec, apply_pairs, kernel_from_config
 
 __all__ = [
     "WrkhsModel",
-    "fit_composite",
     "fit_schur",
     "fit_augmented",
     "fit_srkhs",
     "predict",
-    "predict_composite",
     "mse_db",
     "model_to_json",
     "model_from_json",
@@ -81,12 +78,6 @@ class WrkhsModel:
         object.__setattr__(self, "X", x)
         object.__setattr__(self, "lam", check_lam(self.lam))
         object.__setattr__(self, "alpha", a)
-
-
-def fit_composite(data: ComplexDataset, spec: KernelSpec, lam: float) -> np.ndarray:
-    """Composite-path coefficients ``(K_com + lam I)^-1 [Re y; Im y]`` (2n real)."""
-    kc = ridge_shift(composite_matrix(*spec.pair(data.X)), check_lam(lam))
-    return hermitian_solve(kc, np.concatenate([data.y.real, data.y.imag]))
 
 
 def fit_schur(data: ComplexDataset, spec: KernelSpec, lam: float) -> WrkhsModel:
@@ -161,17 +152,6 @@ def predict(model: WrkhsModel | tuple[WrkhsModel, ...], x_star):
         raise ValueError("predict takes a model or a tuple of models on equal training inputs")
     preds = apply_pairs(x_star, models[0].X, [(m.spec, m.alpha) for m in models])
     return tuple(preds) if isinstance(model, tuple) else preds[0]
-
-
-def predict_composite(
-    spec: KernelSpec, x_train, alpha_com: np.ndarray, x_star
-) -> np.ndarray:
-    """Composite-path prediction: the 2x-block matrix applied to [ar; aj]."""
-    alpha_com = np.asarray(alpha_com, dtype=np.float64)
-    kc = composite_matrix(*spec.pair(x_star, x_train))
-    f_com = kc @ alpha_com
-    m = f_com.shape[0] // 2
-    return f_com[:m] + 1j * f_com[m:]
 
 
 def mse_db(pred, truth) -> float:

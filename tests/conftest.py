@@ -14,8 +14,7 @@ from wrkhs import (
     SyntheticConfig,
     WrkhsModel,
 )
-from wrkhs.core import as_samples, unpacked
-from wrkhs.kernels import composite_matrix
+from wrkhs.core import as_samples, check_lam, hermitian_solve, ridge_shift, unpacked
 
 
 def random_inputs(rng, n, d, scale=1.5):
@@ -53,6 +52,38 @@ def augmented_gram(spec, x):
     """The augmented kernel matrix ``[[K, Kt], [conj(Kt), conj(K)]]``."""
     k, kt = (np.asarray(m, dtype=np.complex128) for m in spec.pair(x))
     return np.block([[k, kt], [kt.conj(), k.conj()]])
+
+
+def composite_matrix(k: np.ndarray, kt: np.ndarray) -> np.ndarray:
+    """The real composite matrix ``2 [[rr, rj], [jr, jj]]`` of a pair ``(K, Kt)``.
+
+    Its blocks invert the kernel/pseudo-kernel identification:
+    ``rr = (Re k + Re kt)/2``, ``jj = (Re k - Re kt)/2``,
+    ``jr = (Im k + Im kt)/2``, ``rj = (Im kt - Im k)/2``.
+    """
+    rr = (k.real + kt.real) / 2.0
+    jj = (k.real - kt.real) / 2.0
+    jr = (k.imag + kt.imag) / 2.0
+    rj = (kt.imag - k.imag) / 2.0
+    kc = np.block([[rr, rj], [jr, jj]])
+    kc *= 2.0
+    return kc
+
+
+def fit_composite(data, spec, lam) -> np.ndarray:
+    """Composite-path oracle coefficients ``(K_com + lam I)^-1 [Re y; Im y]``
+    (2n real): the stacked real/imaginary system assembled from the full pair."""
+    kc = ridge_shift(composite_matrix(*spec.pair(data.X)), check_lam(lam))
+    return hermitian_solve(kc, np.concatenate([data.y.real, data.y.imag]))
+
+
+def predict_composite(spec, x_train, alpha_com, x_star) -> np.ndarray:
+    """Composite-path oracle prediction: the 2x-block matrix applied to [ar; aj]."""
+    alpha_com = np.asarray(alpha_com, dtype=np.float64)
+    kc = composite_matrix(*spec.pair(x_star, x_train))
+    f_com = kc @ alpha_com
+    m = f_com.shape[0] // 2
+    return f_com[:m] + 1j * f_com[m:]
 
 
 def ridge_systems(spec, x):

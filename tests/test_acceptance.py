@@ -20,13 +20,11 @@ from wrkhs import (
     SumOfSeparable,
     Wrkls,
     fit_augmented,
-    fit_composite,
     fit_schur,
     fit_srkhs,
     generate_source,
     hermitian_solve,
     predict,
-    predict_composite,
     run_equalization,
     run_exp1,
     run_exp2,
@@ -36,8 +34,10 @@ from wrkhs.cli import main as cli_main
 from conftest import (
     experiment1,
     experiment2,
+    fit_composite,
     kernel_value,
     min_composite_eigenvalue,
+    predict_composite,
     pseudo_value,
     random_inputs,
     zoo_specs,

@@ -417,11 +417,13 @@ class TestConfig:
         (lambda: ChannelConfig(rho=0.5, filter_length=0), "^filter_length"),
         (lambda: ChannelConfig(rho=0.5, delay=-1), "^delay"),
         (lambda: ChannelConfig(rho=0.5, n_samples=7), "^n_samples"),  # filter_length + delay
+        (lambda: ChannelConfig(rho=0.5, trials=0), "^trials"),
         (lambda: apply_channel([1.0]), "^s must"),
         (lambda: add_awgn([1.0, 2.0], float("nan"), np.random.default_rng(0)), "^snr_db"),
         (lambda: build_equalizer_dataset([1.0, 2.0, 3.0], [1.0, 2.0], 2, 0), "^r and s"),
     ],
-    ids=["filter_length", "delay", "n_samples", "short_stream", "snr_db", "unequal_streams"],
+    ids=["filter_length", "delay", "n_samples", "trials", "short_stream", "snr_db",
+         "unequal_streams"],
 )
 def test_every_input_check_names_its_field(call, field):
     with pytest.raises(ValueError, match=field):

@@ -24,11 +24,9 @@ from wrkhs import (
     RealGaussian,
     SyntheticConfig,
     fit_augmented,
-    fit_composite,
     model_from_json,
     model_to_json,
     predict,
-    predict_composite,
 )
 from wrkhs import channel, synthetic
 from wrkhs.core import NumericalError
@@ -41,6 +39,7 @@ from wrkhs.cli import (
     read_dataset_csv,
     write_dataset_csv,
 )
+from conftest import fit_composite, predict_composite
 
 
 def write_csv(path, header, rows, comment=None):

@@ -354,8 +354,13 @@ class TestStoreAsAnnotated:
         (lambda: core.ridge_solve(core.packed(-np.eye(3)), 0.0, np.ones(3), None),
          NumericalError, r"A \+ lam I"),
         (lambda: hermitian_solve(np.ones((2, 3)), np.ones(2)), ValueError, "^A must be square"),
+        (lambda: hermitian_solve([[np.nan]], [1]), ValueError, "^A contains non-finite"),
+        (lambda: hermitian_solve([[2, 0.5], [0.5, np.inf]], [1, 1]), ValueError,
+         "^A contains non-finite"),
+        (lambda: hermitian_solve(np.eye(2), [1, np.nan]), ValueError, "^B contains non-finite"),
     ],
-    ids=["ridge_solve_shapes", "ridge_solve_diagonal", "hermitian_solve_square"],
+    ids=["ridge_solve_shapes", "ridge_solve_diagonal", "hermitian_solve_square",
+         "hermitian_solve_nan_a", "hermitian_solve_inf_a", "hermitian_solve_nan_b"],
 )
 def test_every_solver_check_names_its_operand(call, error, field):
     with pytest.raises(error, match=field):

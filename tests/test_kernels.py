@@ -21,9 +21,9 @@ from wrkhs import (
     kernel_from_config,
 )
 from wrkhs.core import as_samples, unpacked
-from wrkhs.kernels import composite_matrix
 from conftest import (
     augmented_gram,
+    composite_matrix,
     kernel_value,
     min_composite_eigenvalue,
     mixed_gamma_blocks,
@@ -235,14 +235,6 @@ class TestSqdist:
                 d2 = unpacked(d2)
             assert (d2 >= 0).all()
             np.testing.assert_allclose(d2, ref, rtol=0, atol=1e-12 * ref.max())
-
-    def test_cached_norms_give_the_same_distances(self):
-        rng = np.random.default_rng(45)
-        x, z = random_inputs(rng, 20, 3), random_inputs(rng, 7, 3)
-        xx, zz = (np.sum(np.abs(v) ** 2, axis=1) for v in (x, z))
-        np.testing.assert_allclose(
-            kernels._sqdist(x, z, xx, zz), kernels._sqdist(x, z), rtol=0, atol=1e-13
-        )
 
     @pytest.mark.parametrize("family", [f for f in zoo_specs() if f != "complex_gaussian"])
     def test_a_sample_whose_distances_overflow_is_refused(self, family):

@@ -327,15 +327,5 @@ class Indefinite(RealGaussian):
         return -super()._gram(x, z, *norms)
 
 
-def test_cached_norms_follow_the_kernels_norm_rule():
-    # after replacements, every slot's cached |D_i|^2 is the rule the distances use
-    x, y = random_stream(np.random.default_rng(17), 300, d=5)
-    model = Wrkls(RealGaussian(1.5), 0.3, budget=16)
-    for i in range(300):
-        model.observe(x[i], y[i])
-    assert model.stats["replacements"] > 0
-    np.testing.assert_array_equal(model._norms[: model.size], kernels.sq_norms(model.dictionary))
-
-
 def test_the_residual_of_an_empty_model_is_zero():
     assert Wrkls(RealGaussian(1.0), 0.1).inverse_residual() == 0.0

@@ -17,7 +17,6 @@ from wrkhs import (
     SeparateRealImag,
     SumOfSeparable,
     fit_augmented,
-    fit_composite,
     fit_schur,
     fit_srkhs,
     hermitian_solve,
@@ -25,12 +24,19 @@ from wrkhs import (
     model_to_json,
     mse_db,
     predict,
-    predict_composite,
     streaming_ridge_predictions,
 )
 from wrkhs import core, kernels, regression
 from wrkhs.core import ridge_solve
-from conftest import mixed_gamma_blocks, random_inputs, ridge_systems, transform_matrix, zoo_specs
+from conftest import (
+    fit_composite,
+    mixed_gamma_blocks,
+    predict_composite,
+    random_inputs,
+    ridge_systems,
+    transform_matrix,
+    zoo_specs,
+)
 
 
 BLOCK = kernels.APPLY_BLOCK_ROWS

@@ -11,7 +11,7 @@ import wrkhs
 ENV_NAMES = {"environ", "environb", "getenv", "getenvb"}
 MODULES = sorted(Path(wrkhs.__file__).parent.glob("*.py"))
 # Exported for the tests to check the library against; nothing calls them.
-ORACLES = {"fit_composite", "fit_schur", "predict_composite"}
+ORACLES = {"fit_schur"}
 
 
 def env_reads(tree: ast.AST) -> list[int]:
@@ -294,6 +294,33 @@ def test_one_gram_product(path):
 )
 def test_detects_syrk_names(source, lines):
     assert sorted(syrk_names(ast.parse(source))) == lines
+
+
+def norm_names(tree: ast.AST) -> list[int]:
+    """Line numbers where ``sq_norms`` is named, imported or spelled."""
+    return named(tree, lambda name: name == "sq_norms")
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "kernels.py"],
+                         ids=lambda p: p.name)
+def test_one_norm_owner(path):
+    # squared sample norms are taken where the distances are, in kernels._sqdist;
+    # no caller computes, keeps or passes them
+    assert norm_names(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+@pytest.mark.parametrize(
+    "source,lines",
+    [
+        ("from .kernels import KernelSpec, sq_norms", [1]),
+        ("from wrkhs.kernels import sq_norms as norms\nnn = norms(x)", [1]),
+        ("from . import kernels\nnn = kernels.sq_norms(x)", [2]),
+        ("norms = getattr(kernels, 'sq_norms')(x)", [1]),
+        ("self._norms = np.zeros(0)\nsq = np.einsum('ij,ij->i', a, a)", []),
+    ],
+)
+def test_detects_norm_names(source, lines):
+    assert sorted(norm_names(ast.parse(source))) == lines
 
 
 def symm_names(tree: ast.AST) -> list[int]:
