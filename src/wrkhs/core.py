@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import inspect
 import itertools
 import math
@@ -422,10 +423,15 @@ class ComplexDataset:
         return self.X.shape[1]
 
 
-def _openblas_pools() -> list[tuple]:
+@functools.cache
+def _openblas_pools() -> tuple[tuple, ...]:
     """``(get, set)`` of the thread count of each OpenBLAS copy that numpy's or
     scipy's wheel has loaded into this process. Each is opened as threadpoolctl
-    opens it: ``dlopen`` with ``RTLD_NOLOAD`` opens a library only if it is loaded."""
+    opens it: ``dlopen`` with ``RTLD_NOLOAD`` opens a library only if it is loaded.
+
+    Found once per process: this module imports ``scipy.linalg``, so both
+    copies are loaded before the first call, and a forked child keeps them at
+    the same addresses."""
     pools = []
     for package in (np, scipy):
         libs = Path(package.__file__).parent.with_name(package.__name__ + ".libs")
@@ -442,7 +448,7 @@ def _openblas_pools() -> list[tuple]:
                     put.argtypes, put.restype = [ctypes.c_int], None
                     pools.append((get, put))
                     break
-    return pools
+    return tuple(pools)
 
 
 @contextlib.contextmanager

@@ -25,10 +25,16 @@ the admitted inverse, the newcomer's entry in place r.
 
 A second buffer slotted like ``Q`` keeps the regularized Gram
 ``K_DD + lam I``, exactly Hermitian. An admit writes the newcomer's kernel
-column ``k(D, x)`` as its column and row there. The periodic residual check
-and a rebuild read this Gram. The check first mirrors the lower triangle of
-``Q`` into the upper one (``core.mirror_lower``), then takes one m x m
-product.
+column ``k(D, x)`` as its column and row there. The periodic self-check and
+a rebuild read this Gram. The check is Freivalds' randomized check: with a
+fixed block V of ``PROBE_COLUMNS`` real +-1 columns it reports
+``max |Q (A V) - V|``, one m x k product with the Gram ``A`` and k
+``?symv``/``?hemv`` on the lower triangle of ``Q``, so O(k m^2) and no m x m
+temporary. A one-entry drift of ``Q (K_DD + lam I) - I`` shows in it at its
+full size, and up to rounding the probe residual is at most m times the
+exact one, which :meth:`Wrkls.inverse_residual` computes with a mirror of
+``Q`` and one m x m product. The probe block's rows come from one fixed-seed
+generator, so a growing model's blocks agree on their common rows.
 
 One update loop serves both entries. ``observe_many`` takes a stream of
 samples, checked once (``core.ComplexDataset``), and returns the one-step
@@ -38,6 +44,9 @@ evaluation on the stacked rows ``[D; block]`` gives every column
 own cross Gram ``k(x_u, x_t)``. The columns wait zero-padded to the
 capacity, so each goes straight to ``?symv``/``?hemv``; when sample u takes
 slot s, row s of the later columns becomes row u of the cross Gram.
+The loop runs its level-2 updates at one BLAS thread
+(``core.limit_blas_threads``), so a stream does not spread an O(m^2) update
+over every core; the counts are given back on return.
 ``observe`` is the one-row case, with one sample taken by
 ``core.as_sample``: a 0-d, (d,) or (1, d) input; any other shape raises
 ``ValueError``. A block's kernel values can differ in the last bit
@@ -60,8 +69,8 @@ import numpy as np
 from scipy.linalg import blas
 
 from .core import (
-    ComplexDataset, as_sample, check_lam, hermitian_solve, is_int, mirror_lower, packed_diagonal,
-    packed_forward, ridge_factor,
+    ComplexDataset, as_sample, check_lam, hermitian_solve, is_int, limit_blas_threads,
+    mirror_lower, packed_diagonal, packed_forward, ridge_factor,
 )
 from .kernels import KernelSpec
 
@@ -70,8 +79,12 @@ __all__ = ["Wrkls", "streaming_ridge_predictions"]
 # Observe calls between self-checks of the maintained inverse.
 RESIDUAL_CHECK_INTERVAL = 128
 
-# Max tolerated |Q (K + lam I) - I| before a full rebuild is forced.
+# Max tolerated probe residual |Q (K + lam I) V - V| before a full rebuild is forced.
 RESIDUAL_TOL = 1e-6
+
+# Columns of the self-check's probe block V, and the seed of its generator.
+PROBE_COLUMNS = 4
+PROBE_SEED = 1977
 
 # Samples per kernel evaluation of the update loop: a block's columns against
 # the dictionary and its own cross Gram come from one GEMM. At budget 500 a
@@ -110,7 +123,8 @@ class Wrkls:
     coefficients define the kernel expansion over the current bases.
     ``stats`` counts admits, the replacements among them, skipped newcomers
     and rebuilds by cause, and keeps the latest and the worst residual of the
-    periodic check.
+    periodic check. Those are probe residuals ``max |Q (A V) - V|`` (see the
+    module docstring), not the exact :meth:`inverse_residual`.
     """
 
     def __init__(self, spec: KernelSpec, lam: float, budget: int | None = None):
@@ -134,6 +148,8 @@ class Wrkls:
         self._Q = np.zeros((0, 0), dtype=self._dtype, order="F")
         # the regularized dictionary Gram K_DD + lam I, slot for slot like Q
         self._A = np.zeros((0, 0), dtype=self._dtype, order="F")
+        # the self-check's probe block, one row per slot
+        self._V = np.zeros((0, PROBE_COLUMNS))
         self.stats = {"admits": 0, "replacements": 0, "skipped": 0, "residual_max": 0.0,
                       "residual_last": 0.0, "rebuilds": {"singular": 0, "residual": 0}}
 
@@ -198,7 +214,8 @@ class Wrkls:
 
     def inverse_residual(self) -> float:
         """``max |Q (K_DD + lam I) - I|`` over the current dictionary, from the
-        kept Gram: one m x m product, no kernel evaluation."""
+        kept Gram: one m x m product, no kernel evaluation. This is the exact
+        residual; the periodic self-check takes the cheaper probe one."""
         m = self._m
         if m == 0:
             return 0.0
@@ -240,41 +257,58 @@ class Wrkls:
             new_k[:m, :m] = self._A[:m, :m]
         self._D, self._y, self._alpha = new_d, new_y, new_a
         self._Q, self._A = new_q, new_k
+        # rows drawn in order, so a larger block extends a smaller one
+        draws = np.random.default_rng(PROBE_SEED).random((new_cap, PROBE_COLUMNS))
+        self._V = np.where(draws < 0.5, -1.0, 1.0)
         self._cap = new_cap
 
     def _stream(self, x: np.ndarray, y) -> np.ndarray:
         """Predict and admit checked rows ``x`` in order, with targets ``y``
         (Python complex numbers, so that each sample's arithmetic is that of
-        :meth:`observe`), running the periodic residual check; returns the
+        :meth:`observe`), running the periodic self-check; returns the
         predictions. The kernel columns come a block at a time, as the module
         docstring describes."""
         preds = np.empty(len(y), dtype=np.complex128)
-        for start in range(0, len(y), BLOCK_ROWS):
-            stop = min(start + BLOCK_ROWS, len(y))
-            m = self._m
-            self._ensure_capacity(m + stop - start)
-            rows = np.concatenate((self._D[:m], x[start:stop]))
-            gram = self.spec._gram(rows, rows[m:])
-            cols = np.zeros((self._cap, stop - start), dtype=self._dtype, order="F")
-            cols[:m] = gram[:m]
-            cross = gram[m:]
-            shifted = (cross.diagonal().real + self.lam).tolist()  # k(x, x) + lam
-            for t, i in enumerate(range(start, stop)):
-                # the newcomer waits in the spare slot m until it is placed
+        with limit_blas_threads(1):
+            for start in range(0, len(y), BLOCK_ROWS):
+                stop = min(start + BLOCK_ROWS, len(y))
                 m = self._m
-                self._D[m], self._y[m] = x[i], y[i]
-                preds[i], s = self._step(cols[:, t], shifted[t], y[i])
-                if s is not None:
-                    cols[s, t + 1 :] = cross[t, t + 1 :]
-                self._observed += 1
-                if self._observed % RESIDUAL_CHECK_INTERVAL == 0:
-                    stats = self.stats
-                    stats["residual_last"] = residual = self.inverse_residual()
-                    stats["residual_max"] = max(stats["residual_max"], residual)
-                    if residual > RESIDUAL_TOL:
-                        stats["rebuilds"]["residual"] += 1
-                        self._rebuild()
+                self._ensure_capacity(m + stop - start)
+                rows = np.concatenate((self._D[:m], x[start:stop]))
+                gram = self.spec._gram(rows, rows[m:])
+                cols = np.zeros((self._cap, stop - start), dtype=self._dtype, order="F")
+                cols[:m] = gram[:m]
+                cross = gram[m:]
+                shifted = (cross.diagonal().real + self.lam).tolist()  # k(x, x) + lam
+                for t, i in enumerate(range(start, stop)):
+                    # the newcomer waits in the spare slot m until it is placed
+                    m = self._m
+                    self._D[m], self._y[m] = x[i], y[i]
+                    preds[i], s = self._step(cols[:, t], shifted[t], y[i])
+                    if s is not None:
+                        cols[s, t + 1 :] = cross[t, t + 1 :]
+                    self._observed += 1
+                    if self._observed % RESIDUAL_CHECK_INTERVAL == 0:
+                        stats = self.stats
+                        stats["residual_last"] = residual = self._probe_residual()
+                        stats["residual_max"] = max(stats["residual_max"], residual)
+                        if residual > RESIDUAL_TOL:
+                            stats["rebuilds"]["residual"] += 1
+                            self._rebuild()
         return preds
+
+    def _probe_residual(self) -> float:
+        """``max |Q (A V) - V|`` over the live rows, for the Gram ``A`` and the
+        probe block ``V``: one m x k product, then one ``?symv``/``?hemv`` per
+        column on the lower triangle of ``Q`` with a zero-padded vector."""
+        m = self._m
+        v = self._V[:m]
+        av = np.zeros((self._cap, PROBE_COLUMNS), dtype=self._dtype, order="F")
+        av[:m] = self._A[:m, :m] @ v
+        return max(
+            float(np.max(np.abs(self._hemv(1.0, self._Q, av[:, j], lower=1)[:m] - v[:, j])))
+            for j in range(PROBE_COLUMNS)
+        )
 
     def _step(self, k: np.ndarray, c: float, y: complex) -> tuple[complex, int | None]:
         """Predict ``y`` and admit the newcomer in spare slot m, given its

@@ -15,7 +15,7 @@ from wrkhs import (
     predict,
     streaming_ridge_predictions,
 )
-from wrkhs import core, kernels
+from wrkhs import core, kernels, online
 from wrkhs.online import BLOCK_ROWS, RESIDUAL_CHECK_INTERVAL, RESIDUAL_TOL
 from conftest import online_model, random_inputs
 
@@ -252,6 +252,62 @@ class TestStats:
         assert 0.0 < stats["residual_last"] == stats["residual_max"] <= 1e-9
 
 
+class TestProbeCheck:
+    """The periodic self-check is a probe ``max |Q (A V) - V|`` with a fixed +-1 block V."""
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_one_entry_drift_of_q_forces_a_rebuild(self, name):
+        # the drift E of one lower entry and its mirror shows as E (A V): any
+        # entry, in any kernel, is seen far above the tolerance
+        spec = SPECS[name]
+        x, y = random_stream(np.random.default_rng(36), RESIDUAL_CHECK_INTERVAL)
+        for i, j in zip(*np.tril_indices(8, -1)):
+            model = Wrkls(spec, 0.3, budget=8)
+            model.observe_many(x[:-1], y[:-1])
+            model._Q[i, j] += 1e-4
+            model.observe(x[-1], y[-1])
+            assert model.stats["rebuilds"]["residual"] == 1, (i, j)
+            assert model.stats["residual_last"] > RESIDUAL_TOL
+            refit = fit_srkhs(ComplexDataset(X=model.dictionary, y=model.targets), spec, 0.3)
+            np.testing.assert_allclose(model.coefficients, refit.alpha, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("budget", [8, None])
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_probe_residual_is_at_most_m_times_the_exact_one(self, name, budget):
+        # |(R V)_ij| <= m max |R| for R = Q A - I and entries of V in {-1, 1}
+        x, y = random_stream(np.random.default_rng(37), 2 * RESIDUAL_CHECK_INTERVAL)
+        model = Wrkls(SPECS[name], 0.3, budget=budget)
+        for block in range(2):
+            part = slice(block * RESIDUAL_CHECK_INTERVAL, (block + 1) * RESIDUAL_CHECK_INTERVAL)
+            model.observe_many(x[part], y[part])
+            assert 0.0 < model.stats["residual_last"] <= model.size * model.inverse_residual()
+        assert model.stats["rebuilds"]["residual"] == 0
+
+    def test_the_check_takes_neither_the_mirror_nor_the_full_product(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the periodic check took the m x m path")
+
+        monkeypatch.setattr(online, "mirror_lower", refuse)
+        monkeypatch.setattr(Wrkls, "inverse_residual", refuse)
+        x, y = random_stream(np.random.default_rng(38), 2 * RESIDUAL_CHECK_INTERVAL + 5)
+        for budget in (8, None):
+            model = Wrkls(ComplexGaussian(gamma=60.0), 0.3, budget=budget)
+            model.observe_many(x[:-5], y[:-5])
+            for i in range(len(y) - 5, len(y)):
+                model.observe(x[i], y[i])
+            assert model.stats["residual_last"] > 0.0
+
+    def test_the_probe_block_of_a_grown_model_extends_the_smaller_one(self):
+        x, y = random_stream(np.random.default_rng(39), 40)
+        model = Wrkls(RealGaussian(1.0), 0.3)
+        model.observe_many(x[:10], y[:10])
+        small = model._V.copy()
+        model.observe_many(x[10:], y[10:])
+        np.testing.assert_array_equal(model._V[: len(small)], small)
+        assert len(model._V) > len(small)
+        assert set(np.unique(model._V)) == {-1.0, 1.0}
+
+
 class TestNonfiniteInput:
     @pytest.mark.parametrize(
         "x,y",
@@ -388,6 +444,37 @@ class TestObserveMany:
         counted(core, "as_samples")
         model.observe_many(x[7:], y[7:])
         assert calls == {"sqdist": 3, "as_samples": 1}  # 2 * BLOCK_ROWS + 5 rows: 3 blocks
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_the_loop_runs_at_one_blas_thread(self, monkeypatch, fails):
+        pools = core._openblas_pools()
+        if not pools:
+            pytest.skip("no OpenBLAS loaded")
+        x, y = random_stream(np.random.default_rng(40), 20)
+        model = Wrkls(RealGaussian(1.0), 0.3, budget=5)
+        step, inside = model._step, []
+
+        def recorded(*args):
+            inside.append([get() for get, _ in pools])
+            if fails and len(inside) == 10:
+                raise KeyError("left by an exception")
+            return step(*args)
+
+        monkeypatch.setattr(model, "_step", recorded)
+        before = [get() for get, _ in pools]
+        try:
+            for _, put in pools:
+                put(2)
+            if fails:
+                with pytest.raises(KeyError):
+                    model.observe_many(x, y)
+            else:
+                model.observe_many(x, y)
+            assert [get() for get, _ in pools] == [2] * len(pools)
+        finally:
+            for (_, put), count in zip(pools, before):
+                put(count)
+        assert inside == [[1] * len(pools)] * (10 if fails else 20)
 
     @pytest.mark.parametrize("row", [0, 9, 19])
     @pytest.mark.parametrize("bad", [np.nan, complex(0.0, np.inf)])
