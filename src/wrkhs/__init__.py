@@ -19,6 +19,7 @@ from .kernels import (
     kernel_from_config,
 )
 from .regression import (
+    FitInfo,
     WrkhsModel,
     fit_augmented,
     fit_schur,

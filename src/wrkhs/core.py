@@ -16,8 +16,11 @@ triangle (``transr="N"``; Gustavson et al., ACM TOMS 37(2), 2010): the
 n (n + 1) / 2 entries of an order-n matrix in one 1-D buffer.
 ``ridge_solve`` and ``ridge_factor`` shift a Gram as the kernels hand it
 over (``kernels.KernelSpec._gram(x, x)``) and factor it in place by the one
-Cholesky, ``?pftrf``, with one jitter retry; ``packed_solve`` and
-``packed_forward`` solve by the factor. ``packed`` and ``unpacked`` convert
+Cholesky, ``?pftrf``, with one jitter retry, which logs a ``WARNING`` on the
+``wrkhs.core`` logger; each returns the diagonal shift it factored, so a fit
+can report it. ``packed_solve`` and ``packed_forward`` solve by the factor.
+A system of order below ``SMALL_SYSTEM_ORDER`` is factored and solved on one
+BLAS thread (``limit_blas_threads``). ``packed`` and ``unpacked`` convert
 full matrices, the latter through ``mirror_lower``, the one mirror of a
 lower triangle. ``hermitian_solve`` solves a full matrix after checking that
 it and the right-hand side are finite and that it is Hermitian to
@@ -27,7 +30,8 @@ real call on its stacked real and imaginary parts.
 
 ``limit_blas_threads`` caps the thread pools of the OpenBLAS copies numpy and
 scipy have loaded for the length of a block, so that processes running BLAS
-side by side share the cores instead of each taking all of them.
+side by side share the cores instead of each taking all of them, and small
+solves do not wait for a pool.
 
 All functions here but ``ridge_shift``, ``ridge_solve``, ``ridge_factor`` and
 ``mirror_lower``, which work in the buffer they are given, and
@@ -43,6 +47,7 @@ import ctypes
 import functools
 import inspect
 import itertools
+import logging
 import math
 import numbers
 import os
@@ -85,9 +90,20 @@ HERMITIAN_ATOL = 1e-12
 # Rows per block of the |A - A^H| check: a temporary is one block, not a copy.
 ASYMMETRY_BLOCK_ROWS = 256
 
+# Systems of a lower order are factored and solved on one BLAS thread. A packed
+# Cholesky and solve on a 2-core shared host, 2 threads against 1, median of 21
+# alternating calls each after 5 ms of Python work: order 128 0.41 against 0.48
+# ms (in another run 8.3 against 0.39: waking the pool can cost more than the
+# solve), 256 0.88 against 0.90, 384 1.58 against 1.32, 512 2.87 against 3.47,
+# 768 6.3 against 8.5, 1024 11.3 against 12.6, 1536 32 against 47.
+SMALL_SYSTEM_ORDER = 512
+
 # The OpenBLAS that numpy's and scipy's Linux wheels each ship in the package's
 # ``<name>.libs`` directory; its thread calls end in ``64_`` (numpy's) or not.
 OPENBLAS_LIBRARIES = "libscipy_openblas*.so"
+
+
+_log = logging.getLogger(__name__)
 
 
 class NumericalError(RuntimeError):
@@ -255,9 +271,10 @@ def ridge_shift(a: np.ndarray, lam: float) -> np.ndarray:
     return a
 
 
-def ridge_solve(a: np.ndarray, lam: float, b, rebuild) -> np.ndarray:
+def ridge_solve(a: np.ndarray, lam: float, b, rebuild) -> tuple[np.ndarray, float]:
     """Solve ``(A + lam I) X = B`` in the buffer ``a``, the RFP triangle of the
-    Hermitian (n, n) ``A``, for an (n,) or (n, k) ``B``.
+    Hermitian (n, n) ``A``, for an (n,) or (n, k) ``B``; returns ``X`` and the
+    diagonal shift the solved system carried.
 
     ``a`` is overwritten in place. ``lam`` goes on the diagonal; an exactly
     diagonal system is then solved by elementwise division, and any other is
@@ -274,24 +291,29 @@ def ridge_solve(a: np.ndarray, lam: float, b, rebuild) -> np.ndarray:
         if np.any(d.real <= 0) or np.any(d.imag != 0):
             raise NumericalError("diagonal matrix A + lam I is not positive definite")
         d = d.real
-        return b / (d[:, None] if b.ndim > 1 else d)
+        return b / (d[:, None] if b.ndim > 1 else d), lam
     held = [a]
     del a  # so that no reference keeps a failed factorization through the retry
-    return packed_solve(_cholesky(held, lambda: ridge_shift(rebuild(), lam)), b)
+    low, jitter = _cholesky(held, lambda: ridge_shift(rebuild(), lam))
+    return packed_solve(low, b), lam + jitter
 
 
-def ridge_factor(a: np.ndarray, lam: float, rebuild) -> np.ndarray:
+def ridge_factor(a: np.ndarray, lam: float, rebuild) -> tuple[np.ndarray, float]:
     """The Cholesky factor ``L`` of ``A + lam I = L L^H``, factored in place in
-    the buffer ``a``, the RFP triangle of the Hermitian (n, n) ``A``.
+    the buffer ``a``, the RFP triangle of the Hermitian (n, n) ``A``, and the
+    diagonal shift that was factored.
 
-    ``L`` is returned as the RFP triangle it is factored in, ``a`` itself. If
-    the factorization fails, ``rebuild()`` returns ``A`` afresh, ``lam`` and
-    ``1e-12 * trace/n`` go on its diagonal and it is factored once more, then
-    :class:`NumericalError` is raised.
+    ``L`` is returned as the RFP triangle it is factored in, ``a`` itself, with
+    the shift ``lam``. If the factorization fails, ``rebuild()`` returns ``A``
+    afresh, ``lam`` and the jitter ``1e-12 * trace/n`` of ``A + lam I`` go on its
+    diagonal, one ``WARNING`` is logged on ``wrkhs.core``, and it is factored
+    once more, with the shift ``lam + jitter``; then :class:`NumericalError`
+    is raised.
     """
     held = [ridge_shift(a, lam)]
     del a
-    return _cholesky(held, lambda: ridge_shift(rebuild(), lam))
+    low, jitter = _cholesky(held, lambda: ridge_shift(rebuild(), lam))
+    return low, lam + jitter
 
 
 def packed_solve(low: np.ndarray, b) -> np.ndarray:
@@ -299,33 +321,48 @@ def packed_solve(low: np.ndarray, b) -> np.ndarray:
     lower-triangular ``L`` and an (n,) or (n, k) ``B``; complex when ``B`` is."""
     def solve(m, rhs):
         return get_lapack_funcs(("pftrs",), (m, rhs))[0](len(rhs), m, rhs, uplo="L")[0]
-    return stacked_apply(solve, low, b)
+    with _sized_pool(packed_order(low)):
+        return stacked_apply(solve, low, b)
 
 
 def packed_forward(low: np.ndarray, b) -> np.ndarray:
     """``L^-1 B`` (``?tfsm``), with ``low`` and ``B`` as :func:`packed_solve` takes them."""
     def solve(m, rhs):
         return get_lapack_funcs(("tfsm",), (m, rhs))[0](1.0, m, rhs, uplo="L")
-    return stacked_apply(solve, low, b)
+    with _sized_pool(packed_order(low)):
+        return stacked_apply(solve, low, b)
 
 
-def _cholesky(held: list, again) -> np.ndarray:
+def _sized_pool(n: int):
+    """One BLAS thread for a system of order below ``SMALL_SYSTEM_ORDER``, which
+    one thread factors and solves about as fast, without waiting for a pool to
+    wake; a larger one keeps the pools as they are."""
+    return limit_blas_threads(1) if n < SMALL_SYSTEM_ORDER else contextlib.nullcontext()
+
+
+def _cholesky(held: list, again) -> tuple[np.ndarray, float]:
     """The package's one Cholesky: the RFP triangle taken out of ``held``
-    factored in place; after a failure, with the failed buffer dropped, once
-    more on ``again()`` with the jitter on its diagonal. A first factor with a
-    pivot ``L_ii^2`` of at most ``n eps`` times the largest has failed too."""
+    factored in place, and the jitter added to its diagonal (0 on the first
+    try); after a failure, with the failed buffer dropped, once more on
+    ``again()`` with the jitter on its diagonal. A first factor with a pivot
+    ``L_ii^2`` of at most ``n eps`` times the largest has failed too."""
+    jitter = 0.0
     for retry in (False, True):
         a = held.pop()
         n = packed_order(a)
-        low, info = get_lapack_funcs(("pftrf",), (a,))[0](n, a, uplo="L", overwrite_a=1)
+        with _sized_pool(n):
+            low, info = get_lapack_funcs(("pftrf",), (a,))[0](n, a, uplo="L", overwrite_a=1)
         pivots = np.square(low[packed_diagonal(n)].real)
         if info == 0 and (retry or not n or pivots.min() > n * np.finfo(float).eps * pivots.max()):
-            return low
+            return low, jitter
         del a, low
         if retry:
             raise NumericalError("Cholesky factorization failed; matrix appears indefinite")
         a = again()
-        held.append(ridge_shift(a, 1e-12 * np.mean(a[packed_diagonal(packed_order(a))].real)))
+        jitter = 1e-12 * float(np.mean(a[packed_diagonal(n)].real))
+        _log.warning("Cholesky of order %d failed; retrying with jitter %.6g on the diagonal",
+                     n, jitter)
+        held.append(ridge_shift(a, jitter))
 
 
 def hermitian_solve(a, b) -> np.ndarray:
@@ -352,7 +389,7 @@ def hermitian_solve(a, b) -> np.ndarray:
         asym = max(asym, float(np.max(np.abs(a[rows] - a[:, rows].conj().T))))
     if asym > HERMITIAN_ATOL:
         raise ValueError(f"matrix is not Hermitian (max asymmetry {asym:.3e})")
-    return ridge_solve(packed(a), 0.0, b, lambda: packed(a))
+    return ridge_solve(packed(a), 0.0, b, lambda: packed(a))[0]
 
 
 def mirror_lower(a: np.ndarray, conj: bool = True) -> np.ndarray:

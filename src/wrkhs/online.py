@@ -409,5 +409,5 @@ def streaming_ridge_predictions(
     lam = _recursion_lam(spec, lam)
     data = ComplexDataset(X=x, y=y)
     x, y = data.X, data.y
-    low = ridge_factor(spec._gram(x, x), lam, lambda: spec._gram(x, x))
+    low, _ = ridge_factor(spec._gram(x, x), lam, lambda: spec._gram(x, x))
     return y - low[packed_diagonal(len(y))].real * packed_forward(low, y)

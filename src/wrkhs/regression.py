@@ -14,10 +14,15 @@ cheapest exact solve the kernel spec's structure allows:
 Each system is the packed triangle the kernels build (``KernelSpec._gram(x,
 x)``, ``_ridge_systems``), shifted and factored in its own buffer by
 ``core.ridge_solve``; a failed factorization rebuilds it for the jitter
-retry. ``fit_schur`` (the Schur complement of the complex 2n x 2n
-augmented system) is an oracle ``fit_augmented`` is checked against; it
-solves full matrices by ``core.hermitian_solve``. ``fit_srkhs`` is the
-strictly-complex fit ``alpha = (K + lam I)^-1 y``.
+retry. Each fit keeps a :class:`FitInfo` on its model: the solve path, ``h``
+and the diagonal shift of each factorization. The training residual then
+comes from the solved system itself: with shifts ``s1`` (``R``) and ``s2``
+(``J``), ``y - f(X) = h (s1 Re(alpha/h) + j s2 Im(alpha/h))``, which is
+``lam alpha`` unless the jitter retry ran, so no kernel is evaluated again
+(:meth:`FitInfo.residual`). ``fit_schur`` (the Schur complement of the
+complex 2n x 2n augmented system) is an oracle ``fit_augmented`` is checked
+against; it solves full matrices by ``core.hermitian_solve``. ``fit_srkhs``
+is the strictly-complex fit ``alpha = (K + lam I)^-1 y``.
 
 Predictions follow ``f(x*) = k(x*, X) alpha + ktilde(x*, X) conj(alpha)``,
 evaluated by ``kernels.apply_pairs`` in blocks of rows of ``x*``, each a
@@ -32,7 +37,7 @@ which array holds ``x*``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,6 +46,7 @@ from .core import (ComplexDataset, as_samples, check_lam, from_pairs, hermitian_
 from .kernels import KernelSpec, apply_pairs, kernel_from_config
 
 __all__ = [
+    "FitInfo",
     "WrkhsModel",
     "fit_schur",
     "fit_augmented",
@@ -56,17 +62,43 @@ MSE_DB_FLOOR = -320.0
 
 
 @dataclass(frozen=True)
+class FitInfo:
+    """What a batch fit solved.
+
+    ``path`` is ``"srkhs"`` (the n x n solve of a null pseudo-kernel),
+    ``"split"`` (the two real n x n solves of a phase-aligned pair) or ``"2n"``
+    (one real 2n x 2n solve). ``h`` is the rotation of the real form, ``alpha
+    = h (br + j bi)``, 1 on the ``srkhs`` path. ``shifts`` holds the diagonal
+    shift each factorization used, in solve order: ``lam``, or ``lam`` plus
+    the jitter ``1e-12 * trace/n`` after a retry.
+    """
+
+    path: str
+    h: complex
+    shifts: tuple[float, ...]
+
+    def residual(self, alpha) -> np.ndarray:
+        """``y - f(X)`` on the training inputs of the fit that found ``alpha``,
+        ``h (s1 Re(alpha/h) + j s2 Im(alpha/h))`` for the first and last shifts
+        (the one shift of a single system), up to the solve's rounding."""
+        b = np.asarray(alpha) / self.h
+        return self.h * (self.shifts[0] * b.real + 1j * self.shifts[-1] * b.imag)
+
+
+@dataclass(frozen=True)
 class WrkhsModel:
     """A fitted model: training inputs, kernel spec, ridge weight, coefficients.
 
     The conjugate coefficient pair acting on the pseudo-kernel is implied:
-    predictions use both ``alpha`` and ``conj(alpha)``.
+    predictions use both ``alpha`` and ``conj(alpha)``. ``info`` is what the
+    fit solved; it is not serialized, so a model read from JSON has none.
     """
 
     X: np.ndarray
     spec: KernelSpec
     lam: float
     alpha: np.ndarray
+    info: FitInfo | None = field(default=None, compare=False)
 
     def __post_init__(self):
         x = as_samples(self.X, "X")
@@ -113,12 +145,14 @@ def fit_augmented(data: ComplexDataset, spec: KernelSpec, lam: float) -> WrkhsMo
     x, n = data.X, data.n
     h, systems = spec._ridge_systems(x)
     rhs = data.y / h
-    parts = [rhs.real, rhs.imag] if len(systems) == 2 else [np.concatenate([rhs.real, rhs.imag])]
-    b = np.concatenate([ridge_solve(systems.pop(0), lam, part,
-                                    lambda k=k: spec._ridge_systems(x)[1][k])
-                        for k, part in enumerate(parts)])
+    split = len(systems) == 2
+    parts = [rhs.real, rhs.imag] if split else [np.concatenate([rhs.real, rhs.imag])]
+    solved = [ridge_solve(systems.pop(0), lam, part, lambda k=k: spec._ridge_systems(x)[1][k])
+              for k, part in enumerate(parts)]
+    b = np.concatenate([sol for sol, _ in solved])
     alpha = h * (b[:n] + 1j * b[n:])
-    return WrkhsModel(X=data.X, spec=spec, lam=lam, alpha=alpha)
+    info = FitInfo("split" if split else "2n", h, tuple(shift for _, shift in solved))
+    return WrkhsModel(X=data.X, spec=spec, lam=lam, alpha=alpha, info=info)
 
 
 def fit_srkhs(data: ComplexDataset, spec: KernelSpec, lam: float) -> WrkhsModel:
@@ -134,8 +168,9 @@ def fit_srkhs(data: ComplexDataset, spec: KernelSpec, lam: float) -> WrkhsModel:
             f"family {spec.family!r}"
         )
     x = data.X
-    alpha = ridge_solve(spec._gram(x, x), lam, data.y, lambda: spec._gram(x, x))
-    return WrkhsModel(X=data.X, spec=spec, lam=lam, alpha=alpha)
+    alpha, shift = ridge_solve(spec._gram(x, x), lam, data.y, lambda: spec._gram(x, x))
+    return WrkhsModel(X=data.X, spec=spec, lam=lam, alpha=alpha,
+                      info=FitInfo("srkhs", 1.0, (shift,)))
 
 
 def predict(model: WrkhsModel | tuple[WrkhsModel, ...], x_star):

@@ -26,6 +26,7 @@ from wrkhs import (
     fit_augmented,
     model_from_json,
     model_to_json,
+    mse_db,
     predict,
 )
 from wrkhs import channel, synthetic
@@ -196,6 +197,22 @@ class TestColumnWriter:
         rows = map(np.ndarray.tolist, np.column_stack([x.real, x.imag, y.real, y.imag]))
         write_csv(tmp_path / "want.csv", header, rows)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_text_carried_across_blocks_matches_per_row_repr(self, tmp_path):
+        # each block draws from one pool, so most patterns recur from the block
+        # before and take its text; both zeros and NaNs of several payloads and
+        # signs recur too, and a pattern may skip a block and come back
+        rng = np.random.default_rng(5)
+        pool = np.array(SPECIAL_BITS + rng.integers(0, 2**63, size=30).tolist(), dtype=np.uint64)
+        n = 4 * B + 3
+        columns = [pool[rng.integers(len(pool), size=n)].view(np.float64) for _ in range(2)]
+        columns[1][B : 2 * B] = 0.5  # the second column's pool skips its second block
+        columns.append(np.arange(n))
+        _write_csv(tmp_path / "c.csv", ["a", "b", "i"], columns)
+        lines = (tmp_path / "c.csv").read_bytes().decode().split("\r\n")
+        assert lines[-1] == "" and lines[0] == "a,b,i"
+        want = [",".join(map(repr, row)) for row in zip(*(c.tolist() for c in columns))]
+        assert lines[1:-1] == want
 
     def test_memory_does_not_grow_with_rows(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -583,6 +600,55 @@ class TestFit:
         assert rc == 2
         assert "non-finite" in capsys.readouterr().err
         assert not pred_path.exists()
+
+
+# one kernel per solve path of a fit: the real and the complex n x n solve, the
+# split solves of two phase-aligned pairs, and the one 2n solve of a pair without a phase
+FIT_PATHS = {
+    "real_srkhs": {"family": "real_gaussian", "params": {"gamma": 0.8}},
+    "complex_srkhs": {"family": "complex_gaussian", "params": {"gamma": 60.0}},
+    "split_separate": {"family": "separate_real_imag",
+                       "params": {"rr": {"gamma": 0.9}, "jj": {"gamma": 3.1}}},
+    "split_sum": {"family": "sum_of_separable", "params": {"terms": [
+        {"weight": 0.3, "gamma": 2.0, "scale": 1.0}, {"weight": 0.6, "gamma": 0.7, "scale": 1.0}]}},
+    "2n_blocks": {"family": "real_imag_blocks", "params": {
+        "rr": {"gamma": 0.9}, "jj": {"gamma": 3.1, "scale": 0.7},
+        "rj": {"gamma": 2.0, "scale": 0.2}, "jr": {"gamma": 2.0, "scale": 0.2}}},
+}
+
+
+class TestTrainingMse:
+    """``fit`` prints the training MSE of the system it solved, from the ridge
+    identity: it matches a prediction on the training inputs on every path."""
+
+    @staticmethod
+    def fit(tmp_path, capsys, data, kernel, lam):
+        write_dataset_csv(tmp_path / "train.csv", data)
+        model_path = tmp_path / "model.json"
+        argv = ["fit", "--dataset", str(tmp_path / "train.csv"), "--kernel", json.dumps(kernel),
+                "--lam", repr(lam), "--out", str(model_path)]
+        assert main(argv) == 0
+        printed = float(capsys.readouterr().out.split("training_mse_db=")[1])
+        model = model_from_json(model_path.read_text())
+        return printed, mse_db(predict(model, data.X), data.y)
+
+    @pytest.mark.parametrize("lam", [1e-3, 0.3])
+    @pytest.mark.parametrize("path", FIT_PATHS)
+    def test_matches_a_prediction(self, tmp_path, capsys, path, lam):
+        rng = np.random.default_rng(31)
+        x = 1.5 * (rng.standard_normal((60, 2)) + 1j * rng.standard_normal((60, 2)))
+        y = np.sinc(x[:, 0].real) + 1j * np.cos(x[:, 1].imag) + 0.1 * rng.standard_normal(60)
+        printed, want = self.fit(tmp_path, capsys, ComplexDataset(X=x, y=y), FIT_PATHS[path], lam)
+        assert abs(printed - want) <= 1e-6, (printed, want)
+
+    @pytest.mark.parametrize("path", FIT_PATHS)
+    def test_matches_a_prediction_after_the_jitter_retry(self, tmp_path, capsys, path):
+        # lam = 0 on three equal samples: every factorization takes the jitter,
+        # and the identity reads the shift that was factored, not lam = 0
+        x = np.array([1 + 1j, 1 + 1j, 0.5j, 2.0, 1 + 1j, -0.5 + 0.25j])
+        y = np.arange(1.0, 7.0) - 1j
+        printed, want = self.fit(tmp_path, capsys, ComplexDataset(X=x, y=y), FIT_PATHS[path], 0.0)
+        assert abs(printed - want) <= 1e-2, (printed, want)
 
 
 class TestKernelSurface:

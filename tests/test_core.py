@@ -99,8 +99,8 @@ class TestHermitianFactor:
     @staticmethod
     def factor(a, lam=0.0):
         buffer = packed(a)
-        low = ridge_factor(buffer, lam, lambda: packed(a))
-        assert low is buffer
+        low, shift = ridge_factor(buffer, lam, lambda: packed(a))
+        assert low is buffer and shift == lam
         return np.tril(unpacked(low))
 
     @pytest.mark.parametrize("dtype", [float, complex])
@@ -130,17 +130,47 @@ class TestHermitianFactor:
             return ridge_shift(m, lam)
 
         monkeypatch.setattr(core, "ridge_shift", shift)
-        low = np.tril(unpacked(ridge_factor(packed(a), 0.0, lambda: packed(a))))
+        low, shift = ridge_factor(packed(a), 0.0, lambda: packed(a))
+        low = np.tril(unpacked(low))
         jitter = 1e-12 * np.trace(a) / 3
         # lam on the first build, lam again on the second, then exactly the jitter
         assert shifts == [0.0, 0.0, jitter]
+        assert shift == jitter
         # the packed Cholesky rounds apart from LAPACK's dense one, here by
         # 2.5e-13 of an entry, so the dense factor is matched to 1e-12
         np.testing.assert_allclose(low, np.linalg.cholesky(a + jitter * np.eye(3)), rtol=1e-12)
 
+    def test_jitter_retry_logs_one_warning(self, caplog):
+        a = np.ones((3, 3))
+        with caplog.at_level("WARNING", logger="wrkhs.core"):
+            ridge_factor(packed(a), 0.0, lambda: packed(a))
+        assert [(r.name, r.levelname) for r in caplog.records] == [("wrkhs.core", "WARNING")]
+        assert "order 3" in caplog.records[0].getMessage()
+
     def test_indefinite_after_the_jitter_fails_hard(self):
         with pytest.raises(NumericalError, match="indefinite"):
             self.factor(np.diag([1.0, -1.0]))
+
+
+class TestSmallSystemThreads:
+    """A system of order below ``SMALL_SYSTEM_ORDER`` is factored and solved
+    at one BLAS thread; a larger one keeps the pools as they are."""
+
+    @pytest.mark.parametrize("n", [2, core.SMALL_SYSTEM_ORDER - 1, core.SMALL_SYSTEM_ORDER])
+    def test_limit_follows_the_order(self, n, monkeypatch):
+        limits = []
+        real = core.limit_blas_threads
+
+        def recording(limit):
+            limits.append(limit)
+            return real(limit)
+
+        monkeypatch.setattr(core, "limit_blas_threads", recording)
+        a = np.eye(n) + 0.25 * np.ones((n, n)) / n
+        x, _ = ridge_solve(packed(a), 0.5, np.ones(n), lambda: packed(a))
+        np.testing.assert_allclose(a @ x + 0.5 * x, np.ones(n), atol=1e-12)
+        # the factorization and the solve
+        assert limits == ([1, 1] if n < core.SMALL_SYSTEM_ORDER else [])
 
 
 class TestExactDiagonal:
@@ -152,8 +182,9 @@ class TestExactDiagonal:
     def test_diagonal_is_divided(self, n):
         d = np.arange(1.0, n + 1.0)
         b = np.ones(n) + 1j
-        x = ridge_solve(packed(np.diag(d)), 0.5, b, lambda: None)
+        x, shift = ridge_solve(packed(np.diag(d)), 0.5, b, lambda: None)
         np.testing.assert_array_equal(x, b / (d + 0.5))
+        assert shift == 0.5
 
     @pytest.mark.parametrize("n", [2, 3, 8, 9])
     def test_last_column_entry_goes_to_the_cholesky(self, n):
@@ -164,8 +195,9 @@ class TestExactDiagonal:
         with pytest.raises(NumericalError):
             ridge_solve(packed(a), 0.0, np.ones(n), lambda: packed(a))
         a[n - 1, n - 2] = a[n - 2, n - 1] = 0.5
-        x = ridge_solve(packed(a), 0.0, np.ones(n), lambda: packed(a))
+        x, shift = ridge_solve(packed(a), 0.0, np.ones(n), lambda: packed(a))
         np.testing.assert_allclose(x, np.linalg.solve(a, np.ones(n)), rtol=1e-14)
+        assert shift == 0.0
 
 
 class TestRidgeShift:

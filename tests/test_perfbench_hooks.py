@@ -36,6 +36,9 @@ def test_spans_wrap_a_fit_and_restore_every_attribute(tmp_path):
                        '"rj": {"gamma": 2.0, "scale": 0.2}, "jr": {"gamma": 2.0, "scale": 0.2}}}'):
             argv = ["fit", "--dataset", str(data_path), "--kernel", kernel, "--lam", "0.1"]
             assert cli.main(argv + ["--out", str(tmp_path / "m.json")]) == 0
+        # a fit evaluates no kernel after its solve; the predict command does
+        assert cli.main(["predict", "--model", str(tmp_path / "m.json"), "--dataset",
+                         str(data_path), "--out", str(tmp_path / "p.csv")]) == 0
         data = cli.read_dataset_csv(data_path)
         regression.fit_schur(data, kernels.kernel_from_config(json.loads(kernel)), 0.1)
     names = [s["name"] for s in rec.spans]

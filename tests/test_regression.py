@@ -748,6 +748,53 @@ class TestRegularizationMonotonicity:
             prev = cur
 
 
+class TestFitInfo:
+    """Each fit reports its solve path and the diagonal shift of each
+    factorization, from which the training residual follows without a kernel
+    evaluation."""
+
+    PATHS = {"real_gaussian": "srkhs", "complex_gaussian": "srkhs", "independent": "srkhs",
+             "real_imag_blocks": "split", "separate_real_imag": "split",
+             "sum_of_separable": "split", "mixed_gamma_blocks": "2n"}
+
+    def test_path_and_shifts(self, specs):
+        data = random_dataset(np.random.default_rng(90), 12, 2)
+        for name, spec in {**specs, "mixed_gamma_blocks": mixed_gamma_blocks()}.items():
+            info = fit_augmented(data, spec, 0.4).info
+            assert info.path == self.PATHS[name], name
+            assert info.shifts == ((0.4, 0.4) if info.path == "split" else (0.4,)), name
+            assert info.h == {"srkhs": 1, "2n": 2}.get(info.path, 1 + (spec.phase or 0)), name
+
+    @pytest.mark.parametrize("lam", [1e-3, 0.4])
+    def test_residual_is_the_training_error(self, specs, lam):
+        data = random_dataset(np.random.default_rng(91), 40, 2)
+        for name, spec in {**specs, "mixed_gamma_blocks": mixed_gamma_blocks()}.items():
+            model = fit_augmented(data, spec, lam)
+            want = data.y - predict(model, data.X)
+            np.testing.assert_allclose(model.info.residual(model.alpha), want,
+                                       rtol=0, atol=1e-9 * np.max(np.abs(data.y)), err_msg=name)
+
+    def test_jitter_retry_logs_once_and_reports_its_shift(self, caplog):
+        # lam = 0 on three equal samples: one factorization, one retry
+        x = np.array([1 + 1j, 1 + 1j, 0.5j, 2.0, 1 + 1j, -0.5 + 0.25j])
+        data = ComplexDataset(X=x, y=np.arange(1.0, 7.0) - 1j)
+        with caplog.at_level("WARNING", logger="wrkhs.core"):
+            model = fit_srkhs(data, RealGaussian(gamma=1.0), 0.0)
+        records = [r for r in caplog.records if r.name == "wrkhs.core"]
+        assert len(records) == 1 and records[0].levelname == "WARNING"
+        # k(x, x) = 1, so the jitter is 1e-12 * trace/n = 1e-12
+        assert "order 6" in records[0].getMessage() and "1e-12" in records[0].getMessage()
+        assert model.info.shifts == (1e-12,)
+        np.testing.assert_allclose(model.info.residual(model.alpha),
+                                   data.y - predict(model, data.X), rtol=0, atol=1e-3)
+
+    def test_a_stored_model_has_none(self):
+        data = random_dataset(np.random.default_rng(92), 5, 1)
+        model = fit_srkhs(data, RealGaussian(gamma=1.0), 0.4)
+        assert model.info is not None
+        assert model_from_json(model_to_json(model)).info is None
+
+
 class TestModelSerialization:
     def test_roundtrip(self, specs):
         rng = np.random.default_rng(15)

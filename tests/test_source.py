@@ -423,6 +423,37 @@ def test_detects_csv_writers(source, lines):
     assert csv_writer_names(ast.parse(source)) == lines
 
 
+KERNEL_PASSES = {"predict", "apply_pairs"}
+
+
+def kernel_pass_names(tree: ast.AST, function: str) -> list[int]:
+    """Line numbers where ``function`` names ``predict`` or ``apply_pairs``."""
+    return [line for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == function
+            for line in named(node, KERNEL_PASSES.__contains__)]
+
+
+def test_fit_command_evaluates_no_kernel_after_the_fit():
+    # the training MSE comes from the solved system (FitInfo.residual)
+    path = Path(wrkhs.__file__).with_name("cli.py")
+    assert kernel_pass_names(ast.parse(path.read_text(encoding="utf-8")), "cmd_fit") == []
+
+
+@pytest.mark.parametrize(
+    "source,lines",
+    [
+        ("def cmd_fit(args):\n    model = fit(args)\n    p = predict(model, x)", [3]),
+        ("def cmd_fit(args):\n    return kernels.apply_pairs(x, z, pairs)", [2]),
+        ("def cmd_fit(args):\n    return regression.predict((a, b), x)", [2]),
+        ("def cmd_predict(args):\n    return predict(model, x)", []),
+        ("def cmd_fit(args):\n    f = predict\n    return f(model, x)", [2]),
+        ("def cmd_fit(args):\n    return mse_db(model.info.residual(model.alpha), z)", []),
+    ],
+)
+def test_detects_kernel_passes(source, lines):
+    assert kernel_pass_names(ast.parse(source), "cmd_fit") == lines
+
+
 def test_every_export_is_used_by_the_package():
     # a name only tests call belongs in the tests, not in the package
     trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in MODULES}
