@@ -7,18 +7,19 @@ Subcommands
 ``kernel-surface``  dump kernel/pseudo-kernel values over a complex grid
 ``bench``           run one of the three benchmarks from a config JSON
 
-``fit`` prints ``n``, ``d`` and ``training_mse_db``, the training error of
-the system it solved, from the ridge identity ``y - f(X) = lam alpha``
-(``regression.FitInfo.residual``, which also carries a jitter retry's shift):
-no kernel is evaluated after the fit.
+``fit`` prints ``n``, ``d`` and ``training_mse_db``, the residual of the
+shifted system it solved (``regression.FitInfo.residual``): ``lam alpha``
+without a jitter retry, so no kernel is evaluated after the fit. At
+``lam = 0`` it reads the -320 dB floor and does not show the solve's
+rounding; ``mse_db(predict(model, X), y)`` is the backward check.
 
 Dataset CSV format: header ``x_re_0,..,x_re_{d-1},x_im_0,..,x_im_{d-1},y_re,
 y_im`` (the two target columns are optional for ``predict``), one sample per
 row, UTF-8, '.' decimal separator. Every CSV is written by one column writer
 (``_write_csv``) and every JSON by ``json``; both write each number as its
 shortest round-trip ``repr``, and every value reads back bit-exactly. The
-writer formats each distinct value of a column once per run of consecutive
-blocks of ``CSV_BLOCK_ROWS`` rows that hold it.
+writer formats each distinct value of a column once per block of
+``CSV_BLOCK_ROWS`` rows.
 
 Kernel JSON format: ``{"family": <name>, "params": {...}}`` with families
 ``real_gaussian`` (params ``gamma``, optional ``scale``), ``complex_gaussian``
@@ -83,23 +84,17 @@ def _re_im_columns(*arrays) -> list[np.ndarray]:
 CSV_BLOCK_ROWS = 512
 
 
-def _column_strings(col: np.ndarray, known: dict) -> tuple[list[str], dict]:
-    """``col`` as text, and the map from its float patterns to their text.
-
-    An integer is written as ``str``, and a float as its shortest round-trip
-    ``repr``, taken once per distinct 64-bit pattern (so ``-0.0`` and every
-    NaN keep their own) that ``known``, the previous block's map, lacks.
-    """
+def _column_strings(col: np.ndarray) -> list[str]:
+    """``col`` as text: an integer as ``str``, and a float as its shortest
+    round-trip ``repr``, taken once per distinct 64-bit pattern (so ``-0.0``
+    and every NaN keep their own)."""
     if col.dtype != np.float64:
-        return list(map(str, col.tolist())), known
+        return list(map(str, col.tolist()))
     # a dict on the patterns, not np.unique: its sort pages in ~0.4 MB of numpy
     bits = col.view(np.uint64).tolist()
     value = dict(zip(bits, col.tolist()))
-    text = {b: known[b] for b in known.keys() & value.keys()}
-    for b in text:  # carried over, so not formatted again
-        del value[b]
-    text.update(zip(value, map(repr, value.values())))
-    return list(map(text.__getitem__, bits)), text
+    text = dict(zip(value, map(repr, value.values())))
+    return list(map(text.__getitem__, bits))
 
 
 def _write_csv(path, header, columns, comment=None) -> None:
@@ -107,16 +102,12 @@ def _write_csv(path, header, columns, comment=None) -> None:
     the bytes the standard ``csv`` module writes for the same rows of Python
     numbers (``\\r\\n`` line ends), after a ``comment`` line when one is given."""
     n = len(columns[0])
-    known = [{} for _ in columns]  # each column's text map of the block before
     with open(path, "w", newline="", encoding="utf-8") as fh:
         if comment is not None:
             fh.write(comment + "\n")
         fh.write(",".join(header) + "\r\n")
         for start in range(0, n, CSV_BLOCK_ROWS):
-            text = []
-            for k, c in enumerate(columns):
-                strings, known[k] = _column_strings(c[start : start + CSV_BLOCK_ROWS], known[k])
-                text.append(strings)
+            text = [_column_strings(c[start : start + CSV_BLOCK_ROWS]) for c in columns]
             fh.write("\r\n".join(map(",".join, zip(*text))) + "\r\n")
 
 

@@ -257,7 +257,7 @@ def unpacked(a: np.ndarray, conj: bool = True) -> np.ndarray:
         return unpacked(a.real) + 1j * unpacked(a.imag)
     n = packed_order(a)
     tfttr, = get_lapack_funcs(("tfttr",), (a,))
-    return mirror_lower(tfttr(n, a, uplo="L")[0][:n], conj)  # n = 0 gives a row
+    return mirror_lower(tfttr(n, a, uplo="L")[0][:n])  # n = 0 gives a row
 
 
 def ridge_shift(a: np.ndarray, lam: float) -> np.ndarray:
@@ -392,12 +392,11 @@ def hermitian_solve(a, b) -> np.ndarray:
     return ridge_solve(packed(a), 0.0, b, lambda: packed(a))[0]
 
 
-def mirror_lower(a: np.ndarray, conj: bool = True) -> np.ndarray:
+def mirror_lower(a: np.ndarray) -> np.ndarray:
     """The square ``a`` with its strict upper triangle set from its lower one,
-    conjugated (Hermitian) or not (symmetric), in place one column at a time;
-    returns ``a``."""
+    conjugated (Hermitian), in place one column at a time; returns ``a``."""
     for j in range(1, a.shape[0]):
-        a[:j, j] = a[j, :j].conj() if conj else a[j, :j]
+        a[:j, j] = a[j, :j].conj()
     return a
 
 

@@ -64,6 +64,7 @@ afresh) before ``NumericalError``, and solves by ``L`` (``core.packed_forward``)
 from __future__ import annotations
 
 import cmath
+import logging
 
 import numpy as np
 from scipy.linalg import blas
@@ -85,6 +86,8 @@ RESIDUAL_TOL = 1e-6
 # Columns of the self-check's probe block V, and the seed of its generator.
 PROBE_COLUMNS = 4
 PROBE_SEED = 1977
+
+_log = logging.getLogger(__name__)
 
 # Samples per kernel evaluation of the update loop: a block's columns against
 # the dictionary and its own cross Gram come from one GEMM. At budget 500 a
@@ -124,7 +127,10 @@ class Wrkls:
     ``stats`` counts admits, the replacements among them, skipped newcomers
     and rebuilds by cause, and keeps the latest and the worst residual of the
     periodic check. Those are probe residuals ``max |Q (A V) - V|`` (see the
-    module docstring), not the exact :meth:`inverse_residual`.
+    module docstring), not the exact :meth:`inverse_residual`. Each counted
+    rebuild also logs one ``WARNING`` on the ``wrkhs.online`` logger, naming
+    its cause and the dictionary size, and for a residual rebuild the probe
+    residual.
     """
 
     def __init__(self, spec: KernelSpec, lam: float, budget: int | None = None):
@@ -294,6 +300,8 @@ class Wrkls:
                         stats["residual_max"] = max(stats["residual_max"], residual)
                         if residual > RESIDUAL_TOL:
                             stats["rebuilds"]["residual"] += 1
+                            _log.warning("inverse of the %d-sample dictionary drifted (probe "
+                                         "residual %.3g); rebuilding", self._m, residual)
                             self._rebuild()
         return preds
 
@@ -328,6 +336,7 @@ class Wrkls:
         if gamma <= 1e-12 * c:
             # singular rank-1 update: rebuild, and at the budget again without the min score
             stats["rebuilds"]["singular"] += 1
+            _log.warning("singular rank-1 update at dictionary size %d; rebuilding", m)
             self._place(m, col, c)
             self._m = m + 1
             self._rebuild()

@@ -78,9 +78,11 @@ class FitInfo:
     shifts: tuple[float, ...]
 
     def residual(self, alpha) -> np.ndarray:
-        """``y - f(X)`` on the training inputs of the fit that found ``alpha``,
-        ``h (s1 Re(alpha/h) + j s2 Im(alpha/h))`` for the first and last shifts
-        (the one shift of a single system), up to the solve's rounding."""
+        """The residual ``y - f(X)`` of the shifted system that was solved for
+        ``alpha``, ``h (s1 Re(alpha/h) + j s2 Im(alpha/h))`` for the first and
+        last shifts (the one shift of a single system): ``lam alpha`` without a
+        jitter retry. It leaves out the solve's rounding, so at ``lam = 0`` it
+        is exactly 0; ``y - predict(model, X)`` is the backward check."""
         b = np.asarray(alpha) / self.h
         return self.h * (self.shifts[0] * b.real + 1j * self.shifts[-1] * b.imag)
 

@@ -158,7 +158,13 @@ def test_strict_upper_triangle_of_q_is_never_read(name):
     assert dirty.inverse_residual() == clean.inverse_residual()
 
 
-def test_full_budget_singular_fallback():
+def rebuild_records(caplog) -> list[str]:
+    """The messages of the WARNING records on ``wrkhs.online`` captured so far."""
+    return [r.getMessage() for r in caplog.records
+            if r.name == "wrkhs.online" and r.levelname == "WARNING"]
+
+
+def test_full_budget_singular_fallback(caplog):
     # the third input repeats the second: with a tiny lam the admit is singular
     spec, lam, budget = RealGaussian(1.0), 1e-14, 2
     model = Wrkls(spec, lam, budget=budget)
@@ -170,7 +176,12 @@ def test_full_budget_singular_fallback():
             scores = np.abs(inv @ np.append(model.targets, yi)) ** 2 / np.real(
                 np.diagonal(inv)
             )
-        model.observe(x, yi)
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="wrkhs.online"):
+            model.observe(x, yi)
+        # the singular admit at the budget rebuilds twice for one event: one record
+        expected = ["singular rank-1 update at dictionary size 2; rebuilding"] if i == 2 else []
+        assert rebuild_records(caplog) == expected
         assert model.size == min(i + 1, budget)
         m = model.size
         kept = model._A[:m, :m]
@@ -192,21 +203,24 @@ def test_full_budget_singular_fallback():
             assert not model._Q[budget].any() and not model._Q[:, budget].any()
 
 
-def test_full_budget_singular_fallback_through_observe_many():
+def test_full_budget_singular_fallback_through_observe_many(caplog):
     # the stream above in one block: the same rebuild, evictions and state
     spec, lam, budget = RealGaussian(1.0), 1e-14, 2
     x = np.array([0.0, 1.0, 1.0, 0.0, 2.0], dtype=complex)
     y = np.array([1.0, -2.0, 0.5, 3.0, -1.0])
     loop, many = Wrkls(spec, lam, budget=budget), Wrkls(spec, lam, budget=budget)
     preds = [loop.observe(x[i], y[i]) for i in range(5)]
-    np.testing.assert_array_equal(many.observe_many(x, y), preds)
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="wrkhs.online"):
+        np.testing.assert_array_equal(many.observe_many(x, y), preds)
+    assert rebuild_records(caplog) == ["singular rank-1 update at dictionary size 2; rebuilding"]
     assert many.stats == loop.stats
     assert many.stats["rebuilds"]["singular"] == 1
     for old, new in zip(state(loop), state(many)):
         np.testing.assert_array_equal(old, new)
 
 
-def test_full_budget_singular_fallback_drops_the_newcomer():
+def test_full_budget_singular_fallback_drops_the_newcomer(caplog):
     # the fourth input repeats a kept basis with a tiny target: the singular
     # admit at the budget rebuilds, scores the newcomer lowest and drops it
     spec, lam = RealGaussian(1.0), 1e-14
@@ -215,7 +229,10 @@ def test_full_budget_singular_fallback_drops_the_newcomer():
         model.observe(np.array([xi]), yi)
     kept, targets = model.dictionary, model.targets
     singular, skipped = model.stats["rebuilds"]["singular"], model.stats["skipped"]
-    model.observe(np.array([0.0]), 1e-9)
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="wrkhs.online"):
+        model.observe(np.array([0.0]), 1e-9)
+    assert rebuild_records(caplog) == ["singular rank-1 update at dictionary size 2; rebuilding"]
     assert model.stats["rebuilds"]["singular"] == singular + 1
     assert model.stats["skipped"] == skipped + 1
     np.testing.assert_array_equal(model.dictionary, kept)
@@ -224,15 +241,20 @@ def test_full_budget_singular_fallback_drops_the_newcomer():
     np.testing.assert_allclose(model.coefficients, refit.alpha, rtol=1e-10)
 
 
-def test_residual_above_tolerance_forces_a_rebuild():
+def test_residual_above_tolerance_forces_a_rebuild(caplog):
     x, y = random_stream(np.random.default_rng(5), RESIDUAL_CHECK_INTERVAL)
     model = Wrkls(RealGaussian(1.0), 0.3, budget=8)
     for i in range(RESIDUAL_CHECK_INTERVAL - 1):
         model.observe(x[i], y[i])
     model._Q[:8, :8] *= 1 + 1e-4  # a drifted inverse
-    model.observe(x[-1], y[-1])
+    with caplog.at_level("WARNING", logger="wrkhs.online"):
+        model.observe(x[-1], y[-1])
     assert model.stats["rebuilds"]["residual"] == 1
     assert model.stats["residual_last"] > RESIDUAL_TOL
+    assert rebuild_records(caplog) == [
+        f"inverse of the 8-sample dictionary drifted (probe residual "
+        f"{model.stats['residual_last']:.3g}); rebuilding"
+    ]
     refit = fit_srkhs(ComplexDataset(X=model.dictionary, y=model.targets), model.spec, model.lam)
     np.testing.assert_allclose(model.coefficients, refit.alpha, rtol=0, atol=1e-10)
     assert model.inverse_residual() <= 1e-9
@@ -256,7 +278,7 @@ class TestProbeCheck:
     """The periodic self-check is a probe ``max |Q (A V) - V|`` with a fixed +-1 block V."""
 
     @pytest.mark.parametrize("name", sorted(SPECS))
-    def test_one_entry_drift_of_q_forces_a_rebuild(self, name):
+    def test_one_entry_drift_of_q_forces_a_rebuild(self, name, caplog):
         # the drift E of one lower entry and its mirror shows as E (A V): any
         # entry, in any kernel, is seen far above the tolerance
         spec = SPECS[name]
@@ -265,9 +287,12 @@ class TestProbeCheck:
             model = Wrkls(spec, 0.3, budget=8)
             model.observe_many(x[:-1], y[:-1])
             model._Q[i, j] += 1e-4
-            model.observe(x[-1], y[-1])
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="wrkhs.online"):
+                model.observe(x[-1], y[-1])
             assert model.stats["rebuilds"]["residual"] == 1, (i, j)
             assert model.stats["residual_last"] > RESIDUAL_TOL
+            assert len(rebuild_records(caplog)) == 1, (i, j)
             refit = fit_srkhs(ComplexDataset(X=model.dictionary, y=model.targets), spec, 0.3)
             np.testing.assert_allclose(model.coefficients, refit.alpha, rtol=0, atol=1e-10)
 

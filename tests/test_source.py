@@ -1,6 +1,7 @@
 """Static checks over the package source."""
 
 import ast
+import importlib.util
 import re
 from pathlib import Path
 
@@ -470,3 +471,15 @@ def test_every_export_is_used_by_the_package():
         if isinstance(node, (ast.Name, ast.Attribute))
     }
     assert exported - used - ORACLES == set()
+
+
+def test_each_mutant_applies_once():
+    # tools/mutants.py replaces each entry's old text; it must still name one place
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("mutants", root / "tools" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    counts = {m.name: (root / m.path).read_text(encoding="utf-8").count(m.old)
+              for m in mutants.MUTANTS}
+    assert counts == dict.fromkeys(counts, 1)
+    assert len(counts) == len(mutants.MUTANTS)  # one entry per name
