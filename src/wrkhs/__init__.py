@@ -6,7 +6,7 @@ for complex inputs, a budgeted online recursion, and two benchmark suites
 (synthetic surfaces and nonlinear channel equalization).
 """
 
-from .core import ComplexDataset, NumericalError, hermitian_solve
+from .core import ComplexDataset, NumericalError
 from .kernels import (
     ComplexGaussian,
     IndependentGaussian,
@@ -22,7 +22,6 @@ from .regression import (
     FitInfo,
     WrkhsModel,
     fit_augmented,
-    fit_schur,
     fit_srkhs,
     model_from_json,
     model_to_json,

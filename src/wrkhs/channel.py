@@ -70,8 +70,10 @@ class ChannelConfig:
         store_as_annotated(self)
         if not 0.0 < self.rho < 1.0:
             raise ValueError(f"rho must lie in (0, 1), got {self.rho}")
-        if not math.isfinite(self.snr_db):
-            raise ValueError(f"snr_db must be finite, got {self.snr_db}")
+        _snr_ratio(self.snr_db)
+        for name in ("taps", "c2", "c3", "source_scale"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.filter_length < 1:
             raise ValueError("filter_length must be >= 1")
         if self.delay < 0:
@@ -172,20 +174,37 @@ def apply_channel(
     return t + c2 * t**2 + c3 * t**3
 
 
+def _snr_ratio(snr_db) -> float:
+    """The power ratio ``10^(snr_db/10)``; ``ValueError`` naming ``snr_db``
+    unless it is a finite positive float (a NaN or infinite ``snr_db`` is not)."""
+    try:
+        ratio = 10.0 ** (float(snr_db) / 10.0)
+    except OverflowError:
+        ratio = math.inf
+    if not (0.0 < ratio < math.inf):
+        raise ValueError(f"snr_db must be finite with 10^(snr_db/10) a finite positive "
+                         f"float, got {snr_db}")
+    return ratio
+
+
 def add_awgn(q, snr_db: float, rng: np.random.Generator) -> np.ndarray:
     """Add circular white Gaussian noise at the given SNR.
 
     The noise variance is ``mean(|q|^2) / 10^(snr_db/10)`` -- SNR is defined
     against the empirical per-trial power of the channel output -- split
-    evenly between the real and imaginary parts.
+    evenly between the real and imaginary parts. ``ValueError`` names
+    ``snr_db`` unless the ratio (:func:`_snr_ratio`) and the variance are finite
+    positive floats.
     """
     q = np.asarray(q, dtype=np.complex128).ravel()
-    if not np.isfinite(snr_db):
-        raise ValueError("snr_db must be finite")
+    ratio = _snr_ratio(snr_db)
     power = float(np.mean(np.abs(q) ** 2))
-    if power == 0.0:
-        raise ValueError("channel output has zero power")
-    sigma2 = power / 10.0 ** (snr_db / 10.0)
+    if not 0.0 < power < math.inf:
+        raise ValueError(f"channel output has zero power or a non-finite one ({power})")
+    sigma2 = power / ratio
+    if not (0.0 < sigma2 < math.inf):
+        raise ValueError(f"snr_db {snr_db} gives a noise variance {sigma2} that is not "
+                         "a finite positive float")
     half = np.sqrt(sigma2 / 2.0)
     noise = half * (rng.standard_normal(q.size) + 1j * rng.standard_normal(q.size))
     return q + noise

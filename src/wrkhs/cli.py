@@ -7,11 +7,12 @@ Subcommands
 ``kernel-surface``  dump kernel/pseudo-kernel values over a complex grid
 ``bench``           run one of the three benchmarks from a config JSON
 
-``fit`` prints ``n``, ``d`` and ``training_mse_db``, the residual of the
-shifted system it solved (``regression.FitInfo.residual``): ``lam alpha``
-without a jitter retry, so no kernel is evaluated after the fit. At
-``lam = 0`` it reads the -320 dB floor and does not show the solve's
-rounding; ``mse_db(predict(model, X), y)`` is the backward check.
+``fit`` makes one fit call, ``regression.fit_augmented``, and prints ``n``,
+``d`` and ``training_mse_db``, the residual of the shifted system it solved
+(``regression.FitInfo.residual``): ``lam alpha`` without a jitter retry, so
+no kernel is evaluated after the fit. At ``lam = 0`` it reads the -320 dB
+floor and does not show the solve's rounding; ``mse_db(predict(model, X),
+y)`` is the backward check.
 
 Dataset CSV format: header ``x_re_0,..,x_re_{d-1},x_im_0,..,x_im_{d-1},y_re,
 y_im`` (the two target columns are optional for ``predict``), one sample per
@@ -56,7 +57,7 @@ from .core import ComplexDataset, NumericalError, to_pairs
 from .kernels import KernelSpec, kernel_from_config
 from .regression import (
     fit_augmented,
-    fit_srkhs,
+    fit_srkhs,  # not called here: perfbench/spans.py patches this name on cli
     model_from_json,
     model_to_json,
     mse_db,
@@ -180,11 +181,7 @@ def _hash_comment(config_hash: str, seed) -> str:
 
 def cmd_fit(args) -> int:
     data = read_dataset_csv(args.dataset)
-    spec = _load_kernel(args.kernel)
-    if spec.has_null_pseudo:
-        model = fit_srkhs(data, spec, args.lam)
-    else:
-        model = fit_augmented(data, spec, args.lam)
+    model = fit_augmented(data, _load_kernel(args.kernel), args.lam)
     Path(args.out).write_text(model_to_json(model), encoding="utf-8")
     # y - f(X) from the solved system (FitInfo.residual): no kernel pass
     train_mse = mse_db(model.info.residual(model.alpha), np.zeros(data.n))

@@ -23,8 +23,10 @@ A system of order below ``SMALL_SYSTEM_ORDER`` is factored and solved on one
 BLAS thread (``limit_blas_threads``). ``packed`` and ``unpacked`` convert
 full matrices, the latter through ``mirror_lower``, the one mirror of a
 lower triangle. ``hermitian_solve`` solves a full matrix after checking that
-it and the right-hand side are finite and that it is Hermitian to
-``HERMITIAN_ATOL``; an exactly diagonal system is solved by division.
+the right-hand side is finite and, in one pass, that the matrix is finite
+and Hermitian to ``HERMITIAN_ATOL``; an exactly diagonal system is solved by
+division. Only ``Wrkls._rebuild`` and the oracle ``regression.fit_schur``
+call it, and the package root does not export it.
 ``stacked_apply`` lets a real matrix act on a complex right-hand side as one
 real call on its stacked real and imaginary parts.
 
@@ -86,9 +88,6 @@ __all__ = [
 
 # Max acceptable |A - A^H| entry before a matrix is rejected as non-Hermitian.
 HERMITIAN_ATOL = 1e-12
-
-# Rows per block of the |A - A^H| check: a temporary is one block, not a copy.
-ASYMMETRY_BLOCK_ROWS = 256
 
 # Systems of a lower order are factored and solved on one BLAS thread. A packed
 # Cholesky and solve on a 2-core shared host, 2 threads against 1, median of 21
@@ -261,13 +260,8 @@ def unpacked(a: np.ndarray, conj: bool = True) -> np.ndarray:
 
 
 def ridge_shift(a: np.ndarray, lam: float) -> np.ndarray:
-    """Add ``lam`` to the diagonal of ``a``, a square matrix or an RFP
-    triangle, in place and return it.
-
-    A Gram matrix comes exactly Hermitian from the kernels, so nothing is
-    symmetrized here; :func:`hermitian_solve` still checks it.
-    """
-    a[np.diag_indices_from(a) if a.ndim == 2 else packed_diagonal(packed_order(a))] += lam
+    """Add ``lam`` to the diagonal of the RFP triangle ``a`` in place and return it."""
+    a[packed_diagonal(packed_order(a))] += lam
     return a
 
 
@@ -371,22 +365,26 @@ def hermitian_solve(a, b) -> np.ndarray:
 
     A non-square ``A``, a NaN or infinite entry of ``A`` or ``B``, or an ``A``
     whose max asymmetry ``|A - A^H|`` exceeds ``1e-12``, raises ``ValueError``
-    naming the operand. ``A`` is left as it is: its packed lower triangle
-    (:func:`packed`) is solved by :func:`ridge_solve` (exactly diagonal
-    matrices by elementwise division, exact; others by the one Cholesky and
-    its jitter retry, then :class:`NumericalError`).
+    naming the operand; the asymmetry, NaN or infinite when an entry of ``A``
+    is, takes one pass and one n x n temporary, freed before ``A``'s packed
+    lower triangle (:func:`packed`) is solved by :func:`ridge_solve` (exactly
+    diagonal matrices by elementwise division, exact; others by the one
+    Cholesky and its jitter retry, then :class:`NumericalError`). ``A`` is
+    left as it is.
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"A must be square, got shape {a.shape}")
     if not np.isfinite(b).all():
         raise ValueError("B contains non-finite values")
-    asym = 0.0
-    for i in range(0, a.shape[0], ASYMMETRY_BLOCK_ROWS):
-        rows = slice(i, i + ASYMMETRY_BLOCK_ROWS)
-        if not np.isfinite(a[rows]).all():  # a NaN asymmetry exceeds no bound
-            raise ValueError("A contains non-finite values")
-        asym = max(asym, float(np.max(np.abs(a[rows] - a[:, rows].conj().T))))
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, or an overflow
+        gap = np.conj(a)
+        gap -= a.T  # conj(A) - A^T, the transpose of A^H - A
+        np.abs(gap, out=gap)
+    asym = float(gap.real.max(initial=0.0))
+    del gap
+    if not math.isfinite(asym) and not np.isfinite(a).all():
+        raise ValueError("A contains non-finite values")
     if asym > HERMITIAN_ATOL:
         raise ValueError(f"matrix is not Hermitian (max asymmetry {asym:.3e})")
     return ridge_solve(packed(a), 0.0, b, lambda: packed(a))[0]

@@ -20,17 +20,16 @@ real ``S``; ``phase`` reports ``p`` (None for every other spec).
 for an aligned pair the real ``K + S`` and ``K - S`` of two real solves, for
 any other one real 2n x 2n system.
 
-Every family exposes ``apply`` (what ``predict`` evaluates), ``pair`` (the
-kernel and pseudo-kernel Gram matrices from one evaluation), ``gram``/
-``pseudo_gram`` and ``diag`` (both at ``x' = x`` in O(n)). ``apply`` is the
-one-pair case of ``apply_pairs``, which takes ``x`` in blocks of rows, each
-one distance matrix against ``z`` for every ``(spec, alpha)``; the sums of
-real Gaussians apply one ``exp`` per distinct gamma to ``a_gamma alpha +
-b_gamma conj(alpha)``, without forming ``K`` or ``Kt``. Their inputs follow
-``core.as_samples``: rows are samples, a 1-D input is n scalar samples, and
-NaN or infinite entries raise ``ValueError``. Behind them each family's
-``_gram`` evaluates checked samples; the online recursion calls it directly
-on rows it has checked once.
+Every family exposes ``pair`` (the kernel and pseudo-kernel Gram matrices
+from one evaluation), ``gram``/``pseudo_gram`` and ``diag`` (both at ``x' =
+x`` in O(n)). ``predict`` evaluates ``apply_pairs``, which takes ``x`` in
+blocks of rows, each one distance matrix against ``z`` for every ``(spec,
+alpha)``; the sums of real Gaussians apply one ``exp`` per distinct gamma to
+``a_gamma alpha + b_gamma conj(alpha)``, without forming ``K`` or ``Kt``.
+Their inputs follow ``core.as_samples``: rows are samples, a 1-D input is n
+scalar samples, and NaN or infinite entries raise ``ValueError``. Behind
+them each family's ``_gram`` evaluates checked samples; the online recursion
+calls it directly on rows it has checked once.
 
 Every family but the complex Gaussian gets its squared distances from one
 primitive, ``_sqdist``, which takes the squared sample norms itself
@@ -43,12 +42,12 @@ naming its operand. The samples against themselves (``x' = x``) give the
 packed (RFP, see ``core``) lower triangle: one ``dsfrk``, then one norm sum
 ``aa_i + aa_j`` per entry, by columns of the packed array.
 ``_gaussian_sums`` is the one evaluation of sums of real Gaussians, for
-every family but the complex Gaussian, the ridge systems and ``apply``, one
-``exp`` per tile (``_tiles``; an ``apply`` block is one tile; a packed
-triangle's tiles are contiguous slices), writing the last real sum into the
-distances' own buffer. So ``_gram(x, x)``, ``_pair(x, x)`` and
-``_ridge_systems(x)`` give packed triangles, which ``core.ridge_solve``
-shifts and factors in place.
+every family but the complex Gaussian, the ridge systems and
+``apply_pairs``, one ``exp`` per tile (``_tiles``; an ``apply_pairs`` block
+is one tile; a packed triangle's tiles are contiguous slices), writing the
+last real sum into the distances' own buffer. So ``_gram(x, x)``, ``_pair(x,
+x)`` and ``_ridge_systems(x)`` give packed triangles, which
+``core.ridge_solve`` shifts and factors in place.
 ``IndependentGaussian`` packs one full matrix, its cross term minus its
 transpose. ``ComplexGaussian`` packs the lower triangle of its exponent, one
 product laid out by columns, with a real diagonal, and takes one ``exp`` per
@@ -99,8 +98,8 @@ TILE_ENTRIES = 4096
 # is then at most 4 times it, so no product, term or partial sum overflows.
 MAX_SQUARED_NORM = np.finfo(np.float64).max / 4
 
-# Rows of x per block of ``apply``: a block holds a few APPLY_BLOCK_ROWS x n
-# buffers whatever the number of rows; 128, 256 and 512 rows ran alike.
+# Rows of x per block of ``apply_pairs``: a block holds a few APPLY_BLOCK_ROWS
+# x n buffers whatever the number of rows; 128, 256 and 512 rows ran alike.
 APPLY_BLOCK_ROWS = 256
 
 
@@ -125,7 +124,7 @@ def sq_norms(a: np.ndarray) -> np.ndarray:
 
 def _tiles(shape: tuple[int, int]):
     """Yield slices of the rows of a ``shape`` array, each a block of whole rows
-    (see ``TILES``; an ``apply`` block is one)."""
+    (see ``TILES``; an ``apply_pairs`` block is one)."""
     m, n = shape
     size = m * max(1, n) if m <= APPLY_BLOCK_ROWS else max(TILE_ENTRIES, m * n // TILES)
     r = max(1, size // max(1, n))
@@ -319,10 +318,6 @@ class KernelSpec:
         x, z = _validated(x, z)
         k, kt = self._pair(x, z)
         return (unpacked(k), unpacked(kt, conj=False)) if z is x else (k, kt)
-
-    def apply(self, x, z, alpha) -> np.ndarray:
-        """``K(x, z) alpha + Kt(x, z) conj(alpha)``: :func:`apply_pairs` of one pair."""
-        return apply_pairs(x, z, [(self, alpha)])[0]
 
     def pseudo_gram(self, x, z=None) -> np.ndarray:
         """Pseudo-kernel Gram matrix with entries ``ktilde(x_i, z_j)``."""

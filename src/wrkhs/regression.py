@@ -19,10 +19,11 @@ and the diagonal shift of each factorization. The training residual then
 comes from the solved system itself: with shifts ``s1`` (``R``) and ``s2``
 (``J``), ``y - f(X) = h (s1 Re(alpha/h) + j s2 Im(alpha/h))``, which is
 ``lam alpha`` unless the jitter retry ran, so no kernel is evaluated again
-(:meth:`FitInfo.residual`). ``fit_schur`` (the Schur complement of the
-complex 2n x 2n augmented system) is an oracle ``fit_augmented`` is checked
-against; it solves full matrices by ``core.hermitian_solve``. ``fit_srkhs``
-is the strictly-complex fit ``alpha = (K + lam I)^-1 y``.
+(:meth:`FitInfo.residual`). ``fit_schur``, the Schur complement of the
+complex 2n x 2n augmented system, is a test oracle for ``fit_augmented``
+that the package root does not export; it solves full matrices by
+``core.hermitian_solve``. ``fit_srkhs`` is the strictly-complex fit
+``alpha = (K + lam I)^-1 y``.
 
 Predictions follow ``f(x*) = k(x*, X) alpha + ktilde(x*, X) conj(alpha)``,
 evaluated by ``kernels.apply_pairs`` in blocks of rows of ``x*``, each a
@@ -42,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (ComplexDataset, as_samples, check_lam, from_pairs, hermitian_solve,
-                   ridge_shift, ridge_solve, to_pairs)
+                   ridge_solve, to_pairs)
 from .kernels import KernelSpec, apply_pairs, kernel_from_config
 
 __all__ = [
@@ -124,8 +125,8 @@ def fit_schur(data: ComplexDataset, spec: KernelSpec, lam: float) -> WrkhsModel:
     """
     lam = check_lam(lam)
     y = data.y
-    k, kt = (np.asarray(m, dtype=np.complex128) for m in spec.pair(data.X))
-    c = ridge_shift(k, lam)
+    c, kt = (np.asarray(m, dtype=np.complex128) for m in spec.pair(data.X))
+    c[np.diag_indices_from(c)] += lam
     # C^-* conj(Kt) = conj(C^-1 Kt); P is Hermitian up to rounding
     p = c - kt @ np.conj(hermitian_solve(c, kt))
     p = (p + p.conj().T) / 2.0

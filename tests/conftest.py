@@ -14,7 +14,7 @@ from wrkhs import (
     SyntheticConfig,
     WrkhsModel,
 )
-from wrkhs.core import as_samples, check_lam, hermitian_solve, ridge_shift, unpacked
+from wrkhs.core import as_samples, check_lam, hermitian_solve, unpacked
 
 
 def random_inputs(rng, n, d, scale=1.5):
@@ -73,7 +73,8 @@ def composite_matrix(k: np.ndarray, kt: np.ndarray) -> np.ndarray:
 def fit_composite(data, spec, lam) -> np.ndarray:
     """Composite-path oracle coefficients ``(K_com + lam I)^-1 [Re y; Im y]``
     (2n real): the stacked real/imaginary system assembled from the full pair."""
-    kc = ridge_shift(composite_matrix(*spec.pair(data.X)), check_lam(lam))
+    kc = composite_matrix(*spec.pair(data.X))
+    kc[np.diag_indices_from(kc)] += check_lam(lam)
     return hermitian_solve(kc, np.concatenate([data.y.real, data.y.imag]))
 
 

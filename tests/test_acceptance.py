@@ -20,10 +20,8 @@ from wrkhs import (
     SumOfSeparable,
     Wrkls,
     fit_augmented,
-    fit_schur,
     fit_srkhs,
     generate_source,
-    hermitian_solve,
     predict,
     run_equalization,
     run_exp1,
@@ -31,6 +29,8 @@ from wrkhs import (
     trial_rngs,
 )
 from wrkhs.cli import main as cli_main
+from wrkhs.core import hermitian_solve
+from wrkhs.regression import fit_schur
 from conftest import (
     experiment1,
     experiment2,

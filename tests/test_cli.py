@@ -988,6 +988,35 @@ class TestBench:
         assert message in capsys.readouterr().err
         assert list((tmp_path / "out").iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            {"snr_db": 4000},  # 10^(snr_db/10) overflows
+            {"snr_db": -4000},  # 10^(snr_db/10) is 0
+            {"source_scale": float("inf")},
+            {"source_scale": float("nan")},
+            {"taps": [[float("inf"), 0.0], [0.5, 0.0]]},
+            {"c2": [float("nan"), 0.0]},
+            {"c3": [0.0, float("-inf")]},
+        ],
+        ids=["snr_db-huge", "snr_db-tiny", "source_scale-inf", "source_scale-nan",
+             "taps-inf", "c2-nan", "c3-inf"],
+    )
+    def test_equalization_field_refused_by_name(self, tmp_path, capsys, monkeypatch, cfg):
+        # refused when the config is built, not by a trial's overflow, traceback or warning
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(channel, "_run_trial", no_trial)
+        (field,) = cfg
+        rc = main(bench_argv(tmp_path, "equalization",
+                             {"rho": 0.5, "trials": 1, "n_samples": 100, **cfg}))
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"{field} must be finite" in err
+        assert "Traceback" not in err and "Warning" not in err
+        assert list((tmp_path / "out").iterdir()) == []
+
     @pytest.mark.parametrize("lam", [-1, float("inf")])
     @pytest.mark.parametrize("experiment", ["synthetic1", "synthetic2"])
     def test_synthetic_lam_refused_before_any_trial(
@@ -1096,6 +1125,8 @@ POSITIVE = st.one_of(st.integers(1, 10**6), st.floats(min_value=1e-300, max_valu
 # a length-scale g whose kernel width 2 g^2 is finite and > 0
 LENGTH_SCALE = st.one_of(st.integers(1, 10**6), st.floats(min_value=1e-150, max_value=1e150))
 COMPLEX = st.complex_numbers(allow_nan=False, allow_infinity=False)
+# an SNR whose power ratio 10^(snr_db/10) is a finite positive float
+SNR_DB = st.one_of(st.integers(-3000, 3000), st.floats(-3000, 3000))
 
 
 @st.composite
@@ -1120,7 +1151,7 @@ def equalization_configs(draw):
     filter_length, delay, trials = (draw(st.integers(lo, 100)) for lo in (1, 0, 1))
     channel = ChannelConfig(
         rho=draw(st.floats(0, 1, exclude_min=True, exclude_max=True)),
-        snr_db=draw(REAL),
+        snr_db=draw(SNR_DB),
         taps=draw(st.tuples(COMPLEX, COMPLEX)),
         c2=draw(COMPLEX),
         c3=draw(COMPLEX),

@@ -18,13 +18,12 @@ from wrkhs import (
     WrkhsModel,
     Wrkls,
     core,
-    hermitian_solve,
     kernels,
     predict,
     streaming_ridge_predictions,
 )
 from wrkhs.core import (
-    ASYMMETRY_BLOCK_ROWS, as_float, from_pairs, packed, ridge_factor, ridge_shift, ridge_solve,
+    as_float, from_pairs, hermitian_solve, packed, ridge_factor, ridge_shift, ridge_solve,
     store_as_annotated, to_pairs, unpacked,
 )
 from conftest import transform_matrix
@@ -77,8 +76,8 @@ class TestHermitianSolve:
         with pytest.raises(ValueError, match="Hermitian"):
             hermitian_solve(a, np.ones(2))
 
-    def test_asymmetry_beyond_first_row_block_rejected(self):
-        n = ASYMMETRY_BLOCK_ROWS + 5
+    def test_asymmetry_in_the_last_rows_rejected(self):
+        n = 261
         a = np.eye(n, dtype=complex)
         a[n - 1, n - 2] = a[n - 2, n - 1] = 0.1
         hermitian_solve(a, np.ones(n))
@@ -90,6 +89,24 @@ class TestHermitianSolve:
         a = np.diag([1.0, -1.0]) + np.array([[0.0, 0.3], [0.3, 0.0]])
         with pytest.raises(NumericalError):
             hermitian_solve(a, np.ones(2))
+
+    def test_empty_system_solves(self):
+        assert hermitian_solve(np.zeros((0, 0)), np.zeros(0)).shape == (0,)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_peak_is_the_packed_copy(self, dtype):
+        # packing copies A (n^2) into its triangle (n^2 / 2); the asymmetry's one
+        # n x n temporary is freed first, and a second one would add n^2 more
+        n = 400
+        m = np.random.default_rng(8).standard_normal((n, n)).astype(dtype)
+        a = m @ m.T + n * np.eye(n)
+        tracemalloc.start()
+        try:
+            hermitian_solve(a, np.ones(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.55 * a.nbytes, peak / a.nbytes
 
 
 class TestHermitianFactor:
@@ -204,18 +221,17 @@ class TestRidgeShift:
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_adds_lam_to_the_diagonal_only(self, dtype):
         rng = np.random.default_rng(3)
-        a = rng.standard_normal((5, 5)).astype(dtype)
-        ref = a.copy()
-        ref[np.diag_indices(5)] += 0.3
+        full = rng.standard_normal((5, 5)).astype(dtype)
+        a = packed(full)
+        full[np.diag_indices(5)] += 0.3
         out = ridge_shift(a, 0.3)
         assert out is a
-        # an asymmetric input stays asymmetric: the kernels build Grams exactly Hermitian
-        np.testing.assert_array_equal(out, ref)
+        np.testing.assert_array_equal(out, packed(full))
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_no_full_size_temporary(self, dtype):
         n = 1000
-        a = np.ones((n, n), dtype=dtype)
+        a = packed(np.ones((n, n), dtype=dtype))
         tracemalloc.start()
         try:
             ridge_shift(a, 0.1)

@@ -242,7 +242,7 @@ class TestSqdist:
         spec = zoo_specs()[family]
         for call, name in [(lambda: spec.gram([0.0, 1e300]), "x"),
                            (lambda: spec.pair([0.0], [1e300j]), "z"),
-                           (lambda: spec.apply([1e300], [0.0], [1.0]), "x"),
+                           (lambda: kernels.apply_pairs([1e300], [0.0], [(spec, [1.0])]), "x"),
                            (lambda: kernels._sqdist(as_samples([0.0, 7e153], "x"),
                                                     as_samples([0.0], "z")), "x")]:
             with pytest.raises(ValueError, match=f"^{name} has a sample of squared norm"):

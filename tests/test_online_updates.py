@@ -322,6 +322,22 @@ class TestProbeCheck:
                 model.observe(x[i], y[i])
             assert model.stats["residual_last"] > 0.0
 
+    def test_a_drift_an_all_ones_probe_cannot_see_forces_a_residual(self):
+        # E = d [[-w_q/w_p, 1], [1, -w_p/w_q]] on slots p, q, with w = A 1, has
+        # E w = 0: an all-ones probe reads rounding, the +-1 block reads E (A V)
+        x, y = random_stream(np.random.default_rng(40), 20)
+        model = Wrkls(RealGaussian(1.0), 0.3, budget=8)
+        model.observe_many(x, y)
+        m, (p, q), delta = model.size, (2, 5), 1e-3
+        assert m == 8
+        w = model._A[:m, :m] @ np.ones(m)
+        model._Q[p, p] -= delta * w[q] / w[p]
+        model._Q[q, p] += delta
+        model._Q[q, q] -= delta * w[p] / w[q]
+        ones = np.max(np.abs(core.mirror_lower(model._Q[:m, :m].copy()) @ w - 1.0))
+        assert ones < 1e-13
+        assert model._probe_residual() > RESIDUAL_TOL
+
     def test_the_probe_block_of_a_grown_model_extends_the_smaller_one(self):
         x, y = random_stream(np.random.default_rng(39), 40)
         model = Wrkls(RealGaussian(1.0), 0.3)

@@ -17,9 +17,7 @@ from wrkhs import (
     SeparateRealImag,
     SumOfSeparable,
     fit_augmented,
-    fit_schur,
     fit_srkhs,
-    hermitian_solve,
     model_from_json,
     model_to_json,
     mse_db,
@@ -27,7 +25,8 @@ from wrkhs import (
     streaming_ridge_predictions,
 )
 from wrkhs import core, kernels, regression
-from wrkhs.core import ridge_solve
+from wrkhs.core import hermitian_solve, ridge_solve
+from wrkhs.regression import fit_schur
 from conftest import (
     fit_composite,
     mixed_gamma_blocks,
@@ -469,7 +468,7 @@ class TestPredict:
         x_star = np.zeros((1000, 1), dtype=complex)
         x_star[::50] = 250j
         for evaluate in (lambda: predict(model, x_star),
-                         lambda: spec.apply(x_star, model.X, model.alpha),
+                         lambda: kernels.apply_pairs(x_star, model.X, [(spec, model.alpha)]),
                          lambda: spec.gram(x_star, model.X),
                          lambda: spec.pair(x_star, model.X)):
             with warnings.catch_warnings(record=True) as caught:

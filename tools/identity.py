@@ -14,7 +14,10 @@ thread (the thread variables are set before numpy is imported):
   ``real_gaussian`` gamma 8.92) at seeds 0-2;
 * ``kernel-surface`` for each of the six kernel families;
 * ``fit`` then ``predict`` at n = 1500 for both ``batch-cli-n1500`` kernels,
-  on datasets drawn from Philox(seed) at seeds 0-2.
+  on datasets drawn from Philox(seed) at seeds 0-2;
+* ``fit`` then ``predict`` at n = 300, lam 0.1, for each of the six kernel
+  families, on inputs in [-2, 2]^2 drawn from Philox(0): every solve path
+  (``srkhs`` for the three null pseudo-kernels, ``split`` and ``2n``).
 
 ``--write`` records the sha256 of every output file in a JSON manifest.
 ``--check`` reruns the set, prints every file whose bytes differ from the
@@ -52,6 +55,8 @@ SYNTHETIC_SEEDS = range(10)
 EQUALIZATION_SEEDS = range(3)
 BATCH_SEEDS = range(3)
 BATCH_N = 1500
+FAMILY_FIT_N = 300
+FAMILY_FIT_LAM = 0.1
 
 EQUALIZATION = {
     "rho": 2 ** -0.5, "n_samples": 2000, "trials": 2, "filter_length": 5, "delay": 2,
@@ -98,6 +103,24 @@ def write_dataset(path: Path, x, y) -> None:
                        for a, b in zip(x.tolist(), y.tolist()))
 
 
+def fit_and_predict(out: Path, name: str, kernel: dict, lam: float, train: Path,
+                    test: Path) -> None:
+    """``fit`` on ``train`` and ``predict`` on ``test``, as ``model_<name>.json``
+    and ``pred_<name>.csv`` under ``out``."""
+    cli("fit", "--dataset", train, "--kernel", json.dumps(kernel), "--lam", repr(lam),
+        "--out", out / f"model_{name}.json")
+    cli("predict", "--model", out / f"model_{name}.json", "--dataset", test,
+        "--out", out / f"pred_{name}.csv")
+
+
+def draw_inputs(seed: int, n: int, half_width: float):
+    """Training and test inputs, each n points uniform on a square of the
+    complex plane centred at 0, from Philox(seed)."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    return (rng.uniform(-half_width, half_width, n) + 1j * rng.uniform(-half_width, half_width, n)
+            for _ in range(2))
+
+
 def run_set(work: Path) -> dict[str, str]:
     """Run the set with its outputs under ``work``; the sha256 of each output
     file, by its path relative to ``work``."""
@@ -117,16 +140,20 @@ def run_set(work: Path) -> dict[str, str]:
     for seed in BATCH_SEEDS:
         out = work / f"batch-seed{seed}"
         out.mkdir()
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        x, x_test = (rng.uniform(-5, 5, BATCH_N) + 1j * rng.uniform(-5, 5, BATCH_N)
-                     for _ in range(2))
+        x, x_test = draw_inputs(seed, BATCH_N, 5.0)
         write_dataset(inputs / "test.csv", x_test, np.zeros(BATCH_N))
         for name, (kernel, lam, target) in BATCH_KERNELS.items():
             write_dataset(inputs / "train.csv", x, target(x))
-            cli("fit", "--dataset", inputs / "train.csv", "--kernel", json.dumps(kernel),
-                "--lam", repr(lam), "--out", out / f"model_{name}.json")
-            cli("predict", "--model", out / f"model_{name}.json", "--dataset",
-                inputs / "test.csv", "--out", out / f"pred_{name}.csv")
+            fit_and_predict(out, name, kernel, lam, inputs / "train.csv", inputs / "test.csv")
+    # on [-5, 5]^2 the complex Gaussian's Gram takes the jitter retry
+    out = work / "families"
+    out.mkdir()
+    x, x_test = draw_inputs(0, FAMILY_FIT_N, 2.0)
+    write_dataset(inputs / "train.csv", x, target_exp2(x))
+    write_dataset(inputs / "test.csv", x_test, np.zeros(FAMILY_FIT_N))
+    for kernel in SURFACE_KERNELS:
+        fit_and_predict(out, kernel["family"], kernel, FAMILY_FIT_LAM, inputs / "train.csv",
+                        inputs / "test.csv")
     return {
         path.relative_to(work).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(work.rglob("*"))

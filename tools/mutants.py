@@ -79,7 +79,9 @@ MUTANTS = [
     Mutant("probe-block-all-ones", "src/wrkhs/online.py",
            "np.where(draws < 0.5, -1.0, 1.0)", "np.where(draws < 0.5, 1.0, 1.0)",
            ("tests/test_online_updates.py::TestProbeCheck::"
-            "test_the_probe_block_of_a_grown_model_extends_the_smaller_one",)),
+            "test_the_probe_block_of_a_grown_model_extends_the_smaller_one",
+            "tests/test_online_updates.py::TestProbeCheck::"
+            "test_a_drift_an_all_ones_probe_cannot_see_forces_a_residual")),
     # what a fit reports
     Mutant("ridge-solve-drops-the-jitter", "src/wrkhs/core.py",
            "return packed_solve(low, b), lam + jitter", "return packed_solve(low, b), lam",
@@ -102,6 +104,20 @@ MUTANTS = [
     Mutant("no-small-system-order", "src/wrkhs/core.py",
            "SMALL_SYSTEM_ORDER = 512", "SMALL_SYSTEM_ORDER = 0",
            ("tests/test_core.py::TestSmallSystemThreads",)),
+    # the one-pass check of a full matrix
+    Mutant("hermitian-check-drops-the-conjugate", "src/wrkhs/core.py",
+           "gap = np.conj(a)\n", "gap = np.array(a)\n",
+           ("tests/test_core.py::TestHermitianSolve",)),
+    Mutant("hermitian-check-drops-the-finite-test", "src/wrkhs/core.py",
+           "if not math.isfinite(asym) and not np.isfinite(a).all():", "if False:",
+           ("tests/test_core.py::test_every_solver_check_names_its_operand",)),
+    # the equalization config's field checks
+    Mutant("channel-config-skips-snr-db", "src/wrkhs/channel.py",
+           "        _snr_ratio(self.snr_db)\n", "",
+           ("tests/test_cli.py::TestBench::test_equalization_field_refused_by_name",)),
+    Mutant("channel-config-skips-source-scale", "src/wrkhs/channel.py",
+           '("taps", "c2", "c3", "source_scale")', '("taps", "c2", "c3")',
+           ("tests/test_cli.py::TestBench::test_equalization_field_refused_by_name",)),
 ]
 
 
