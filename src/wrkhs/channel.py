@@ -163,7 +163,8 @@ def apply_channel(
     """Two-tap filter then memoryless cubic polynomial.
 
     ``t(n) = h0 s(n) + h1 s(n-1)`` (with ``s(-1) = 0``) and
-    ``q(n) = t + c2 t^2 + c3 t^3``.
+    ``q(n) = t + c2 t^2 + c3 t^3``. ``ValueError`` names the channel output
+    when the cubic overflows to a value that is not finite.
     """
     s = np.asarray(s, dtype=np.complex128).ravel()
     if s.size < 2:
@@ -171,7 +172,12 @@ def apply_channel(
     h0, h1 = taps
     t = h0 * s
     t[1:] += h1 * s[:-1]
-    return t + c2 * t**2 + c3 * t**3
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = t + c2 * t**2 + c3 * t**3
+    if not np.isfinite(q).all():
+        raise ValueError("channel output is not finite: the source, taps, c2 or c3 "
+                         "overflow the cubic")
+    return q
 
 
 def _snr_ratio(snr_db) -> float:
@@ -198,7 +204,8 @@ def add_awgn(q, snr_db: float, rng: np.random.Generator) -> np.ndarray:
     """
     q = np.asarray(q, dtype=np.complex128).ravel()
     ratio = _snr_ratio(snr_db)
-    power = float(np.mean(np.abs(q) ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        power = float(np.mean(np.abs(q) ** 2))
     if not 0.0 < power < math.inf:
         raise ValueError(f"channel output has zero power or a non-finite one ({power})")
     sigma2 = power / ratio

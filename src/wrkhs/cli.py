@@ -19,8 +19,7 @@ y_im`` (the two target columns are optional for ``predict``), one sample per
 row, UTF-8, '.' decimal separator. Every CSV is written by one column writer
 (``_write_csv``) and every JSON by ``json``; both write each number as its
 shortest round-trip ``repr``, and every value reads back bit-exactly. The
-writer formats each distinct value of a column once per block of
-``CSV_BLOCK_ROWS`` rows.
+writer formats and writes one block of ``CSV_BLOCK_ROWS`` rows at a time.
 
 Kernel JSON format: ``{"family": <name>, "params": {...}}`` with families
 ``real_gaussian`` (params ``gamma``, optional ``scale``), ``complex_gaussian``
@@ -85,30 +84,18 @@ def _re_im_columns(*arrays) -> list[np.ndarray]:
 CSV_BLOCK_ROWS = 512
 
 
-def _column_strings(col: np.ndarray) -> list[str]:
-    """``col`` as text: an integer as ``str``, and a float as its shortest
-    round-trip ``repr``, taken once per distinct 64-bit pattern (so ``-0.0``
-    and every NaN keep their own)."""
-    if col.dtype != np.float64:
-        return list(map(str, col.tolist()))
-    # a dict on the patterns, not np.unique: its sort pages in ~0.4 MB of numpy
-    bits = col.view(np.uint64).tolist()
-    value = dict(zip(bits, col.tolist()))
-    text = dict(zip(value, map(repr, value.values())))
-    return list(map(text.__getitem__, bits))
-
-
 def _write_csv(path, header, columns, comment=None) -> None:
     """``header`` then the rows of the equal-length 1-D arrays ``columns``, in
     the bytes the standard ``csv`` module writes for the same rows of Python
-    numbers (``\\r\\n`` line ends), after a ``comment`` line when one is given."""
+    numbers (each value's ``repr``, ``\\r\\n`` line ends), after a ``comment``
+    line when one is given."""
     n = len(columns[0])
     with open(path, "w", newline="", encoding="utf-8") as fh:
         if comment is not None:
             fh.write(comment + "\n")
         fh.write(",".join(header) + "\r\n")
         for start in range(0, n, CSV_BLOCK_ROWS):
-            text = [_column_strings(c[start : start + CSV_BLOCK_ROWS]) for c in columns]
+            text = [map(repr, c[start : start + CSV_BLOCK_ROWS].tolist()) for c in columns]
             fh.write("\r\n".join(map(",".join, zip(*text))) + "\r\n")
 
 
@@ -119,24 +106,26 @@ def _dataset_header(d: int, with_targets: bool = True) -> list[str]:
 
 def read_dataset_csv(path) -> ComplexDataset:
     """Parse a dataset CSV; targets default to zero when the columns are absent.
-    Every value is read bit-exactly, sign of zero included."""
+    Every value is read bit-exactly, sign of zero included. An error names its
+    row by the file line it ends on, comment and blank lines counted."""
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh) if row and not row[0].startswith("#")]
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, row) for row in reader if row and not row[0].startswith("#")]
     if not rows:
         raise ValueError(f"{path}: empty dataset file")
-    header = [h.strip() for h in rows[0]]
+    header = [h.strip() for h in rows[0][1]]
     with_targets = "y_re" in header
     d = len(header) // 2 - with_targets
     if d < 1 or header != _dataset_header(d, with_targets):
         raise ValueError(f"{path}: malformed header {header}")
     vals = np.empty((len(rows) - 1, len(header)))
-    for i, row in enumerate(rows[1:], start=2):
+    for i, (line, row) in enumerate(rows[1:]):
         if len(row) != len(header):
-            raise ValueError(f"{path}: row {i}: expected {len(header)} fields")
+            raise ValueError(f"{path}: row {line}: expected {len(header)} fields")
         try:
-            vals[i - 2] = [float(v) for v in row]
+            vals[i] = [float(v) for v in row]
         except ValueError as exc:
-            raise ValueError(f"{path}: row {i}: {exc}") from exc
+            raise ValueError(f"{path}: row {line}: {exc}") from exc
     x = np.empty((vals.shape[0], d), dtype=np.complex128)
     y = np.zeros(vals.shape[0], dtype=np.complex128)
     x.real, x.imag = vals[:, :d], vals[:, d : 2 * d]

@@ -424,10 +424,14 @@ class TestConfig:
         # a power of 1e-320 over a ratio of 1e300: the variance underflows to 0
         (lambda: add_awgn([1e-160, 1e-160], 3000.0, np.random.default_rng(0)), "^snr_db"),
         (lambda: add_awgn([np.inf, 1.0], 16.0, np.random.default_rng(0)), "^channel output"),
+        # finite samples whose power, or whose cubic, overflows
+        (lambda: add_awgn([1e200, 1.0], 16.0, np.random.default_rng(0)), "^channel output"),
+        (lambda: apply_channel([1e300, 1.0]), "^channel output"),
         (lambda: build_equalizer_dataset([1.0, 2.0, 3.0], [1.0, 2.0], 2, 0), "^r and s"),
     ],
     ids=["filter_length", "delay", "n_samples", "trials", "short_stream", "snr_db",
-         "snr_db_ratio", "snr_db_variance", "nonfinite_power", "unequal_streams"],
+         "snr_db_ratio", "snr_db_variance", "nonfinite_power", "overflowing_power",
+         "overflowing_cubic", "unequal_streams"],
 )
 def test_every_input_check_names_its_field(call, field):
     with pytest.raises(ValueError, match=field):

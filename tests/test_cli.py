@@ -101,8 +101,11 @@ class TestDatasetIO:
     @pytest.mark.parametrize(
         "text, field",
         [("# a comment and no rows\n", "empty dataset file"),
-         ("x_re_0,x_im_0,y_re,y_im\n1.0,0.0,1.0\n", "row 2: expected 4 fields")],
-        ids=["empty", "short_row"],
+         ("x_re_0,x_im_0,y_re,y_im\n1.0,0.0,1.0\n", "row 2: expected 4 fields"),
+         # a row is named by its file line, the comment and the blank line counted
+         ("# a comment\nx_re_0,x_im_0,y_re,y_im\n1.0,0.0,1.0,0.0\n\n1.0,oops,0.0,0.0\n",
+          "row 5: could not convert")],
+        ids=["empty", "short_row", "bad_value_after_comment_and_blank_line"],
     )
     def test_every_input_check_names_its_field(self, tmp_path, text, field):
         p = tmp_path / "bad.csv"
@@ -199,9 +202,9 @@ class TestColumnWriter:
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
     def test_text_carried_across_blocks_matches_per_row_repr(self, tmp_path):
-        # each block draws from one pool, so most patterns recur from the block
-        # before and take its text; both zeros and NaNs of several payloads and
-        # signs recur too, and a pattern may skip a block and come back
+        # each block draws from one pool, so most patterns recur in every block;
+        # both zeros and NaNs of several payloads and signs recur too, and a
+        # pattern may skip a block and come back: each row is its values' repr
         rng = np.random.default_rng(5)
         pool = np.array(SPECIAL_BITS + rng.integers(0, 2**63, size=30).tolist(), dtype=np.uint64)
         n = 4 * B + 3
@@ -1014,6 +1017,23 @@ class TestBench:
         err = capsys.readouterr().err
         assert rc == 2
         assert f"{field} must be finite" in err
+        assert "Traceback" not in err and "Warning" not in err
+        assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize("trials", [1, 2])
+    @pytest.mark.parametrize(
+        "cfg",
+        [{"source_scale": 1e300}, {"c3": [1e300, 0.0]}, {"c2": [1e200, 0.0]}],
+        ids=["source_scale-1e300", "c3-1e300", "c2-1e200"],
+    )
+    def test_equalization_channel_overflow_refused(self, tmp_path, capfd, cfg, trials):
+        # finite fields whose channel stream overflows: a trial refuses it by
+        # name, with no numpy warning from this process or a forked one
+        rc = main(bench_argv(tmp_path, "equalization",
+                             {"rho": 0.5, "trials": trials, "n_samples": 100, **cfg}))
+        err = capfd.readouterr().err
+        assert rc == 2
+        assert "channel output" in err
         assert "Traceback" not in err and "Warning" not in err
         assert list((tmp_path / "out").iterdir()) == []
 

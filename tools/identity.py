@@ -12,7 +12,9 @@ thread (the thread variables are set before numpy is imported):
 * ``bench equalization`` at the ``equalization-budget`` config of the
   benchmark (rho 2^-1/2, 2000 samples, 2 trials, budget 500, lam 0.32,
   ``real_gaussian`` gamma 8.92) at seeds 0-2;
-* ``kernel-surface`` for each of the six kernel families;
+* ``kernel-surface`` for each of the six kernel families, about a center
+  and along the diagonal ``k(x, x)`` (``--diagonal``), whose stationary
+  kernels write constant columns;
 * ``fit`` then ``predict`` at n = 1500 for both ``batch-cli-n1500`` kernels,
   on datasets drawn from Philox(seed) at seeds 0-2;
 * ``fit`` then ``predict`` at n = 300, lam 0.1, for each of the six kernel
@@ -135,8 +137,10 @@ def run_set(work: Path) -> dict[str, str]:
             "--out-dir", work / f"equalization-seed{seed}")
     (work / "surface").mkdir()
     for kernel in SURFACE_KERNELS:
-        cli("kernel-surface", "--kernel", json.dumps(kernel), "--center", "0.5-0.25j",
-            "--range", 3, "--resolution", 101, "--out", work / "surface" / f"{kernel['family']}.csv")
+        for suffix, diagonal in (("", ()), ("-diagonal", ("--diagonal",))):
+            cli("kernel-surface", "--kernel", json.dumps(kernel), "--center", "0.5-0.25j",
+                "--range", 3, "--resolution", 101, *diagonal,
+                "--out", work / "surface" / f"{kernel['family']}{suffix}.csv")
     for seed in BATCH_SEEDS:
         out = work / f"batch-seed{seed}"
         out.mkdir()

@@ -39,6 +39,11 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]
 
 
+# each kills both writer mutants; the plain test first, since a run stops at its first failure
+WRITER_TESTS = tuple(f"tests/test_cli.py::TestColumnWriter::{name}" for name in (
+    "test_text_carried_across_blocks_matches_per_row_repr", "test_matches_csv_writer",
+    "test_complex_columns_match_stacked_rows"))
+
 MUTANTS = [
     Mutant("fit-lam-times-30", "src/wrkhs/regression.py",
            "ridge_solve(systems.pop(0), lam, part,", "ridge_solve(systems.pop(0), 30 * lam, part,",
@@ -111,6 +116,13 @@ MUTANTS = [
     Mutant("hermitian-check-drops-the-finite-test", "src/wrkhs/core.py",
            "if not math.isfinite(asym) and not np.isfinite(a).all():", "if False:",
            ("tests/test_core.py::test_every_solver_check_names_its_operand",)),
+    # the CSV writer
+    Mutant("writer-formats-numpy-scalars", "src/wrkhs/cli.py",
+           "c[start : start + CSV_BLOCK_ROWS].tolist()", "c[start : start + CSV_BLOCK_ROWS]",
+           WRITER_TESTS),
+    Mutant("writer-block-drops-its-line-end", "src/wrkhs/cli.py",
+           'zip(*text))) + "\\r\\n")', "zip(*text))))",
+           WRITER_TESTS),
     # the equalization config's field checks
     Mutant("channel-config-skips-snr-db", "src/wrkhs/channel.py",
            "        _snr_ratio(self.snr_db)\n", "",
