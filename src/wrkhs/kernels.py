@@ -535,8 +535,8 @@ class _TermSum(KernelSpec):
         phase-aligned pair has ``C = 0`` by definition, so two n x n systems,
         ``R`` and ``J``. Any other pair gives one packed 2n x 2n system whose
         column j holds ``J``'s row j to the diagonal, then ``R``'s and ``C``'s
-        column j: a tile of distance rows takes one ``exp`` per gamma into ``C``
-        and ``J`` (``R``) left (right) of its diagonal square, summed both ways.
+        column j: one :func:`_gaussian_sums` call per tile of rows, ``R`` into a
+        tile buffer, then each row's ``R`` from the diagonal on over ``J``'s.
         """
         p = self.phase
         aligned = p is not None
@@ -551,14 +551,10 @@ class _TermSum(KernelSpec):
         cols = np.empty((n, 2 * n + 1))
         for rows in _tiles((n, n)):
             d = _sqdist(x[rows], x)
-            i, m = rows.start, d.shape[0]
-            top, bottom, square = cols[rows, : n + 1], cols[rows, n + 1 :], np.empty((2, m, m))
-            _gaussian_sums(d[:, :i], gammas, [j, c], [top[:, :i], bottom[:, :i]])
-            _gaussian_sums(d[:, i + m :], gammas, [r, c], [top[:, i + m + 1 :], bottom[:, i + m :]])
-            _gaussian_sums(d[:, i : i + m], gammas, [r, j, c], [*square, bottom[:, i : i + m]])
-            lower = np.arange(m) <= np.arange(m)[:, None]
-            np.copyto(top[:, i : i + m], square[1], where=lower)
-            np.copyto(top[:, i + 1 : i + m + 1], square[0], where=lower.T)
+            r_rows = np.empty_like(d)
+            _gaussian_sums(d, gammas, [r, j, c], [r_rows, cols[rows, :n], cols[rows, n + 1 :]])
+            for i, row in enumerate(r_rows, rows.start):
+                cols[i, i + 1 : n + 1] = row[i:]
         return 1 + p, [cols.reshape(-1)]
 
 

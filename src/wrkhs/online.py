@@ -96,6 +96,16 @@ _log = logging.getLogger(__name__)
 BLOCK_ROWS = 64
 
 
+def _check_finite(alpha: np.ndarray, *more: complex) -> None:
+    """Raise ``FloatingPointError`` unless the new coefficients ``alpha`` and
+    ``more`` are finite; the update loop names the target that overflowed.
+    A finite squared norm, one dot product, clears ``alpha``; only when it is
+    not, as when huge finite entries overflow it, is each entry tested."""
+    finite = cmath.isfinite(np.vdot(alpha, alpha)) or np.isfinite(alpha).all()
+    if not (finite and all(map(cmath.isfinite, more))):
+        raise FloatingPointError
+
+
 def _recursion_lam(spec: KernelSpec, lam) -> float:
     """The precondition of the recursion in either form: ``spec`` has a null
     pseudo-kernel and ``lam`` is finite and > 0. Returns ``lam`` as a float."""
@@ -193,7 +203,8 @@ class Wrkls:
         Returns the prediction made *before* the update. When the dictionary
         exceeds the budget, the minimal-score basis is evicted. A sample with
         a NaN or infinite entry raises ``ValueError`` and leaves the model
-        unchanged, as does an ``x`` that is not one sample (``core.as_sample``).
+        unchanged, as does an ``x`` that is not one sample (``core.as_sample``)
+        and a ``y`` whose update would make a coefficient NaN or infinite.
         This is the one-row case of :meth:`observe_many`'s loop.
         """
         x = as_sample(x, "observe: x")
@@ -201,7 +212,7 @@ class Wrkls:
         if not cmath.isfinite(y):
             raise ValueError("observe: y is non-finite")
         self._fix_dim(x.shape[1])
-        return complex(self._stream(x, (y,))[0])
+        return complex(self._stream(x, (y,), "observe: y")[0])
 
     def observe_many(self, X, y) -> np.ndarray:
         """One-step predictions of a stream: entry i is the prediction of
@@ -210,13 +221,15 @@ class Wrkls:
 
         ``X`` and ``y`` are checked once, as a :class:`~wrkhs.core.ComplexDataset`
         (``n >= 1`` rows, y 1-D of length n, every entry finite); a fault raises
-        ``ValueError`` and leaves the model unchanged. The kernel columns of
+        ``ValueError`` and leaves the model unchanged. So does a ``y[i]`` whose
+        update would make a coefficient NaN or infinite, named with its index,
+        for the model after ``y[i - 1]``. The kernel columns of
         each block of ``BLOCK_ROWS`` samples come from one kernel evaluation,
         so they may round differently from one-sample columns in the last bit.
         """
         data = ComplexDataset(X=X, y=y)
         self._fix_dim(data.d)
-        return self._stream(data.X, data.y.tolist())
+        return self._stream(data.X, data.y.tolist(), "observe_many: y[{}]")
 
     def inverse_residual(self) -> float:
         """``max |Q (K_DD + lam I) - I|`` over the current dictionary, from the
@@ -268,14 +281,17 @@ class Wrkls:
         self._V = np.where(draws < 0.5, -1.0, 1.0)
         self._cap = new_cap
 
-    def _stream(self, x: np.ndarray, y) -> np.ndarray:
+    def _stream(self, x: np.ndarray, y, name: str) -> np.ndarray:
         """Predict and admit checked rows ``x`` in order, with targets ``y``
         (Python complex numbers, so that each sample's arithmetic is that of
         :meth:`observe`), running the periodic self-check; returns the
         predictions. The kernel columns come a block at a time, as the module
-        docstring describes."""
+        docstring describes. A sample whose update would make a coefficient
+        NaN or infinite raises ``ValueError`` naming its target, ``name``
+        formatted with the sample's index, before the sample writes any state;
+        the samples before it stay admitted."""
         preds = np.empty(len(y), dtype=np.complex128)
-        with limit_blas_threads(1):
+        with limit_blas_threads(1), np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, len(y), BLOCK_ROWS):
                 stop = min(start + BLOCK_ROWS, len(y))
                 m = self._m
@@ -290,7 +306,11 @@ class Wrkls:
                     # the newcomer waits in the spare slot m until it is placed
                     m = self._m
                     self._D[m], self._y[m] = x[i], y[i]
-                    preds[i], s = self._step(cols[:, t], shifted[t], y[i])
+                    try:
+                        preds[i], s = self._step(cols[:, t], shifted[t], y[i])
+                    except FloatingPointError:
+                        raise ValueError(f"{name.format(i)} = {y[i]!r} makes a coefficient "
+                                         "non-finite; the sample is not admitted") from None
                     if s is not None:
                         cols[s, t + 1 :] = cross[t, t + 1 :]
                     self._observed += 1
@@ -335,19 +355,20 @@ class Wrkls:
         stats = self.stats
         if gamma <= 1e-12 * c:
             # singular rank-1 update: rebuild, and at the budget again without the min score
-            stats["rebuilds"]["singular"] += 1
-            _log.warning("singular rank-1 update at dictionary size %d; rebuilding", m)
-            self._place(m, col, c)
-            self._m = m + 1
-            self._rebuild()
+            self._place(m, col, c)  # the spare slot: no live state yet
+            q, new_alpha = self._solve(range(m + 1))
             r = m
             if full:
-                q_diag = q.diagonal()[: m + 1].real
-                r = int((np.abs(self._alpha[: m + 1]) ** 2 / q_diag).argmin())
-                self._place(r, col, c)
-                q[m, :] = q[:, m] = 0.0
-                self._m = m
-                self._rebuild()
+                _check_finite(new_alpha)
+                r = int((np.abs(new_alpha) ** 2 / q.diagonal()[: m + 1].real).argmin())
+                q, new_alpha = self._solve([m if s == r else s for s in range(m)])
+            _check_finite(new_alpha)
+            stats["rebuilds"]["singular"] += 1
+            _log.warning("singular rank-1 update at dictionary size %d; rebuilding", m)
+            self._place(r, col, c)
+            self._m = len(new_alpha)
+            self._Q, self._alpha[: self._m] = q, new_alpha
+            if full:
                 if r == m:
                     stats["skipped"] += 1
                     return pred, None
@@ -358,6 +379,7 @@ class Wrkls:
         new_alpha = alpha - b[:m] * (err / gamma)
         r = m  # the newcomer's slot
         if not full:
+            _check_finite(new_alpha, err / gamma)
             b[m] = -1.0
             self._her(1.0 / gamma, b, lower=1, a=q, overwrite_a=True)
             alpha[:] = new_alpha
@@ -368,7 +390,8 @@ class Wrkls:
             q_diag = q.diagonal()[:m].real + np.abs(b[:m]) ** 2 / gamma
             scores = np.abs(new_alpha) ** 2 / q_diag
             r = int(scores.argmin())
-            if abs(err) ** 2 / gamma < scores[r]:  # admitting and evicting it: identity
+            # admitting and evicting it is the identity; a numpy square overflows to inf
+            if np.float64(abs(err)) ** 2 / gamma < scores[r]:
                 stats["skipped"] += 1
                 return pred, None
             # w: column r of the admitted inverse, from row and column r of the triangle
@@ -376,13 +399,15 @@ class Wrkls:
             w += b * (np.conj(b[r]) / gamma)
             w[r] = -np.conj(b[r]) / gamma
             w /= np.sqrt(q_diag[r])
+            evicted, new_alpha[r] = new_alpha[r], err / gamma
+            new_alpha -= w[:m] * (evicted / np.sqrt(q_diag[r]))
+            _check_finite(new_alpha)
             b[r] = -1.0
             b /= np.sqrt(gamma)
             # Q += b b^H - w w^H on the zeroed slot: (b + w)(b - w)^H / 2 + adjoint
             q[r, :] = q[:, r] = 0.0
             self._her2(0.5, b + w, b - w, lower=1, a=q, overwrite_a=True)
-            evicted, new_alpha[r] = new_alpha[r], err / gamma
-            alpha[:] = new_alpha - w[:m] * (evicted / np.sqrt(q_diag[r]))
+            alpha[:] = new_alpha
             stats["replacements"] += 1
         self._place(r, col, c)
         stats["admits"] += 1
@@ -397,10 +422,17 @@ class Wrkls:
         a[s, :m] = col.conj()
         a[s, s] = c
 
+    def _solve(self, slots) -> tuple[np.ndarray, np.ndarray]:
+        """A new buffer like ``Q`` holding the inverse of the kept Gram on the
+        dictionary ``slots``, in their order and zero elsewhere, and the
+        coefficients of their targets; the model is not written."""
+        m = len(slots)
+        q = np.zeros_like(self._Q)
+        q[:m, :m] = hermitian_solve(self._A[np.ix_(slots, slots)], np.eye(m, dtype=self._dtype))
+        return q, q[:m, :m] @ self._y[slots]
+
     def _rebuild(self) -> None:
-        m = self._m
-        self._Q[:m, :m] = hermitian_solve(self._A[:m, :m], np.eye(m, dtype=self._dtype))
-        self._alpha[:m] = self._Q[:m, :m] @ self._y[:m]
+        self._Q, self._alpha[: self._m] = self._solve(range(self._m))
 
 
 def streaming_ridge_predictions(
@@ -413,10 +445,17 @@ def streaming_ridge_predictions(
     :class:`Wrkls` emits from successive ``observe`` calls, computed with a
     single Cholesky factorization: with ``L L^H = K + lam I`` and
     ``z = L^-1 y``, the prediction sequence is ``y - diag(L) * z``. ``x`` and
-    ``y`` are checked as a :class:`~wrkhs.core.ComplexDataset`.
+    ``y`` are checked as a :class:`~wrkhs.core.ComplexDataset`; targets that
+    overflow a prediction raise ``ValueError`` naming the first one lost.
     """
     lam = _recursion_lam(spec, lam)
     data = ComplexDataset(X=x, y=y)
     x, y = data.X, data.y
     low, _ = ridge_factor(spec._gram(x, x), lam, lambda: spec._gram(x, x))
-    return y - low[packed_diagonal(len(y))].real * packed_forward(low, y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        preds = y - low[packed_diagonal(len(y))].real * packed_forward(low, y)
+    finite = np.isfinite(preds)
+    if not finite.all():
+        raise ValueError(f"streaming_ridge_predictions: the prediction of y[{finite.argmin()}] "
+                         "is non-finite; the targets overflow")
+    return preds

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (ComplexDataset, as_samples, check_lam, from_pairs, hermitian_solve,
-                   ridge_solve, to_pairs)
+                   is_int, ridge_solve, to_pairs)
 from .kernels import KernelSpec, apply_pairs, kernel_from_config
 
 __all__ = [
@@ -223,10 +223,18 @@ def model_to_json(model: WrkhsModel) -> str:
 
 
 def model_from_json(text: str) -> WrkhsModel:
+    """Inverse of :func:`model_to_json`. ``inputs.shape`` must be two integers
+    ``>= 1`` (not bools) whose product is the number of ``inputs.values``
+    pairs; any other raises ``ValueError`` naming it."""
     payload = json.loads(text)
-    n, d = payload["inputs"]["shape"]
+    shape = payload["inputs"]["shape"]
+    values = from_pairs(payload["inputs"]["values"], "inputs.values")
+    if not (isinstance(shape, list) and len(shape) == 2 and all(is_int(k) and k >= 1 for k in shape)
+            and shape[0] * shape[1] == values.size):
+        raise ValueError(f"inputs.shape must be two integers >= 1 whose product is the number "
+                         f"of inputs.values pairs ({values.size}), got {shape!r}")
     return WrkhsModel(
-        X=from_pairs(payload["inputs"]["values"], "inputs.values").reshape(n, d),
+        X=values.reshape(shape),
         spec=kernel_from_config(payload["kernel"]),
         lam=payload["lambda"],
         alpha=from_pairs(payload["alpha"], "alpha"),

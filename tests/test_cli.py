@@ -1429,6 +1429,24 @@ class TestBoolIsNotANumber:
         assert "ridge weight must be a number" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "shape", [[-1, 1], [-2, -1], [True, 2], [2, True], [2.0, 1], [3, 1], [0, 1], [2],
+                  [2, 1, 1], "2x1", None],
+    )
+    def test_model_input_shape(self, tmp_path, capsys, shape):
+        # two integers >= 1, no bool, whose product is the number of stored inputs (2)
+        data_path, model_path = fit_small_model(tmp_path)
+        payload = json.loads(model_path.read_text())
+        assert payload["inputs"]["shape"] == [2, 1]
+        payload["inputs"]["shape"] = shape
+        model_path.write_text(json.dumps(payload))
+        out = tmp_path / "preds.csv"
+        rc = main(["predict", "--model", str(model_path), "--dataset", str(data_path),
+                   "--out", str(out)])
+        assert rc == 2
+        assert "inputs.shape must be two integers >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestMalformedPairs:
     """A complex JSON value that is not [re, im] pairs exits 2 naming the field."""

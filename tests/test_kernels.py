@@ -420,15 +420,19 @@ class TestPair:
                 spec.phase * (plus - minus) / 2, kt, atol=1e-14, err_msg=name
             )
         # no phase: one 2n system, [[K + Re Kt, Im Kt], [Im Kt, K - Re Kt]] with h = 2,
-        # the composite matrix of the pair
+        # the composite matrix of the pair. 300 and 301 rows take 23 full row tiles of 13
+        # and a partial last one; there the oracle's squared distances, from one product
+        # over all rows, round apart from the tiles' at the diagonal (by 1.6e-14 at 301)
         spec = mixed_gamma_blocks()
-        h, systems = ridge_systems(spec, x)
-        assert h == 2 and len(systems) == 1
-        assert systems[0].dtype == np.float64 and systems[0].shape == (12, 12)
-        assert spec._ridge_systems(as_samples(x, "x"))[1][0].shape == (6 * 13,)
-        np.testing.assert_allclose(
-            systems[0], composite_matrix(*spec.pair(x)), rtol=0, atol=1e-14
-        )
+        for n, atol in ((6, 1e-14), (300, 2e-14), (301, 2e-14)):
+            x = random_inputs(np.random.default_rng(29), n, 2)
+            h, systems = ridge_systems(spec, x)
+            assert h == 2 and len(systems) == 1
+            assert systems[0].dtype == np.float64 and systems[0].shape == (2 * n, 2 * n)
+            assert spec._ridge_systems(as_samples(x, "x"))[1][0].shape == (n * (2 * n + 1),)
+            np.testing.assert_allclose(
+                systems[0], composite_matrix(*spec.pair(x)), rtol=0, atol=atol, err_msg=n
+            )
 
     def test_diag_matches_gram_diagonal(self, specs):
         x = random_inputs(np.random.default_rng(28), 7, 2)

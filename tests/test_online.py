@@ -272,6 +272,70 @@ class TestMaintenance:
         assert model.inverse_residual() <= 1e-10
 
 
+def model_state(model):
+    """What an update may write: all of ``Q``, but the live block of the kept Gram,
+    whose spare slot a singular update fills before it solves."""
+    m = model.size
+    return (m, model.dictionary, model.coefficients, model.targets, model._Q.copy(),
+            model._A[:m, :m].copy(), repr(model.stats))
+
+
+class TestOverflowingTarget:
+    """A target whose update makes a coefficient NaN or infinite raises ValueError naming
+    it, with no numpy warning, and leaves the model as the previous sample left it; a
+    later finite sample is processed normally. Budgets: none, below it, and at it."""
+
+    BUDGETS = [None, 4, 1]
+
+    def assert_later_sample_admitted(self, model):
+        admits = model.stats["admits"]
+        assert np.isfinite(model.observe([10.0], 1.0))
+        assert model.stats["admits"] == admits + 1
+        assert np.isfinite(model.coefficients).all()
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_observe(self, budget):
+        model = Wrkls(RealGaussian(1.0), 0.1, budget=budget)
+        model.observe([0.0], 1e308)
+        before = model_state(model)
+        with pytest.raises(ValueError, match=r"observe: y = \(-1e\+308\+0j\) makes a coeff"):
+            model.observe([0.01], -1e308)
+        for old, new in zip(before, model_state(model)):
+            np.testing.assert_array_equal(old, new)
+        self.assert_later_sample_admitted(model)
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_observe_many(self, budget):
+        model = Wrkls(RealGaussian(1.0), 0.1, budget=budget)
+        with pytest.raises(ValueError, match=r"observe_many: y\[1\] = \(-1e\+308\+0j\)"):
+            model.observe_many([0.0, 0.01, 0.02], [1e308, -1e308, 1.0])
+        first = Wrkls(RealGaussian(1.0), 0.1, budget=budget)
+        first.observe([0.0], 1e308)
+        for old, new in zip(model_state(first), model_state(model)):
+            np.testing.assert_array_equal(old, new)
+        self.assert_later_sample_admitted(model)
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_singular_rebuild(self, budget, caplog):
+        # a repeated input at a tiny lam takes the rebuild, whose coefficients y / (2 lam)
+        # overflow: no rebuild is counted or logged
+        model = Wrkls(RealGaussian(1.0), 1e-14, budget=budget)
+        model.observe([0.0], 1e300)
+        before = model_state(model)
+        with caplog.at_level("WARNING", logger="wrkhs.online"):
+            with pytest.raises(ValueError, match=r"observe_many: y\[0\] = \(-1e\+300\+0j\)"):
+                model.observe_many([0.0], [-1e300])
+        assert not caplog.records
+        for old, new in zip(before, model_state(model)):
+            np.testing.assert_array_equal(old, new)
+        self.assert_later_sample_admitted(model)
+
+    def test_streaming_ridge_predictions(self):
+        with pytest.raises(ValueError, match=r"prediction of y\[1\] is non-finite"):
+            streaming_ridge_predictions(RealGaussian(1.0), [0, 0.01, 0.02], [1e308, -1e308, 1],
+                                        0.1)
+
+
 class TestStreamingRidge:
     def test_matches_recursion(self):
         rng = np.random.default_rng(12)

@@ -59,9 +59,12 @@ MUTANTS = [
     Mutant("diagonal-map-trailing-half", "src/wrkhs/core.py",
            "np.arange(n - c) * step + t * n", "np.arange(n - c) * step + n",
            ("tests/test_core.py::TestRidgeShift", "tests/test_regression.py::TestPackedParity")),
-    Mutant("2n-copy-strict-mask", "src/wrkhs/kernels.py",
-           "lower = np.arange(m) <= np.arange(m)[:, None]",
-           "lower = np.arange(m) < np.arange(m)[:, None]",
+    # the no-phase 2n system: J's row to the diagonal, then R's row from it
+    Mutant("2n-drops-the-r-rows", "src/wrkhs/kernels.py",
+           "cols[i, i + 1 : n + 1] = row[i:]", "pass",
+           ("tests/test_regression.py::TestPackedParity",)),
+    Mutant("2n-swaps-r-and-j", "src/wrkhs/kernels.py",
+           "_gaussian_sums(d, gammas, [r, j, c],", "_gaussian_sums(d, gammas, [j, r, c],",
            ("tests/test_regression.py::TestPackedParity",)),
     Mutant("cholesky-no-pivot-rule", "src/wrkhs/core.py",
            "if info == 0 and (retry or not n or pivots.min() > n * np.finfo(float).eps * "
@@ -71,8 +74,8 @@ MUTANTS = [
             "test_rank_deficient_gram_takes_the_jitter_once",)),
     # the budgeted recursion's self-check and thread scope
     Mutant("stream-keeps-every-thread", "src/wrkhs/online.py",
-           "        with limit_blas_threads(1):\n            for start in",
-           "        with limit_blas_threads(1 << 30):\n            for start in",
+           "with limit_blas_threads(1), np.errstate(",
+           "with limit_blas_threads(1 << 30), np.errstate(",
            ("tests/test_online_updates.py::TestObserveMany::test_the_loop_runs_at_one_blas_thread",)),
     Mutant("check-takes-the-exact-residual", "src/wrkhs/online.py",
            "residual = self._probe_residual()", "residual = self.inverse_residual()",
@@ -81,6 +84,12 @@ MUTANTS = [
     Mutant("probe-reads-zero", "src/wrkhs/online.py",
            "        return max(\n", "        return 0.0 * max(\n",
            ("tests/test_online_updates.py::test_residual_above_tolerance_forces_a_rebuild",)),
+    Mutant("stream-admits-non-finite-coefficients", "src/wrkhs/online.py",
+           "        raise FloatingPointError\n", "        pass\n",
+           ("tests/test_online.py::TestOverflowingTarget",)),
+    Mutant("skip-test-squares-in-python", "src/wrkhs/online.py",
+           "np.float64(abs(err)) ** 2 / gamma", "abs(err) ** 2 / gamma",
+           ("tests/test_online.py::TestOverflowingTarget",)),
     Mutant("probe-block-all-ones", "src/wrkhs/online.py",
            "np.where(draws < 0.5, -1.0, 1.0)", "np.where(draws < 0.5, 1.0, 1.0)",
            ("tests/test_online_updates.py::TestProbeCheck::"
