@@ -260,8 +260,13 @@ def unpacked(a: np.ndarray, conj: bool = True) -> np.ndarray:
 
 
 def ridge_shift(a: np.ndarray, lam: float) -> np.ndarray:
-    """Add ``lam`` to the diagonal of the RFP triangle ``a`` in place and return it."""
-    a[packed_diagonal(packed_order(a))] += lam
+    """Add ``lam`` to the diagonal of the RFP triangle ``a`` in place and return
+    it; ``ValueError`` naming the ridge weight when a shifted entry is not finite."""
+    diagonal = packed_diagonal(packed_order(a))
+    with np.errstate(over="ignore", invalid="ignore"):
+        a[diagonal] += lam
+    if not np.isfinite(a[diagonal]).all():
+        raise ValueError(f"ridge weight {lam!r} overflows the diagonal of A + lam I")
     return a
 
 

@@ -13,9 +13,11 @@ Each class docstring gives its formula.
 
 The real Gaussian (one term) and the last three share one evaluator over a
 list of real Gaussian terms, each with a kernel and a pseudo-kernel
-coefficient (the separable form). Such a pair is *phase-aligned* when its
-kernel is real and its pseudo-kernel is ``p S`` for one unit ``p`` and a
-real ``S``; ``phase`` reports ``p`` (None for every other spec).
+coefficient (the separable form); a sum whose coefficient moduli do not sum
+to a finite bound is refused when it is built. Such a pair is
+*phase-aligned* when its kernel is real and its pseudo-kernel is ``p S``
+for one unit ``p`` and a real ``S``; ``phase`` reports ``p`` (None for
+every other spec).
 ``_ridge_systems`` builds the real form of the widely-linear ridge system:
 for an aligned pair the real ``K + S`` and ``K - S`` of two real solves, for
 any other one real 2n x 2n system.
@@ -44,10 +46,10 @@ packed (RFP, see ``core``) lower triangle: one ``dsfrk``, then one norm sum
 ``_gaussian_sums`` is the one evaluation of sums of real Gaussians, for
 every family but the complex Gaussian, the ridge systems and
 ``apply_pairs``, one ``exp`` per tile (``_tiles``; an ``apply_pairs`` block
-is one tile; a packed triangle's tiles are contiguous slices), writing the
-last real sum into the distances' own buffer. So ``_gram(x, x)``, ``_pair(x,
-x)`` and ``_ridge_systems(x)`` give packed triangles, which
-``core.ridge_solve`` shifts and factors in place.
+is one tile; a packed triangle's tiles are contiguous slices), into buffers
+its caller passes: ``_combine`` writes the last real sum over the distances.
+So ``_gram(x, x)``, ``_pair(x, x)`` and ``_ridge_systems(x)`` give packed
+triangles, which ``core.ridge_solve`` shifts and factors in place.
 ``IndependentGaussian`` packs one full matrix, its cross term minus its
 transpose. ``ComplexGaussian`` packs the lower triangle of its exponent, one
 product laid out by columns, with a real diagonal, and takes one ``exp`` per
@@ -179,36 +181,27 @@ def _bounded(norms: np.ndarray, name: str) -> np.ndarray:
 
 # an exponent that overflows to -inf gives exp 0, as any below about -745 does
 @np.errstate(over="ignore")
-def _gaussian_sums(d2, gammas, columns, outs=None) -> list[np.ndarray]:
+def _gaussian_sums(d2, gammas, columns, outs) -> list[np.ndarray]:
     """``sum_g c_g exp(-d2 / gamma_g)`` for each column ``c`` of coefficients,
-    which holds one per gamma: the one evaluation of sums of real Gaussians.
+    which holds one per gamma, written into its buffer of ``outs``: the one
+    evaluation of sums of real Gaussians.
 
     ``d2`` is any array of distances (a packed triangle, a rectangle), and
-    each sum is laid out as it is, real unless its column holds a complex
+    each buffer is laid out as it is, real unless its column holds a complex
     coefficient. Tile by tile (:func:`_tiles`), each ``exp`` is written to
     its own tile-sized buffer ``e``, or straight into the first real sum
     whose first term it is with coefficient 1; a sum starts as ``c * e`` and
     adds later terms in gamma order, and that of an all-zero column is 0.
-    ``outs`` are the output buffers; by default the last real sum with a
-    non-zero term takes ``d2`` itself and the others are new. An output that
-    is ``d2`` is summed aside and copied back after the tile's last ``exp``
-    when a term before the last gamma weights it; otherwise it is written
-    directly, as the last ``divide`` has read the distances.
+    A buffer may be ``d2`` itself: when a term before the last gamma weights
+    it, each tile's distances are read from a copy, and otherwise in place,
+    as the last ``divide`` has read them before any sum is written.
     """
     used = [(g, cs) for g, cs in zip(gammas, zip(*columns)) if any(cs)]
-    if outs is None:
-        dtypes = [np.result_type(np.float64, *col) for col in columns]
-        real = [k for k, col in enumerate(columns) if any(col) and dtypes[k] == np.float64]
-        outs = [d2 if real and k == real[-1] else np.empty_like(d2, dtypes[k])
-                for k in range(len(columns))]
-    alias = next((k for k, o in enumerate(outs) if o is d2), None)
-    aside = alias is not None and any(cs[alias] for _, cs in used[:-1])
+    copy = any(o is d2 and any(cs[k] for _, cs in used[:-1]) for k, o in enumerate(outs))
     d2v, *outv = [a[:, None] if a.ndim < 2 else a for a in (d2, *outs)]
     for tile in _tiles(d2v.shape):
-        d = d2v[tile]
+        d = d2v[tile].copy() if copy else d2v[tile]
         acc = [o[tile] for o in outv]
-        if aside:
-            acc[alias] = np.empty(d.shape)
         started = [False] * len(acc)
         for gamma, cs in used:
             first = next((k for k, c in enumerate(cs) if c == 1 and not started[k]
@@ -225,8 +218,6 @@ def _gaussian_sums(d2, gammas, columns, outs=None) -> list[np.ndarray]:
                     started[k] = True
         for zero in [a for a, s in zip(acc, started) if not s]:  # all-zero columns
             zero[...] = 0.0
-        if aside:
-            d[...] = acc[alias]
     return outs
 
 
@@ -468,6 +459,16 @@ class _TermSum(KernelSpec):
     def __post_init__(self):
         for f in fields(self):
             _real_part_kernel(getattr(self, f.name), f.name)
+        self._check_coefficients()
+
+    def _check_coefficients(self) -> None:
+        """Refuse coefficients whose sum of moduli ``sum |a_gamma| + |b_gamma|``,
+        which bounds every entry of ``K``, ``Kt`` and the ridge systems, is
+        not finite."""
+        bound = sum(math.hypot(c.real, c.imag) for ab in self._coefficients().values() for c in ab)
+        if not math.isfinite(bound):
+            raise ValueError(f"{self.family} kernel coefficients overflow: the sum of their "
+                             f"moduli, a bound on every kernel value, is {bound}")
 
     def _terms(self) -> tuple[tuple[RealGaussian, complex, complex], ...]:
         raise NotImplementedError
@@ -485,21 +486,22 @@ class _TermSum(KernelSpec):
         }
 
     def _combine(self, x, z, columns) -> list[np.ndarray]:
-        """``sum_gamma c_gamma exp(-|x_i - z_j|^2 / gamma)`` for each column, by
-        :func:`_gaussian_sums`; a column holds one coefficient ``c_gamma`` per
-        distinct gamma, in the order of :meth:`_coefficients`."""
+        """``sum_gamma c_gamma exp(-|x_i - z_j|^2 / gamma)`` for each column, one
+        ``c_gamma`` per distinct gamma in the order of :meth:`_coefficients`, by
+        :func:`_gaussian_sums`: the last real sum with a non-zero term is
+        written over the distances, and each other sum into a new buffer."""
         d2 = _sqdist(x, z)
-        return _gaussian_sums(d2, list(self._coefficients()), columns)
-
-    def _columns(self) -> list[tuple]:
-        """The kernel and pseudo-kernel coefficient columns."""
-        return list(zip(*self._coefficients().values()))
+        dtypes = [np.result_type(np.float64, *col) for col in columns]
+        real = [k for k, col in enumerate(columns) if any(col) and dtypes[k] == np.float64]
+        outs = [d2 if real and k == real[-1] else np.empty_like(d2, t)
+                for k, t in enumerate(dtypes)]
+        return _gaussian_sums(d2, list(self._coefficients()), columns, outs)
 
     def _gram(self, x, z):
-        return self._combine(x, z, self._columns()[:1])[0]
+        return self._combine(x, z, [[a for a, _ in self._coefficients().values()]])[0]
 
     def _pair(self, x, z):
-        return tuple(self._combine(x, z, self._columns()))
+        return tuple(self._combine(x, z, list(zip(*self._coefficients().values()))))
 
     @property
     def has_null_pseudo(self) -> bool:
@@ -639,6 +641,7 @@ class SumOfSeparable(_TermSum):
             if not 0.0 <= w < 1.0:
                 raise ValueError(f"weights must lie in [0, 1), got {w}")
         object.__setattr__(self, "terms", terms)
+        self._check_coefficients()
 
     def _terms(self):
         return tuple((kq, 2, 2j * w) for kq, w in self.terms)

@@ -223,9 +223,11 @@ class Wrkls:
         (``n >= 1`` rows, y 1-D of length n, every entry finite); a fault raises
         ``ValueError`` and leaves the model unchanged. So does a ``y[i]`` whose
         update would make a coefficient NaN or infinite, named with its index,
-        for the model after ``y[i - 1]``. The kernel columns of
-        each block of ``BLOCK_ROWS`` samples come from one kernel evaluation,
-        so they may round differently from one-sample columns in the last bit.
+        for the model after ``y[i - 1]``, and a ridge weight that overflows
+        ``k(x, x) + lam``, for the model before ``X[i]``'s block. The kernel
+        columns of each block of ``BLOCK_ROWS`` samples come from one kernel
+        evaluation, so they may round differently from one-sample columns in
+        the last bit.
         """
         data = ComplexDataset(X=X, y=y)
         self._fix_dim(data.d)
@@ -289,19 +291,25 @@ class Wrkls:
         docstring describes. A sample whose update would make a coefficient
         NaN or infinite raises ``ValueError`` naming its target, ``name``
         formatted with the sample's index, before the sample writes any state;
-        the samples before it stay admitted."""
+        the samples before it stay admitted. A block where ``k(x, x) + lam``
+        overflows raises ``ValueError`` naming the ridge weight before any of
+        its samples is admitted."""
         preds = np.empty(len(y), dtype=np.complex128)
         with limit_blas_threads(1), np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, len(y), BLOCK_ROWS):
                 stop = min(start + BLOCK_ROWS, len(y))
                 m = self._m
-                self._ensure_capacity(m + stop - start)
-                rows = np.concatenate((self._D[:m], x[start:stop]))
+                # (m, d) rows of the dictionary, also before a first block sizes it
+                rows = np.concatenate((self._D[:m].reshape(m, x.shape[1]), x[start:stop]))
                 gram = self.spec._gram(rows, rows[m:])
+                cross = gram[m:]
+                shifted = cross.diagonal().real + self.lam  # k(x, x) + lam
+                if not np.isfinite(shifted).all():
+                    raise ValueError(f"ridge weight {self.lam!r} overflows k(x, x) + lam")
+                shifted = shifted.tolist()
+                self._ensure_capacity(m + stop - start)
                 cols = np.zeros((self._cap, stop - start), dtype=self._dtype, order="F")
                 cols[:m] = gram[:m]
-                cross = gram[m:]
-                shifted = (cross.diagonal().real + self.lam).tolist()  # k(x, x) + lam
                 for t, i in enumerate(range(start, stop)):
                     # the newcomer waits in the spare slot m until it is placed
                     m = self._m
@@ -446,7 +454,8 @@ def streaming_ridge_predictions(
     single Cholesky factorization: with ``L L^H = K + lam I`` and
     ``z = L^-1 y``, the prediction sequence is ``y - diag(L) * z``. ``x`` and
     ``y`` are checked as a :class:`~wrkhs.core.ComplexDataset`; targets that
-    overflow a prediction raise ``ValueError`` naming the first one lost.
+    overflow a prediction raise ``ValueError`` naming the first one lost, and
+    a ``lam`` that overflows ``k(x, x) + lam`` one naming the ridge weight.
     """
     lam = _recursion_lam(spec, lam)
     data = ComplexDataset(X=x, y=y)

@@ -1481,3 +1481,80 @@ class TestMalformedPairs:
         assert rc == 2
         assert f"{field} must be an [re, im] pair" in capsys.readouterr().err
         assert list((tmp_path / "out").iterdir()) == []
+
+
+# kernels whose coefficient moduli sum past the largest float: K's values would be inf
+OVERFLOWING_KERNELS = [
+    {"family": "sum_of_separable",
+     "params": {"terms": [{"weight": 0.5, "gamma": 1.0, "scale": 1e308}]}},
+    {"family": "separate_real_imag",
+     "params": {"rr": {"gamma": 1.0, "scale": 1e308}, "jj": {"gamma": 2.0, "scale": 1e308}}},
+]
+# a finite kernel whose k(x, x) + 1.7e308 overflows
+HUGE_RG = {"family": "real_gaussian", "params": {"gamma": 1.0, "scale": 1e308}}
+
+
+class TestOverflowRefused:
+    """A kernel whose coefficients overflow, and a ridge weight that overflows the
+    shifted diagonal, exit 2 naming them, with no warning and no file written."""
+
+    @staticmethod
+    def fit_argv(tmp_path, kernel, lam):
+        data_path = tmp_path / "d.csv"
+        write_csv(data_path, ["x_re_0", "x_im_0", "y_re", "y_im"],
+                  [["0.1", "0.2", "1.0", "0.5"], ["-0.3", "0.4", "0.2", "-0.1"],
+                   ["0.5", "-0.6", "-0.7", "0.3"]])
+        return ["fit", "--dataset", str(data_path), "--kernel", json.dumps(kernel),
+                "--lam", lam, "--out", str(tmp_path / "out")]
+
+    @staticmethod
+    def assert_refused(tmp_path, rc, err, message):
+        assert rc == 2
+        assert message in err
+        assert "Traceback" not in err and "Warning" not in err
+        out = tmp_path / "out"
+        assert not out.exists() or list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["fit", "kernel-surface", "predict", "bench"])
+    @pytest.mark.parametrize("kernel", OVERFLOWING_KERNELS,
+                             ids=[k["family"] for k in OVERFLOWING_KERNELS])
+    def test_kernel_coefficients(self, tmp_path, capfd, kernel, command):
+        if command == "fit":
+            argv = self.fit_argv(tmp_path, kernel, "0.1")
+        elif command == "kernel-surface":
+            argv = ["kernel-surface", "--range", "1", "--resolution", "2",
+                    "--kernel", json.dumps(kernel), "--out", str(tmp_path / "out")]
+        elif command == "predict":
+            data_path, model_path = fit_small_model(tmp_path)
+            payload = json.loads(model_path.read_text())
+            payload["kernel"] = kernel
+            model_path.write_text(json.dumps(payload))
+            argv = ["predict", "--model", str(model_path), "--dataset", str(data_path),
+                    "--out", str(tmp_path / "out")]
+        else:
+            argv = bench_argv(tmp_path, "equalization",
+                              {"rho": 0.5, "trials": 1, "n_samples": 60, "kernel": kernel})
+        rc = main(argv)
+        self.assert_refused(tmp_path, rc, capfd.readouterr().err,
+                            f"{kernel['family']} kernel coefficients overflow")
+
+    def test_fit_ridge_weight(self, tmp_path, capfd, caplog):
+        rc = main(self.fit_argv(tmp_path, HUGE_RG, "1.7e308"))
+        self.assert_refused(tmp_path, rc, capfd.readouterr().err,
+                            "ridge weight 1.7e+308 overflows")
+        assert not caplog.records  # refused before any factorization, so no jitter retry
+
+    @pytest.mark.parametrize("budget", [None, 8])
+    def test_bench_ridge_weight(self, tmp_path, capfd, budget):
+        cfg = {"rho": 0.5, "trials": 1, "n_samples": 60, "lam": 1.7e308, "budget": budget,
+               "kernel": HUGE_RG}
+        rc = main(bench_argv(tmp_path, "equalization", cfg))
+        self.assert_refused(tmp_path, rc, capfd.readouterr().err,
+                            "ridge weight 1.7e+308 overflows")
+
+    def test_a_unit_kernel_fits_at_the_weight(self, tmp_path, capsys):
+        unit = {"family": "real_gaussian", "params": {"gamma": 1.0}}
+        assert main(self.fit_argv(tmp_path, unit, "1.7e308")) == 0
+        mse_db = float(capsys.readouterr().out.split("training_mse_db=")[1])
+        assert math.isfinite(mse_db)
+        assert (tmp_path / "out").exists()

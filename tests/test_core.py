@@ -240,6 +240,13 @@ class TestRidgeShift:
             tracemalloc.stop()
         assert peak <= 0.2 * a.nbytes, peak / a.nbytes
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_overflowing_diagonal_names_the_ridge_weight(self, dtype):
+        # 1e308 + 1.7e308 overflows, refused with no numpy warning; 1 + 1.7e308 does not
+        with pytest.raises(ValueError, match=r"ridge weight 1\.7e\+308 overflows"):
+            ridge_shift(packed(np.full((3, 3), 1e308, dtype)), 1.7e308)
+        assert np.isfinite(ridge_shift(packed(np.ones((3, 3), dtype)), 1.7e308)).all()
+
 
 class TestComplexDataset:
     def test_basic(self):

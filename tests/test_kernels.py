@@ -1,6 +1,8 @@
 """Tests for the kernel zoo, Gram builders, and block identities."""
 
 import json
+import math
+import sys
 import tracemalloc
 import warnings
 
@@ -307,17 +309,22 @@ class TestGaussianSums:
 
     @pytest.mark.parametrize("tri", [True, False])
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
-    def test_default_outputs(self, tri, m):
+    def test_default_outputs(self, tri, m, monkeypatch):
+        # the outputs _combine passes, over distances it takes from _sqdist; the
+        # spec only lists the gammas, the columns are the test's
         gammas, columns = self.terms(m)
+        spec = SumOfSeparable(terms=tuple((RealGaussian(g), 0.0) for g in gammas))
+        assert list(spec._coefficients()) == gammas
         d2 = self.distances(tri)
         before = d2.copy()
-        sums = kernels._gaussian_sums(d2, gammas, columns)
+        monkeypatch.setattr(kernels, "_sqdist", lambda a, b: d2)
+        sums = spec._combine(None, None, columns)
         assert sums[0] is d2  # the last real sum with a term takes the distances
         self.assert_sums(sums, before, gammas, columns)
         # without a real sum to take them, the distances are only read
         d2 = self.distances(tri)
         before = d2.copy()
-        sums = kernels._gaussian_sums(d2, gammas, columns[1:])
+        sums = spec._combine(None, None, columns[1:])
         assert d2.tobytes() == before.tobytes()
         self.assert_sums(sums, before, gammas, columns[1:])
 
@@ -325,8 +332,9 @@ class TestGaussianSums:
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_given_outputs(self, tri, m):
         gammas, columns = self.terms(m)
-        # the distances as the one output: summed aside when a gamma before the
-        # last weights them (m > 1), else written after the last divide
+        # the distances as the one output: each tile read from a copy when a
+        # gamma before the last weights them (m > 1), else in place, written
+        # after the last divide
         for col in (columns[0], [0.0] * (m - 1) + [1.5]):
             d2 = self.distances(tri)
             before = d2.copy()
@@ -351,6 +359,53 @@ class TestGaussianSums:
             warnings.simplefilter("error")
             k = RealGaussian(gamma=1e-300).gram([0, 1e11])
         np.testing.assert_array_equal(k, np.eye(2))
+
+
+# the largest scale whose coefficient 2 * scale is finite, and the next float up
+HALF_MAX = sys.float_info.max / 2
+ABOVE_HALF_MAX = math.nextafter(HALF_MAX, math.inf)
+
+
+def bounded_spec(name, half):
+    """A sum of Gaussians of family ``name`` whose coefficient moduli sum to ``2 * half``."""
+    if name == "sum_of_separable":
+        return SumOfSeparable(terms=((RealGaussian(1.0, scale=half), 0.0),))
+    rr, jj = RealGaussian(1.0, scale=half / 2), RealGaussian(2.0, scale=half / 2)
+    if name == "separate_real_imag":
+        return SeparateRealImag(rr=rr, jj=jj)
+    return RealImagBlocks(rr=rr, jj=jj, rj=RealGaussian(3.0, scale=0.0),
+                          jr=RealGaussian(3.0, scale=0.0))
+
+
+class TestOverflowingCoefficients:
+    """A sum of Gaussians whose coefficients' moduli sum to a non-finite bound on
+    every entry of K, Kt and the ridge systems is refused at construction,
+    naming its family; at the largest finite bound its values are finite."""
+
+    @pytest.mark.parametrize("name", ["sum_of_separable", "separate_real_imag",
+                                      "real_imag_blocks"])
+    def test_both_sides_of_the_bound(self, name):
+        x = as_samples(random_inputs(np.random.default_rng(49), 5, 2), "x")
+        spec = bounded_spec(name, HALF_MAX)
+        for values in (*spec.pair(x), *spec._ridge_systems(x)[1]):
+            assert np.isfinite(values).all()
+        with pytest.raises(ValueError, match=f"{name} kernel coefficients overflow"):
+            bounded_spec(name, ABOVE_HALF_MAX)
+
+    @pytest.mark.parametrize("config", [
+        {"family": "sum_of_separable",
+         "params": {"terms": [{"weight": 0.5, "gamma": 1.0, "scale": 1e308}]}},
+        {"family": "separate_real_imag",
+         "params": {"rr": {"gamma": 1.0, "scale": 1e308}, "jj": {"gamma": 2.0, "scale": 1e308}}},
+    ], ids=["sum_of_separable", "separate_real_imag"])
+    def test_from_config(self, config):
+        with pytest.raises(ValueError, match=f"{config['family']} kernel coefficients overflow"):
+            kernel_from_config(config)
+
+    def test_a_lone_real_gaussian_keeps_a_finite_scale(self):
+        spec = kernel_from_config({"family": "real_gaussian",
+                                   "params": {"gamma": 1.0, "scale": 1e308}})
+        assert spec.gram([0.0, 1.0])[0, 0] == 1e308
 
 
 class TestPair:

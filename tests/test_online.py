@@ -336,6 +336,35 @@ class TestOverflowingTarget:
                                         0.1)
 
 
+class TestOverflowingRidgeWeight:
+    """A ridge weight that overflows ``k(x, x) + lam`` is refused naming it, with no
+    numpy warning, before a block writes any state; a unit kernel takes it."""
+
+    X, Y = [0.0, 0.01, 0.02], [1.0, 2.0, 3.0]
+    HUGE = RealGaussian(1.0, scale=1e308)
+
+    @pytest.mark.parametrize("budget", [None, 4, 1])
+    def test_observe_many(self, budget):
+        model = Wrkls(self.HUGE, 1.7e308, budget=budget)
+        before = model_state(model)
+        with pytest.raises(ValueError, match=r"ridge weight 1\.7e\+308 overflows"):
+            model.observe_many(self.X, self.Y)
+        with pytest.raises(ValueError, match=r"ridge weight 1\.7e\+308 overflows"):
+            model.observe([0.0], 1.0)
+        for old, new in zip(before, model_state(model)):
+            np.testing.assert_array_equal(old, new)
+
+    def test_streaming_ridge_predictions(self):
+        with pytest.raises(ValueError, match=r"ridge weight 1\.7e\+308 overflows"):
+            streaming_ridge_predictions(self.HUGE, self.X, self.Y, 1.7e308)
+
+    @pytest.mark.parametrize("budget", [None, 1])
+    def test_a_unit_kernel_takes_it(self, budget):
+        unit = RealGaussian(1.0)
+        assert np.isfinite(Wrkls(unit, 1.7e308, budget).observe_many(self.X, self.Y)).all()
+        assert np.isfinite(streaming_ridge_predictions(unit, self.X, self.Y, 1.7e308)).all()
+
+
 class TestStreamingRidge:
     def test_matches_recursion(self):
         rng = np.random.default_rng(12)

@@ -66,6 +66,27 @@ MUTANTS = [
     Mutant("2n-swaps-r-and-j", "src/wrkhs/kernels.py",
            "_gaussian_sums(d, gammas, [r, j, c],", "_gaussian_sums(d, gammas, [j, r, c],",
            ("tests/test_regression.py::TestPackedParity",)),
+    # the Gaussian-sum loop: a sum written over the distances it still reads
+    Mutant("gaussian-sums-reads-overwritten-distances", "src/wrkhs/kernels.py",
+           "d2v[tile].copy() if copy else d2v[tile]", "d2v[tile]",
+           ("tests/test_kernels.py::TestGaussianSums::test_given_outputs",
+            "tests/test_regression.py::TestPackedParity")),
+    # overflow refused at the boundary: kernel coefficients and the ridge weight
+    Mutant("term-sum-skips-the-coefficient-bound", "src/wrkhs/kernels.py",
+           "f.name), f.name)\n        self._check_coefficients()\n", "f.name), f.name)\n",
+           ("tests/test_kernels.py::TestOverflowingCoefficients",)),
+    Mutant("sum-of-separable-skips-the-coefficient-bound", "src/wrkhs/kernels.py",
+           '"terms", terms)\n        self._check_coefficients()\n', '"terms", terms)\n',
+           ("tests/test_kernels.py::TestOverflowingCoefficients",)),
+    Mutant("ridge-shift-admits-an-overflowing-diagonal", "src/wrkhs/core.py",
+           "if not np.isfinite(a[diagonal]).all():", "if False:",
+           ("tests/test_core.py::TestRidgeShift",
+            "tests/test_online.py::TestOverflowingRidgeWeight::test_streaming_ridge_predictions",
+            "tests/test_cli.py::TestOverflowRefused::test_fit_ridge_weight")),
+    Mutant("stream-admits-an-overflowing-ridge-weight", "src/wrkhs/online.py",
+           "if not np.isfinite(shifted).all():", "if False:",
+           ("tests/test_online.py::TestOverflowingRidgeWeight::test_observe_many",
+            "tests/test_cli.py::TestOverflowRefused::test_bench_ridge_weight")),
     Mutant("cholesky-no-pivot-rule", "src/wrkhs/core.py",
            "if info == 0 and (retry or not n or pivots.min() > n * np.finfo(float).eps * "
            "pivots.max()):",
