@@ -134,11 +134,6 @@ def read_dataset_csv(path) -> ComplexDataset:
     return ComplexDataset(X=x, y=y)
 
 
-def write_dataset_csv(path, data: ComplexDataset) -> None:
-    """Write ``data`` in the format :func:`read_dataset_csv` parses."""
-    _write_csv(path, _dataset_header(data.d), _re_im_columns(data.X, data.y))
-
-
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------

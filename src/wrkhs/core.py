@@ -18,15 +18,15 @@ n (n + 1) / 2 entries of an order-n matrix in one 1-D buffer.
 over (``kernels.KernelSpec._gram(x, x)``) and factor it in place by the one
 Cholesky, ``?pftrf``, with one jitter retry, which logs a ``WARNING`` on the
 ``wrkhs.core`` logger; each returns the diagonal shift it factored, so a fit
-can report it. ``packed_solve`` and ``packed_forward`` solve by the factor.
-A system of order below ``SMALL_SYSTEM_ORDER`` is factored and solved on one
+can report it. ``packed_solve`` and ``packed_forward`` solve by the factor;
+``ridge_inverse`` inverts it (``?pftri``) for ``Wrkls``'s rebuild. A system
+of order below ``SMALL_SYSTEM_ORDER`` is factored, solved and inverted on one
 BLAS thread (``limit_blas_threads``). ``packed`` and ``unpacked`` convert
 full matrices, the latter through ``mirror_lower``, the one mirror of a
-lower triangle. ``hermitian_solve`` solves a full matrix after checking that
-the right-hand side is finite and, in one pass, that the matrix is finite
-and Hermitian to ``HERMITIAN_ATOL``; an exactly diagonal system is solved by
-division. Only ``Wrkls._rebuild`` and the oracle ``regression.fit_schur``
-call it, and the package root does not export it.
+lower triangle. ``hermitian_solve``, the tests' full-matrix oracle, solves a
+full matrix after checking that the right-hand side is finite and, in one
+pass, that the matrix is finite and Hermitian to ``HERMITIAN_ATOL``; an
+exactly diagonal system is solved by division. No package path calls it.
 ``stacked_apply`` lets a real matrix act on a complex right-hand side as one
 real call on its stacked real and imaginary parts.
 
@@ -35,11 +35,10 @@ scipy have loaded for the length of a block, so that processes running BLAS
 side by side share the cores instead of each taking all of them, and small
 solves do not wait for a pool.
 
-All functions here but ``ridge_shift``, ``ridge_solve``, ``ridge_factor`` and
-``mirror_lower``, which work in the buffer they are given, and
-``limit_blas_threads``, which sets this process's BLAS thread counts, are
-pure; arrays returned by dataset containers are read-only and safe to share
-across threads.
+All functions here but the ``ridge_*`` ones and ``mirror_lower``, which work
+in the buffer they are given, and ``limit_blas_threads``, which sets this
+process's BLAS thread counts, are pure; arrays returned by dataset
+containers are read-only and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -75,6 +74,7 @@ __all__ = [
     "ridge_shift",
     "ridge_solve",
     "ridge_factor",
+    "ridge_inverse",
     "packed_solve",
     "packed_forward",
     "packed",
@@ -313,6 +313,24 @@ def ridge_factor(a: np.ndarray, lam: float, rebuild) -> tuple[np.ndarray, float]
     del a
     low, jitter = _cholesky(held, lambda: ridge_shift(rebuild(), lam))
     return low, lam + jitter
+
+
+def ridge_inverse(a: np.ndarray, rebuild) -> tuple[np.ndarray, float]:
+    """``A^-1`` as the lower triangle of an (n, n) F-ordered array, zero above
+    it, and the jitter factored: :func:`ridge_factor` at ``lam = 0`` in the
+    RFP triangle ``a`` of the Hermitian (n, n) ``A``, ``rebuild()`` giving
+    ``A`` afresh for the retry, then ``?pftri`` in place and ``?tfttr``. A
+    failed inversion raises :class:`NumericalError`."""
+    held = [a]
+    del a  # so that no reference keeps a failed factorization through the retry
+    low, jitter = ridge_factor(held.pop(), 0.0, rebuild)
+    n = packed_order(low)
+    pftri, tfttr = get_lapack_funcs(("pftri", "tfttr"), (low,))
+    with _sized_pool(n):
+        inv, info = pftri(n, low, uplo="L", overwrite_a=1)
+    if info != 0:
+        raise NumericalError(f"inverse of the order-{n} Cholesky factor failed")
+    return tfttr(n, inv, uplo="L")[0][:n], jitter  # n = 0 gives a row
 
 
 def packed_solve(low: np.ndarray, b) -> np.ndarray:

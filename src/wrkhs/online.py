@@ -25,8 +25,9 @@ the admitted inverse, the newcomer's entry in place r.
 
 A second buffer slotted like ``Q`` keeps the regularized Gram
 ``K_DD + lam I``, exactly Hermitian. An admit writes the newcomer's kernel
-column ``k(D, x)`` as its column and row there. The periodic self-check and
-a rebuild read this Gram. The check is Freivalds' randomized check: with a
+column ``k(D, x)`` as its column and row there. The periodic self-check
+reads this Gram, and a rebuild inverts its packed triangle into ``Q``
+(``core.ridge_inverse``). The check is Freivalds' randomized check: with a
 fixed block V of ``PROBE_COLUMNS`` real +-1 columns it reports
 ``max |Q (A V) - V|``, one m x k product with the Gram ``A`` and k
 ``?symv``/``?hemv`` on the lower triangle of ``Q``, so O(k m^2) and no m x m
@@ -70,9 +71,10 @@ import numpy as np
 from scipy.linalg import blas
 
 from .core import (
-    ComplexDataset, as_sample, check_lam, hermitian_solve, is_int, limit_blas_threads,
-    mirror_lower, packed_diagonal, packed_forward, ridge_factor,
+    ComplexDataset, as_sample, check_lam, is_int, limit_blas_threads, mirror_lower, packed,
+    packed_diagonal, packed_forward, ridge_factor, ridge_inverse, stacked_apply,
 )
+from .core import hermitian_solve  # not called here: perfbench/spans.py patches this name
 from .kernels import KernelSpec
 
 __all__ = ["Wrkls", "streaming_ridge_predictions"]
@@ -104,6 +106,14 @@ def _check_finite(alpha: np.ndarray, *more: complex) -> None:
     finite = cmath.isfinite(np.vdot(alpha, alpha)) or np.isfinite(alpha).all()
     if not (finite and all(map(cmath.isfinite, more))):
         raise FloatingPointError
+
+
+def _stopped(message: str, preds: np.ndarray) -> ValueError:
+    """A ``ValueError`` with ``message`` whose ``predictions`` attribute holds
+    a copy of ``preds``, the one-step predictions made before it was raised."""
+    error = ValueError(message)
+    error.predictions = preds.copy()
+    return error
 
 
 def _recursion_lam(spec: KernelSpec, lam) -> float:
@@ -140,7 +150,8 @@ class Wrkls:
     module docstring), not the exact :meth:`inverse_residual`. Each counted
     rebuild also logs one ``WARNING`` on the ``wrkhs.online`` logger, naming
     its cause and the dictionary size, and for a residual rebuild the probe
-    residual.
+    residual. ``stats["jitter_max"]`` is the largest jitter any rebuild's
+    factorization added (``core.ridge_inverse``), 0.0 when none did.
     """
 
     def __init__(self, spec: KernelSpec, lam: float, budget: int | None = None):
@@ -167,7 +178,8 @@ class Wrkls:
         # the self-check's probe block, one row per slot
         self._V = np.zeros((0, PROBE_COLUMNS))
         self.stats = {"admits": 0, "replacements": 0, "skipped": 0, "residual_max": 0.0,
-                      "residual_last": 0.0, "rebuilds": {"singular": 0, "residual": 0}}
+                      "residual_last": 0.0, "rebuilds": {"singular": 0, "residual": 0},
+                      "jitter_max": 0.0}
 
     # -- public state -------------------------------------------------------
 
@@ -224,7 +236,9 @@ class Wrkls:
         ``ValueError`` and leaves the model unchanged. So does a ``y[i]`` whose
         update would make a coefficient NaN or infinite, named with its index,
         for the model after ``y[i - 1]``, and a ridge weight that overflows
-        ``k(x, x) + lam``, for the model before ``X[i]``'s block. The kernel
+        ``k(x, x) + lam``, for the model before ``X[i]``'s block. The samples
+        before ``i`` stay admitted, and the error's ``predictions`` attribute
+        holds their one-step predictions, an (i,) complex array. The kernel
         columns of each block of ``BLOCK_ROWS`` samples come from one kernel
         evaluation, so they may round differently from one-sample columns in
         the last bit.
@@ -293,7 +307,8 @@ class Wrkls:
         formatted with the sample's index, before the sample writes any state;
         the samples before it stay admitted. A block where ``k(x, x) + lam``
         overflows raises ``ValueError`` naming the ridge weight before any of
-        its samples is admitted."""
+        its samples is admitted. Either error carries the predictions of the
+        samples before it as its ``predictions`` attribute."""
         preds = np.empty(len(y), dtype=np.complex128)
         with limit_blas_threads(1), np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, len(y), BLOCK_ROWS):
@@ -305,7 +320,8 @@ class Wrkls:
                 cross = gram[m:]
                 shifted = cross.diagonal().real + self.lam  # k(x, x) + lam
                 if not np.isfinite(shifted).all():
-                    raise ValueError(f"ridge weight {self.lam!r} overflows k(x, x) + lam")
+                    raise _stopped(f"ridge weight {self.lam!r} overflows k(x, x) + lam",
+                                   preds[:start])
                 shifted = shifted.tolist()
                 self._ensure_capacity(m + stop - start)
                 cols = np.zeros((self._cap, stop - start), dtype=self._dtype, order="F")
@@ -317,8 +333,9 @@ class Wrkls:
                     try:
                         preds[i], s = self._step(cols[:, t], shifted[t], y[i])
                     except FloatingPointError:
-                        raise ValueError(f"{name.format(i)} = {y[i]!r} makes a coefficient "
-                                         "non-finite; the sample is not admitted") from None
+                        raise _stopped(f"{name.format(i)} = {y[i]!r} makes a coefficient "
+                                       "non-finite; the sample is not admitted",
+                                       preds[:i]) from None
                     if s is not None:
                         cols[s, t + 1 :] = cross[t, t + 1 :]
                     self._observed += 1
@@ -364,14 +381,16 @@ class Wrkls:
         if gamma <= 1e-12 * c:
             # singular rank-1 update: rebuild, and at the budget again without the min score
             self._place(m, col, c)  # the spare slot: no live state yet
-            q, new_alpha = self._solve(range(m + 1))
+            q, new_alpha, jitter = self._solve(range(m + 1))
             r = m
             if full:
                 _check_finite(new_alpha)
                 r = int((np.abs(new_alpha) ** 2 / q.diagonal()[: m + 1].real).argmin())
-                q, new_alpha = self._solve([m if s == r else s for s in range(m)])
+                q, new_alpha, kept_jitter = self._solve([m if s == r else s for s in range(m)])
+                jitter = max(jitter, kept_jitter)
             _check_finite(new_alpha)
             stats["rebuilds"]["singular"] += 1
+            stats["jitter_max"] = max(stats["jitter_max"], jitter)
             _log.warning("singular rank-1 update at dictionary size %d; rebuilding", m)
             self._place(r, col, c)
             self._m = len(new_alpha)
@@ -430,17 +449,23 @@ class Wrkls:
         a[s, :m] = col.conj()
         a[s, s] = c
 
-    def _solve(self, slots) -> tuple[np.ndarray, np.ndarray]:
-        """A new buffer like ``Q`` holding the inverse of the kept Gram on the
-        dictionary ``slots``, in their order and zero elsewhere, and the
-        coefficients of their targets; the model is not written."""
+    def _solve(self, slots) -> tuple[np.ndarray, np.ndarray, float]:
+        """A new buffer like ``Q`` holding the lower triangle of the inverse of
+        the kept Gram on the dictionary ``slots``, in their order and zero
+        elsewhere, the coefficients of their targets, and the jitter the
+        inverse took (``core.ridge_inverse``); the model is not written."""
+        def kept():
+            return packed(self._A[np.ix_(slots, slots)])
+
+        inv, jitter = ridge_inverse(kept(), kept)
         m = len(slots)
         q = np.zeros_like(self._Q)
-        q[:m, :m] = hermitian_solve(self._A[np.ix_(slots, slots)], np.eye(m, dtype=self._dtype))
-        return q, q[:m, :m] @ self._y[slots]
+        q[:m, :m] = inv
+        return q, stacked_apply(np.matmul, mirror_lower(inv), self._y[slots]), jitter
 
     def _rebuild(self) -> None:
-        self._Q, self._alpha[: self._m] = self._solve(range(self._m))
+        self._Q, self._alpha[: self._m], jitter = self._solve(range(self._m))
+        self.stats["jitter_max"] = max(self.stats["jitter_max"], jitter)
 
 
 def streaming_ridge_predictions(

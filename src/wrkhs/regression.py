@@ -19,11 +19,10 @@ and the diagonal shift of each factorization. The training residual then
 comes from the solved system itself: with shifts ``s1`` (``R``) and ``s2``
 (``J``), ``y - f(X) = h (s1 Re(alpha/h) + j s2 Im(alpha/h))``, which is
 ``lam alpha`` unless the jitter retry ran, so no kernel is evaluated again
-(:meth:`FitInfo.residual`). ``fit_schur``, the Schur complement of the
-complex 2n x 2n augmented system, is a test oracle for ``fit_augmented``
-that the package root does not export; it solves full matrices by
-``core.hermitian_solve``. ``fit_srkhs`` is the strictly-complex fit
-``alpha = (K + lam I)^-1 y``.
+(:meth:`FitInfo.residual`). No path assembles or solves a full matrix; the
+full-matrix oracles of ``fit_augmented``, the Schur complement of the
+complex 2n x 2n augmented system and the stacked-real system, are the
+tests'. ``fit_srkhs`` is the strictly-complex fit ``alpha = (K + lam I)^-1 y``.
 
 Predictions follow ``f(x*) = k(x*, X) alpha + ktilde(x*, X) conj(alpha)``,
 evaluated by ``kernels.apply_pairs`` in blocks of rows of ``x*``, each a
@@ -42,14 +41,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (ComplexDataset, as_samples, check_lam, from_pairs, hermitian_solve,
-                   is_int, ridge_solve, to_pairs)
+from .core import ComplexDataset, as_samples, check_lam, from_pairs, is_int, ridge_solve, to_pairs
+from .core import hermitian_solve  # not called here: perfbench/spans.py patches this name
 from .kernels import KernelSpec, apply_pairs, kernel_from_config
 
 __all__ = [
     "FitInfo",
     "WrkhsModel",
-    "fit_schur",
     "fit_augmented",
     "fit_srkhs",
     "predict",
@@ -113,26 +111,6 @@ class WrkhsModel:
         object.__setattr__(self, "X", x)
         object.__setattr__(self, "lam", check_lam(self.lam))
         object.__setattr__(self, "alpha", a)
-
-
-def fit_schur(data: ComplexDataset, spec: KernelSpec, lam: float) -> WrkhsModel:
-    """Schur-complement oracle for :func:`fit_augmented`.
-
-    Eliminates ``conj(alpha)`` from the complex 2n x 2n augmented system:
-    with ``C = K + lam I`` and ``P = C - Kt C^-* conj(Kt)``, ``alpha`` solves
-    ``P alpha = y - Kt C^-* conj(y)``. A null pseudo-kernel is not routed to
-    :func:`fit_srkhs`.
-    """
-    lam = check_lam(lam)
-    y = data.y
-    c, kt = (np.asarray(m, dtype=np.complex128) for m in spec.pair(data.X))
-    c[np.diag_indices_from(c)] += lam
-    # C^-* conj(Kt) = conj(C^-1 Kt); P is Hermitian up to rounding
-    p = c - kt @ np.conj(hermitian_solve(c, kt))
-    p = (p + p.conj().T) / 2.0
-    u = hermitian_solve(p, y)  # P^-1 y;  P^-* conj(y) = conj(u)
-    alpha = u - hermitian_solve(c, kt @ u.conj())
-    return WrkhsModel(X=data.X, spec=spec, lam=lam, alpha=alpha)
 
 
 def fit_augmented(data: ComplexDataset, spec: KernelSpec, lam: float) -> WrkhsModel:

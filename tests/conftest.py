@@ -1,12 +1,15 @@
 """Shared helpers: random inputs, one representative spec per kernel family,
-and the measuring tools the tests apply to the library."""
+the full-matrix oracles of the batch fit, and the measuring tools the tests
+apply to the library."""
 
 import numpy as np
 import pytest
 
 from wrkhs import (
+    ComplexDataset,
     ComplexGaussian,
     IndependentGaussian,
+    KernelSpec,
     RealGaussian,
     RealImagBlocks,
     SeparateRealImag,
@@ -76,6 +79,26 @@ def fit_composite(data, spec, lam) -> np.ndarray:
     kc = composite_matrix(*spec.pair(data.X))
     kc[np.diag_indices_from(kc)] += check_lam(lam)
     return hermitian_solve(kc, np.concatenate([data.y.real, data.y.imag]))
+
+
+def fit_schur(data: ComplexDataset, spec: KernelSpec, lam: float) -> WrkhsModel:
+    """Schur-complement oracle for :func:`fit_augmented`.
+
+    Eliminates ``conj(alpha)`` from the complex 2n x 2n augmented system:
+    with ``C = K + lam I`` and ``P = C - Kt C^-* conj(Kt)``, ``alpha`` solves
+    ``P alpha = y - Kt C^-* conj(y)``. A null pseudo-kernel is not routed to
+    :func:`fit_srkhs`.
+    """
+    lam = check_lam(lam)
+    y = data.y
+    c, kt = (np.asarray(m, dtype=np.complex128) for m in spec.pair(data.X))
+    c[np.diag_indices_from(c)] += lam
+    # C^-* conj(Kt) = conj(C^-1 Kt); P is Hermitian up to rounding
+    p = c - kt @ np.conj(hermitian_solve(c, kt))
+    p = (p + p.conj().T) / 2.0
+    u = hermitian_solve(p, y)  # P^-1 y;  P^-* conj(y) = conj(u)
+    alpha = u - hermitian_solve(c, kt @ u.conj())
+    return WrkhsModel(X=data.X, spec=spec, lam=lam, alpha=alpha)
 
 
 def predict_composite(spec, x_train, alpha_com, x_star) -> np.ndarray:

@@ -30,11 +30,11 @@ from wrkhs import (
 )
 from wrkhs.cli import main as cli_main
 from wrkhs.core import hermitian_solve
-from wrkhs.regression import fit_schur
 from conftest import (
     experiment1,
     experiment2,
     fit_composite,
+    fit_schur,
     kernel_value,
     min_composite_eigenvalue,
     predict_composite,

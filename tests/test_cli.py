@@ -34,13 +34,18 @@ from wrkhs.core import NumericalError
 from wrkhs.cli import (
     CSV_BLOCK_ROWS,
     _config_hash,
+    _dataset_header,
     _re_im_columns,
     _write_csv,
     main,
     read_dataset_csv,
-    write_dataset_csv,
 )
 from conftest import fit_composite, predict_composite
+
+
+def write_dataset_csv(path, data: ComplexDataset) -> None:
+    """Write ``data`` in the format ``read_dataset_csv`` parses, by the one column writer."""
+    _write_csv(path, _dataset_header(data.d), _re_im_columns(data.X, data.y))
 
 
 def write_csv(path, header, rows, comment=None):

@@ -6,6 +6,7 @@ import dataclasses
 import math
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -23,8 +24,8 @@ from wrkhs import (
     streaming_ridge_predictions,
 )
 from wrkhs.core import (
-    as_float, from_pairs, hermitian_solve, packed, ridge_factor, ridge_shift, ridge_solve,
-    store_as_annotated, to_pairs, unpacked,
+    as_float, from_pairs, hermitian_solve, packed, ridge_factor, ridge_inverse, ridge_shift,
+    ridge_solve, store_as_annotated, to_pairs, unpacked,
 )
 from conftest import transform_matrix
 
@@ -167,6 +168,79 @@ class TestHermitianFactor:
     def test_indefinite_after_the_jitter_fails_hard(self):
         with pytest.raises(NumericalError, match="indefinite"):
             self.factor(np.diag([1.0, -1.0]))
+
+
+class TestRidgeInverse:
+    """``ridge_inverse`` factors and inverts a Hermitian matrix in the packed
+    triangle it is given and unpacks the inverse's lower triangle."""
+
+    @staticmethod
+    def system(n, dtype, seed=0):
+        rng = np.random.default_rng(seed)
+        m = rng.standard_normal((n, n)).astype(dtype)
+        if dtype is complex:
+            m += 1j * rng.standard_normal((n, n))
+        return m @ m.conj().T + n * np.eye(n)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 300, 513])
+    def test_matches_the_dense_inverse(self, n, dtype):
+        a = self.system(n, dtype, seed=n)
+        rebuilds = []
+        inv, jitter = ridge_inverse(packed(a), lambda: rebuilds.append(1) or packed(a))
+        assert inv.shape == (n, n) and inv.dtype == a.dtype and inv.flags.f_contiguous
+        assert jitter == 0.0 and rebuilds == []
+        assert not np.triu(inv, 1).any()
+        want = np.linalg.inv(a) if n else np.zeros((0, 0))
+        np.testing.assert_allclose(unpacked(packed(inv)), want, rtol=0,
+                                   atol=1e-13 * np.abs(want).max(initial=1.0))
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_duplicate_rows_take_one_jitter_retry(self, dtype, caplog):
+        # rows 0 and 1 are equal: A is singular, and the retry inverts A + jitter I
+        # in a buffer rebuilt once, after the failed one is gone
+        x = np.array([0.0, 0.0, 1.0, 2.5])
+        a = np.exp(-np.subtract.outer(x, x) ** 2).astype(dtype)
+        buffers = []
+
+        def fresh():
+            buffers.append(weakref.ref(buf := packed(a)))
+            return buf
+
+        def rebuild():
+            assert buffers[0]() is None
+            return fresh()
+
+        with caplog.at_level("WARNING", logger="wrkhs.core"):
+            inv, jitter = ridge_inverse(fresh(), rebuild)
+        assert len(buffers) == 2
+        assert [(r.name, r.levelname) for r in caplog.records] == [("wrkhs.core", "WARNING")]
+        assert jitter == pytest.approx(1e-12, rel=1e-12, abs=0)
+        # entries up to 5e11: matched to 1e-12 of the largest
+        want = np.linalg.inv(a + jitter * np.eye(4))
+        np.testing.assert_allclose(unpacked(packed(inv)), want, rtol=0,
+                                   atol=1e-12 * np.abs(want).max())
+
+    def test_indefinite_fails_hard(self):
+        a = np.diag([1.0, -1.0, 2.0])
+        with pytest.raises(NumericalError, match="indefinite"):
+            ridge_inverse(packed(a), lambda: packed(a))
+
+    @pytest.mark.parametrize("n", [2, core.SMALL_SYSTEM_ORDER - 1, core.SMALL_SYSTEM_ORDER])
+    def test_limit_follows_the_order(self, n, monkeypatch):
+        limits = []
+        real = core.limit_blas_threads
+
+        def recording(limit):
+            limits.append(limit)
+            return real(limit)
+
+        monkeypatch.setattr(core, "limit_blas_threads", recording)
+        a = np.eye(n) + 0.25 * np.ones((n, n)) / n
+        inv, _ = ridge_inverse(packed(a), lambda: packed(a))
+        np.testing.assert_allclose(unpacked(packed(inv)) @ a, np.eye(n), atol=1e-12)
+        # the factorization and the inverse
+        assert limits == ([1, 1] if n < core.SMALL_SYSTEM_ORDER else [])
 
 
 class TestSmallSystemThreads:

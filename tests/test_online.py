@@ -7,6 +7,7 @@ import pytest
 
 from wrkhs import (
     ComplexDataset,
+    ComplexGaussian,
     IndependentGaussian,
     RealGaussian,
     SeparateRealImag,
@@ -15,8 +16,8 @@ from wrkhs import (
     predict,
     streaming_ridge_predictions,
 )
-from wrkhs import NumericalError, core, kernels
-from wrkhs.online import RESIDUAL_CHECK_INTERVAL
+from wrkhs import NumericalError, core, kernels, online
+from wrkhs.online import BLOCK_ROWS, RESIDUAL_CHECK_INTERVAL
 from conftest import online_model, random_inputs
 
 
@@ -271,6 +272,53 @@ class TestMaintenance:
         model._rebuild()
         assert model.inverse_residual() <= 1e-10
 
+    @pytest.mark.parametrize("budget", [None, 8])
+    def test_rebuilds_solve_no_full_matrix(self, budget, monkeypatch):
+        # a residual rebuild, then a singular one (Q scaled up makes gamma < 0 for an
+        # input near a basis): both invert the kept Gram's packed triangle
+        def full_matrix(*args):
+            raise AssertionError("a full matrix was solved")
+
+        for module in (core, online):
+            monkeypatch.setattr(module, "hermitian_solve", full_matrix)
+        x, y = random_stream(np.random.default_rng(17), RESIDUAL_CHECK_INTERVAL)
+        model = Wrkls(RealGaussian(1.0), 0.2, budget=budget)
+        model.observe_many(x[:-1], y[:-1])
+        model._Q[:3, :3] += 0.05
+        model.observe(x[-1], y[-1])
+        assert model.stats["rebuilds"] == {"singular": 0, "residual": 1}
+        assert model.inverse_residual() <= 1e-10
+        model._Q *= 1e6
+        model.observe(model.dictionary[0] + 0.1, 1.0)
+        assert model.stats["rebuilds"] == {"singular": 1, "residual": 1}
+        assert model.inverse_residual() <= 1e-10
+        assert model.stats["jitter_max"] == 0.0
+
+
+class TestJitter:
+    """``stats["jitter_max"]`` is the largest jitter a rebuild's inverse took."""
+
+    def test_singular_rebuilds_report_their_jitter(self, caplog):
+        # duplicate inputs at lam 1e-17: each singular rebuild's Gram is singular to
+        # rounding, and its inverse takes the jitter 1e-12 * trace/n
+        model = Wrkls(RealGaussian(1.0), 1e-17)
+        with caplog.at_level("WARNING", logger="wrkhs.core"):
+            model.observe_many([0, 1, 1, 0, 2, 1, 0.5], np.arange(1.0, 8.0))
+        jitters = [r for r in caplog.records if r.name == "wrkhs.core"]
+        assert model.stats["rebuilds"]["singular"] == len(jitters) == 3
+        assert model.stats["jitter_max"] == pytest.approx(1e-12, rel=1e-12, abs=0)
+        # a forced rebuild of the same dictionary takes it too
+        model.stats["jitter_max"] = 0.0
+        model._rebuild()
+        assert model.stats["jitter_max"] == pytest.approx(1e-12, rel=1e-12, abs=0)
+
+    def test_clean_stream_reports_none(self):
+        x, y = random_stream(np.random.default_rng(18), 60)
+        model = Wrkls(RealGaussian(1.0), 0.2, budget=10)
+        model.observe_many(x, y)
+        model._rebuild()
+        assert model.stats["jitter_max"] == 0.0
+
 
 def model_state(model):
     """What an update may write: all of ``Q``, but the live block of the kept Gram,
@@ -307,13 +355,25 @@ class TestOverflowingTarget:
     @pytest.mark.parametrize("budget", BUDGETS)
     def test_observe_many(self, budget):
         model = Wrkls(RealGaussian(1.0), 0.1, budget=budget)
-        with pytest.raises(ValueError, match=r"observe_many: y\[1\] = \(-1e\+308\+0j\)"):
+        with pytest.raises(ValueError, match=r"observe_many: y\[1\] = \(-1e\+308\+0j\)") as info:
             model.observe_many([0.0, 0.01, 0.02], [1e308, -1e308, 1.0])
         first = Wrkls(RealGaussian(1.0), 0.1, budget=budget)
-        first.observe([0.0], 1e308)
+        np.testing.assert_array_equal(info.value.predictions, [first.observe([0.0], 1e308)])
         for old, new in zip(model_state(first), model_state(model)):
             np.testing.assert_array_equal(old, new)
         self.assert_later_sample_admitted(model)
+        # two samples admitted before the fault: their predictions are not lost
+        x, y = [0.0, 0.5, 0.01, 0.02], [1.0, 2.0, 1e308, -1e308]
+        model, loop = Wrkls(RealGaussian(1.0), 0.1, budget), Wrkls(RealGaussian(1.0), 0.1, budget)
+        with pytest.raises(ValueError, match=r"observe_many: y\[2\] = \(1e\+308\+0j\)") as info:
+            model.observe_many(x, y)
+        preds = info.value.predictions
+        assert preds.shape == (2,) and preds.dtype == np.complex128
+        np.testing.assert_allclose(preds, [loop.observe(x[i], y[i]) for i in range(2)],
+                                   rtol=1e-14, atol=1e-15)
+        with pytest.raises(ValueError, match=r"observe: y = \(1e\+308\+0j\)"):
+            loop.observe(x[2], y[2])
+        assert model.size == loop.size == min(2, budget or 2)
 
     @pytest.mark.parametrize("budget", BUDGETS)
     def test_singular_rebuild(self, budget, caplog):
@@ -357,6 +417,21 @@ class TestOverflowingRidgeWeight:
     def test_streaming_ridge_predictions(self):
         with pytest.raises(ValueError, match=r"ridge weight 1\.7e\+308 overflows"):
             streaming_ridge_predictions(self.HUGE, self.X, self.Y, 1.7e308)
+
+    @pytest.mark.parametrize("budget", [None, 4, 1])
+    def test_observe_many_at_a_later_block(self, budget):
+        # k(x, x) = exp(4 |Im x|^2 / gamma) of the complex Gaussian: 1 on the first
+        # block, about 5e302 on the second block's one sample, whose sum with
+        # lam overflows; the first block stays admitted and keeps its predictions
+        spec, lam = ComplexGaussian(1.0), 1.79769e308
+        x = np.append(np.linspace(-2.0, 2.0, BLOCK_ROWS), 13.2j)
+        y = np.arange(BLOCK_ROWS + 1.0)
+        model, loop = Wrkls(spec, lam, budget), Wrkls(spec, lam, budget)
+        with pytest.raises(ValueError, match=r"ridge weight 1\.79769e\+308 overflows") as info:
+            model.observe_many(x, y)
+        np.testing.assert_allclose(info.value.predictions, loop.observe_many(x[:-1], y[:-1]),
+                                   rtol=1e-14, atol=0)
+        assert model.stats == loop.stats and model.size == loop.size
 
     @pytest.mark.parametrize("budget", [None, 1])
     def test_a_unit_kernel_takes_it(self, budget):

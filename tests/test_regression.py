@@ -26,9 +26,9 @@ from wrkhs import (
 )
 from wrkhs import core, kernels, regression
 from wrkhs.core import hermitian_solve, ridge_solve
-from wrkhs.regression import fit_schur
 from conftest import (
     fit_composite,
+    fit_schur,
     mixed_gamma_blocks,
     predict_composite,
     random_inputs,

@@ -139,6 +139,22 @@ MUTANTS = [
     Mutant("no-small-system-order", "src/wrkhs/core.py",
            "SMALL_SYSTEM_ORDER = 512", "SMALL_SYSTEM_ORDER = 0",
            ("tests/test_core.py::TestSmallSystemThreads",)),
+    # the packed inverse a rebuild takes, and what a stream reports
+    Mutant("ridge-inverse-inverts-the-upper-triangle", "src/wrkhs/core.py",
+           'pftri(n, low, uplo="L"', 'pftri(n, low, uplo="U"',
+           ("tests/test_core.py::TestRidgeInverse::test_matches_the_dense_inverse",)),
+    Mutant("ridge-inverse-holds-the-failed-buffer", "src/wrkhs/core.py",
+           "ridge_factor(held.pop(), 0.0, rebuild)", "ridge_factor(held[0], 0.0, rebuild)",
+           ("tests/test_core.py::TestRidgeInverse::test_duplicate_rows_take_one_jitter_retry",)),
+    Mutant("stream-error-drops-the-predictions", "src/wrkhs/online.py",
+           "    error.predictions = preds.copy()\n", "",
+           ("tests/test_online.py::TestOverflowingTarget::test_observe_many",)),
+    Mutant("rebuild-drops-the-jitter", "src/wrkhs/online.py",
+           'stats["jitter_max"] = max(stats["jitter_max"], jitter)', "pass",
+           ("tests/test_online.py::TestJitter::test_singular_rebuilds_report_their_jitter",)),
+    Mutant("forced-rebuild-drops-the-jitter", "src/wrkhs/online.py",
+           'self.stats["jitter_max"] = max(self.stats["jitter_max"], jitter)', "pass",
+           ("tests/test_online.py::TestJitter::test_singular_rebuilds_report_their_jitter",)),
     # the one-pass check of a full matrix
     Mutant("hermitian-check-drops-the-conjugate", "src/wrkhs/core.py",
            "gap = np.conj(a)\n", "gap = np.array(a)\n",
