@@ -14,19 +14,21 @@ annotation says, so equal configs serialize, and hash, equally.
 Every ridge system is held as LAPACK's rectangular full packed (RFP) lower
 triangle (``transr="N"``; Gustavson et al., ACM TOMS 37(2), 2010): the
 n (n + 1) / 2 entries of an order-n matrix in one 1-D buffer.
-``ridge_solve`` and ``ridge_factor`` shift a Gram as the kernels hand it
-over (``kernels.KernelSpec._gram(x, x)``) and factor it in place by the one
+``ridge_factor`` shifts a Gram as the kernels hand it over
+(``kernels.KernelSpec._gram(x, x)``) and factors it in place by the one
 Cholesky, ``?pftrf``, with one jitter retry, which logs a ``WARNING`` on the
-``wrkhs.core`` logger; each returns the diagonal shift it factored, so a fit
-can report it. ``packed_solve`` and ``packed_forward`` solve by the factor;
-``ridge_inverse`` inverts it (``?pftri``) for ``Wrkls``'s rebuild. A system
-of order below ``SMALL_SYSTEM_ORDER`` is factored, solved and inverted on one
-BLAS thread (``limit_blas_threads``). ``packed`` and ``unpacked`` convert
-full matrices, the latter through ``mirror_lower``, the one mirror of a
-lower triangle. ``hermitian_solve``, the tests' full-matrix oracle, solves a
-full matrix after checking that the right-hand side is finite and, in one
-pass, that the matrix is finite and Hermitian to ``HERMITIAN_ATOL``; an
-exactly diagonal system is solved by division. No package path calls it.
+``wrkhs.core`` logger; it returns the diagonal shift it factored, so a fit
+can report it. ``packed_solve`` and ``packed_forward`` solve by the factor.
+``ridge_solve`` factors through it and solves (an exactly diagonal system by
+division), and ``ridge_inverse`` inverts its factor (``?pftri``) for
+``Wrkls``'s rebuild. A system of order below ``SMALL_SYSTEM_ORDER`` is
+factored, solved and inverted on one BLAS thread (``limit_blas_threads``).
+``packed`` and ``unpacked`` convert full matrices, the latter through
+``mirror_lower``, the one mirror of a lower triangle. ``hermitian_solve``,
+the tests' full-matrix oracle, solves a full matrix after checking that the
+right-hand side is finite and, in one pass, that the matrix is finite and
+Hermitian to ``HERMITIAN_ATOL``; an exactly diagonal system is solved by
+division. No package path calls it.
 ``stacked_apply`` lets a real matrix act on a complex right-hand side as one
 real call on its stacked real and imaginary parts.
 
@@ -275,44 +277,56 @@ def ridge_solve(a: np.ndarray, lam: float, b, rebuild) -> tuple[np.ndarray, floa
     Hermitian (n, n) ``A``, for an (n,) or (n, k) ``B``; returns ``X`` and the
     diagonal shift the solved system carried.
 
-    ``a`` is overwritten in place. ``lam`` goes on the diagonal; an exactly
-    diagonal system is then solved by elementwise division, and any other is
-    factored as :func:`ridge_factor` does, with ``rebuild()`` returning ``A``
-    afresh for the one jitter retry. The solution is complex when ``B`` is.
+    ``B``'s shape is checked before ``a`` is written. An exactly diagonal
+    system is shifted by ``lam`` and solved by elementwise division; any other
+    is factored by :func:`ridge_factor`, which overwrites ``a`` and takes
+    ``rebuild()`` for its jitter retry, and solved by :func:`packed_solve`.
+    The solution is complex when ``B`` is.
     """
     n = packed_order(a)
-    a = ridge_shift(a, lam)
     b = np.asarray(b)
     if b.shape[0] != n:
         raise ValueError(f"shape mismatch: A is {(n, n)}, B is {b.shape}")
-    d = a[packed_diagonal(n)]
-    if np.count_nonzero(a) == np.count_nonzero(d):  # one pass: none off the diagonal
-        if np.any(d.real <= 0) or np.any(d.imag != 0):
-            raise NumericalError("diagonal matrix A + lam I is not positive definite")
-        d = d.real
-        return b / (d[:, None] if b.ndim > 1 else d), lam
-    held = [a]
-    del a  # so that no reference keeps a failed factorization through the retry
-    low, jitter = _cholesky(held, lambda: ridge_shift(rebuild(), lam))
-    return packed_solve(low, b), lam + jitter
+    if np.count_nonzero(a) > np.count_nonzero(a[packed_diagonal(n)]):  # a non-zero off it
+        held = [a]
+        del a  # so that no reference keeps a failed factorization through the retry
+        low, shift = ridge_factor(held.pop(), lam, rebuild)
+        return packed_solve(low, b), shift
+    d = ridge_shift(a, lam)[packed_diagonal(n)]
+    if np.any(d.real <= 0) or np.any(d.imag != 0):
+        raise NumericalError("diagonal matrix A + lam I is not positive definite")
+    d = d.real
+    return b / (d[:, None] if b.ndim > 1 else d), lam
 
 
 def ridge_factor(a: np.ndarray, lam: float, rebuild) -> tuple[np.ndarray, float]:
     """The Cholesky factor ``L`` of ``A + lam I = L L^H``, factored in place in
     the buffer ``a``, the RFP triangle of the Hermitian (n, n) ``A``, and the
-    diagonal shift that was factored.
+    diagonal shift that was factored: the package's one Cholesky.
 
     ``L`` is returned as the RFP triangle it is factored in, ``a`` itself, with
-    the shift ``lam``. If the factorization fails, ``rebuild()`` returns ``A``
-    afresh, ``lam`` and the jitter ``1e-12 * trace/n`` of ``A + lam I`` go on its
-    diagonal, one ``WARNING`` is logged on ``wrkhs.core``, and it is factored
-    once more, with the shift ``lam + jitter``; then :class:`NumericalError`
-    is raised.
+    the shift ``lam``. A first factor with a pivot ``L_ii^2`` of at most
+    ``n eps`` times the largest has failed too. After a failure the failed
+    buffer is dropped, ``rebuild()`` returns ``A`` afresh, ``lam`` and the
+    jitter ``1e-12 * trace/n`` of ``A + lam I`` go on its diagonal, one
+    ``WARNING`` is logged on ``wrkhs.core``, and it is factored once more,
+    with the shift ``lam + jitter``; then :class:`NumericalError` is raised.
     """
-    held = [ridge_shift(a, lam)]
-    del a
-    low, jitter = _cholesky(held, lambda: ridge_shift(rebuild(), lam))
-    return low, lam + jitter
+    a, n, jitter = ridge_shift(a, lam), packed_order(a), 0.0
+    for retry in (False, True):
+        with _sized_pool(n):
+            low, info = get_lapack_funcs(("pftrf",), (a,))[0](n, a, uplo="L", overwrite_a=1)
+        pivots = np.square(low[packed_diagonal(n)].real)
+        if info == 0 and (retry or not n or pivots.min() > n * np.finfo(float).eps * pivots.max()):
+            return low, lam + jitter
+        del a, low
+        if retry:
+            raise NumericalError("Cholesky factorization failed; matrix appears indefinite")
+        a = ridge_shift(rebuild(), lam)
+        jitter = 1e-12 * float(np.mean(a[packed_diagonal(n)].real))
+        _log.warning("Cholesky of order %d failed; retrying with jitter %.6g on the diagonal",
+                     n, jitter)
+        ridge_shift(a, jitter)
 
 
 def ridge_inverse(a: np.ndarray, rebuild) -> tuple[np.ndarray, float]:
@@ -355,31 +369,6 @@ def _sized_pool(n: int):
     one thread factors and solves about as fast, without waiting for a pool to
     wake; a larger one keeps the pools as they are."""
     return limit_blas_threads(1) if n < SMALL_SYSTEM_ORDER else contextlib.nullcontext()
-
-
-def _cholesky(held: list, again) -> tuple[np.ndarray, float]:
-    """The package's one Cholesky: the RFP triangle taken out of ``held``
-    factored in place, and the jitter added to its diagonal (0 on the first
-    try); after a failure, with the failed buffer dropped, once more on
-    ``again()`` with the jitter on its diagonal. A first factor with a pivot
-    ``L_ii^2`` of at most ``n eps`` times the largest has failed too."""
-    jitter = 0.0
-    for retry in (False, True):
-        a = held.pop()
-        n = packed_order(a)
-        with _sized_pool(n):
-            low, info = get_lapack_funcs(("pftrf",), (a,))[0](n, a, uplo="L", overwrite_a=1)
-        pivots = np.square(low[packed_diagonal(n)].real)
-        if info == 0 and (retry or not n or pivots.min() > n * np.finfo(float).eps * pivots.max()):
-            return low, jitter
-        del a, low
-        if retry:
-            raise NumericalError("Cholesky factorization failed; matrix appears indefinite")
-        a = again()
-        jitter = 1e-12 * float(np.mean(a[packed_diagonal(n)].real))
-        _log.warning("Cholesky of order %d failed; retrying with jitter %.6g on the diagonal",
-                     n, jitter)
-        held.append(ridge_shift(a, jitter))
 
 
 def hermitian_solve(a, b) -> np.ndarray:

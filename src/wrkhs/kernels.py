@@ -49,7 +49,7 @@ every family but the complex Gaussian, the ridge systems and
 is one tile; a packed triangle's tiles are contiguous slices), into buffers
 its caller passes: ``_combine`` writes the last real sum over the distances.
 So ``_gram(x, x)``, ``_pair(x, x)`` and ``_ridge_systems(x)`` give packed
-triangles, which ``core.ridge_solve`` shifts and factors in place.
+triangles, which ``core.ridge_factor`` shifts and factors in place.
 ``IndependentGaussian`` packs one full matrix, its cross term minus its
 transpose. ``ComplexGaussian`` packs the lower triangle of its exponent, one
 product laid out by columns, with a real diagonal, and takes one ``exp`` per
@@ -526,10 +526,11 @@ class _TermSum(KernelSpec):
         p = b0 / abs(b0)
         return -p if p.real < 0 or (p.real == 0 and p.imag < 0) else p
 
-    def _ridge_systems(self, x) -> tuple[complex, list[np.ndarray]]:
+    def _ridge_systems(self, x, k: int | None = None) -> tuple[complex, list[np.ndarray]]:
         """The real form of the widely-linear ridge system on checked samples:
         ``h`` and the packed triangles of ``[[R, C], [C, J]]``, whose solution
-        ``[br; bi]`` of ``[Re y/h; Im y/h]`` gives ``alpha = h (br + j bi)``.
+        ``[br; bi]`` of ``[Re y/h; Im y/h]`` gives ``alpha = h (br + j bi)``;
+        with ``k``, only system ``k`` of them, which a jitter retry rebuilds.
 
         With ``p = phase``, or 1 when there is none, ``h = 1 + p`` and each
         block is a real sum of Gaussians: ``R = K + S`` and ``J = K - S`` for
@@ -547,7 +548,7 @@ class _TermSum(KernelSpec):
         rotated = [(a, complex(b) * p.conjugate()) for a, b in coefficients.values()]
         columns = [[a + s.real for a, s in rotated], [a - s.real for a, s in rotated]]
         if aligned:
-            return 1 + p, self._combine(x, x, columns)
+            return 1 + p, self._combine(x, x, columns if k is None else columns[k : k + 1])
         (n, _), gammas = x.shape, list(coefficients)
         r, j, c = *columns, [s.imag for _, s in rotated]
         cols = np.empty((n, 2 * n + 1))

@@ -13,16 +13,17 @@ cheapest exact solve the kernel spec's structure allows:
 
 Each system is the packed triangle the kernels build (``KernelSpec._gram(x,
 x)``, ``_ridge_systems``), shifted and factored in its own buffer by
-``core.ridge_solve``; a failed factorization rebuilds it for the jitter
-retry. Each fit keeps a :class:`FitInfo` on its model: the solve path, ``h``
-and the diagonal shift of each factorization. The training residual then
-comes from the solved system itself: with shifts ``s1`` (``R``) and ``s2``
-(``J``), ``y - f(X) = h (s1 Re(alpha/h) + j s2 Im(alpha/h))``, which is
-``lam alpha`` unless the jitter retry ran, so no kernel is evaluated again
-(:meth:`FitInfo.residual`). No path assembles or solves a full matrix; the
-full-matrix oracles of ``fit_augmented``, the Schur complement of the
-complex 2n x 2n augmented system and the stacked-real system, are the
-tests'. ``fit_srkhs`` is the strictly-complex fit ``alpha = (K + lam I)^-1 y``.
+``core.ridge_solve``; a failed factorization rebuilds that system alone for
+the jitter retry. Each fit keeps a :class:`FitInfo` on its model: the solve
+path, ``h`` and the diagonal shift of each factorization. The training
+residual then comes from the solved system itself: with shifts ``s1``
+(``R``) and ``s2`` (``J``), ``y - f(X) = h (s1 Re(alpha/h) + j s2
+Im(alpha/h))``, which is ``lam alpha`` unless the jitter retry ran, so no
+kernel is evaluated again (:meth:`FitInfo.residual`). No path assembles or
+solves a full matrix; the full-matrix oracles of ``fit_augmented``, the
+Schur complement of the complex 2n x 2n augmented system and the
+stacked-real system, are the tests'. ``fit_srkhs`` is the strictly-complex
+fit ``alpha = (K + lam I)^-1 y``.
 
 Predictions follow ``f(x*) = k(x*, X) alpha + ktilde(x*, X) conj(alpha)``,
 evaluated by ``kernels.apply_pairs`` in blocks of rows of ``x*``, each a
@@ -128,7 +129,7 @@ def fit_augmented(data: ComplexDataset, spec: KernelSpec, lam: float) -> WrkhsMo
     rhs = data.y / h
     split = len(systems) == 2
     parts = [rhs.real, rhs.imag] if split else [np.concatenate([rhs.real, rhs.imag])]
-    solved = [ridge_solve(systems.pop(0), lam, part, lambda k=k: spec._ridge_systems(x)[1][k])
+    solved = [ridge_solve(systems.pop(0), lam, part, lambda k=k: spec._ridge_systems(x, k)[1][0])
               for k, part in enumerate(parts)]
     b = np.concatenate([sol for sol, _ in solved])
     alpha = h * (b[:n] + 1j * b[n:])

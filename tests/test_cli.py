@@ -5,8 +5,11 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,7 +43,7 @@ from wrkhs.cli import (
     main,
     read_dataset_csv,
 )
-from conftest import fit_composite, predict_composite
+from conftest import fit_composite, mixed_gamma_blocks, predict_composite, random_inputs
 
 
 def write_dataset_csv(path, data: ComplexDataset) -> None:
@@ -1128,6 +1131,63 @@ class TestBench:
         header, cols = read_rows(tmp_path / "a" / "equalization_curve.csv")
         assert header == ["sample_index", "avg_mse_db"]
         assert len(cols["sample_index"]) == 496
+
+
+# A child process: runs each argv of its one argument, a JSON list, through main
+THREAD_CHILD = """import json, sys
+from wrkhs.cli import main
+for argv in json.loads(sys.argv[1]):
+    if main(argv) != 0:
+        sys.exit(f"wrkhs {argv[0]} failed")
+"""
+
+
+class TestThreadCount:
+    """A fixed set of commands writes the same bytes at one and at two BLAS
+    threads, the count set before numpy is imported. At n = 200 each system
+    is factored on one thread; fits at n >= 512 and unbudgeted equalization
+    are byte-reproducible only at a fixed thread count (see README)."""
+
+    KERNELS = [
+        {"family": "real_gaussian", "params": {"gamma": 2.0}},
+        {"family": "complex_gaussian", "params": {"gamma": 3.0}},
+        {"family": "separate_real_imag", "params": {"rr": {"gamma": 1.0}, "jj": {"gamma": 3.5}}},
+        mixed_gamma_blocks().to_config(),  # no phase: the 2n system
+    ]
+
+    def test_outputs_do_not_depend_on_the_thread_count(self, tmp_path):
+        rng = np.random.default_rng(57)
+        for name in ("train", "test"):
+            y = rng.standard_normal(200) + 1j * rng.standard_normal(200)
+            write_dataset_csv(tmp_path / f"{name}.csv",
+                              ComplexDataset(X=random_inputs(rng, 200, 1), y=y))
+        config = tmp_path / "equalization.json"
+        config.write_text(json.dumps({
+            "rho": 0.7071067811865476, "trials": 2, "n_samples": 600, "base_seed": 11,
+            "kernel": {"family": "real_gaussian", "params": {"gamma": 8.92}},
+            "lam": 0.32, "budget": 50}))
+        src = str(Path(channel.__file__).resolve().parent.parent)
+        outputs = {}
+        for threads in (1, 2):
+            out = tmp_path / f"threads{threads}"
+            commands = [["bench", "equalization", "--config", str(config), "--out-dir", str(out)]]
+            for kernel in self.KERNELS:
+                model = out / f"model_{kernel['family']}.json"
+                pred = out / f"pred_{kernel['family']}.csv"
+                commands += [["fit", "--dataset", str(tmp_path / "train.csv"), "--kernel",
+                              json.dumps(kernel), "--lam", "0.1", "--out", str(model)],
+                             ["predict", "--model", str(model), "--dataset",
+                              str(tmp_path / "test.csv"), "--out", str(pred)]]
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            proc = subprocess.run([sys.executable, "-c", THREAD_CHILD, json.dumps(commands)],
+                                  env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr[-2000:]
+            outputs[threads] = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+        assert len(outputs[1]) == 10  # two equalization files, a model and a prediction each
+        assert outputs[1].keys() == outputs[2].keys()
+        for name, data in outputs[1].items():
+            assert data == outputs[2][name], name
 
 
 # Changed values for every field of the two benchmark configs; a field added

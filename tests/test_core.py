@@ -494,3 +494,15 @@ class TestStoreAsAnnotated:
 def test_every_solver_check_names_its_operand(call, error, field):
     with pytest.raises(error, match=field):
         call()
+
+
+@pytest.mark.parametrize("coupling", [0.0, 0.5], ids=["diagonal", "cholesky"])
+def test_ridge_solve_checks_b_before_writing_the_buffer(coupling):
+    # on either path a mismatched B is refused before the shift writes A's buffer
+    a = np.eye(3)
+    a[2, 1] = a[1, 2] = coupling
+    buffer = packed(a)
+    before = buffer.copy()
+    with pytest.raises(ValueError, match=r"A is \(3, 3\), B is \(2,\)"):
+        ridge_solve(buffer, 0.5, np.ones(2), lambda: packed(a))
+    np.testing.assert_array_equal(buffer, before)

@@ -288,10 +288,13 @@ def gaussian_sums_reference(d2, gammas, columns):
 class TestGaussianSums:
     @staticmethod
     def distances(tri):
-        # 150 samples cross several tiles of the packed triangle and of the rectangle
+        # 300 samples cross several tiles of the packed triangle and, past
+        # APPLY_BLOCK_ROWS rows, of the 300 x 90 rectangle
         rng = np.random.default_rng(48)
-        x = as_samples(random_inputs(rng, 150, 2), "x")
-        return kernels._sqdist(x, x if tri else as_samples(random_inputs(rng, 90, 2), "z"))
+        x = as_samples(random_inputs(rng, 300, 2), "x")
+        d2 = kernels._sqdist(x, x if tri else as_samples(random_inputs(rng, 90, 2), "z"))
+        assert len(list(kernels._tiles(d2.reshape(len(d2), -1).shape))) == (12 if tri else 7)
+        return d2
 
     @staticmethod
     def terms(m):

@@ -633,7 +633,8 @@ class TestTriangleContract:
     def test_jitter_retry_holds_one_build_of_the_systems(self, monkeypatch):
         # every sample twice and lam = 0: each first factorization fails, and the
         # retry builds afresh after the failed buffer is dropped, so the peaks
-        # stay within the bounds of a fit without the retry
+        # stay within the bounds of a fit without the retry; a split fit
+        # rebuilds only the system that failed, while it holds the other
         n = 600
         data = random_dataset(np.random.default_rng(54), n // 2, 1)
         data = ComplexDataset(X=np.concatenate([data.X, data.X]), y=np.tile(data.y, 2))
@@ -641,8 +642,10 @@ class TestTriangleContract:
         for cls, name in ((RealGaussian, "_gram"), (kernels._TermSum, "_ridge_systems")):
             build = getattr(cls, name)
             monkeypatch.setattr(cls, name, lambda *a, build=build: builds.append(1) or build(*a))
-        for fit, spec, bound in ((fit_srkhs, RealGaussian(gamma=1.0), 0.6),
-                                 (fit_augmented, mixed_gamma_blocks(), 2.6)):
+        split = SeparateRealImag(rr=RealGaussian(gamma=0.9), jj=RealGaussian(gamma=3.1))
+        for fit, spec, bound, count in ((fit_srkhs, RealGaussian(gamma=1.0), 0.6, 2),
+                                        (fit_augmented, split, 1.15, 3),
+                                        (fit_augmented, mixed_gamma_blocks(), 2.6, 2)):
             builds.clear()
             tracemalloc.start()
             try:
@@ -650,7 +653,7 @@ class TestTriangleContract:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert len(builds) == 2, spec.family
+            assert len(builds) == count, spec.family
             assert peak <= bound * 8 * n * n, (spec.family, peak / (8 * n * n))
 
 

@@ -145,6 +145,16 @@ def test_one_factorization(path):
     assert factorization_names(ast.parse(path.read_text(encoding="utf-8"))) == []
 
 
+def test_one_cholesky_in_core():
+    # core's one Cholesky, with its pivot rule and jitter retry, is ridge_factor's:
+    # ridge_solve and ridge_inverse factor through it
+    tree = ast.parse((Path(wrkhs.__file__).parent / "core.py").read_text(encoding="utf-8"))
+    lines = named(tree, lambda name: re.fullmatch(r"[sdcz]?pftrf", name) is not None)
+    owner, = [node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == "ridge_factor"]
+    assert lines and all(owner.lineno <= line <= owner.end_lineno for line in lines)
+
+
 def dense_triangle_names(tree: ast.AST) -> list[int]:
     """Line numbers where a dense Cholesky or rank-k update is named, imported
     or spelled."""

@@ -119,7 +119,7 @@ MUTANTS = [
             "test_a_drift_an_all_ones_probe_cannot_see_forces_a_residual")),
     # what a fit reports
     Mutant("ridge-solve-drops-the-jitter", "src/wrkhs/core.py",
-           "return packed_solve(low, b), lam + jitter", "return packed_solve(low, b), lam",
+           "return packed_solve(low, b), shift", "return packed_solve(low, b), lam",
            ("tests/test_regression.py::TestFitInfo::"
             "test_jitter_retry_logs_once_and_reports_its_shift",)),
     Mutant("ridge-factor-drops-the-jitter", "src/wrkhs/core.py",
@@ -146,6 +146,15 @@ MUTANTS = [
     Mutant("ridge-inverse-holds-the-failed-buffer", "src/wrkhs/core.py",
            "ridge_factor(held.pop(), 0.0, rebuild)", "ridge_factor(held[0], 0.0, rebuild)",
            ("tests/test_core.py::TestRidgeInverse::test_duplicate_rows_take_one_jitter_retry",)),
+    # a jitter retry builds afresh with no failed buffer held: only the system that failed
+    Mutant("ridge-solve-holds-the-failed-buffer", "src/wrkhs/core.py",
+           "ridge_factor(held.pop(), lam, rebuild)", "ridge_factor(held[0], lam, rebuild)",
+           ("tests/test_regression.py::TestTriangleContract::"
+            "test_jitter_retry_holds_one_build_of_the_systems",)),
+    Mutant("split-retry-rebuilds-both-systems", "src/wrkhs/regression.py",
+           "spec._ridge_systems(x, k)[1][0]", "spec._ridge_systems(x)[1][k]",
+           ("tests/test_regression.py::TestTriangleContract::"
+            "test_jitter_retry_holds_one_build_of_the_systems",)),
     Mutant("stream-error-drops-the-predictions", "src/wrkhs/online.py",
            "    error.predictions = preds.copy()\n", "",
            ("tests/test_online.py::TestOverflowingTarget::test_observe_many",)),
