@@ -583,6 +583,13 @@ class RealImagBlocks(_TermSum):
     The cross kernels must satisfy ``rj(x, x') == jr(x', x)``; for these
     symmetric Gaussians that holds exactly when ``rj == jr`` or both have
     zero scale, so the kernel is real.
+
+    The pair is a kernel (its real form ``[[rr, rj], [rj, jj]]`` PSD on every
+    point set) only under a condition on the parts: for Gaussians
+    ``s exp(-|x - x'|^2 / gamma)`` on R^D, D = 2d, by Bochner's theorem
+    exactly when ``s_rr s_jj (gamma_rr gamma_jj)^(D/2) >= s_rj^2 gamma_rj^D``
+    and, whenever ``s_rj != 0``, ``gamma_rr + gamma_jj <= 2 gamma_rj``. It is
+    not checked: a design that fails it can have an indefinite Gram.
     """
 
     rr: RealGaussian

@@ -16,12 +16,15 @@ triangle. Each BLAS update takes the whole buffer with ``lower=1`` and
 zero-padded vectors, so scipy's wrappers update it in place. ``b = Q k`` is
 one ``?symv``/``?hemv``; an admit into a free slot is one ``?syr``/``?her``
 with ``u = [b; -1]``. At the budget the post-admit scores follow in O(m)
-from ``diag(Q)``, ``b`` and ``alpha``; a newcomer with the smallest score
-``|err|^2 / gamma`` is skipped, since admitting and evicting it is the
+from ``diag(Q)``, ``b`` and ``alpha``. The lowest goes, the newcomer's
+``|err|^2 / gamma`` only when strictly lowest, so a tie evicts the older
+basis, and an evicted newcomer is skipped: admitting and evicting it is the
 identity. Otherwise it takes the evicted basis's slot r: row and column r
 are zeroed, and ``Q += u u^H / gamma - w w^H / w_rr`` is one
 ``?syr2``/``?her2``, with ``u = b`` but ``u_r = -1`` and ``w`` column r of
-the admitted inverse, the newcomer's entry in place r.
+the admitted inverse, the newcomer's entry in place r. A singular admit
+rebuilds ``Q``, at the budget twice to evict by the same rule; every path
+ends in one commit point that skips or places the newcomer and counts.
 
 A second buffer slotted like ``Q`` keeps the regularized Gram
 ``K_DD + lam I``, exactly Hermitian. An admit writes the newcomer's kernel
@@ -98,13 +101,12 @@ _log = logging.getLogger(__name__)
 BLOCK_ROWS = 64
 
 
-def _check_finite(alpha: np.ndarray, *more: complex) -> None:
-    """Raise ``FloatingPointError`` unless the new coefficients ``alpha`` and
-    ``more`` are finite; the update loop names the target that overflowed.
-    A finite squared norm, one dot product, clears ``alpha``; only when it is
-    not, as when huge finite entries overflow it, is each entry tested."""
-    finite = cmath.isfinite(np.vdot(alpha, alpha)) or np.isfinite(alpha).all()
-    if not (finite and all(map(cmath.isfinite, more))):
+def _check_finite(alpha: np.ndarray) -> None:
+    """Raise ``FloatingPointError`` unless the new coefficients ``alpha`` are
+    finite; the update loop names the target that overflowed. A finite squared
+    norm, one dot product, clears ``alpha``; only when it is not, as when huge
+    finite entries overflow it, is each entry tested."""
+    if not (cmath.isfinite(np.vdot(alpha, alpha)) or np.isfinite(alpha).all()):
         raise FloatingPointError
 
 
@@ -367,7 +369,9 @@ class Wrkls:
         """Predict ``y`` and admit the newcomer in spare slot m, given its
         kernel column ``k`` against the dictionary (zero-padded to the capacity)
         and ``c = k(x, x) + lam``. Returns the prediction and the slot the newcomer
-        took, None when it was skipped."""
+        took, None when it was skipped. Each branch (singular rebuild, rank-1
+        admit, rank-2 swap at the budget) updates ``Q`` and leaves the slot ``r``
+        and the new coefficients; one tail skips or commits, places and counts."""
         m = self._m
         col = k[:m]
         alpha = self._alpha[:m]
@@ -376,13 +380,14 @@ class Wrkls:
         q = self._Q
         b = self._hemv(1.0, q, k, lower=1)  # zero beyond m, like the rows of Q
         gamma = c - float(np.vdot(col, b[:m]).real)
+        err = y - pred
         full = self.budget is not None and m == self.budget
         stats = self.stats
+        r = m  # the newcomer's slot
         if gamma <= 1e-12 * c:
             # singular rank-1 update: rebuild, and at the budget again without the min score
             self._place(m, col, c)  # the spare slot: no live state yet
             q, new_alpha, jitter = self._solve(range(m + 1))
-            r = m
             if full:
                 _check_finite(new_alpha)
                 r = int((np.abs(new_alpha) ** 2 / q.diagonal()[: m + 1].real).argmin())
@@ -392,52 +397,44 @@ class Wrkls:
             stats["rebuilds"]["singular"] += 1
             stats["jitter_max"] = max(stats["jitter_max"], jitter)
             _log.warning("singular rank-1 update at dictionary size %d; rebuilding", m)
-            self._place(r, col, c)
-            self._m = len(new_alpha)
-            self._Q, self._alpha[: self._m] = q, new_alpha
-            if full:
-                if r == m:
-                    stats["skipped"] += 1
-                    return pred, None
-                stats["replacements"] += 1
-            stats["admits"] += 1
-            return pred, r
-        err = y - pred
-        new_alpha = alpha - b[:m] * (err / gamma)
-        r = m  # the newcomer's slot
-        if not full:
-            _check_finite(new_alpha, err / gamma)
+            # installed here, since a skip keeps the rebuild without the newcomer
+            self._Q, self._alpha[: len(new_alpha)] = q, new_alpha
+        elif not full:
+            new_alpha = np.append(alpha - b[:m] * (err / gamma), err / gamma)
+            _check_finite(new_alpha)
             b[m] = -1.0
             self._her(1.0 / gamma, b, lower=1, a=q, overwrite_a=True)
-            alpha[:] = new_alpha
-            self._alpha[m] = err / gamma
-            self._m = m + 1
         else:
+            new_alpha = alpha - b[:m] * (err / gamma)
             # post-admit scores; the newcomer's is |err|^2 / gamma, and a tie evicts r
             q_diag = q.diagonal()[:m].real + np.abs(b[:m]) ** 2 / gamma
             scores = np.abs(new_alpha) ** 2 / q_diag
             r = int(scores.argmin())
             # admitting and evicting it is the identity; a numpy square overflows to inf
             if np.float64(abs(err)) ** 2 / gamma < scores[r]:
-                stats["skipped"] += 1
-                return pred, None
-            # w: column r of the admitted inverse, from row and column r of the triangle
-            w = np.concatenate((q[r, :r].conj(), q[r:, r]))
-            w += b * (np.conj(b[r]) / gamma)
-            w[r] = -np.conj(b[r]) / gamma
-            w /= np.sqrt(q_diag[r])
-            evicted, new_alpha[r] = new_alpha[r], err / gamma
-            new_alpha -= w[:m] * (evicted / np.sqrt(q_diag[r]))
-            _check_finite(new_alpha)
-            b[r] = -1.0
-            b /= np.sqrt(gamma)
-            # Q += b b^H - w w^H on the zeroed slot: (b + w)(b - w)^H / 2 + adjoint
-            q[r, :] = q[:, r] = 0.0
-            self._her2(0.5, b + w, b - w, lower=1, a=q, overwrite_a=True)
-            alpha[:] = new_alpha
-            stats["replacements"] += 1
+                r = m
+            else:
+                # w: column r of the admitted inverse, from row and column r of the triangle
+                w = np.concatenate((q[r, :r].conj(), q[r:, r]))
+                w += b * (np.conj(b[r]) / gamma)
+                w[r] = -np.conj(b[r]) / gamma
+                w /= np.sqrt(q_diag[r])
+                evicted, new_alpha[r] = new_alpha[r], err / gamma
+                new_alpha -= w[:m] * (evicted / np.sqrt(q_diag[r]))
+                _check_finite(new_alpha)
+                b[r] = -1.0
+                b /= np.sqrt(gamma)
+                # Q += b b^H - w w^H on the zeroed slot: (b + w)(b - w)^H / 2 + adjoint
+                q[r, :] = q[:, r] = 0.0
+                self._her2(0.5, b + w, b - w, lower=1, a=q, overwrite_a=True)
+        if full and r == m:
+            stats["skipped"] += 1
+            return pred, None
+        self._m = len(new_alpha)
+        self._alpha[: self._m] = new_alpha
         self._place(r, col, c)
         stats["admits"] += 1
+        stats["replacements"] += full
         return pred, r
 
     def _place(self, s: int, col: np.ndarray, c: float) -> None:

@@ -621,16 +621,26 @@ class TestStructuralProperties:
                 assert min_composite_eigenvalue(spec, x) >= -1e-10
 
     def test_validate_psd_raises_on_invalid_pair(self):
-        # rr/jj blocks with an overweight cross term are not a valid pair
-        bad = RealImagBlocks(
-            rr=RealGaussian(gamma=1.0, scale=0.2),
-            jj=RealGaussian(gamma=1.0, scale=0.2),
-            rj=RealGaussian(gamma=1.0, scale=1.0),
-            jr=RealGaussian(gamma=1.0, scale=1.0),
-        )
+        bads = [
+            # rr/jj blocks with an overweight cross term are not a valid pair
+            RealImagBlocks(
+                rr=RealGaussian(gamma=1.0, scale=0.2),
+                jj=RealGaussian(gamma=1.0, scale=0.2),
+                rj=RealGaussian(gamma=1.0, scale=1.0),
+                jr=RealGaussian(gamma=1.0, scale=1.0),
+            ),
+            # mixed gammas: s_rr s_jj (g_rr g_jj)^(D/2) < s_rj^2 g_rj^D at scale 1
+            RealImagBlocks(
+                rr=RealGaussian(gamma=0.9, scale=1.0),
+                jj=RealGaussian(gamma=3.1, scale=1.0),
+                rj=RealGaussian(gamma=2.0, scale=1.0),
+                jr=RealGaussian(gamma=2.0, scale=1.0),
+            ),
+        ]
         rng = np.random.default_rng(23)
         x = random_inputs(rng, 10, 1)
-        assert min_composite_eigenvalue(bad, x) < -1e-10
+        for bad in bads:
+            assert min_composite_eigenvalue(bad, x) < -1e-10
 
     def test_overflow_guard(self):
         spec = ComplexGaussian(gamma=80.0)

@@ -273,6 +273,23 @@ class TestStats:
         assert stats["rebuilds"] == {"singular": 0, "residual": 0}
         assert 0.0 < stats["residual_last"] == stats["residual_max"] <= 1e-9
 
+    @pytest.mark.parametrize("budget,n", [(1, 600), (20, 600), (None, 200)])
+    def test_counts_add_up_on_a_degenerate_stream(self, budget, n, caplog):
+        # five distinct inputs at a ridge weight of 1e-17: singular rebuilds below
+        # and at the budget, singular skips and residual rebuilds
+        rng = np.random.default_rng(0)
+        x = rng.choice(5, 600).astype(float)
+        y = rng.standard_normal(600)
+        model = Wrkls(RealGaussian(1.0), 1e-17, budget=budget)
+        with caplog.at_level("WARNING", logger="wrkhs.online"):
+            model.observe_many(x[:n, None], y[:n])
+        stats = model.stats
+        assert stats["admits"] + stats["skipped"] == n
+        assert stats["admits"] - stats["replacements"] == model.size <= (budget or n)
+        singular = [m for m in rebuild_records(caplog) if m.startswith("singular rank-1 update")]
+        assert stats["rebuilds"]["singular"] == len(singular) > 0
+        assert (stats["skipped"] > 0) == (budget is not None)
+
 
 class TestProbeCheck:
     """The periodic self-check is a probe ``max |Q (A V) - V|`` with a fixed +-1 block V."""

@@ -11,7 +11,9 @@ thread (the thread variables are set before numpy is imported):
 * ``bench synthetic1`` and ``bench synthetic2`` at seeds 0-9;
 * ``bench equalization`` at the ``equalization-budget`` config of the
   benchmark (rho 2^-1/2, 2000 samples, 2 trials, budget 500, lam 0.32,
-  ``real_gaussian`` gamma 8.92) at seeds 0-2;
+  ``real_gaussian`` gamma 8.92) at seeds 0-2, and once on a degenerate
+  stream (rho 0.5, 600 samples, 1 trial, budget 20, lam 1e-17,
+  ``real_gaussian`` gamma 1e4) that takes singular rebuilds at the budget;
 * ``kernel-surface`` for each of the six kernel families, about a center
   and along the diagonal ``k(x, x)`` (``--diagonal``), whose stationary
   kernels write constant columns;
@@ -64,6 +66,12 @@ EQUALIZATION = {
     "rho": 2 ** -0.5, "n_samples": 2000, "trials": 2, "filter_length": 5, "delay": 2,
     "snr_db": 16.0, "budget": 500, "lam": 0.32,
     "kernel": {"family": "real_gaussian", "params": {"gamma": 8.92, "scale": 1.0}},
+}
+
+# a nearly flat kernel at a tiny ridge weight: singular rebuilds at the budget
+DEGENERATE_EQUALIZATION = {
+    "rho": 0.5, "n_samples": 600, "trials": 1, "budget": 20, "lam": 1e-17, "base_seed": 0,
+    "kernel": {"family": "real_gaussian", "params": {"gamma": 1e4, "scale": 1.0}},
 }
 
 # the kernels and ridge weights of the batch-cli-n1500 workload
@@ -135,6 +143,9 @@ def run_set(work: Path) -> dict[str, str]:
     for seed in EQUALIZATION_SEEDS:
         cli("bench", "equalization", "--config", inputs / "equalization.json", "--seed", seed,
             "--out-dir", work / f"equalization-seed{seed}")
+    (inputs / "degenerate.json").write_text(json.dumps(DEGENERATE_EQUALIZATION), encoding="utf-8")
+    cli("bench", "equalization", "--config", inputs / "degenerate.json",
+        "--out-dir", work / "equalization-degenerate")
     (work / "surface").mkdir()
     for kernel in SURFACE_KERNELS:
         for suffix, diagonal in (("", ()), ("-diagonal", ("--diagonal",))):

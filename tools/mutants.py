@@ -117,6 +117,14 @@ MUTANTS = [
             "test_the_probe_block_of_a_grown_model_extends_the_smaller_one",
             "tests/test_online_updates.py::TestProbeCheck::"
             "test_a_drift_an_all_ones_probe_cannot_see_forces_a_residual")),
+    # the one commit point of the budgeted recursion
+    Mutant("tail-commits-a-singular-skip", "src/wrkhs/online.py",
+           "        if full and r == m:\n",
+           "        if full and r == m and gamma > 1e-12 * c:\n",
+           ("tests/test_online_updates.py::test_full_budget_singular_fallback_drops_the_newcomer",)),
+    Mutant("tail-drops-the-replacement-count", "src/wrkhs/online.py",
+           'stats["replacements"] += full', "pass",
+           ("tests/test_online_updates.py::TestStats::test_counts_add_up_on_a_degenerate_stream",)),
     # what a fit reports
     Mutant("ridge-solve-drops-the-jitter", "src/wrkhs/core.py",
            "return packed_solve(low, b), shift", "return packed_solve(low, b), lam",
