@@ -283,8 +283,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Widely complex-valued kernel regression toolbox",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the one note on byte reproducibility, as in README
+    threads = ("Outputs are byte-reproducible only at a fixed BLAS thread count "
+               "(OPENBLAS_NUM_THREADS) where a system of order >= 512 is factored (a fit "
+               "at n >= 512, or at n >= 256 for a no-phase kernel's 2n system) and in an "
+               "unbudgeted equalization.")
 
-    p_fit = sub.add_parser("fit", help="fit a model from a dataset CSV")
+    p_fit = sub.add_parser("fit", help="fit a model from a dataset CSV", description=threads)
     p_fit.add_argument("--dataset", required=True)
     p_fit.add_argument("--kernel", required=True, help="kernel JSON file or inline JSON")
     p_fit.add_argument("--lam", type=float, required=True)
@@ -306,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_surf.add_argument("--out", required=True)
     p_surf.set_defaults(func=cmd_kernel_surface)
 
-    p_bench = sub.add_parser("bench", help="run a benchmark")
+    p_bench = sub.add_parser("bench", help="run a benchmark", description=threads)
     p_bench.add_argument(
         "experiment", choices=["synthetic1", "synthetic2", "equalization"]
     )

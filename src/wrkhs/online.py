@@ -31,14 +31,14 @@ A second buffer slotted like ``Q`` keeps the regularized Gram
 column ``k(D, x)`` as its column and row there. The periodic self-check
 reads this Gram, and a rebuild inverts its packed triangle into ``Q``
 (``core.ridge_inverse``). The check is Freivalds' randomized check: with a
-fixed block V of ``PROBE_COLUMNS`` real +-1 columns it reports
+block V of ``PROBE_COLUMNS`` real +-1 columns it reports
 ``max |Q (A V) - V|``, one m x k product with the Gram ``A`` and k
 ``?symv``/``?hemv`` on the lower triangle of ``Q``, so O(k m^2) and no m x m
 temporary. A one-entry drift of ``Q (K_DD + lam I) - I`` shows in it at its
 full size, and up to rounding the probe residual is at most m times the
 exact one, which :meth:`Wrkls.inverse_residual` computes with a mirror of
-``Q`` and one m x m product. The probe block's rows come from one fixed-seed
-generator, so a growing model's blocks agree on their common rows.
+``Q`` and one m x m product. Each check draws V's m rows afresh from one
+fixed-seed generator, so a growing model's blocks agree on their common rows.
 
 One update loop serves both entries. ``observe_many`` takes a stream of
 samples, checked once (``core.ComplexDataset``), and returns the one-step
@@ -82,7 +82,7 @@ from .kernels import KernelSpec
 
 __all__ = ["Wrkls", "streaming_ridge_predictions"]
 
-# Observe calls between self-checks of the maintained inverse.
+# Samples taken (admitted or skipped) between self-checks of the maintained inverse.
 RESIDUAL_CHECK_INTERVAL = 128
 
 # Max tolerated probe residual |Q (K + lam I) V - V| before a full rebuild is forced.
@@ -108,6 +108,13 @@ def _check_finite(alpha: np.ndarray) -> None:
     finite entries overflow it, is each entry tested."""
     if not (cmath.isfinite(np.vdot(alpha, alpha)) or np.isfinite(alpha).all()):
         raise FloatingPointError
+
+
+def _probe_block(m: int) -> np.ndarray:
+    """The probe block's first m rows: +-1 entries drawn by rows from a fresh
+    ``PROBE_SEED`` generator, so a smaller block leads a larger one."""
+    draws = np.random.default_rng(PROBE_SEED).random((m, PROBE_COLUMNS))
+    return np.where(draws < 0.5, -1.0, 1.0)
 
 
 def _stopped(message: str, preds: np.ndarray) -> ValueError:
@@ -145,7 +152,8 @@ class Wrkls:
         rejected); ``None`` keeps every sample.
 
     A model instance is owned by a single updater. Its dictionary and
-    coefficients define the kernel expansion over the current bases.
+    coefficients define the kernel expansion over the current bases. The
+    first admitted sample sets the input dimension; a refused one leaves it free.
     ``stats`` counts admits, the replacements among them, skipped newcomers
     and rebuilds by cause, and keeps the latest and the worst residual of the
     periodic check. Those are probe residuals ``max |Q (A V) - V|`` (see the
@@ -168,17 +176,12 @@ class Wrkls:
         kinds = ("dsymv", "dsyr", "dsyr2") if spec.is_real_valued else ("zhemv", "zher", "zher2")
         self._hemv, self._her, self._her2 = (getattr(blas, kind) for kind in kinds)
         self._m = 0
-        self._dim: int | None = None
-        self._observed = 0
-        self._cap = 0
         self._D = np.zeros((0, 0), dtype=np.complex128)
         self._y = np.zeros(0, dtype=np.complex128)
         self._alpha = np.zeros(0, dtype=np.complex128)
         self._Q = np.zeros((0, 0), dtype=self._dtype, order="F")
         # the regularized dictionary Gram K_DD + lam I, slot for slot like Q
         self._A = np.zeros((0, 0), dtype=self._dtype, order="F")
-        # the self-check's probe block, one row per slot
-        self._V = np.zeros((0, PROBE_COLUMNS))
         self.stats = {"admits": 0, "replacements": 0, "skipped": 0, "residual_max": 0.0,
                       "residual_last": 0.0, "rebuilds": {"singular": 0, "residual": 0},
                       "jitter_max": 0.0}
@@ -219,13 +222,13 @@ class Wrkls:
         a NaN or infinite entry raises ``ValueError`` and leaves the model
         unchanged, as does an ``x`` that is not one sample (``core.as_sample``)
         and a ``y`` whose update would make a coefficient NaN or infinite.
+        The first admitted ``x`` sets the dimension; a refused one does not.
         This is the one-row case of :meth:`observe_many`'s loop.
         """
         x = as_sample(x, "observe: x")
         y = complex(y)
         if not cmath.isfinite(y):
             raise ValueError("observe: y is non-finite")
-        self._fix_dim(x.shape[1])
         return complex(self._stream(x, (y,), "observe: y")[0])
 
     def observe_many(self, X, y) -> np.ndarray:
@@ -240,13 +243,13 @@ class Wrkls:
         for the model after ``y[i - 1]``, and a ridge weight that overflows
         ``k(x, x) + lam``, for the model before ``X[i]``'s block. The samples
         before ``i`` stay admitted, and the error's ``predictions`` attribute
-        holds their one-step predictions, an (i,) complex array. The kernel
+        holds their one-step predictions, an (i,) complex array. The first
+        admitted row sets the dimension; a refused one leaves it free. The kernel
         columns of each block of ``BLOCK_ROWS`` samples come from one kernel
         evaluation, so they may round differently from one-sample columns in
         the last bit.
         """
         data = ComplexDataset(X=X, y=y)
-        self._fix_dim(data.d)
         return self._stream(data.X, data.y.tolist(), "observe_many: y[{}]")
 
     def inverse_residual(self) -> float:
@@ -265,21 +268,16 @@ class Wrkls:
 
     # -- internals ----------------------------------------------------------
 
-    def _fix_dim(self, dim: int) -> None:
-        if self._dim is None:
-            self._dim = dim
-        elif dim != self._dim:
-            raise ValueError(f"expected dimension {self._dim}, got {dim}")
-
-    def _ensure_capacity(self, need: int) -> None:
-        """Room for ``need`` slots; a budgeted model has ``budget + 1`` (the spare
-        slot of an admit at the budget) whatever ``need`` is."""
+    def _ensure_capacity(self, need: int, dim: int) -> None:
+        """Room for ``need`` slots of ``dim`` inputs; a budgeted model has
+        ``budget + 1`` (the spare slot of an admit at the budget) whatever ``need``
+        is. Buffers of another width hold no sample and count as no room."""
         if self.budget is not None:
             need = self.budget + 1
-        if need <= self._cap:
+        cap = len(self._y) if dim == self._D.shape[1] else 0
+        if need <= cap:
             return
-        new_cap = need if self.budget is not None else max(16, 2 * self._cap, need)
-        dim = self._dim or 1
+        new_cap = need if self.budget is not None else max(16, 2 * cap, need)
         new_d = np.zeros((new_cap, dim), dtype=np.complex128)
         new_y = np.zeros(new_cap, dtype=np.complex128)
         new_a = np.zeros(new_cap, dtype=np.complex128)
@@ -294,10 +292,6 @@ class Wrkls:
             new_k[:m, :m] = self._A[:m, :m]
         self._D, self._y, self._alpha = new_d, new_y, new_a
         self._Q, self._A = new_q, new_k
-        # rows drawn in order, so a larger block extends a smaller one
-        draws = np.random.default_rng(PROBE_SEED).random((new_cap, PROBE_COLUMNS))
-        self._V = np.where(draws < 0.5, -1.0, 1.0)
-        self._cap = new_cap
 
     def _stream(self, x: np.ndarray, y, name: str) -> np.ndarray:
         """Predict and admit checked rows ``x`` in order, with targets ``y``
@@ -311,13 +305,17 @@ class Wrkls:
         overflows raises ``ValueError`` naming the ridge weight before any of
         its samples is admitted. Either error carries the predictions of the
         samples before it as its ``predictions`` attribute."""
+        dim = x.shape[1]
+        if self._m and dim != self._D.shape[1]:
+            raise ValueError(f"expected dimension {self._D.shape[1]}, got {dim}")
         preds = np.empty(len(y), dtype=np.complex128)
+        stats = self.stats
         with limit_blas_threads(1), np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, len(y), BLOCK_ROWS):
                 stop = min(start + BLOCK_ROWS, len(y))
                 m = self._m
-                # (m, d) rows of the dictionary, also before a first block sizes it
-                rows = np.concatenate((self._D[:m].reshape(m, x.shape[1]), x[start:stop]))
+                # (m, d) rows of the dictionary, also while an empty one has another width
+                rows = np.concatenate((self._D[:m].reshape(m, dim), x[start:stop]))
                 gram = self.spec._gram(rows, rows[m:])
                 cross = gram[m:]
                 shifted = cross.diagonal().real + self.lam  # k(x, x) + lam
@@ -325,8 +323,8 @@ class Wrkls:
                     raise _stopped(f"ridge weight {self.lam!r} overflows k(x, x) + lam",
                                    preds[:start])
                 shifted = shifted.tolist()
-                self._ensure_capacity(m + stop - start)
-                cols = np.zeros((self._cap, stop - start), dtype=self._dtype, order="F")
+                self._ensure_capacity(m + stop - start, dim)
+                cols = np.zeros((len(self._y), stop - start), dtype=self._dtype, order="F")
                 cols[:m] = gram[:m]
                 for t, i in enumerate(range(start, stop)):
                     # the newcomer waits in the spare slot m until it is placed
@@ -340,9 +338,7 @@ class Wrkls:
                                        preds[:i]) from None
                     if s is not None:
                         cols[s, t + 1 :] = cross[t, t + 1 :]
-                    self._observed += 1
-                    if self._observed % RESIDUAL_CHECK_INTERVAL == 0:
-                        stats = self.stats
+                    if (stats["admits"] + stats["skipped"]) % RESIDUAL_CHECK_INTERVAL == 0:
                         stats["residual_last"] = residual = self._probe_residual()
                         stats["residual_max"] = max(stats["residual_max"], residual)
                         if residual > RESIDUAL_TOL:
@@ -357,8 +353,8 @@ class Wrkls:
         probe block ``V``: one m x k product, then one ``?symv``/``?hemv`` per
         column on the lower triangle of ``Q`` with a zero-padded vector."""
         m = self._m
-        v = self._V[:m]
-        av = np.zeros((self._cap, PROBE_COLUMNS), dtype=self._dtype, order="F")
+        v = _probe_block(m)
+        av = np.zeros((len(self._y), PROBE_COLUMNS), dtype=self._dtype, order="F")
         av[:m] = self._A[:m, :m] @ v
         return max(
             float(np.max(np.abs(self._hemv(1.0, self._Q, av[:, j], lower=1)[:m] - v[:, j])))

@@ -1144,9 +1144,10 @@ for argv in json.loads(sys.argv[1]):
 
 class TestThreadCount:
     """A fixed set of commands writes the same bytes at one and at two BLAS
-    threads, the count set before numpy is imported. At n = 200 each system
-    is factored on one thread; fits at n >= 512 and unbudgeted equalization
-    are byte-reproducible only at a fixed thread count (see README)."""
+    threads, the count set before numpy is imported. At n = 200 each system,
+    the 2n one too, is factored on one thread; a fit that factors a system of
+    order >= 512 (n >= 256 for the 2n system) and unbudgeted equalization are
+    byte-reproducible only at a fixed thread count (see README)."""
 
     KERNELS = [
         {"family": "real_gaussian", "params": {"gamma": 2.0}},

@@ -440,6 +440,45 @@ class TestOverflowingRidgeWeight:
         assert np.isfinite(streaming_ridge_predictions(unit, self.X, self.Y, 1.7e308)).all()
 
 
+class TestRefusedFirstSample:
+    """A first sample refused for its ridge weight or its target leaves the input
+    dimension free: a stream of another dimension is then taken as by a fresh model."""
+
+    # (spec, lam, x, y, message) of a refused 1-d first sample: k(x, x) + lam overflows,
+    # with k(x, x) = exp(4 |Im x|^2) about 5e302 at 13.2j, or y / (k(x, x) + lam) does
+    REFUSALS = {
+        "ridge_weight": (ComplexGaussian(1.0), 1.79769e308, 13.2j, 1.0, "ridge weight"),
+        "target": (RealGaussian(1.0, scale=0.5), 1e-3, 0.0, 1e308, "makes a coefficient"),
+    }
+
+    @pytest.mark.parametrize("budget", [None, 4])
+    @pytest.mark.parametrize("entry", ["observe", "observe_many"])
+    @pytest.mark.parametrize("cause", sorted(REFUSALS))
+    def test_a_stream_of_another_dimension_is_then_admitted(self, cause, entry, budget):
+        spec, lam, x0, y0, message = self.REFUSALS[cause]
+        model = Wrkls(spec, lam, budget)
+        with pytest.raises(ValueError, match=message):
+            if entry == "observe":
+                model.observe([x0], y0)
+            else:
+                model.observe_many([x0], [y0])
+        x, y = random_stream(np.random.default_rng(41), 30)
+        fresh = Wrkls(spec, lam, budget)
+        np.testing.assert_array_equal(model.observe_many(x, y), fresh.observe_many(x, y))
+        for old, new in zip(model_state(fresh), model_state(model)):
+            np.testing.assert_array_equal(old, new)
+        assert model.dictionary.shape == (min(30, budget or 30), 2)
+
+    def test_a_constant_kernel_then_names_the_ridge_weight(self):
+        # k(x, x) = 1e308 for every x: each sample is refused for the ridge weight,
+        # none for its dimension
+        model = Wrkls(RealGaussian(1.0, scale=1e308), 1e308)
+        for x in ([0.0], [[0.0, 1.0]], [[0.0, 1.0, 2.0]]):
+            with pytest.raises(ValueError, match=r"ridge weight 1e\+308 overflows"):
+                model.observe_many(x, [1.0])
+        assert model.stats["admits"] == 0
+
+
 class TestStreamingRidge:
     def test_matches_recursion(self):
         rng = np.random.default_rng(12)

@@ -292,7 +292,7 @@ class TestStats:
 
 
 class TestProbeCheck:
-    """The periodic self-check is a probe ``max |Q (A V) - V|`` with a fixed +-1 block V."""
+    """The periodic self-check is a probe ``max |Q (A V) - V|`` with a fixed-seed +-1 block V."""
 
     @pytest.mark.parametrize("name", sorted(SPECS))
     def test_one_entry_drift_of_q_forces_a_rebuild(self, name, caplog):
@@ -355,15 +355,32 @@ class TestProbeCheck:
         assert ones < 1e-13
         assert model._probe_residual() > RESIDUAL_TOL
 
-    def test_the_probe_block_of_a_grown_model_extends_the_smaller_one(self):
-        x, y = random_stream(np.random.default_rng(39), 40)
+    def test_the_probe_block_of_a_grown_model_extends_the_smaller_one(self, monkeypatch):
+        # each check draws its block afresh, one row per basis
+        blocks, draw = [], online._probe_block
+        monkeypatch.setattr(online, "_probe_block", lambda m: blocks.append(draw(m)) or blocks[-1])
+        x, y = random_stream(np.random.default_rng(39), 2 * RESIDUAL_CHECK_INTERVAL)
         model = Wrkls(RealGaussian(1.0), 0.3)
-        model.observe_many(x[:10], y[:10])
-        small = model._V.copy()
-        model.observe_many(x[10:], y[10:])
-        np.testing.assert_array_equal(model._V[: len(small)], small)
-        assert len(model._V) > len(small)
-        assert set(np.unique(model._V)) == {-1.0, 1.0}
+        model.observe_many(x, y)
+        small, large = blocks
+        assert len(small) == RESIDUAL_CHECK_INTERVAL and len(large) == model.size == len(y)
+        np.testing.assert_array_equal(large[: len(small)], small)
+        assert set(np.unique(large)) == {-1.0, 1.0}
+
+    @pytest.mark.parametrize("entry", ["observe_many", "observe"])
+    def test_the_check_counts_skipped_newcomers(self, entry):
+        # at budget 20 most newcomers are skipped; each counts toward the next check
+        x, y = random_stream(np.random.default_rng(41), 600)
+        model = Wrkls(RealGaussian(1.0), 0.3, budget=20)
+        checks, probe = [], model._probe_residual
+        model._probe_residual = lambda: checks.append(model.size) or probe()
+        if entry == "observe_many":
+            model.observe_many(x, y)
+        else:
+            for i in range(len(y)):
+                model.observe(x[i], y[i])
+        assert model.stats["skipped"] > model.stats["admits"]
+        assert len(checks) == len(y) // RESIDUAL_CHECK_INTERVAL
 
 
 class TestNonfiniteInput:
@@ -568,9 +585,9 @@ class TestObserveMany:
     @staticmethod
     def assert_refused_and_kept(model, x, y, message):
         before = state(model) + (model._D.copy(), model._A.copy())
-        stats, observed = repr(model.stats), model._observed
+        stats = repr(model.stats)
         with pytest.raises(ValueError, match=message):
             model.observe_many(x, y)
         for old, new in zip(before, state(model) + (model._D, model._A)):
             np.testing.assert_array_equal(old, new)
-        assert repr(model.stats) == stats and model._observed == observed
+        assert repr(model.stats) == stats

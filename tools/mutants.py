@@ -111,12 +111,22 @@ MUTANTS = [
     Mutant("skip-test-squares-in-python", "src/wrkhs/online.py",
            "np.float64(abs(err)) ** 2 / gamma", "abs(err) ** 2 / gamma",
            ("tests/test_online.py::TestOverflowingTarget",)),
+    Mutant("check-counts-only-admits", "src/wrkhs/online.py",
+           '(stats["admits"] + stats["skipped"]) %', '(stats["admits"]) %',
+           ("tests/test_online_updates.py::TestProbeCheck::"
+            "test_the_check_counts_skipped_newcomers",)),
     Mutant("probe-block-all-ones", "src/wrkhs/online.py",
            "np.where(draws < 0.5, -1.0, 1.0)", "np.where(draws < 0.5, 1.0, 1.0)",
            ("tests/test_online_updates.py::TestProbeCheck::"
             "test_the_probe_block_of_a_grown_model_extends_the_smaller_one",
             "tests/test_online_updates.py::TestProbeCheck::"
             "test_a_drift_an_all_ones_probe_cannot_see_forces_a_residual")),
+    # the input dimension is that of the admitted samples
+    Mutant("refused-sample-fixes-the-dimension", "src/wrkhs/online.py",
+           "if self._m and dim != self._D.shape[1]:",
+           "if self._D.shape[1] and dim != self._D.shape[1]:",
+           ("tests/test_online.py::TestRefusedFirstSample::"
+            "test_a_stream_of_another_dimension_is_then_admitted",)),
     # the one commit point of the budgeted recursion
     Mutant("tail-commits-a-singular-skip", "src/wrkhs/online.py",
            "        if full and r == m:\n",
