@@ -14,15 +14,16 @@ annotation says, so equal configs serialize, and hash, equally.
 Every ridge system is held as LAPACK's rectangular full packed (RFP) lower
 triangle (``transr="N"``; Gustavson et al., ACM TOMS 37(2), 2010): the
 n (n + 1) / 2 entries of an order-n matrix in one 1-D buffer.
-``ridge_factor`` shifts a Gram as the kernels hand it over
-(``kernels.KernelSpec._gram(x, x)``) and factors it in place by the one
-Cholesky, ``?pftrf``, with one jitter retry, which logs a ``WARNING`` on the
+``ridge_factor`` is the one Cholesky: it shifts a Gram as the kernels hand it
+over (``kernels.KernelSpec._gram(x, x)``) and factors it in place by
+``?pftrf``, with one jitter retry, which logs a ``WARNING`` on the
 ``wrkhs.core`` logger; it returns the diagonal shift it factored, so a fit
-can report it. ``packed_solve`` and ``packed_forward`` solve by the factor.
-``ridge_solve`` factors through it and solves (an exactly diagonal system by
-division), and ``ridge_inverse`` inverts its factor (``?pftri``) for
-``Wrkls``'s rebuild. A system of order below ``SMALL_SYSTEM_ORDER`` is
-factored, solved and inverted on one BLAS thread (``limit_blas_threads``).
+can report it. ``packed_solve`` and ``packed_forward`` solve by the factor,
+and ``packed_inverse`` inverts it in place (``?pftri``), so a forward solve
+by that factor comes first. ``ridge_solve``, the one fit shortcut, factors
+and solves (an exactly diagonal system by division). A system of order below
+``SMALL_SYSTEM_ORDER`` is factored, solved and inverted on one BLAS thread
+(``limit_blas_threads``).
 ``packed`` and ``unpacked`` convert full matrices, the latter through
 ``mirror_lower``, the one mirror of a lower triangle. ``hermitian_solve``,
 the tests' full-matrix oracle, solves a full matrix after checking that the
@@ -37,9 +38,9 @@ scipy have loaded for the length of a block, so that processes running BLAS
 side by side share the cores instead of each taking all of them, and small
 solves do not wait for a pool.
 
-All functions here but the ``ridge_*`` ones and ``mirror_lower``, which work
-in the buffer they are given, and ``limit_blas_threads``, which sets this
-process's BLAS thread counts, are pure; arrays returned by dataset
+All functions here but ``ridge_*``, ``packed_inverse`` and ``mirror_lower``,
+which work in the buffer they are given, and ``limit_blas_threads``, which
+sets this process's BLAS thread counts, are pure; arrays returned by dataset
 containers are read-only and safe to share across threads.
 """
 
@@ -76,9 +77,9 @@ __all__ = [
     "ridge_shift",
     "ridge_solve",
     "ridge_factor",
-    "ridge_inverse",
     "packed_solve",
     "packed_forward",
+    "packed_inverse",
     "packed",
     "unpacked",
     "packed_order",
@@ -306,45 +307,28 @@ def ridge_factor(a: np.ndarray, lam: float, rebuild) -> tuple[np.ndarray, float]
 
     ``L`` is returned as the RFP triangle it is factored in, ``a`` itself, with
     the shift ``lam``. A first factor with a pivot ``L_ii^2`` of at most
-    ``n eps`` times the largest has failed too. After a failure the failed
-    buffer is dropped, ``rebuild()`` returns ``A`` afresh, ``lam`` and the
-    jitter ``1e-12 * trace/n`` of ``A + lam I`` go on its diagonal, one
-    ``WARNING`` is logged on ``wrkhs.core``, and it is factored once more,
-    with the shift ``lam + jitter``; then :class:`NumericalError` is raised.
+    ``n eps`` times its own diagonal entry has failed too. After a failure the
+    failed buffer is dropped, ``rebuild()`` returns ``A`` afresh, ``lam`` and
+    the jitter ``1e-12 * trace/n`` of ``A + lam I`` go on its diagonal, one
+    ``WARNING`` is logged on ``wrkhs.core``, and it is factored once more, with
+    the shift ``lam + jitter``; then :class:`NumericalError` is raised.
     """
     a, n, jitter = ridge_shift(a, lam), packed_order(a), 0.0
+    diagonal = packed_diagonal(n)
     for retry in (False, True):
+        floor = n * np.finfo(float).eps * a[diagonal].real  # read before ?pftrf overwrites it
         with _sized_pool(n):
             low, info = get_lapack_funcs(("pftrf",), (a,))[0](n, a, uplo="L", overwrite_a=1)
-        pivots = np.square(low[packed_diagonal(n)].real)
-        if info == 0 and (retry or not n or pivots.min() > n * np.finfo(float).eps * pivots.max()):
+        if info == 0 and (retry or (np.square(low[diagonal].real) > floor).all()):
             return low, lam + jitter
         del a, low
         if retry:
             raise NumericalError("Cholesky factorization failed; matrix appears indefinite")
         a = ridge_shift(rebuild(), lam)
-        jitter = 1e-12 * float(np.mean(a[packed_diagonal(n)].real))
+        jitter = 1e-12 * float(np.mean(a[diagonal].real))
         _log.warning("Cholesky of order %d failed; retrying with jitter %.6g on the diagonal",
                      n, jitter)
         ridge_shift(a, jitter)
-
-
-def ridge_inverse(a: np.ndarray, rebuild) -> tuple[np.ndarray, float]:
-    """``A^-1`` as the lower triangle of an (n, n) F-ordered array, zero above
-    it, and the jitter factored: :func:`ridge_factor` at ``lam = 0`` in the
-    RFP triangle ``a`` of the Hermitian (n, n) ``A``, ``rebuild()`` giving
-    ``A`` afresh for the retry, then ``?pftri`` in place and ``?tfttr``. A
-    failed inversion raises :class:`NumericalError`."""
-    held = [a]
-    del a  # so that no reference keeps a failed factorization through the retry
-    low, jitter = ridge_factor(held.pop(), 0.0, rebuild)
-    n = packed_order(low)
-    pftri, tfttr = get_lapack_funcs(("pftri", "tfttr"), (low,))
-    with _sized_pool(n):
-        inv, info = pftri(n, low, uplo="L", overwrite_a=1)
-    if info != 0:
-        raise NumericalError(f"inverse of the order-{n} Cholesky factor failed")
-    return tfttr(n, inv, uplo="L")[0][:n], jitter  # n = 0 gives a row
 
 
 def packed_solve(low: np.ndarray, b) -> np.ndarray:
@@ -362,6 +346,20 @@ def packed_forward(low: np.ndarray, b) -> np.ndarray:
         return get_lapack_funcs(("tfsm",), (m, rhs))[0](1.0, m, rhs, uplo="L")
     with _sized_pool(packed_order(low)):
         return stacked_apply(solve, low, b)
+
+
+def packed_inverse(low: np.ndarray) -> np.ndarray:
+    """``(L L^H)^-1`` (``?pftri``, in place in ``low``, then ``?tfttr``) as the
+    lower triangle of an (n, n) F-ordered array, zero above it, for the RFP
+    triangle ``low`` of a lower-triangular ``L``, which it overwrites. A failed
+    inversion raises :class:`NumericalError`."""
+    n = packed_order(low)
+    pftri, tfttr = get_lapack_funcs(("pftri", "tfttr"), (low,))
+    with _sized_pool(n):
+        inv, info = pftri(n, low, uplo="L", overwrite_a=1)
+    if info != 0:
+        raise NumericalError(f"inverse of the order-{n} Cholesky factor failed")
+    return tfttr(n, inv, uplo="L")[0][:n]  # n = 0 gives a row
 
 
 def _sized_pool(n: int):

@@ -29,10 +29,10 @@ ends in one commit point that skips or places the newcomer and counts.
 A second buffer slotted like ``Q`` keeps the regularized Gram
 ``K_DD + lam I``, exactly Hermitian. An admit writes the newcomer's kernel
 column ``k(D, x)`` as its column and row there. The periodic self-check
-reads this Gram, and a rebuild inverts its packed triangle into ``Q``
-(``core.ridge_inverse``). The check is Freivalds' randomized check: with a
-block V of ``PROBE_COLUMNS`` real +-1 columns it reports
-``max |Q (A V) - V|``, one m x k product with the Gram ``A`` and k
+reads this Gram, and a rebuild factors it and inverts the factor into ``Q``
+(``core.ridge_factor``, ``core.packed_inverse``). The check is Freivalds'
+randomized check: with a block V of ``PROBE_COLUMNS`` real +-1 columns it
+reports ``max |Q (A V) - V|``, one m x k product with the Gram ``A`` and k
 ``?symv``/``?hemv`` on the lower triangle of ``Q``, so O(k m^2) and no m x m
 temporary. A one-entry drift of ``Q (K_DD + lam I) - I`` shows in it at its
 full size, and up to rounding the probe residual is at most m times the
@@ -75,7 +75,7 @@ from scipy.linalg import blas
 
 from .core import (
     ComplexDataset, as_sample, check_lam, is_int, limit_blas_threads, mirror_lower, packed,
-    packed_diagonal, packed_forward, ridge_factor, ridge_inverse, stacked_apply,
+    packed_diagonal, packed_forward, packed_inverse, ridge_factor, stacked_apply,
 )
 from .core import hermitian_solve  # not called here: perfbench/spans.py patches this name
 from .kernels import KernelSpec
@@ -161,7 +161,7 @@ class Wrkls:
     rebuild also logs one ``WARNING`` on the ``wrkhs.online`` logger, naming
     its cause and the dictionary size, and for a residual rebuild the probe
     residual. ``stats["jitter_max"]`` is the largest jitter any rebuild's
-    factorization added (``core.ridge_inverse``), 0.0 when none did.
+    factorization added (``core.ridge_factor``), 0.0 when none did.
     """
 
     def __init__(self, spec: KernelSpec, lam: float, budget: int | None = None):
@@ -445,13 +445,14 @@ class Wrkls:
     def _solve(self, slots) -> tuple[np.ndarray, np.ndarray, float]:
         """A new buffer like ``Q`` holding the lower triangle of the inverse of
         the kept Gram on the dictionary ``slots``, in their order and zero
-        elsewhere, the coefficients of their targets, and the jitter the
-        inverse took (``core.ridge_inverse``); the model is not written."""
+        elsewhere, the coefficients of their targets, and the jitter the factor
+        took; the model is not written. The packed Gram is a call temporary, so
+        a jitter retry packs it afresh after the failed factor is gone."""
         def kept():
             return packed(self._A[np.ix_(slots, slots)])
 
-        inv, jitter = ridge_inverse(kept(), kept)
-        m = len(slots)
+        low, jitter = ridge_factor(kept(), 0.0, kept)
+        inv, m = packed_inverse(low), len(slots)
         q = np.zeros_like(self._Q)
         q[:m, :m] = inv
         return q, stacked_apply(np.matmul, mirror_lower(inv), self._y[slots]), jitter

@@ -6,7 +6,6 @@ import dataclasses
 import math
 import re
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -24,7 +23,7 @@ from wrkhs import (
     streaming_ridge_predictions,
 )
 from wrkhs.core import (
-    as_float, from_pairs, hermitian_solve, packed, ridge_factor, ridge_inverse, ridge_shift,
+    as_float, from_pairs, hermitian_solve, packed, packed_inverse, ridge_factor, ridge_shift,
     ridge_solve, store_as_annotated, to_pairs, unpacked,
 )
 from conftest import transform_matrix
@@ -171,8 +170,9 @@ class TestHermitianFactor:
 
 
 class TestRidgeInverse:
-    """``ridge_inverse`` factors and inverts a Hermitian matrix in the packed
-    triangle it is given and unpacks the inverse's lower triangle."""
+    """The inverse of a ridge system: ``ridge_factor`` factors a Hermitian matrix
+    in the packed triangle it is given, and ``packed_inverse`` inverts the factor
+    in place and unpacks the inverse's lower triangle."""
 
     @staticmethod
     def system(n, dtype, seed=0):
@@ -182,12 +182,17 @@ class TestRidgeInverse:
             m += 1j * rng.standard_normal((n, n))
         return m @ m.conj().T + n * np.eye(n)
 
+    @staticmethod
+    def invert(a, rebuild):
+        low, jitter = ridge_factor(packed(a), 0.0, rebuild)
+        return packed_inverse(low), jitter
+
     @pytest.mark.parametrize("dtype", [float, complex])
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 300, 513])
     def test_matches_the_dense_inverse(self, n, dtype):
         a = self.system(n, dtype, seed=n)
         rebuilds = []
-        inv, jitter = ridge_inverse(packed(a), lambda: rebuilds.append(1) or packed(a))
+        inv, jitter = self.invert(a, lambda: rebuilds.append(1) or packed(a))
         assert inv.shape == (n, n) and inv.dtype == a.dtype and inv.flags.f_contiguous
         assert jitter == 0.0 and rebuilds == []
         assert not np.triu(inv, 1).any()
@@ -198,22 +203,13 @@ class TestRidgeInverse:
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_duplicate_rows_take_one_jitter_retry(self, dtype, caplog):
         # rows 0 and 1 are equal: A is singular, and the retry inverts A + jitter I
-        # in a buffer rebuilt once, after the failed one is gone
+        # in a buffer rebuilt once
         x = np.array([0.0, 0.0, 1.0, 2.5])
         a = np.exp(-np.subtract.outer(x, x) ** 2).astype(dtype)
-        buffers = []
-
-        def fresh():
-            buffers.append(weakref.ref(buf := packed(a)))
-            return buf
-
-        def rebuild():
-            assert buffers[0]() is None
-            return fresh()
-
+        rebuilds = []
         with caplog.at_level("WARNING", logger="wrkhs.core"):
-            inv, jitter = ridge_inverse(fresh(), rebuild)
-        assert len(buffers) == 2
+            inv, jitter = self.invert(a, lambda: rebuilds.append(1) or packed(a))
+        assert rebuilds == [1]
         assert [(r.name, r.levelname) for r in caplog.records] == [("wrkhs.core", "WARNING")]
         assert jitter == pytest.approx(1e-12, rel=1e-12, abs=0)
         # entries up to 5e11: matched to 1e-12 of the largest
@@ -224,7 +220,21 @@ class TestRidgeInverse:
     def test_indefinite_fails_hard(self):
         a = np.diag([1.0, -1.0, 2.0])
         with pytest.raises(NumericalError, match="indefinite"):
-            ridge_inverse(packed(a), lambda: packed(a))
+            ridge_factor(packed(a), 0.0, lambda: packed(a))
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_singular_factor_fails_hard(self, dtype):
+        # a zero on the factor's diagonal: ?pftri reports it
+        with pytest.raises(NumericalError, match="order-3 Cholesky factor"):
+            packed_inverse(packed(np.diag([1.0, 0.0, 2.0]).astype(dtype)))
+
+    def test_overwrites_the_factor(self):
+        a = self.system(5, float)
+        low, _ = ridge_factor(packed(a), 0.0, lambda: packed(a))
+        before = low.copy()
+        inv = packed_inverse(low)
+        np.testing.assert_allclose(low, packed(inv), rtol=0, atol=0)
+        assert not np.array_equal(low, before)
 
     @pytest.mark.parametrize("n", [2, core.SMALL_SYSTEM_ORDER - 1, core.SMALL_SYSTEM_ORDER])
     def test_limit_follows_the_order(self, n, monkeypatch):
@@ -237,7 +247,7 @@ class TestRidgeInverse:
 
         monkeypatch.setattr(core, "limit_blas_threads", recording)
         a = np.eye(n) + 0.25 * np.ones((n, n)) / n
-        inv, _ = ridge_inverse(packed(a), lambda: packed(a))
+        inv, _ = self.invert(a, lambda: packed(a))
         np.testing.assert_allclose(unpacked(packed(inv)) @ a, np.eye(n), atol=1e-12)
         # the factorization and the inverse
         assert limits == ([1, 1] if n < core.SMALL_SYSTEM_ORDER else [])

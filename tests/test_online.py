@@ -1,6 +1,7 @@
 """Tests for the budgeted online recursion."""
 
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -312,6 +313,22 @@ class TestJitter:
         model._rebuild()
         assert model.stats["jitter_max"] == pytest.approx(1e-12, rel=1e-12, abs=0)
 
+    def test_singular_rebuild_drops_the_failed_buffer(self, monkeypatch):
+        # the retry packs the kept Gram afresh after the failed factor is gone, so a
+        # rebuild holds one packed Gram at a time
+        model = Wrkls(RealGaussian(1.0), 1e-17)
+        model.observe_many([0, 1, 1, 0, 2, 1, 0.5], np.arange(1.0, 8.0))
+        buffers = []
+
+        def recording(a):
+            assert all(ref() is None for ref in buffers)
+            buffers.append(weakref.ref(buf := core.packed(a)))
+            return buf
+
+        monkeypatch.setattr(online, "packed", recording)
+        model._rebuild()
+        assert len(buffers) == 2
+
     def test_clean_stream_reports_none(self):
         x, y = random_stream(np.random.default_rng(18), 60)
         model = Wrkls(RealGaussian(1.0), 0.2, budget=10)
@@ -518,6 +535,17 @@ class TestStreamingRidge:
         assert np.all(np.isfinite(preds)) and preds[0] == 0.0
         batch = fit_srkhs(ComplexDataset(X=x, y=y), RealGaussian(1.0), 1e-17)
         assert np.all(np.isfinite(batch.alpha))
+
+    def test_a_widely_scaled_diagonal_matches_the_recursion(self, caplog):
+        # k(x, x) is 1 at the real samples and up to 3.5e62 at the others; each pivot
+        # stays near its own diagonal entry, so the factor takes no jitter
+        x = np.array([0, 1, 2, 6j, 6j + 1, 3, 6j + 2])
+        y = np.arange(1.0, 8.0) + 0.5j
+        spec = ComplexGaussian(1.0)
+        with caplog.at_level("WARNING", logger="wrkhs.core"):
+            fast = streaming_ridge_predictions(spec, x, y, 1e-3)
+        assert caplog.records == []
+        np.testing.assert_allclose(fast, Wrkls(spec, 1e-3).observe_many(x, y), rtol=1e-13, atol=0)
 
     def test_indefinite_after_the_jitter_fails_hard(self):
         spec = Indefinite(gamma=1.0)

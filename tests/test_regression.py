@@ -622,6 +622,20 @@ class TestTriangleContract:
         y = np.arange(1.0, 7.0) - 1j
         self.check_jitter_once(ComplexDataset(X=x, y=y), monkeypatch)
 
+    def test_a_widely_scaled_diagonal_takes_no_jitter(self, caplog):
+        # the complex Gaussian's k(x, x) is 1 at the real samples and 3.5e62 at 6j and
+        # 6j + 1: the pivots span 62 decades, but each is within 15 % of its own
+        # diagonal entry, and the diagonally scaled system has condition 3.1
+        data = ComplexDataset(X=np.array([0, 1, 2, 6j, 6j + 1]), y=np.arange(1.0, 6.0))
+        spec = ComplexGaussian(1.0)
+        with caplog.at_level("WARNING", logger="wrkhs.core"):
+            model = fit_srkhs(data, spec, 1e-3)
+        assert caplog.records == [] and model.info.shifts == (1e-3,)
+        a = spec.gram(data.X, data.X) + 1e-3 * np.eye(5)
+        d = np.sqrt(np.diag(a).real)
+        want = np.linalg.solve(a / np.outer(d, d), data.y / d) / d
+        np.testing.assert_allclose(model.alpha, want, rtol=1e-13, atol=0)
+
     @pytest.mark.parametrize("n", [2, 3, 4, 7, 8, 300, 301])
     def test_jitter_retry_at_packed_orders(self, n, monkeypatch):
         # the first two samples equal, at orders of either parity

@@ -147,7 +147,7 @@ def test_one_factorization(path):
 
 def test_one_cholesky_in_core():
     # core's one Cholesky, with its pivot rule and jitter retry, is ridge_factor's:
-    # ridge_solve and ridge_inverse factor through it
+    # ridge_solve and Wrkls's rebuild factor through it
     tree = ast.parse((Path(wrkhs.__file__).parent / "core.py").read_text(encoding="utf-8"))
     lines = named(tree, lambda name: re.fullmatch(r"[sdcz]?pftrf", name) is not None)
     owner, = [node for node in tree.body

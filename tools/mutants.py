@@ -88,11 +88,18 @@ MUTANTS = [
            ("tests/test_online.py::TestOverflowingRidgeWeight::test_observe_many",
             "tests/test_cli.py::TestOverflowRefused::test_bench_ridge_weight")),
     Mutant("cholesky-no-pivot-rule", "src/wrkhs/core.py",
-           "if info == 0 and (retry or not n or pivots.min() > n * np.finfo(float).eps * "
-           "pivots.max()):",
+           "if info == 0 and (retry or (np.square(low[diagonal].real) > floor).all()):",
            "if info == 0:",
            ("tests/test_regression.py::TestTriangleContract::"
             "test_rank_deficient_gram_takes_the_jitter_once",)),
+    Mutant("cholesky-pivot-rule-against-the-largest", "src/wrkhs/core.py",
+           "(retry or (np.square(low[diagonal].real) > floor).all())",
+           "(retry or not n or np.square(low[diagonal].real).min() > "
+           "n * np.finfo(float).eps * np.square(low[diagonal].real).max())",
+           ("tests/test_regression.py::TestTriangleContract::"
+            "test_a_widely_scaled_diagonal_takes_no_jitter",
+            "tests/test_online.py::TestStreamingRidge::"
+            "test_a_widely_scaled_diagonal_matches_the_recursion")),
     # the budgeted recursion's self-check and thread scope
     Mutant("stream-keeps-every-thread", "src/wrkhs/online.py",
            "with limit_blas_threads(1), np.errstate(",
@@ -158,12 +165,12 @@ MUTANTS = [
            "SMALL_SYSTEM_ORDER = 512", "SMALL_SYSTEM_ORDER = 0",
            ("tests/test_core.py::TestSmallSystemThreads",)),
     # the packed inverse a rebuild takes, and what a stream reports
-    Mutant("ridge-inverse-inverts-the-upper-triangle", "src/wrkhs/core.py",
+    Mutant("packed-inverse-inverts-the-upper-triangle", "src/wrkhs/core.py",
            'pftri(n, low, uplo="L"', 'pftri(n, low, uplo="U"',
            ("tests/test_core.py::TestRidgeInverse::test_matches_the_dense_inverse",)),
-    Mutant("ridge-inverse-holds-the-failed-buffer", "src/wrkhs/core.py",
-           "ridge_factor(held.pop(), 0.0, rebuild)", "ridge_factor(held[0], 0.0, rebuild)",
-           ("tests/test_core.py::TestRidgeInverse::test_duplicate_rows_take_one_jitter_retry",)),
+    Mutant("rebuild-holds-the-failed-buffer", "src/wrkhs/online.py",
+           "ridge_factor(kept(), 0.0, kept)", "ridge_factor(first := kept(), 0.0, kept)",
+           ("tests/test_online.py::TestJitter::test_singular_rebuild_drops_the_failed_buffer",)),
     # a jitter retry builds afresh with no failed buffer held: only the system that failed
     Mutant("ridge-solve-holds-the-failed-buffer", "src/wrkhs/core.py",
            "ridge_factor(held.pop(), lam, rebuild)", "ridge_factor(held[0], lam, rebuild)",
